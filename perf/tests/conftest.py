@@ -1,0 +1,13 @@
+"""Tests of the benchmark itself: ``python -m pytest perf/tests -q``.
+
+Outside tier-1's ``testpaths`` on purpose — they test the measuring
+instrument, not the program.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
