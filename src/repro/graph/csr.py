@@ -15,21 +15,124 @@ over the same dense numbering.  Vertices with no out- (or in-) arcs —
 including fully isolated vertices — occupy an empty row, so every vertex of
 the snapshot is addressable.
 
-When the vertex set has not changed between epochs, :meth:`from_snapshot`
-can *reuse* the previous CSR's id mapping (pass ``prev=``): the new CSR then
-shares the identical ``ids`` list object, which downstream consumers (dense
-hub tables) use as an O(1) identity test for "same id space" — the hook that
-keeps dense-table derivation delta-proportional.
+Construction has one entry point, :meth:`GraphSnapshot.to_csr`, and two
+costs.  :meth:`CSRGraph.from_snapshot` builds every row in Python, O(V+E):
+the first build of a graph, and the fallback.  Given another epoch's CSR
+(``to_csr(reuse=prev)``) whose vertex set is the same, the new arrays are
+*derived*: the rows that changed are found by diffing the two snapshots'
+adjacency mappings by object identity (O(Δ) while both are layers over one
+base, one O(V) C-speed scan across a compaction), only those rows are
+rebuilt in Python (O(Δ·deg)), and everything else is spliced out of
+``prev`` with a constant number of numpy ops (O(E) at memcpy speed).  The
+result equals a from-scratch build array for array and shares ``prev``'s
+``ids`` list *object*, which downstream consumers (dense hub tables) use as
+an O(1) identity test for "same id space" — the hook that keeps dense-table
+derivation delta-proportional.  The fallback triggers when there is no
+``prev``, when a vertex was added or removed, or when ``prev`` was adopted
+from raw arrays (:meth:`CSRGraph.from_arrays`) and so has no mappings to
+diff against.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import is_not
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, VertexNotFoundError
-from repro.graph.snapshot import GraphSnapshot
+from repro.graph.deltas import LayeredMapping
+from repro.graph.snapshot import Adjacency, GraphSnapshot
+
+Triple = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Source = Tuple[Adjacency, Adjacency, np.ndarray, np.ndarray]
+
+
+def _changed_vertices(
+    prev: Adjacency, new: Adjacency, ids: List[int]
+) -> Optional[List[int]]:
+    """Vertices whose adjacency dict is a different object in ``new``.
+
+    Snapshots never mutate a per-vertex dict and share it by reference
+    until the vertex is touched, so identity is a sound (conservative)
+    equality test.  Returns None when the two key sets differ — a vertex
+    was added or removed and the dense numbering cannot be kept.
+
+    Two layers over the identical ``base`` differ in at most the union of
+    their overlay keys, whichever is newer: O(Δ).  Across a compaction the
+    bases differ but ``flatten()`` kept the value objects, so one C-speed
+    identity scan over ``ids`` finds the rows: O(V).
+    """
+    prev_layered = isinstance(prev, LayeredMapping)
+    new_layered = isinstance(new, LayeredMapping)
+    prev_base = prev.base if prev_layered else prev
+    if prev_base is (new.base if new_layered else new):
+        keys = set(prev.overlay_keys()) if prev_layered else set()
+        if new_layered:
+            keys.update(new.overlay_keys())
+        changed = []
+        for v in keys:
+            old, cur = prev.get(v), new.get(v)
+            if old is cur:  # untouched, or absent on both sides
+                continue
+            if old is None or cur is None:
+                return None
+            changed.append(v)
+        return changed
+    if len(prev) != len(new):
+        return None
+    old_of = (prev.flatten() if prev_layered else prev).__getitem__
+    new_of = (new.flatten() if new_layered else new).__getitem__
+    try:
+        differs = map(is_not, map(old_of, ids), map(new_of, ids))
+        return list(compress(ids, differs))
+    except KeyError:
+        return None
+
+
+def _derive_triple(
+    triple: Triple, prev: Adjacency, new: Adjacency,
+    ids: List[int], dense: Dict[int, int],
+) -> Optional[Triple]:
+    """One direction's ``(indptr, indices, weights)`` for ``new``, given the
+    arrays built from ``prev``; None when the vertex sets differ.
+
+    Only the changed rows are rebuilt in Python (same order as
+    :meth:`CSRGraph.from_snapshot`: ascending dense neighbor); every other
+    arc moves with one row-mask gather/scatter per array.
+    """
+    changed = _changed_vertices(prev, new, ids)
+    if not changed:
+        return None if changed is None else triple
+    rows = sorted(map(dense.__getitem__, changed))
+    fresh_idx: List[int] = []
+    fresh_w: List[float] = []
+    lens: List[int] = []
+    for i in rows:
+        nbrs = new[ids[i]]
+        row = sorted(zip(map(dense.__getitem__, nbrs), nbrs.values()))
+        lens.append(len(row))
+        fresh_idx.extend([u for u, _w in row])
+        fresh_w.extend([w for _u, w in row])
+    indptr, indices, weights = triple
+    old_deg = np.diff(indptr)
+    deg = old_deg.copy()
+    deg[rows] = lens
+    new_indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(deg, out=new_indptr[1:])
+    keep = np.ones(len(ids), dtype=bool)
+    keep[rows] = False
+    src = np.repeat(keep, old_deg)
+    dst = np.repeat(keep, deg)
+    new_indices = np.empty(dst.shape[0], dtype=np.int64)
+    new_weights = np.empty(dst.shape[0], dtype=np.float64)
+    new_indices[dst] = indices[src]
+    new_weights[dst] = weights[src]
+    fresh = np.logical_not(dst)
+    new_indices[fresh] = fresh_idx
+    new_weights[fresh] = fresh_w
+    return new_indptr, new_indices, new_weights
 
 
 class CSRGraph:
@@ -59,6 +162,7 @@ class CSRGraph:
         "_unit",
         "_out_lists",
         "_in_lists",
+        "_source",
     )
 
     def __init__(
@@ -73,6 +177,7 @@ class CSRGraph:
         directed: bool,
         epoch: int,
         dense_map: Optional[Dict[int, int]] = None,
+        source: Optional[Source] = None,
     ) -> None:
         self.indptr = indptr
         self.indices = indices
@@ -92,28 +197,28 @@ class CSRGraph:
         self._unit: Optional["CSRGraph"] = None
         self._out_lists: Optional[Tuple[list, list, list]] = None
         self._in_lists: Optional[Tuple[list, list, list]] = None
+        # What the next epoch derives from: the snapshot's (out, in)
+        # adjacency mappings — the mapping objects only, never the snapshot,
+        # which memoizes this CSR — and the *weighted* weight arrays, which
+        # a unit-weight variant no longer carries itself.  None for arrays
+        # adopted without a snapshot behind them.
+        self._source = source
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_snapshot(
-        cls, snapshot: GraphSnapshot, prev: Optional["CSRGraph"] = None
-    ) -> "CSRGraph":
-        ids: Optional[List[int]] = None
-        dense: Optional[Dict[int, int]] = None
-        if prev is not None and prev.num_vertices == snapshot.num_vertices:
-            prev_ids = prev._ids
-            if all(v in snapshot for v in prev_ids):
-                # Same vertex set: share the id space by reference so
-                # ``same_id_space`` is an O(1) identity test downstream.
-                ids = prev_ids
-                dense = prev._dense
-        if ids is None:
-            ids = sorted(snapshot.vertices())
-            dense = {v: i for i, v in enumerate(ids)}
+    def from_snapshot(cls, snapshot: GraphSnapshot) -> "CSRGraph":
+        """Build every row from scratch: O(V+E) in Python.
+
+        The first build, the fallback of :meth:`GraphSnapshot.to_csr` when
+        the previous CSR cannot be derived from, and the oracle the derive
+        path is tested against.
+        """
+        ids = sorted(snapshot.vertices())
+        dense = {v: i for i, v in enumerate(ids)}
         n = len(ids)
 
-        def build(items_of) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def build(items_of) -> Triple:
             indptr = np.zeros(n + 1, dtype=np.int64)
             rows: List[List[Tuple[int, float]]] = []
             total = 0
@@ -133,23 +238,49 @@ class CSRGraph:
                     pos += 1
             return indptr, indices, weights
 
-        indptr, indices, weights = build(snapshot.out_items)
-        if snapshot.directed:
-            rev_indptr, rev_indices, rev_weights = build(snapshot.in_items)
-        else:
-            rev_indptr, rev_indices, rev_weights = indptr, indices, weights
+        fwd = build(snapshot.out_items)
+        rev = build(snapshot.in_items) if snapshot.directed else fwd
+        return cls._of_snapshot(snapshot, fwd, rev, ids, dense)
+
+    @classmethod
+    def _of_snapshot(
+        cls, snapshot: GraphSnapshot, fwd: Triple, rev: Triple,
+        ids: List[int], dense: Dict[int, int],
+    ) -> "CSRGraph":
         return cls(
-            indptr=indptr,
-            indices=indices,
-            weights=weights,
-            rev_indptr=rev_indptr,
-            rev_indices=rev_indices,
-            rev_weights=rev_weights,
+            *fwd, *rev,
             vertex_ids=ids,
             directed=snapshot.directed,
             epoch=snapshot.epoch,
             dense_map=dense,
+            source=(snapshot._out, snapshot._in, fwd[2], rev[2]),
         )
+
+    def _derive(self, snapshot: GraphSnapshot) -> Optional["CSRGraph"]:
+        """The CSR of ``snapshot``, spliced from this one; None if it can't be.
+
+        Needs the mappings this CSR was built from and an unchanged vertex
+        set.  The diff is symmetric, so ``snapshot`` may be older or newer
+        than this CSR and any number of epochs away.  The result shares
+        ``ids``/``dense_map`` with this CSR by reference and equals
+        :meth:`from_snapshot` array for array.
+        """
+        if self._source is None or self.directed != snapshot.directed:
+            return None
+        prev_out, prev_in, weights, rev_weights = self._source
+        ids, dense = self._ids, self._dense
+        fwd = rev = _derive_triple(
+            (self.indptr, self.indices, weights),
+            prev_out, snapshot._out, ids, dense,
+        )
+        if fwd is not None and self.directed:
+            rev = _derive_triple(
+                (self.rev_indptr, self.rev_indices, rev_weights),
+                prev_in, snapshot._in, ids, dense,
+            )
+        if fwd is None or rev is None:
+            return None
+        return self._of_snapshot(snapshot, fwd, rev, ids, dense)
 
     @classmethod
     def from_arrays(
@@ -205,26 +336,19 @@ class CSRGraph:
 
         Shares the structure arrays and the id space with this CSR (only the
         weight arrays are fresh), so the hop-metric serving plane costs O(E)
-        floats, not a rebuild.  Memoized.
+        floats, not a rebuild.  Memoized.  As ``to_csr(reuse=...)`` the
+        variant stands in for this CSR: the next epoch derives from the
+        weighted arrays, never from the all-ones copies.
         """
         if self._unit is None:
             ones = np.ones_like(self.weights)
-            if self.directed:
-                rev_ones = np.ones_like(self.rev_weights)
-                unit = CSRGraph(
-                    self.indptr, self.indices, ones,
-                    self.rev_indptr, self.rev_indices, rev_ones,
-                    vertex_ids=self._ids, directed=True, epoch=self.epoch,
-                    dense_map=self._dense,
-                )
-            else:
-                unit = CSRGraph(
-                    self.indptr, self.indices, ones,
-                    self.indptr, self.indices, ones,
-                    vertex_ids=self._ids, directed=False, epoch=self.epoch,
-                    dense_map=self._dense,
-                )
-            self._unit = unit
+            rev_ones = np.ones_like(self.rev_weights) if self.directed else ones
+            self._unit = CSRGraph(
+                self.indptr, self.indices, ones,
+                self.rev_indptr, self.rev_indices, rev_ones,
+                vertex_ids=self._ids, directed=self.directed,
+                epoch=self.epoch, dense_map=self._dense, source=self._source,
+            )
         return self._unit
 
     # -- identity ---------------------------------------------------------------
@@ -264,8 +388,8 @@ class CSRGraph:
     def same_id_space(self, other: "CSRGraph") -> bool:
         """O(1): True when both CSRs share the identical id mapping object.
 
-        Guaranteed after :meth:`from_snapshot` with ``prev=other`` found the
-        vertex set unchanged (and for :meth:`with_unit_weights` variants).
+        Guaranteed after ``snapshot.to_csr(reuse=other)`` found the vertex
+        set unchanged (and for :meth:`with_unit_weights` variants).
         A False result does not prove the id spaces differ — only that they
         are not known-shared and per-id translation must be used.
         """

@@ -146,13 +146,21 @@ class GraphSnapshot:
     def to_csr(self, reuse: Optional["CSRGraph"] = None) -> "CSRGraph":
         """The numpy CSR materialization of this snapshot (memoized).
 
-        ``reuse`` optionally passes a previous epoch's CSR whose id mapping
-        is adopted when the vertex set is unchanged (see
-        :meth:`repro.graph.csr.CSRGraph.from_snapshot`); it only influences
-        the first call — later calls return the memoized instance.
+        ``reuse`` optionally passes another epoch's CSR (older or newer, or
+        its unit-weight variant) to derive from: when the vertex set is the
+        same, only the rows whose adjacency changed are rebuilt in Python —
+        O(Δ·deg) — and the rest is spliced with O(E) numpy copies; the
+        result shares ``reuse``'s id mapping by reference and is
+        array-for-array what a from-scratch build gives.  Without ``reuse``,
+        after a vertex was added or removed, or when ``reuse`` was adopted
+        from raw arrays, this is the O(V+E) Python build
+        :meth:`repro.graph.csr.CSRGraph.from_snapshot`.  ``reuse`` only
+        influences the first call — later calls return the memoized
+        instance.
         """
         if self._csr is None:
             from repro.graph.csr import CSRGraph
 
-            self._csr = CSRGraph.from_snapshot(self, prev=reuse)
+            csr = reuse._derive(self) if reuse is not None else None
+            self._csr = csr if csr is not None else CSRGraph.from_snapshot(self)
         return self._csr

@@ -236,7 +236,9 @@ class EpochBoard(EpochRegistry):
         """Drop a reference; the last release of a retired slot unlinks."""
         with self._lock:
             self._meta[slot, 1] -= 1
-            if worker_id >= 0:
+            # Workers acquire the next epoch before releasing the previous
+            # one: only forget the worker's slot if it is the one released.
+            if worker_id >= 0 and int(self._worker_slots[worker_id]) == slot:
                 self._worker_slots[worker_id] = -1
             self._maybe_unlink(slot)
 

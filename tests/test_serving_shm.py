@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.engine import PairwiseEngine
 from repro.core.pruning import PruningPolicy
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serving import PlaneGraph, ShmPlane, leaked_segments, shm_available
+from repro.serving.epoch import EpochBoard
 from repro.sgraph import SGraph
 from repro.streaming.versioning import VersionedStore
 
@@ -340,4 +342,39 @@ class TestWorkerCrash:
             value, _stats, epoch = session.distance(0, 56)
             assert value == pytest.approx(0.3)
             assert epoch == session.store.latest().epoch
+        assert leaked_segments(prefix) == []
+
+    def test_reap_after_handoff_returns_the_new_slots_reference(self):
+        # A worker acquires the new epoch *before* releasing the old one;
+        # releasing the old slot must not erase the board's record that the
+        # worker holds the new one, or a kill after the handoff is never
+        # reaped and the retired segment leaks.
+        sg = _sgraph(43)
+        store = VersionedStore(sg)
+        prefix = "rptest-reap"
+        board = EpochBoard.create(f"{prefix}-board", num_workers=1,
+                                  lock=threading.Lock())
+        try:
+            names = []
+            for label in ("e1", "e2"):
+                view = store.publish()
+                names.append(f"{prefix}-{label}")
+                ShmPlane.export(view.dense_plane("distance"), names[-1],
+                                epoch=view.epoch).close()
+                sg.add_edge(0, 57, 0.4)
+            board.register(names[0], 1)
+            _gen, slot1, _epoch, _name = board.acquire(0)
+            board.register(names[1], 2)
+            _gen, slot2, _epoch, _name = board.acquire(0)
+            board.release(slot1, 0)
+            assert leaked_segments(names[0]) == []
+            board.release_worker(0)  # the worker died holding e2
+            refcounts = {name: rc for _s, name, _e, rc, _st in board.slots()}
+            assert refcounts == {names[1]: 0}
+            ShmPlane.export(store.publish().dense_plane("distance"),
+                            f"{prefix}-e3").close()
+            board.register(f"{prefix}-e3", 3)  # retires e2: unlinked at once
+            assert leaked_segments(names[1]) == []
+        finally:
+            board.shutdown()
         assert leaked_segments(prefix) == []
