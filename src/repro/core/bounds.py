@@ -209,24 +209,22 @@ class QueryBounds:
 
 
 class DenseQueryBounds:
-    """Vectorized bound evaluators over :class:`DenseHubTables`.
+    """Vectorized whole-query bounds over :class:`DenseHubTables`.
 
     The dense-plane twin of :class:`QueryBounds`, operating entirely in
-    *dense-id* space and specialized to the min-plus algebra.  Per-query
-    scalars (``UB``, ``LB``) are a handful of numpy ops over the stacked
-    ``(k, |V|)`` tables; the per-vertex residuals the search loop probes are
-    materialized once per direction as plain Python lists — O(k·|V|) in one
-    vectorized pass, then O(1) per activation, replacing the dict path's
-    O(k) probes per activation.
+    *dense-id* space and specialized to the min-plus algebra.  The two
+    per-query scalars (``UB``, ``LB``) are a handful of numpy ops over the
+    stacked ``(k, |V|)`` tables.  The per-vertex prune test is not here:
+    ``PairwiseEngine._search_dense`` inlines it as short-circuit probes of
+    the hub rows, so a query's bound work is O(touched), never O(|V|).
 
-    Every decision (prune or keep, bound values) is bit-identical to
-    :class:`QueryBounds` over the same frozen tables: the arithmetic is the
-    same IEEE float64 chain of subtractions and max/min, merely reordered
-    across hubs — and max/min over a fixed value set is order-independent.
+    Both values are bit-identical to :class:`QueryBounds` over the same
+    frozen tables: the arithmetic is the same IEEE float64 chain of
+    subtractions and max/min, merely reordered across hubs — and max/min
+    over a fixed value set is order-independent.
     """
 
-    __slots__ = ("_tables", "source", "target", "upper_bound",
-                 "_lower", "_res_f", "_res_b")
+    __slots__ = ("_tables", "source", "target", "upper_bound", "_lower")
 
     def __init__(self, tables: DenseHubTables, source: int, target: int) -> None:
         self._tables = tables
@@ -235,65 +233,12 @@ class DenseQueryBounds:
         #: best witness-path cost s → h → t; the incumbent seed
         self.upper_bound = tables.upper_bound(source, target)
         self._lower: Optional[float] = None
-        self._res_f: Optional[list] = None
-        self._res_b: Optional[list] = None
 
     def lower_bound(self) -> float:
         """Optimistic bound on the whole query ``d(source, target)``."""
         if self._lower is None:
             self._lower = self._tables.residual_pair(self.source, self.target)
         return self._lower
-
-    def residual_forward_list(self) -> list:
-        """Lower bounds on ``d(v, target)`` indexed by dense id."""
-        if self._res_f is None:
-            self._res_f = self._tables.residual_rows_to_target(
-                self.target
-            ).tolist()
-        return self._res_f
-
-    def residual_backward_list(self) -> list:
-        """Lower bounds on ``d(source, v)`` indexed by dense id."""
-        if self._res_b is None:
-            self._res_b = self._tables.residual_rows_from_source(
-                self.source
-            ).tolist()
-        return self._res_b
-
-    # -- pruning tests (engine fallback path; the hot loop inlines these) ----
-
-    def prunable_forward(
-        self, vertex: int, cost: float, incumbent: float, strict: bool = False
-    ) -> bool:
-        """Dense-id twin of :meth:`QueryBounds.prunable_forward`."""
-        return self._prunable(
-            self.residual_forward_list(), vertex, incumbent - cost, strict
-        )
-
-    def prunable_backward(
-        self, vertex: int, cost: float, incumbent: float, strict: bool = False
-    ) -> bool:
-        """Dense-id twin of :meth:`QueryBounds.prunable_backward`."""
-        return self._prunable(
-            self.residual_backward_list(), vertex, incumbent - cost, strict
-        )
-
-    @staticmethod
-    def _prunable(res: list, vertex: int, need: float, strict: bool) -> bool:
-        if strict:
-            if need < 0:
-                return True
-        elif need <= 0:
-            return True
-        if math.isnan(need):
-            need = math.inf
-        r = res[vertex]
-        if r == math.inf:
-            # A proof of unreachability prunes regardless of strictness
-            # (matches the dict path, where ``inf > inf`` never arises
-            # because the unreachability branch short-circuits first).
-            return True
-        return r > need if strict else r >= need
 
     def proves_unreachable(self) -> bool:
         """True when the index alone proves no source→target path exists."""

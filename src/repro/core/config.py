@@ -50,16 +50,6 @@ class SGraphConfig:
         last mutation (see :meth:`repro.SGraph.serving_backend`).  Under
         heavy churn auto therefore skips the per-epoch dense rebuild
         entirely.
-    auto_probe:
-        When True (and ``backend="auto"``), the facade replaces the
-        compiled-in ``AUTO_DENSE_QUERY_RATIO`` crossover constant with a
-        measured one: at the first publish it runs a one-shot timed probe —
-        a cold dense-plane build plus a few sample queries on each plane —
-        and sets the ratio to (build cost) / (per-query dict−dense gap),
-        clamped to a sane range.  Machines where the dense rebuild is cheap
-        relative to its per-query win cross over sooner; machines where it
-        is expensive, later.  The constant remains the fallback whenever
-        the probe cannot run (empty graph, no distance family).
     """
 
     num_hubs: int = 16
@@ -69,7 +59,6 @@ class SGraphConfig:
     seed: int = 0
     cache_size: int = 0
     backend: str = "auto"
-    auto_probe: bool = False
 
     def __post_init__(self) -> None:
         if self.num_hubs < 1:

@@ -145,16 +145,7 @@ class PairwiseEngine:
 
     def workspace_stats(self) -> Dict[str, int]:
         """Lifetime reuse counters of the bound workspace (zeros if unbound)."""
-        ws = self._ws
-        if ws is None:
-            return {
-                "workspace_vertices": 0,
-                "workspace_allocs": 0,
-                "workspace_hits": 0,
-                "workspace_resets": 0,
-                "touched_reset": 0,
-            }
-        return ws.stats_row()
+        return (self._ws or SearchWorkspace()).stats_row()
 
     def _dense_ready(self) -> Optional[DensePlane]:
         """The dense plane, forcing the lazy factory exactly once."""
@@ -194,19 +185,14 @@ class PairwiseEngine:
         bound gap close earlier — often answering straight from the index —
         which trades a sliver of accuracy for another large latency factor.
         """
-        if self._dense_ready() is not None:
-            return self._search_dense(source, target, stop_at_feasible=False,
-                                      tolerance=tolerance)
-        return self._search(source, target, stop_at_feasible=False,
-                            tolerance=tolerance)
+        value, _path, stats = self._kernel()(source, target,
+                                             tolerance=tolerance)
+        return value, stats
 
     def feasible(self, source: int, target: int) -> Tuple[bool, QueryStats]:
         """Whether any source→target path exists (reachability)."""
-        if self._dense_ready() is not None:
-            value, stats = self._search_dense(source, target,
-                                              stop_at_feasible=True)
-            return value != math.inf, stats
-        value, stats = self._search(source, target, stop_at_feasible=True)
+        value, _path, stats = self._kernel()(source, target,
+                                             stop_at_feasible=True)
         return self._semiring.is_reachable(value), stats
 
     def within_budget(
@@ -250,12 +236,7 @@ class PairwiseEngine:
                     # Even the optimistic bound misses the budget.
                     stats.answered_by_index = True
                     return False, stats
-        if plane is not None:
-            value, search_stats = self._search_dense(source, target,
-                                                     stop_at_feasible=False)
-        else:
-            value, search_stats = self._search(source, target,
-                                               stop_at_feasible=False)
+        value, _path, search_stats = self._kernel()(source, target)
         stats.merge(search_stats)
         stats.answered_by_index = search_stats.answered_by_index
         return sr.is_reachable(value) and not sr.is_better(budget, value), stats
@@ -265,28 +246,27 @@ class PairwiseEngine:
     ) -> Tuple[float, Optional[list], QueryStats]:
         """Exact best cost plus a witness path (None when unreachable).
 
-        Path mode differs from :meth:`best_cost` in two ways: pruning is
-        *strict* (tied vertices survive, so at least one optimal path
-        remains discoverable), and when the hub witness itself is optimal
-        the path is materialized by descending the hub trees instead of
-        searching.  Under the bottleneck algebra the witness shortcut is
-        skipped (cost plateaus make tree descent ambiguous) and the search
-        always produces the path.
+        The same search as :meth:`best_cost` with two differences: ties
+        survive every prune (so at least one optimal path remains
+        discoverable), and when the hub witness itself is optimal the path
+        is materialized by descending the hub trees instead of searching.
+        Under the non-additive algebras the witness shortcut is skipped
+        (cost plateaus make tree descent ambiguous) and the search always
+        produces the path.
 
-        When a dense plane serves this engine the search runs on flat
-        parent arrays in dense-id space (see :meth:`_path_search_dense`);
-        ids translate back only when the final path is stitched.  The
-        witness-shortcut fallback still descends the dict hub trees, so a
-        dense path engine under an index-using policy needs its index.
+        When a dense plane serves this engine the parent chains live in
+        flat arrays in dense-id space; ids translate back only when the
+        final path is stitched.  The witness-shortcut fallback still
+        descends the dict hub trees, so a dense path engine under an
+        index-using policy needs its index.
         """
-        if self._dense_ready() is not None:
-            if self._policy.uses_index and self._index is None:
-                raise ConfigError(
-                    "path queries under an index-using policy need the hub "
-                    "index for witness reconstruction"
-                )
-            return self._path_search_dense(source, target)
-        return self._path_search(source, target)
+        if (self._dense_ready() is not None and self._policy.uses_index
+                and self._index is None):
+            raise ConfigError(
+                "path queries under an index-using policy need the hub "
+                "index for witness reconstruction"
+            )
+        return self._kernel()(source, target, want_path=True)
 
     def expand(
         self,
@@ -602,35 +582,82 @@ class PairwiseEngine:
             stats.workspace_resets = 1
             stats.touched_reset = ws.release()
 
-    # -- path-mode search ---------------------------------------------------------
+    # -- the search -------------------------------------------------------------
 
-    def _path_search(
-        self, source: int, target: int
+    def _kernel(self):
+        """The bidirectional search of whichever plane serves this engine."""
+        return self._search if self._dense_ready() is None else self._search_dense
+
+    def _search(
+        self,
+        source: int,
+        target: int,
+        stop_at_feasible: bool = False,
+        tolerance: float = 0.0,
+        want_path: bool = False,
     ) -> Tuple[float, Optional[list], QueryStats]:
+        """The pruned bidirectional search, dict plane, any algebra.
+
+        Returns ``(value, path, stats)``; ``path`` is None unless
+        ``want_path``.  Path mode is the same search with ties kept: a
+        vertex (or a meet) that merely *equals* the incumbent survives,
+        because the incumbent may be the hub witness and the tied vertex
+        the only way to an explicit path of that cost.  The early-outs that
+        answer with a value but no path (bounds coincide, any finite
+        witness) are cost-mode only.  This is the reference every dense
+        routine is differentially tested against, and the only search for
+        the capacity and reliability algebras.
+        """
         graph = self._graph
         sr = self._semiring
         stats = QueryStats()
+        if tolerance < 0:
+            raise ConfigError("tolerance must be non-negative")
+        is_distance = isinstance(sr, ShortestDistance)
+        if tolerance > 0 and not is_distance:
+            raise ConfigError(
+                "approximate queries are only defined for the distance algebra"
+            )
+        scale = 1.0 + tolerance
         for v in (source, target):
             if not graph.has_vertex(v):
                 raise QueryError(f"query endpoint {v} is not in the graph")
         if source == target:
             stats.answered_by_index = True
-            return sr.source_value, [source], stats
+            return sr.source_value, [source] if want_path else None, stats
 
         unreachable = sr.unreachable
-        is_distance = isinstance(sr, ShortestDistance)
         bounds: Optional[QueryBounds] = None
         incumbent = unreachable
         if self._policy.uses_index:
             assert self._index is not None
             bounds = QueryBounds(self._index, source, target)
-            if self._policy.uses_lower_bounds and bounds.lower_bound() == unreachable:
-                stats.answered_by_index = True
-                return unreachable, None, stats
-            if is_distance:
-                # Seed the incumbent with the hub witness; if the search
-                # never beats it, the witness path itself is reconstructed.
+            if is_distance or not want_path:
+                # Seed the incumbent with the hub witness.  A path query
+                # must be able to materialize an unbeaten witness from the
+                # hub trees, which only the distance algebra supports.
                 incumbent = bounds.upper_bound
+            if self._policy.uses_lower_bounds:
+                lower = bounds.lower_bound()
+                if lower == unreachable:
+                    # The index proves there is no path at all.
+                    stats.answered_by_index = True
+                    return unreachable, None, stats
+                if not want_path and incumbent != unreachable:
+                    # Bounds (approximately) coincide: the witness path is
+                    # optimal, or within the requested tolerance of it.  For
+                    # non-additive algebras only exact coincidence applies.
+                    if is_distance:
+                        closed = lower * scale >= incumbent
+                    else:
+                        closed = lower == incumbent
+                    if closed:
+                        stats.answered_by_index = True
+                        return incumbent, None, stats
+            if stop_at_feasible and incumbent != unreachable:
+                # Any finite witness answers a reachability query.
+                stats.answered_by_index = True
+                return incumbent, None, stats
 
         labels_f = {source: sr.source_value}
         labels_b = {target: sr.source_value}
@@ -644,15 +671,19 @@ class PairwiseEngine:
         heap_b.push(target, sr.priority(sr.source_value))
         use_ub = self._policy.uses_index
         use_lb = self._policy.uses_lower_bounds
+        # With a tolerance, prune/terminate against incumbent/(1+tol): any
+        # path forgone then costs at least that much, so the returned
+        # incumbent is within the requested factor of the optimum.
+        threshold = incumbent / scale
         best_meet = None
-        best_meet_cost = unreachable
 
         while heap_f and heap_b:
             if incumbent != unreachable:
                 key_f, _ = heap_f.peek()
                 key_b, _ = heap_b.peek()
                 frontier = sr.concat(labels_f[key_f], labels_b[key_b])
-                if sr.is_better(incumbent, frontier):
+                if (sr.is_better(threshold, frontier) if want_path
+                        else not sr.is_better(frontier, threshold)):
                     break
             forward = len(heap_f) <= len(heap_b)
             if forward:
@@ -668,29 +699,33 @@ class PairwiseEngine:
             cost_v = labels[v]
             settled.add(v)
 
+            # Meeting the other search's label yields a real s→t path.
             other = other_labels.get(v)
             if other is not None:
                 candidate = sr.concat(cost_v, other)
-                # Accept ties so an optimal meet is recorded even when the
-                # incumbent was seeded by an equally-good hub witness.
-                if candidate == incumbent or sr.is_better(candidate, incumbent):
+                if sr.is_better(candidate, incumbent) or (
+                    want_path and candidate == incumbent
+                ):
                     incumbent = candidate
+                    threshold = incumbent / scale
                     best_meet = v
-                    best_meet_cost = candidate
+                    if stop_at_feasible:
+                        break
 
-            # Strict pruning only: tied vertices may carry the optimal path.
-            if use_ub and incumbent != unreachable and sr.is_better(
-                incumbent, cost_v
+            if use_ub and incumbent != unreachable and (
+                sr.is_better(threshold, cost_v) if want_path
+                else not sr.is_better(cost_v, threshold)
             ):
                 stats.pruned_by_upper_bound += 1
                 continue
             if use_lb:
                 assert bounds is not None
                 prunable = (
-                    bounds.prunable_forward(v, cost_v, incumbent, strict=True)
+                    bounds.prunable_forward(v, cost_v, threshold,
+                                            strict=want_path)
                     if forward
-                    else bounds.prunable_backward(v, cost_v, incumbent,
-                                                  strict=True)
+                    else bounds.prunable_backward(v, cost_v, threshold,
+                                                  strict=want_path)
                 )
                 if prunable:
                     stats.pruned_by_lower_bound += 1
@@ -710,9 +745,11 @@ class PairwiseEngine:
                     heap.push(u, sr.priority(candidate))
                     stats.pushes += 1
 
-        if incumbent == unreachable:
-            return unreachable, None, stats
-        if best_meet is not None and best_meet_cost == incumbent:
+        if not want_path or incumbent == unreachable:
+            return incumbent, None, stats
+        if best_meet is not None:
+            # The incumbent is only ever replaced together with best_meet,
+            # so a recorded meet is the one that set the final value.
             path = stitch_bidirectional(best_meet, parents_f, parents_b)
             return incumbent, path, stats
         # The hub witness remained unbeaten: materialize it from the index.
@@ -721,45 +758,70 @@ class PairwiseEngine:
         stats.answered_by_index = True
         return incumbent, path, stats
 
-    def _path_search_dense(
-        self, source: int, target: int
-    ) -> Tuple[float, Optional[list], QueryStats]:
-        """Flat-array mirror of :meth:`_path_search` over the dense plane.
+    # -- the dense search ---------------------------------------------------------
 
-        Same strict-pruning decisions, same answers, same stats — but the
-        search state (``g`` labels, parents, settled marks) lives in flat
-        lists indexed by dense id, and the parent chains are stitched in
-        dense-id space with a single id translation at the end.  Min-plus
-        algebra only.
+    def _search_dense(
+        self,
+        source: int,
+        target: int,
+        stop_at_feasible: bool = False,
+        tolerance: float = 0.0,
+        want_path: bool = False,
+    ) -> Tuple[float, Optional[list], QueryStats]:
+        """Flat-array mirror of :meth:`_search` over the dense plane.
+
+        Same decisions, same answers, same stats — but search state lives in
+        flat lists indexed by dense id (``g`` labels, parents, settled
+        bytemaps) and adjacency is walked through the CSR's cached list
+        views, eliminating the per-step dict hashing of the reference path.
+        Min-plus algebra only, which lets the semiring calls inline to
+        ``+`` / ``<`` and lets path mode keep its ties by arithmetic instead
+        of by a second set of comparisons: every prune tests against
+        ``cut``, which is the threshold itself in cost mode and the next
+        float above it in path mode (``x >= cut`` is then ``x > threshold``).
         """
         plane = self._dense
         csr = plane.csr
         graph = self._graph
         stats = QueryStats()
+        if tolerance < 0:
+            raise ConfigError("tolerance must be non-negative")
+        scale = 1.0 + tolerance
         for v in (source, target):
             if not graph.has_vertex(v):
                 raise QueryError(f"query endpoint {v} is not in the graph")
         if source == target:
             stats.answered_by_index = True
-            return 0.0, [source], stats
+            return 0.0, [source] if want_path else None, stats
 
         inf = math.inf
         s = csr.dense_id(source)
         t = csr.dense_id(target)
-        bounds: Optional[DenseQueryBounds] = None
         incumbent = inf
         if self._policy.uses_index:
             bounds = DenseQueryBounds(plane.tables, s, t)
-            if self._policy.uses_lower_bounds and bounds.lower_bound() == inf:
-                stats.answered_by_index = True
-                return inf, None, stats
-            # Seed the incumbent with the hub witness; if the search never
-            # beats it, the witness path itself is reconstructed.
             incumbent = bounds.upper_bound
+            if self._policy.uses_lower_bounds:
+                lower = bounds.lower_bound()
+                if lower == inf:
+                    # The index proves there is no path at all.
+                    stats.answered_by_index = True
+                    return inf, None, stats
+                if (not want_path and incumbent != inf
+                        and lower * scale >= incumbent):
+                    stats.answered_by_index = True
+                    return incumbent, None, stats
+            if stop_at_feasible and incumbent != inf:
+                # Any finite witness answers a reachability query.
+                stats.answered_by_index = True
+                return incumbent, None, stats
 
+        # Validation and index early-outs are all behind us: claim the
+        # workspace last, release it in `finally`, and the state can never
+        # be claimed for a query that raises before searching nor leak from
+        # one that raises mid-search.
         ws = self._workspace_for(csr.num_vertices)
         stats.workspace_hits = 1 if ws.acquire(csr.num_vertices) else 0
-        ws.ensure_parents()
         try:
             g_f = ws.g_f
             g_b = ws.g_b
@@ -777,14 +839,33 @@ class PairwiseEngine:
             indptr_b, indices_b, weights_b = csr.in_lists()
             use_ub = self._policy.uses_index
             use_lb = self._policy.uses_lower_bounds
+            if use_lb:
+                # Per-hub rows as flat lists plus the four per-endpoint
+                # scalar columns the prune tests reference, zipped into one
+                # tuple per hub so the probe loops unpack instead of
+                # indexing four lists.  Probes short-circuit on the first
+                # deciding hub, exactly like the dict path — O(1) for the
+                # overwhelmingly common pruned vertex.  Columns come from
+                # the tables' per-epoch LRU.
+                rows_f, rows_b = plane.tables.rows_as_lists()
+                fwd_t, bwd_t = plane.tables.columns_for(t)  # d(h,t) / d(t,h)
+                fwd_s, bwd_s = plane.tables.columns_for(s)  # d(h,s) / d(s,h)
+                probes_f = list(zip(rows_f, fwd_t, bwd_t, rows_b))
+                probes_b = list(zip(fwd_s, rows_f, rows_b, bwd_s))
+            # With a tolerance, prune/terminate against incumbent/(1+tol):
+            # any path forgone then costs at least that much, so the
+            # returned incumbent is within the requested factor of the
+            # optimum.
+            threshold = incumbent / scale
+            nextafter = math.nextafter
+            cut = nextafter(threshold, inf) if want_path else threshold
             best_meet = -1
-            best_meet_cost = inf
 
             while heap_f and heap_b:
                 if incumbent != inf:
                     key_f, _pf = heap_f.peek()
                     key_b, _pb = heap_b.peek()
-                    if g_f[key_f] + g_b[key_b] > incumbent:
+                    if g_f[key_f] + g_b[key_b] >= cut:
                         break
                 forward = len(heap_f) <= len(heap_b)
                 if forward:
@@ -802,30 +883,62 @@ class PairwiseEngine:
                 cost_v = g[v]
                 settled[v] = 1
 
+                # Meeting the other search's label yields a real s→t path.
+                # Path mode accepts ties so an optimal meet is recorded even
+                # when the incumbent was seeded by an equally good witness.
                 other = g_other[v]
                 if other != inf:
                     candidate = cost_v + other
-                    # Accept ties so an optimal meet is recorded even when
-                    # the incumbent was seeded by an equally-good hub
-                    # witness.
-                    if candidate <= incumbent:
+                    if candidate < incumbent or (
+                        want_path and candidate == incumbent
+                    ):
                         incumbent = candidate
+                        threshold = incumbent / scale
+                        cut = (nextafter(threshold, inf) if want_path
+                               else threshold)
                         best_meet = v
-                        best_meet_cost = candidate
+                        if stop_at_feasible:
+                            break
 
-                # Strict pruning only: tied vertices may carry the optimal
-                # path.
-                if use_ub and incumbent != inf and incumbent < cost_v:
+                if use_ub and incumbent != inf and cost_v >= cut:
                     stats.pruned_by_upper_bound += 1
                     continue
                 if use_lb:
-                    prunable = (
-                        bounds.prunable_forward(v, cost_v, incumbent,
-                                                strict=True)
-                        if forward
-                        else bounds.prunable_backward(v, cost_v, incumbent,
-                                                      strict=True)
-                    )
+                    # cost_v < cut got us here, so `need` is positive (zero
+                    # for a tie path mode kept).  One ulp up turns the
+                    # probes' `>= need` into the `> need` ties require.
+                    need = threshold - cost_v
+                    if want_path:
+                        need = nextafter(need, inf)
+                    # The dense-id transliteration of the dict path's
+                    # QueryBounds._prunable_distance, per-hub short-circuit
+                    # included: prune as soon as one hub's bound on the
+                    # remaining distance reaches `need` (or proves the pair
+                    # unreachable).
+                    prunable = False
+                    if forward:
+                        for row_hv, ht, th, row_vh in probes_f:
+                            hv = row_hv[v]                     # d(h, v)
+                            if hv != inf and (ht == inf or ht - hv >= need):
+                                prunable = True
+                                break
+                            if th != inf:
+                                vh = row_vh[v]                 # d(v, h)
+                                if vh == inf or vh - th >= need:
+                                    prunable = True
+                                    break
+                    else:
+                        # Bound on d(source, v): roles (source, v) as (v, t).
+                        for hv, row_ht, row_th, vh in probes_b:
+                            if hv != inf:
+                                ht = row_ht[v]                 # d(h, v)
+                                if ht == inf or ht - hv >= need:
+                                    prunable = True
+                                    break
+                            th = row_th[v]                     # d(v, h)
+                            if th != inf and (vh == inf or vh - th >= need):
+                                prunable = True
+                                break
                     if prunable:
                         stats.pruned_by_lower_bound += 1
                         continue
@@ -843,11 +956,13 @@ class PairwiseEngine:
                         heap.push(u, candidate)
                         stats.pushes += 1
 
-            if incumbent == inf:
-                return inf, None, stats
-            if best_meet >= 0 and best_meet_cost == incumbent:
-                # Stitch both parent chains in dense-id space; translate to
-                # caller ids only here, once per path vertex.
+            if not want_path or incumbent == inf:
+                return incumbent, None, stats
+            if best_meet >= 0:
+                # The incumbent is only ever replaced together with
+                # best_meet, so a recorded meet set the final value.  Stitch
+                # both parent chains in dense-id space; translate to caller
+                # ids only here, once per path vertex.
                 ids = csr.ids
                 path: List[int] = []
                 node = best_meet
@@ -866,325 +981,6 @@ class PairwiseEngine:
             path = hub_witness_path(self._index, graph, source, target)
             stats.answered_by_index = True
             return incumbent, path, stats
-        finally:
-            stats.workspace_resets = 1
-            stats.touched_reset = ws.release()
-
-    # -- the search -------------------------------------------------------------
-
-    def _search(
-        self,
-        source: int,
-        target: int,
-        stop_at_feasible: bool,
-        tolerance: float = 0.0,
-    ) -> Tuple[float, QueryStats]:
-        graph = self._graph
-        sr = self._semiring
-        stats = QueryStats()
-        if tolerance < 0:
-            raise ConfigError("tolerance must be non-negative")
-        if tolerance > 0 and not isinstance(sr, ShortestDistance):
-            raise ConfigError(
-                "approximate queries are only defined for the distance algebra"
-            )
-        scale = 1.0 + tolerance
-        for v in (source, target):
-            if not graph.has_vertex(v):
-                raise QueryError(f"query endpoint {v} is not in the graph")
-        if source == target:
-            stats.answered_by_index = True
-            return sr.source_value, stats
-
-        unreachable = sr.unreachable
-        bounds: Optional[QueryBounds] = None
-        incumbent = unreachable
-        if self._policy.uses_index:
-            assert self._index is not None
-            bounds = QueryBounds(self._index, source, target)
-            incumbent = bounds.upper_bound
-            if self._policy.uses_lower_bounds:
-                lower = bounds.lower_bound()
-                if lower == unreachable:
-                    # The index proves there is no path at all.
-                    stats.answered_by_index = True
-                    return unreachable, stats
-                if incumbent != unreachable:
-                    # Bounds (approximately) coincide: the witness path is
-                    # optimal, or within the requested tolerance of it.  For
-                    # non-additive algebras only exact coincidence applies.
-                    if isinstance(sr, ShortestDistance):
-                        closed = lower * scale >= incumbent
-                    else:
-                        closed = lower == incumbent
-                    if closed:
-                        stats.answered_by_index = True
-                        return incumbent, stats
-            if stop_at_feasible and incumbent != unreachable:
-                # Any finite witness answers a reachability query.
-                stats.answered_by_index = True
-                return incumbent, stats
-
-        labels_f = {source: sr.source_value}
-        labels_b = {target: sr.source_value}
-        settled_f: set = set()
-        settled_b: set = set()
-        heap_f = IndexedHeap()
-        heap_b = IndexedHeap()
-        heap_f.push(source, sr.priority(sr.source_value))
-        heap_b.push(target, sr.priority(sr.source_value))
-        use_ub = self._policy.uses_index
-        use_lb = self._policy.uses_lower_bounds
-        # With a tolerance, prune/terminate against incumbent/(1+tol): any
-        # path forgone then costs at least that much, so the returned
-        # incumbent is within the requested factor of the optimum.
-        threshold = incumbent if scale == 1.0 else incumbent / scale
-
-        while heap_f and heap_b:
-            if incumbent != unreachable:
-                key_f, _ = heap_f.peek()
-                key_b, _ = heap_b.peek()
-                frontier = sr.concat(labels_f[key_f], labels_b[key_b])
-                if not sr.is_better(frontier, threshold):
-                    break
-            forward = len(heap_f) <= len(heap_b)
-            if forward:
-                heap, labels, other_labels, settled = (
-                    heap_f, labels_f, labels_b, settled_f,
-                )
-            else:
-                heap, labels, other_labels, settled = (
-                    heap_b, labels_b, labels_f, settled_b,
-                )
-
-            v, _priority = heap.pop()
-            cost_v = labels[v]
-            settled.add(v)
-
-            # Meeting the other search's label yields a real s→t path.
-            other = other_labels.get(v)
-            if other is not None:
-                candidate = sr.concat(cost_v, other)
-                if sr.is_better(candidate, incumbent):
-                    incumbent = candidate
-                    threshold = incumbent if scale == 1.0 else incumbent / scale
-                    if stop_at_feasible:
-                        break
-
-            if use_ub and incumbent != unreachable and not sr.is_better(
-                cost_v, threshold
-            ):
-                stats.pruned_by_upper_bound += 1
-                continue
-            if use_lb:
-                assert bounds is not None
-                prunable = (
-                    bounds.prunable_forward(v, cost_v, threshold)
-                    if forward
-                    else bounds.prunable_backward(v, cost_v, threshold)
-                )
-                if prunable:
-                    stats.pruned_by_lower_bound += 1
-                    continue
-
-            stats.activations += 1
-            neighbors = graph.out_items(v) if forward else graph.in_items(v)
-            for u, w in neighbors:
-                stats.relaxations += 1
-                if u in settled:
-                    continue
-                candidate = sr.extend(cost_v, w)
-                current = labels.get(u)
-                if current is None or sr.is_better(candidate, current):
-                    labels[u] = candidate
-                    heap.push(u, sr.priority(candidate))
-                    stats.pushes += 1
-
-        return incumbent, stats
-
-    # -- the dense search ---------------------------------------------------------
-
-    def _search_dense(
-        self,
-        source: int,
-        target: int,
-        stop_at_feasible: bool,
-        tolerance: float = 0.0,
-    ) -> Tuple[float, QueryStats]:
-        """Flat-array mirror of :meth:`_search` over the dense plane.
-
-        Same decisions, same answers, same stats — but search state lives in
-        flat lists indexed by dense id (``g`` labels, settled bytemaps,
-        residual rows) and adjacency is walked through the CSR's cached list
-        views, eliminating the per-step dict hashing of the reference path.
-        Min-plus algebra only, which lets the semiring calls inline to
-        ``+`` / ``<`` / ``min``.
-        """
-        plane = self._dense
-        csr = plane.csr
-        graph = self._graph
-        stats = QueryStats()
-        if tolerance < 0:
-            raise ConfigError("tolerance must be non-negative")
-        scale = 1.0 + tolerance
-        for v in (source, target):
-            if not graph.has_vertex(v):
-                raise QueryError(f"query endpoint {v} is not in the graph")
-        if source == target:
-            stats.answered_by_index = True
-            return 0.0, stats
-
-        inf = math.inf
-        s = csr.dense_id(source)
-        t = csr.dense_id(target)
-        bounds: Optional[DenseQueryBounds] = None
-        incumbent = inf
-        if self._policy.uses_index:
-            bounds = DenseQueryBounds(plane.tables, s, t)
-            incumbent = bounds.upper_bound
-            if self._policy.uses_lower_bounds:
-                lower = bounds.lower_bound()
-                if lower == inf:
-                    # The index proves there is no path at all.
-                    stats.answered_by_index = True
-                    return inf, stats
-                if incumbent != inf and lower * scale >= incumbent:
-                    stats.answered_by_index = True
-                    return incumbent, stats
-            if stop_at_feasible and incumbent != inf:
-                # Any finite witness answers a reachability query.
-                stats.answered_by_index = True
-                return incumbent, stats
-
-        # Validation and index early-outs are all behind us: claim the
-        # workspace last, release it in `finally`, and the state can never
-        # be claimed for a query that raises before searching nor leak from
-        # one that raises mid-search.
-        ws = self._workspace_for(csr.num_vertices)
-        stats.workspace_hits = 1 if ws.acquire(csr.num_vertices) else 0
-        try:
-            g_f = ws.g_f
-            g_b = ws.g_b
-            g_f[s] = 0.0
-            g_b[t] = 0.0
-            settled_f = ws.settled_f
-            settled_b = ws.settled_b
-            heap_f = ws.heap_f
-            heap_b = ws.heap_b
-            heap_f.push(s, 0.0)
-            heap_b.push(t, 0.0)
-            indptr_f, indices_f, weights_f = csr.out_lists()
-            indptr_b, indices_b, weights_b = csr.in_lists()
-            use_ub = self._policy.uses_index
-            use_lb = self._policy.uses_lower_bounds
-            if use_lb:
-                # Per-hub rows as flat lists plus the four per-endpoint
-                # scalar columns the prune tests reference.  Probes
-                # short-circuit on the first deciding hub, exactly like the
-                # dict path — O(1) for the overwhelmingly common pruned
-                # vertex.  Columns come from the tables' per-epoch LRU.
-                rows_f, rows_b = plane.tables.rows_as_lists()
-                hub_range = range(len(rows_f))
-                fwd_t, bwd_t = plane.tables.columns_for(t)  # d(h,t) / d(t,h)
-                fwd_s, bwd_s = plane.tables.columns_for(s)  # d(h,s) / d(s,h)
-            # With a tolerance, prune/terminate against incumbent/(1+tol):
-            # any path forgone then costs at least that much, so the
-            # returned incumbent is within the requested factor of the
-            # optimum.
-            threshold = incumbent if scale == 1.0 else incumbent / scale
-
-            while heap_f and heap_b:
-                if incumbent != inf:
-                    key_f, _pf = heap_f.peek()
-                    key_b, _pb = heap_b.peek()
-                    if g_f[key_f] + g_b[key_b] >= threshold:
-                        break
-                forward = len(heap_f) <= len(heap_b)
-                if forward:
-                    heap, g, g_other, settled = heap_f, g_f, g_b, settled_f
-                    indptr, indices, weights = indptr_f, indices_f, weights_f
-                else:
-                    heap, g, g_other, settled = heap_b, g_b, g_f, settled_b
-                    indptr, indices, weights = indptr_b, indices_b, weights_b
-
-                v, _priority = heap.pop()
-                cost_v = g[v]
-                settled[v] = 1
-
-                # Meeting the other search's label yields a real s→t path.
-                other = g_other[v]
-                if other != inf:
-                    candidate = cost_v + other
-                    if candidate < incumbent:
-                        incumbent = candidate
-                        threshold = (
-                            incumbent if scale == 1.0 else incumbent / scale
-                        )
-                        if stop_at_feasible:
-                            break
-
-                if use_ub and incumbent != inf and not cost_v < threshold:
-                    stats.pruned_by_upper_bound += 1
-                    continue
-                if use_lb:
-                    need = threshold - cost_v
-                    if need <= 0:
-                        stats.pruned_by_lower_bound += 1
-                        continue
-                    if need != need:  # nan: both sides infinite
-                        need = inf
-                    # The dense-id transliteration of the dict path's
-                    # QueryBounds._prunable_distance, per-hub short-circuit
-                    # included: prune as soon as one hub's bound on the
-                    # remaining distance reaches `need` (or proves the pair
-                    # unreachable).
-                    prunable = False
-                    if forward:
-                        for j in hub_range:
-                            hv = rows_f[j][v]                  # d(h, v)
-                            if hv != inf:
-                                ht = fwd_t[j]                  # d(h, t)
-                                if ht == inf or ht - hv >= need:
-                                    prunable = True
-                                    break
-                            th = bwd_t[j]                      # d(t, h)
-                            if th != inf:
-                                vh = rows_b[j][v]              # d(v, h)
-                                if vh == inf or vh - th >= need:
-                                    prunable = True
-                                    break
-                    else:
-                        # Bound on d(source, v): roles (source, v) as (v, t).
-                        for j in hub_range:
-                            hv = fwd_s[j]                      # d(h, s)
-                            if hv != inf:
-                                ht = rows_f[j][v]              # d(h, v)
-                                if ht == inf or ht - hv >= need:
-                                    prunable = True
-                                    break
-                            th = rows_b[j][v]                  # d(v, h)
-                            if th != inf:
-                                vh = bwd_s[j]                  # d(s, h)
-                                if vh == inf or vh - th >= need:
-                                    prunable = True
-                                    break
-                    if prunable:
-                        stats.pruned_by_lower_bound += 1
-                        continue
-
-                stats.activations += 1
-                for k in range(indptr[v], indptr[v + 1]):
-                    u = indices[k]
-                    stats.relaxations += 1
-                    if settled[u]:
-                        continue
-                    candidate = cost_v + weights[k]
-                    if candidate < g[u]:
-                        g[u] = candidate
-                        heap.push(u, candidate)
-                        stats.pushes += 1
-
-            return incumbent, stats
         finally:
             stats.workspace_resets = 1
             stats.touched_reset = ws.release()
@@ -1240,64 +1036,43 @@ def expand_from_csr(
     source: int,
     max_results: Optional[int],
     radius: Optional[float],
-    workspace: Optional[SearchWorkspace] = None,
+    workspace: SearchWorkspace,
 ) -> list:
     """Dense-plane twin of :func:`expand_from_graph` over CSR arrays.
 
-    Search state lives in flat lists indexed by dense id; results are
-    translated back to caller-visible vertex ids on append.  ``source`` is
-    a caller-visible id and must already be validated against the graph
-    the CSR was built from.  Pass a :class:`SearchWorkspace` to run with
-    reused (sparse-reset) state; without one the call allocates fresh O(V)
-    state as before.
+    Search state lives in ``workspace``'s flat lists indexed by dense id
+    (sparse-reset on the way out); results are translated back to
+    caller-visible vertex ids on append.  ``source`` is a caller-visible id
+    and must already be validated against the graph the CSR was built from.
     """
     s = csr.dense_id(source)
     ids = csr.ids
     indptr, indices, weights = csr.out_lists()
-    if workspace is not None:
-        workspace.acquire(csr.num_vertices)
-        try:
-            heap = workspace.heap_f
-            heap.push(s, 0.0)
-            return _expand_csr_loop(
-                workspace.g_f, workspace.settled_f, heap,
-                s, ids, indptr, indices, weights, max_results, radius,
-            )
-        finally:
-            workspace.release()
-    n = csr.num_vertices
-    g = [math.inf] * n
-    settled = bytearray(n)
-    heap = IndexedHeap()
-    heap.push(s, 0.0)
-    return _expand_csr_loop(
-        g, settled, heap, s, ids, indptr, indices, weights,
-        max_results, radius,
-    )
-
-
-def _expand_csr_loop(
-    g, settled, heap, s, ids, indptr, indices, weights,
-    max_results: Optional[int], radius: Optional[float],
-) -> list:
-    """The truncated-Dijkstra loop shared by both state regimes."""
-    g[s] = 0.0
-    results: list = []
-    while heap:
-        v, dist = heap.pop()
-        settled[v] = 1
-        if radius is not None and dist > radius:
-            break
-        if v != s:
-            results.append((ids[v], dist))
-            if max_results is not None and len(results) >= max_results:
+    workspace.acquire(csr.num_vertices)
+    try:
+        g = workspace.g_f
+        settled = workspace.settled_f
+        heap = workspace.heap_f
+        heap.push(s, 0.0)
+        g[s] = 0.0
+        results: list = []
+        while heap:
+            v, dist = heap.pop()
+            settled[v] = 1
+            if radius is not None and dist > radius:
                 break
-        for k in range(indptr[v], indptr[v + 1]):
-            u = indices[k]
-            if settled[u]:
-                continue
-            cand = dist + weights[k]
-            if cand < g[u]:
-                g[u] = cand
-                heap.push(u, cand)
-    return results
+            if v != s:
+                results.append((ids[v], dist))
+                if max_results is not None and len(results) >= max_results:
+                    break
+            for k in range(indptr[v], indptr[v + 1]):
+                u = indices[k]
+                if settled[u]:
+                    continue
+                cand = dist + weights[k]
+                if cand < g[u]:
+                    g[u] = cand
+                    heap.push(u, cand)
+        return results
+    finally:
+        workspace.release()

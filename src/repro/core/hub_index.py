@@ -783,22 +783,6 @@ class DenseHubTables:
                 np.maximum(out, to_hub, out=out)
         return out
 
-    def residual_rows_from_source(self, s: int) -> np.ndarray:
-        """Row of lower bounds on ``d(s, v)`` for every dense id ``v``."""
-        F, B = self._stacked()
-        inf = math.inf
-        fs = F[:, s : s + 1]
-        bs = B[:, s : s + 1]
-        with np.errstate(invalid="ignore"):
-            from_hub = np.where(
-                fs == inf, 0.0, np.where(F == inf, inf, np.maximum(F - fs, 0.0))
-            )
-            to_hub = np.where(
-                B == inf, 0.0, np.where(bs == inf, inf, np.maximum(bs - B, 0.0))
-            )
-        res = np.maximum(from_hub.max(axis=0), to_hub.max(axis=0))
-        return np.maximum(res, 0.0)
-
 
 class DensePlane:
     """One epoch's complete dense serving state: CSR adjacency + hub rows.

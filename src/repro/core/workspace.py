@@ -76,10 +76,10 @@ class SearchWorkspace:
     """Reusable per-search state for every dense-plane verb.
 
     Owns two of everything (forward / backward direction): distance label
-    lists ``g_f`` / ``g_b``, settled bytemaps, lazily-allocated parent
-    arrays (path search only), plus the ``slot`` active-target map used by
-    the batched one-to-many verb and two :class:`JournaledHeap` instances
-    whose backing storage is retained across queries.
+    lists ``g_f`` / ``g_b``, settled bytemaps, parent arrays, plus the
+    lazily-allocated ``slot`` active-target map used by the batched
+    one-to-many verb and two :class:`JournaledHeap` instances whose backing
+    storage is retained across queries.
 
     Lifecycle::
 
@@ -127,10 +127,10 @@ class SearchWorkspace:
         self.g_b = [_INF] * n
         self.settled_f = bytearray(n)
         self.settled_b = bytearray(n)
-        # Parent arrays and the one-to-many slot map are allocated on first
-        # use so pairwise-only workloads never pay for them.
-        self.parent_f: Optional[List[int]] = None
-        self.parent_b: Optional[List[int]] = None
+        self.parent_f = [-1] * n
+        self.parent_b = [-1] * n
+        # The one-to-many slot map is allocated on first use so
+        # pairwise-only workloads never pay for it.
         self.slot: Optional[List[int]] = None
         self.heap_f.clear()
         self.heap_b.clear()
@@ -139,12 +139,6 @@ class SearchWorkspace:
             # known costs nothing and is not a real allocation.
             self.allocations += 1
         self._fresh = True
-
-    def ensure_parents(self) -> None:
-        """Allocate the parent arrays (path search) if absent."""
-        if self.parent_f is None:
-            self.parent_f = [-1] * self.num_vertices
-            self.parent_b = [-1] * self.num_vertices
 
     def ensure_slot(self) -> List[int]:
         """Allocate the dense-id → active-target slot map if absent."""
@@ -175,10 +169,10 @@ class SearchWorkspace:
         """Sparse-reset everything the last search touched.
 
         Walks both heap journals, restoring ``g[v] = inf``, the settled
-        mark, and (when allocated) the parent entry for each touched id,
-        then clears the heaps in place — backing list/dict capacity is
-        retained.  Returns the number of touched entries reset.  Always
-        call from a ``finally`` so a raising search cannot leak state.
+        mark and the parent entry for each touched id, then clears the
+        heaps in place — backing list/dict capacity is retained.  Returns
+        the number of touched entries reset.  Always call from a
+        ``finally`` so a raising search cannot leak state.
         """
         touched = 0
         for heap, g, settled, parent in (
@@ -186,17 +180,11 @@ class SearchWorkspace:
             (self.heap_b, self.g_b, self.settled_b, self.parent_b),
         ):
             journal = heap.journal
-            if journal:
-                touched += len(journal)
-                if parent is None:
-                    for v in journal:
-                        g[v] = _INF
-                        settled[v] = 0
-                else:
-                    for v in journal:
-                        g[v] = _INF
-                        settled[v] = 0
-                        parent[v] = -1
+            touched += len(journal)
+            for v in journal:
+                g[v] = _INF
+                settled[v] = 0
+                parent[v] = -1
             heap.clear()
         self.resets += 1
         self.touched_reset += touched
@@ -226,7 +214,7 @@ class SearchWorkspace:
         if any(self.settled_f) or any(self.settled_b):
             return False
         for parent in (self.parent_f, self.parent_b):
-            if parent is not None and any(p != -1 for p in parent):
+            if any(p != -1 for p in parent):
                 return False
         if self.slot is not None and any(i != -1 for i in self.slot):
             return False

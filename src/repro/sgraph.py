@@ -29,10 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cache import QueryCache
 from repro.core.config import SGraphConfig
-from repro.core.engine import (
-    PairwiseEngine,
-    expand_from_graph,
-)
+from repro.core.engine import PairwiseEngine, expand_from_graph
 from repro.core.hub_index import DensePlane, HubIndex
 from repro.core.workspace import SearchWorkspace
 from repro.core.pairwise import ManyQueryResult, QueryKind, QueryResult
@@ -56,14 +53,6 @@ AUTO_DENSE_QUERY_RATIO = 4.0
 #: EMA fold weight for the queries-per-interval estimate: each mutation
 #: closes an interval and folds its query count in at this weight.
 AUTO_EMA_WEIGHT = 0.5
-#: clamp range for a *probed* crossover ratio (``auto_probe=True``): below
-#: 1 a single query would already repay the rebuild, above 256 the probe is
-#: telling us dense never pays on this workload size — either way the
-#: measurement is out of the regime the EMA heuristic operates in.
-AUTO_PROBE_MIN_RATIO = 1.0
-AUTO_PROBE_MAX_RATIO = 256.0
-#: sample queries per plane in the one-shot startup probe
-AUTO_PROBE_SAMPLES = 8
 
 
 class SGraph:
@@ -109,10 +98,6 @@ class SGraph:
         self._auto_epoch: int = self._graph.epoch
         self._auto_queries: int = 0
         self._auto_ema: float = 0.0
-        # Measured crossover ratio from the one-shot startup probe
-        # (config.auto_probe); None means "not probed" and the compiled-in
-        # AUTO_DENSE_QUERY_RATIO applies.
-        self._auto_ratio: Optional[float] = None
         self._last_published_epoch: Optional[int] = None
         #: vertices settled by index maintenance for the last update applied
         self.last_maintenance_settled = 0
@@ -162,77 +147,8 @@ class SGraph:
         :attr:`epoch`, publishing again is a no-op by construction."""
         return self._last_published_epoch
 
-    @property
-    def auto_ratio(self) -> float:
-        """Crossover ratio in effect for ``backend="auto"``.
-
-        The probed value once :attr:`SGraphConfig.auto_probe` has measured
-        one (see :meth:`_probe_auto_ratio`), else the compiled-in
-        :data:`AUTO_DENSE_QUERY_RATIO` fallback.
-        """
-        if self._auto_ratio is not None:
-            return self._auto_ratio
-        return AUTO_DENSE_QUERY_RATIO
-
     def _note_published(self, epoch: int) -> None:
         self._last_published_epoch = epoch
-        if (self._config.auto_probe and self._auto_ratio is None
-                and self._config.backend == "auto"
-                and "distance" in self._config.queries):
-            self._auto_ratio = self._probe_auto_ratio()
-
-    def _probe_auto_ratio(self) -> float:
-        """One-shot timed probe: measure this machine's actual crossover.
-
-        Runs at the first publish (the moment serving starts and the graph
-        is known to be in a queryable state).  Times a cold dense-plane
-        build, then the same handful of sample queries on the dict and the
-        dense engines, and returns
-
-            (dense build cost) / (per-query dict − dense gap)
-
-        — the number of queries one rebuild must amortize over, which is
-        exactly what the EMA heuristic compares its queries-per-interval
-        estimate against.  The probe uses the engines directly so its
-        sample queries never perturb the EMA itself.  Falls back to
-        :data:`AUTO_DENSE_QUERY_RATIO` when the graph is too small to
-        measure; the result is clamped to
-        [:data:`AUTO_PROBE_MIN_RATIO`, :data:`AUTO_PROBE_MAX_RATIO`].
-        """
-        import random
-
-        graph = self._graph
-        if graph.num_vertices < 2 or graph.num_edges < 1:
-            return AUTO_DENSE_QUERY_RATIO
-        self._ensure_indexes()
-        rng = random.Random(self._config.seed)
-        vertices = list(graph.vertices())
-        pairs = [
-            (rng.choice(vertices), rng.choice(vertices))
-            for _ in range(AUTO_PROBE_SAMPLES)
-        ]
-        # Cold dense build: drop any engine memoized for this epoch so the
-        # timer sees the freeze + plane derivation, not a cache hit.
-        self._dense_serving.pop("distance", None)
-        start = time.perf_counter()
-        dense_engine = self._dense_engine("distance")
-        build = time.perf_counter() - start
-        dict_engine = self._engines["distance"]
-        start = time.perf_counter()
-        for s, t in pairs:
-            dict_engine.best_cost(s, t)
-        dict_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        for s, t in pairs:
-            dense_engine.best_cost(s, t)
-        dense_elapsed = time.perf_counter() - start
-        gap = (dict_elapsed - dense_elapsed) / len(pairs)
-        if gap <= 0.0:
-            # Dense is not faster per query here — require the longest
-            # query run before paying a rebuild for it.
-            return AUTO_PROBE_MAX_RATIO
-        return min(max(build / gap, AUTO_PROBE_MIN_RATIO),
-                   AUTO_PROBE_MAX_RATIO)
 
     def snapshot(self) -> GraphSnapshot:
         """Immutable snapshot of the current graph state.
@@ -641,25 +557,19 @@ class SGraph:
     ) -> List[Tuple[int, float]]:
         """Truncated Dijkstra behind :meth:`nearest` / :meth:`within`.
 
-        Under ``backend="dense"`` (with the distance family configured)
-        the expansion walks the per-epoch CSR slices of the dense serving
-        plane instead of the live dict adjacency — same distances, flat
-        arrays.  ``backend="auto"`` does the same once the crossover
-        heuristic favors dense (the expansion counts as a query).
-        Equidistant vertices may order differently between the two planes
-        (heap tie-breaking); distances always agree.
+        Served by whichever engine answers ``distance`` queries (see
+        :meth:`_serving_engine`; under ``backend="auto"`` the expansion
+        counts as a query): over a dense plane it walks the per-epoch CSR
+        slices, otherwise the live dict adjacency — same distances either
+        way.  Equidistant vertices may order differently between the two
+        planes (heap tie-breaking); distances always agree.
         """
-        graph = self._graph
-        if not graph.has_vertex(source):
-            raise QueryError(f"query endpoint {source} is not in the graph")
-        backend = self._config.backend
-        if (backend != "dict" and "distance" in self._config.queries
-                and (backend == "dense" or self._note_query())):
-            self._ensure_indexes()
-            engine = self._dense_engine("distance")
-            if engine.dense_plane is not None:
-                return engine.expand(source, max_results, radius)
-        return expand_from_graph(graph, source, max_results, radius)
+        if "distance" not in self._config.queries:
+            return expand_from_graph(self._graph, source, max_results, radius)
+        self._ensure_indexes()
+        return self._serving_engine("distance").expand(
+            source, max_results, radius
+        )
 
     # -- dense serving (backend="dense" / "auto") ---------------------------------
 
@@ -712,8 +622,8 @@ class SGraph:
         self._auto_epoch = self.epoch
         self._auto_ema = ema
         self._auto_queries = queries
-        ratio = self.auto_ratio
-        return ema >= ratio or queries >= ratio
+        return (ema >= AUTO_DENSE_QUERY_RATIO
+                or queries >= AUTO_DENSE_QUERY_RATIO)
 
     def serving_backend(self, family: str = "distance") -> str:
         """Which plane the *next* ``family`` query would be served from.
@@ -727,8 +637,8 @@ class SGraph:
         if backend in ("dense", "dict"):
             return backend
         ema, queries = self._auto_fold()
-        ratio = self.auto_ratio
-        dense = ema >= ratio or queries + 1 >= ratio
+        dense = (ema >= AUTO_DENSE_QUERY_RATIO
+                 or queries + 1 >= AUTO_DENSE_QUERY_RATIO)
         return "dense" if dense else "dict"
 
     def serve(self, workers: int = 2, store=None, capacity: int = 4,
@@ -821,15 +731,7 @@ class SGraph:
         outlives each per-epoch engine) while ``workspace_hits`` /
         ``workspace_resets`` count reused searches.
         """
-        workspace = self._workspaces.get(family)
-        if workspace is None:
-            return {
-                "workspace_vertices": 0,
-                "workspace_allocs": 0,
-                "workspace_hits": 0,
-                "workspace_resets": 0,
-                "touched_reset": 0,
-            }
+        workspace = self._workspaces.get(family) or SearchWorkspace()
         return workspace.stats_row()
 
     def _run(

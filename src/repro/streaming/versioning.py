@@ -28,10 +28,7 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.engine import (
-    PairwiseEngine,
-    expand_from_graph,
-)
+from repro.core.engine import PairwiseEngine
 from repro.core.hub_index import DensePlane, HubIndex
 from repro.core.pairwise import ManyQueryResult, QueryKind, QueryResult
 from repro.errors import ConfigError, QueryError, SnapshotError
@@ -186,28 +183,15 @@ class FrozenView:
         """
         if k < 1:
             raise QueryError("k must be >= 1")
-        return self._expand_from(source, max_results=k, radius=None)
+        return self._engine("distance").expand(source, max_results=k,
+                                               radius=None)
 
     def within(self, source: int, radius: float) -> List[Tuple[int, float]]:
         """All vertices within distance ``radius``, as of this epoch."""
         if radius < 0:
             raise QueryError("radius must be non-negative")
-        return self._expand_from(source, max_results=None, radius=radius)
-
-    def _expand_from(
-        self,
-        source: int,
-        max_results: Optional[int],
-        radius: Optional[float],
-    ) -> List[Tuple[int, float]]:
-        engine = self._engine("distance")
-        if not self._snapshot.has_vertex(source):
-            raise QueryError(f"query endpoint {source} is not in the graph")
-        plane = engine.dense_plane  # forces the lazy factory, once per view
-        if plane is not None:
-            # Runs in the view engine's reusable workspace (O(touched)).
-            return engine.expand(source, max_results, radius)
-        return expand_from_graph(self._snapshot, source, max_results, radius)
+        return self._engine("distance").expand(source, max_results=None,
+                                               radius=radius)
 
 
 class VersionedStore:

@@ -1,9 +1,10 @@
 """Differential tests: dense-plane path extraction vs the dict reference.
 
-``_path_search_dense`` is a transliteration of ``_path_search`` onto flat
-parent arrays in dense-id space, so on continuous-weight graphs (tie-free
-costs) it must return the same value, a path of exactly that cost, and the
-same stats-visible search work for every pruning policy.
+``_search_dense`` in path mode (``want_path=True``) is a transliteration of
+``_search``'s path mode onto flat parent arrays in dense-id space, so on
+continuous-weight graphs (tie-free costs) it must return the same value, a
+path of exactly that cost, and the same stats-visible search work for every
+pruning policy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
-from repro.core.hub_index import HubIndex
+from repro.core.hub_index import DenseHubTables, HubIndex
 from repro.core.pruning import PruningPolicy
 from repro.errors import ConfigError
 from repro.graph.dynamic_graph import DynamicGraph
@@ -90,6 +91,38 @@ def test_dense_path_bit_identical(policy, directed):
                 assert path[0] == s and path[-1] == t
                 assert _path_cost(g, path) == pytest.approx(value, abs=1e-12)
             assert _stats_tuple(stats) == _stats_tuple(ref_stats)
+
+
+def test_dense_path_does_no_whole_graph_bound_work(monkeypatch):
+    """A dense path query prunes by per-vertex hub probes, like the distance
+    verb: it never materializes an O(k·|V|) residual row."""
+
+    def materialized(self, t):
+        raise AssertionError("best_path materialized a residual row")
+
+    monkeypatch.setattr(DenseHubTables, "residual_rows_to_target",
+                        materialized)
+    g, dict_engine, dense_engine = _engines(
+        0, PruningPolicy.UPPER_AND_LOWER, directed=False,
+    )
+    verts = sorted(g.vertices())
+    pairs = [(s, t) for s in verts[:12] for t in verts[:40] if s != t]
+    # One pair the search has to work for, one the index bounds close.
+    searched = next(
+        p for p in pairs if dict_engine.best_path(*p)[2].activations > 0
+    )
+    closed = next(
+        p for p in pairs
+        if (cost := dict_engine.best_cost(*p))[1].answered_by_index
+        and cost[0] != math.inf
+    )
+    for s, t in (searched, closed):
+        ref_value, _ref_path, ref_stats = dict_engine.best_path(s, t)
+        value, path, stats = dense_engine.best_path(s, t)
+        assert value == ref_value
+        assert path[0] == s and path[-1] == t
+        assert _path_cost(g, path) == pytest.approx(value, abs=1e-12)
+        assert _stats_tuple(stats) == _stats_tuple(ref_stats)
 
 
 def test_dense_path_isolated_and_self():

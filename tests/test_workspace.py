@@ -164,21 +164,31 @@ class TestSearchWorkspace:
         assert ws.is_clean()
 
     def test_release_covers_lazy_parent_and_slot_arrays(self):
+        # Parents are allocated with the labels (every pairwise search
+        # records them); only the one-to-many slot map is lazy.
         ws = SearchWorkspace(50)
+        assert len(ws.parent_f) == len(ws.parent_b) == 50
+        assert ws.slot is None
         ws.acquire(50)
-        ws.ensure_parents()
         slot = ws.ensure_slot()
         ws.heap_f.push(7, 1.0)
         ws.g_f[7] = 1.0
         ws.parent_f[7] = 3
+        ws.heap_b.push(9, 2.0)
+        ws.parent_b[9] = 4
         slot[7] = 0
         ws.release()
+        assert ws.parent_f[7] == -1 and ws.parent_b[9] == -1
         slot[7] = -1  # the verb resets slot itself (journal doesn't cover it)
         assert ws.is_clean()
-        # lazy arrays persist across acquires — allocated once
-        assert ws.parent_f is not None and ws.slot is not None
+        # a leaked parent entry is caught by the audit
+        ws.parent_b[9] = 4
+        assert not ws.is_clean()
+        ws.parent_b[9] = -1
+        # the lazy slot map persists across acquires — allocated once
+        parent_f = ws.parent_f
         ws.acquire(50)
-        assert ws.parent_f is not None
+        assert ws.slot is slot and ws.parent_f is parent_f
         ws.release()
 
     def test_stats_row_shape(self):
