@@ -21,6 +21,7 @@ the same code answers shortest-distance and bottleneck queries.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import DenseManyBounds, DenseQueryBounds, QueryBounds
@@ -477,13 +478,13 @@ class PairwiseEngine:
 
         # Snapshot the active target ids before the search swap-removes
         # them: the slot map is the one workspace array not covered by the
-        # heap journal, so it is reset from this list in `finally`.
+        # journal, so it is reset from this list in `finally`.
         slot_ids = list(act_t)
         ws = self._workspace_for(csr.num_vertices)
         stats.workspace_hits = 1 if ws.acquire(csr.num_vertices) else 0
+        activations = relaxations = pushes = pruned_lb = 0
         try:
             g = ws.g_f
-            g[s] = 0.0
             settled = ws.settled_f
             # Dense id -> position in the active lists (-1 when not active);
             # the array form of the dict path's `remaining` membership test.
@@ -492,12 +493,19 @@ class PairwiseEngine:
                 slot[td] = i
             ids = csr.ids
             indptr, indices, weights = csr.out_lists()
+            # Lazy-deletion heapq on the workspace's list, as in
+            # `_search_dense`; forward-only, so a superseded entry is simply
+            # skipped when it surfaces.
             heap = ws.heap_f
-            heap.push(s, 0.0)
+            journal = ws.journal_f
+            journal.append(s)
+            g[s] = 0.0
+            heap.append((0.0, s))
             m = len(act_t)
             while heap and m:
-                v, _priority = heap.pop()
-                cost_v = g[v]
+                cost_v, v = heappop(heap)
+                if settled[v]:
+                    continue
                 settled[v] = 1
                 # Finalize targets the frontier can no longer improve on
                 # (swap-removal keeps the active lists packed; the answer
@@ -553,19 +561,23 @@ class PairwiseEngine:
                             useful = True
                             break
                     if not useful:
-                        stats.pruned_by_lower_bound += 1
+                        pruned_lb += 1
                         continue
-                stats.activations += 1
-                for k in range(indptr[v], indptr[v + 1]):
+                activations += 1
+                start, stop = indptr[v], indptr[v + 1]
+                relaxations += stop - start
+                for k in range(start, stop):
                     u = indices[k]
-                    stats.relaxations += 1
                     if settled[u]:
                         continue
                     candidate = cost_v + weights[k]
-                    if candidate < g[u]:
+                    known = g[u]
+                    if candidate < known:
+                        if known == inf:
+                            journal.append(u)
                         g[u] = candidate
-                        heap.push(u, candidate)
-                        stats.pushes += 1
+                        heappush(heap, (candidate, u))
+                        pushes += 1
                         # A better label for a live target tightens its
                         # incumbent.
                         j = slot[u]
@@ -579,6 +591,10 @@ class PairwiseEngine:
             if slot is not None:
                 for td in slot_ids:
                     slot[td] = -1
+            stats.activations = activations
+            stats.relaxations = relaxations
+            stats.pushes = pushes
+            stats.pruned_by_lower_bound = pruned_lb
             stats.workspace_resets = 1
             stats.touched_reset = ws.release()
 
@@ -822,19 +838,35 @@ class PairwiseEngine:
         # one that raises mid-search.
         ws = self._workspace_for(csr.num_vertices)
         stats.workspace_hits = 1 if ws.acquire(csr.num_vertices) else 0
+        activations = relaxations = pushes = pruned_ub = pruned_lb = 0
         try:
             g_f = ws.g_f
             g_b = ws.g_b
-            g_f[s] = 0.0
-            g_b[t] = 0.0
             parent_f = ws.parent_f
             parent_b = ws.parent_b
             settled_f = ws.settled_f
             settled_b = ws.settled_b
+            # The queues are plain lists under heapq with lazy deletion: a
+            # relaxation pushes `(label, id)`, the entry it supersedes stays
+            # behind and is dropped when it surfaces (its id is settled by
+            # then: the smaller entry surfaced first).  The loop keeps each
+            # list's head live, so `heap[0][0]` is the frontier's label and
+            # an empty list an exhausted side.  Entries order as
+            # `(label, dense id)` — the dict plane's `(priority, vertex id)`
+            # order, because dense ids are assigned in sorted id order.
             heap_f = ws.heap_f
             heap_b = ws.heap_b
-            heap_f.push(s, 0.0)
-            heap_b.push(t, 0.0)
+            journal_f = ws.journal_f
+            journal_b = ws.journal_b
+            journal_f.append(s)
+            g_f[s] = 0.0
+            heap_f.append((0.0, s))
+            journal_b.append(t)
+            g_b[t] = 0.0
+            heap_b.append((0.0, t))
+            # Frontier sizes (what the dict plane's `len(heap)` reads) are
+            # first touches minus pops: journal length minus these.
+            popped_f = popped_b = 0
             indptr_f, indices_f, weights_f = csr.out_lists()
             indptr_b, indices_b, weights_b = csr.in_lists()
             use_ub = self._policy.uses_index
@@ -862,26 +894,27 @@ class PairwiseEngine:
             best_meet = -1
 
             while heap_f and heap_b:
-                if incumbent != inf:
-                    key_f, _pf = heap_f.peek()
-                    key_b, _pb = heap_b.peek()
-                    if g_f[key_f] + g_b[key_b] >= cut:
-                        break
-                forward = len(heap_f) <= len(heap_b)
+                if incumbent != inf and heap_f[0][0] + heap_b[0][0] >= cut:
+                    break
+                forward = (len(journal_f) - popped_f
+                           <= len(journal_b) - popped_b)
                 if forward:
-                    heap, g, g_other, settled, parent = (
-                        heap_f, g_f, g_b, settled_f, parent_f,
+                    popped_f += 1
+                    heap, journal, g, g_other, settled, parent = (
+                        heap_f, journal_f, g_f, g_b, settled_f, parent_f,
                     )
                     indptr, indices, weights = indptr_f, indices_f, weights_f
                 else:
-                    heap, g, g_other, settled, parent = (
-                        heap_b, g_b, g_f, settled_b, parent_b,
+                    popped_b += 1
+                    heap, journal, g, g_other, settled, parent = (
+                        heap_b, journal_b, g_b, g_f, settled_b, parent_b,
                     )
                     indptr, indices, weights = indptr_b, indices_b, weights_b
 
-                v, _priority = heap.pop()
-                cost_v = g[v]
+                cost_v, v = heappop(heap)
                 settled[v] = 1
+                while heap and settled[heap[0][1]]:
+                    heappop(heap)
 
                 # Meeting the other search's label yields a real s→t path.
                 # Path mode accepts ties so an optimal meet is recorded even
@@ -901,7 +934,7 @@ class PairwiseEngine:
                             break
 
                 if use_ub and incumbent != inf and cost_v >= cut:
-                    stats.pruned_by_upper_bound += 1
+                    pruned_ub += 1
                     continue
                 if use_lb:
                     # cost_v < cut got us here, so `need` is positive (zero
@@ -940,21 +973,25 @@ class PairwiseEngine:
                                 prunable = True
                                 break
                     if prunable:
-                        stats.pruned_by_lower_bound += 1
+                        pruned_lb += 1
                         continue
 
-                stats.activations += 1
-                for k in range(indptr[v], indptr[v + 1]):
+                activations += 1
+                start, stop = indptr[v], indptr[v + 1]
+                relaxations += stop - start
+                for k in range(start, stop):
                     u = indices[k]
-                    stats.relaxations += 1
                     if settled[u]:
                         continue
                     candidate = cost_v + weights[k]
-                    if candidate < g[u]:
+                    known = g[u]
+                    if candidate < known:
+                        if known == inf:
+                            journal.append(u)
                         g[u] = candidate
                         parent[u] = v
-                        heap.push(u, candidate)
-                        stats.pushes += 1
+                        heappush(heap, (candidate, u))
+                        pushes += 1
 
             if not want_path or incumbent == inf:
                 return incumbent, None, stats
@@ -982,6 +1019,11 @@ class PairwiseEngine:
             stats.answered_by_index = True
             return incumbent, path, stats
         finally:
+            stats.activations = activations
+            stats.relaxations = relaxations
+            stats.pushes = pushes
+            stats.pruned_by_upper_bound = pruned_ub
+            stats.pruned_by_lower_bound = pruned_lb
             stats.workspace_resets = 1
             stats.touched_reset = ws.release()
 
@@ -989,9 +1031,8 @@ class PairwiseEngine:
 # -- neighborhood expansion (nearest / within) --------------------------------
 #
 # Truncated forward Dijkstra in its two serving representations.  Both
-# return (vertex, distance) pairs in non-decreasing distance order and are
-# interchangeable except for tie-breaking among equidistant vertices (heap
-# order differs between caller-id and dense-id keying).
+# return (vertex, distance) pairs in non-decreasing distance order,
+# equidistant vertices in id order (dense ids sort like caller ids).
 
 
 def expand_from_graph(
@@ -1053,11 +1094,16 @@ def expand_from_csr(
         g = workspace.g_f
         settled = workspace.settled_f
         heap = workspace.heap_f
-        heap.push(s, 0.0)
+        journal = workspace.journal_f
+        journal.append(s)
         g[s] = 0.0
+        heap.append((0.0, s))
+        inf = math.inf
         results: list = []
         while heap:
-            v, dist = heap.pop()
+            dist, v = heappop(heap)
+            if settled[v]:
+                continue
             settled[v] = 1
             if radius is not None and dist > radius:
                 break
@@ -1070,9 +1116,12 @@ def expand_from_csr(
                 if settled[u]:
                     continue
                 cand = dist + weights[k]
-                if cand < g[u]:
+                known = g[u]
+                if cand < known:
+                    if known == inf:
+                        journal.append(u)
                     g[u] = cand
-                    heap.push(u, cand)
+                    heappush(heap, (cand, u))
         return results
     finally:
         workspace.release()

@@ -18,7 +18,7 @@ class QueryStats:
 
     #: vertices settled (popped and expanded) across both search directions
     activations: int = 0
-    #: heap insertions + decrease-keys
+    #: label improvements (each is one heap push: a new key or a decrease)
     pushes: int = 0
     #: edge relaxations attempted
     relaxations: int = 0
@@ -34,7 +34,7 @@ class QueryStats:
     workspace_hits: int = 0
     #: workspace sparse-resets performed on behalf of this query
     workspace_resets: int = 0
-    #: touched entries restored by those sparse resets (the O(touched) cost)
+    #: distinct ids whose label was written, restored by those sparse resets
     touched_reset: int = 0
 
     def merge(self, other: "QueryStats") -> None:

@@ -1,19 +1,24 @@
 """Epoch-scoped search workspaces: per-query setup in O(touched), not O(V).
 
 Every dense-plane verb needs the same per-search state — distance labels,
-settled bytemaps, parent arrays, two indexed heaps — and before this module
-existed each call rebuilt all of it from scratch: ``[inf] * n`` twice, two
-``bytearray(n)``, fresh heaps.  For the index-pruned queries that dominate
-real workloads (settled after touching a few dozen vertices) that O(V)
-setup *was* the query.
+settled bytemaps, parent arrays, two priority queues — and before this
+module existed each call rebuilt all of it from scratch: ``[inf] * n``
+twice, two ``bytearray(n)``, fresh heaps.  For the index-pruned queries
+that dominate real workloads (settled after touching a few dozen vertices)
+that O(V) setup *was* the query.
 
 :class:`SearchWorkspace` keeps one copy of that state alive across queries
-and restores it by **sparse reset**: every array write in the search loops
-is paired with a ``heap.push`` of the same dense id (seeds included), so
-the heap's insertion journal is a complete record of the touched entries.
-``release()`` walks the journal and resets only those — the search loop
-text stays byte-for-byte identical, and steady-state per-query cost is
-proportional to work done, not graph size.
+and restores it by **sparse reset**: the first write of a label appends its
+dense id to that direction's journal, in the same statement group (seeds
+included), and a settled mark or parent entry is only ever written for an
+id whose label was written first — so the two journals are a complete
+record of the touched entries.  ``release()`` walks them and resets only
+those; steady-state per-query cost is proportional to work done, not graph
+size.
+
+The queues are plain lists driven by ``heapq`` from inside the search loops
+(lazy deletion: a relaxation pushes ``(label, id)``, a pop skips ids that
+are already settled), so the workspace only owns their storage.
 
 The contract is acquire → search → release, with release in a ``finally``
 so an exception mid-search can never leak a dirty workspace into the next
@@ -26,67 +31,25 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from repro.utils.pqueue import IndexedHeap
-
 _INF = math.inf
-
-
-class JournaledHeap(IndexedHeap):
-    """An :class:`IndexedHeap` that records each key's *first* insertion.
-
-    ``journal`` lists every key pushed since the last :meth:`clear`, exactly
-    once, regardless of later decrease-keys, pops, or removals.  Because the
-    search loops only ever write a label / settled mark / parent entry for a
-    key they also push (or for the seed, which is pushed too), the journal
-    enumerates precisely the workspace entries that need resetting.
-
-    Heap semantics are identical to the parent class; ``push`` is re-inlined
-    here so journaling costs one ``list.append`` on first insertion and
-    nothing on the decrease-key path.
-    """
-
-    __slots__ = ("journal",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.journal: List[int] = []
-
-    def push(self, key: int, priority: float) -> bool:
-        heap = self._heap
-        pos = self._pos
-        idx = pos.get(key)
-        if idx is None:
-            self.journal.append(key)
-            heap.append((priority, key))
-            pos[key] = len(heap) - 1
-            self._sift_up(len(heap) - 1)
-            return True
-        if priority < heap[idx][0]:
-            heap[idx] = (priority, key)
-            self._sift_up(idx)
-            return True
-        return False
-
-    def clear(self) -> None:
-        super().clear()
-        self.journal.clear()
 
 
 class SearchWorkspace:
     """Reusable per-search state for every dense-plane verb.
 
     Owns two of everything (forward / backward direction): distance label
-    lists ``g_f`` / ``g_b``, settled bytemaps, parent arrays, plus the
-    lazily-allocated ``slot`` active-target map used by the batched
-    one-to-many verb and two :class:`JournaledHeap` instances whose backing
-    storage is retained across queries.
+    lists ``g_f`` / ``g_b``, settled bytemaps, parent arrays, ``heapq``
+    entry lists ``heap_f`` / ``heap_b`` and first-touch journals
+    ``journal_f`` / ``journal_b``, plus the lazily-allocated ``slot``
+    active-target map used by the batched one-to-many verb.
 
     Lifecycle::
 
         ws = engine-or-worker workspace          # one per plane epoch
         reused = ws.acquire(csr.num_vertices)    # O(1) warm, O(V) on resize
         try:
-            ... run the search on ws.g_f / ws.settled_f / ws.heap_f ...
+            ... run the search on ws.g_f / ws.settled_f / ws.heap_f,
+            ... appending to ws.journal_f before an id's first label write
         finally:
             touched = ws.release()               # sparse reset, O(touched)
 
@@ -104,6 +67,7 @@ class SearchWorkspace:
         "parent_f", "parent_b",
         "slot",
         "heap_f", "heap_b",
+        "journal_f", "journal_b",
         "allocations", "hits", "resets", "touched_reset",
         "in_use", "_fresh",
     )
@@ -114,8 +78,10 @@ class SearchWorkspace:
         self.resets = 0
         self.touched_reset = 0
         self.in_use = False
-        self.heap_f = JournaledHeap()
-        self.heap_b = JournaledHeap()
+        self.heap_f: List[tuple] = []
+        self.heap_b: List[tuple] = []
+        self.journal_f: List[int] = []
+        self.journal_b: List[int] = []
         self._allocate(num_vertices)
 
     # -- storage ------------------------------------------------------------
@@ -132,8 +98,9 @@ class SearchWorkspace:
         # The one-to-many slot map is allocated on first use so
         # pairwise-only workloads never pay for it.
         self.slot: Optional[List[int]] = None
-        self.heap_f.clear()
-        self.heap_b.clear()
+        for store in (self.heap_f, self.heap_b,
+                      self.journal_f, self.journal_b):
+            store.clear()
         if n:
             # The empty shell built by `SearchWorkspace()` before a plane is
             # known costs nothing and is not a real allocation.
@@ -168,23 +135,25 @@ class SearchWorkspace:
     def release(self) -> int:
         """Sparse-reset everything the last search touched.
 
-        Walks both heap journals, restoring ``g[v] = inf``, the settled
-        mark and the parent entry for each touched id, then clears the
-        heaps in place — backing list/dict capacity is retained.  Returns
-        the number of touched entries reset.  Always call from a
-        ``finally`` so a raising search cannot leak state.
+        Walks both journals, restoring ``g[v] = inf``, the settled mark
+        and the parent entry for each touched id, then empties the journals
+        and the heap lists in place.  Returns the number of touched entries
+        reset.  Always call from a ``finally`` so a raising search cannot
+        leak state.
         """
         touched = 0
-        for heap, g, settled, parent in (
-            (self.heap_f, self.g_f, self.settled_f, self.parent_f),
-            (self.heap_b, self.g_b, self.settled_b, self.parent_b),
+        for journal, heap, g, settled, parent in (
+            (self.journal_f, self.heap_f, self.g_f, self.settled_f,
+             self.parent_f),
+            (self.journal_b, self.heap_b, self.g_b, self.settled_b,
+             self.parent_b),
         ):
-            journal = heap.journal
             touched += len(journal)
             for v in journal:
                 g[v] = _INF
                 settled[v] = 0
                 parent[v] = -1
+            journal.clear()
             heap.clear()
         self.resets += 1
         self.touched_reset += touched
@@ -205,9 +174,7 @@ class SearchWorkspace:
 
     def is_clean(self) -> bool:
         """O(V) audit that no search state leaked (test use only)."""
-        if self.heap_f or self.heap_b:
-            return False
-        if self.heap_f.journal or self.heap_b.journal:
+        if self.heap_f or self.heap_b or self.journal_f or self.journal_b:
             return False
         if any(x != _INF for x in self.g_f) or any(x != _INF for x in self.g_b):
             return False

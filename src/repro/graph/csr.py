@@ -35,6 +35,8 @@ diff against.
 
 from __future__ import annotations
 
+import math
+from heapq import heappop, heappush
 from itertools import compress
 from operator import is_not
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -487,10 +489,10 @@ class CSRGraph:
         hold ``inf``.  Set ``backward=True`` to compute distances *to*
         ``source`` along arc directions (used for directed hub indexes).
         """
-        import heapq
-
-        n = self.num_vertices
-        dist = np.full(n, np.inf, dtype=np.float64)
+        # Labels live in a Python list while the loop reads and writes them
+        # one element at a time (an ndarray would box a numpy scalar per
+        # access); the float64 array is made once at the end.
+        dist = [math.inf] * self.num_vertices
         src = self.dense_id(source)
         dist[src] = 0.0
         indptr, indices, weights = (
@@ -498,7 +500,7 @@ class CSRGraph:
         )
         heap: List[Tuple[float, int]] = [(0.0, src)]
         while heap:
-            d, v = heapq.heappop(heap)
+            d, v = heappop(heap)
             if d > dist[v]:
                 continue
             for k in range(indptr[v], indptr[v + 1]):
@@ -506,5 +508,5 @@ class CSRGraph:
                 nd = d + weights[k]
                 if nd < dist[u]:
                     dist[u] = nd
-                    heapq.heappush(heap, (nd, u))
-        return dist
+                    heappush(heap, (nd, u))
+        return np.array(dist, dtype=np.float64)

@@ -249,7 +249,12 @@ class IncrementalBestPath:
         seeds = [self._seed_for_arc(u, v, weight)]
         if not self._graph.directed and u != v:
             seeds.append(self._seed_for_arc(v, u, weight))
-        self._relax([s for s in seeds if s is not None])
+        seeds = [s for s in seeds if s is not None]
+        if not seeds:
+            # No improving arc (the common case): nothing can change.
+            self.settled_last_op = 0
+            return
+        self._relax(seeds)
 
     def _seed_for_arc(self, u: int, v: int, weight: float):
         """Candidate (head, cost) induced by arc u→v, or None if no improvement."""

@@ -1,151 +1,99 @@
-"""Indexed binary min-heap with decrease-key.
+"""Keyed min-heap on ``heapq``: decrease-key by lazy deletion.
 
-Dijkstra-style searches dominate this library's runtime, and the classic
-``heapq`` lazy-deletion idiom allocates one tuple per *push* including stale
-ones.  This heap keys entries by an integer handle (vertex id) and supports
-``decrease`` in O(log n) without leaving stale entries behind, which keeps
-heap sizes equal to frontier sizes — that matters when we *count*
-activations for the pruning experiments.
+Dijkstra-style searches dominate this library's runtime, so the sifting
+runs in C: decrease-key is a second ``heappush``, a ``key -> best priority``
+dict names the one live entry per key, and a superseded entry is dropped
+when it surfaces.  ``len``/``bool`` count live keys, not stored entries, so
+heap sizes still equal frontier sizes (the bidirectional searches pick a
+direction by them).  Entries order as ``(priority, key)``, a total order:
+equal priorities pop in key order on every plane, so keys must be mutually
+orderable — vertex ids are ints everywhere.  The dense kernels in
+:mod:`repro.core.engine` inline the same idiom on plain lists, their label
+array being the best-priority table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterator, Optional, Tuple
 
 
 class IndexedHeap:
-    """Min-heap of ``(priority, key)`` pairs with O(log n) decrease-key.
+    """Min-heap of ``(priority, key)`` pairs with decrease-key.
 
-    Keys are hashable (in practice: integer vertex ids).  Each key appears at
-    most once; pushing an existing key with a smaller priority updates it in
-    place, and pushing with a larger priority is ignored (the standard
-    relaxation contract).
+    Each key is live at most once; pushing a live key with a smaller
+    priority supersedes it, and pushing with a larger or equal priority is
+    ignored (the standard relaxation contract).
     """
 
-    __slots__ = ("_heap", "_pos")
+    __slots__ = ("_heap", "_best")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int]] = []
-        self._pos: Dict[int, int] = {}
+        self._heap: list = []                # (priority, key), stale ones too
+        self._best: Dict[int, float] = {}    # live keys only
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._best)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._best)
 
     def __contains__(self, key: int) -> bool:
-        return key in self._pos
+        return key in self._best
 
     def __iter__(self) -> Iterator[Tuple[float, int]]:
-        """Iterate over (priority, key) pairs in arbitrary heap order."""
-        return iter(self._heap)
+        """Iterate over live (priority, key) pairs in arbitrary order."""
+        return ((priority, key) for key, priority in self._best.items())
 
     def priority(self, key: int) -> Optional[float]:
         """Return the current priority of ``key``, or None if absent."""
-        idx = self._pos.get(key)
-        if idx is None:
-            return None
-        return self._heap[idx][0]
+        return self._best.get(key)
 
     def push(self, key: int, priority: float) -> bool:
-        """Insert ``key`` or decrease its priority.
-
-        Returns True if the heap changed (new key, or a strictly smaller
-        priority for an existing key); False if the existing priority was
-        already <= the offered one.
-        """
-        idx = self._pos.get(key)
-        if idx is None:
-            self._heap.append((priority, key))
-            self._pos[key] = len(self._heap) - 1
-            self._sift_up(len(self._heap) - 1)
-            return True
-        if priority < self._heap[idx][0]:
-            self._heap[idx] = (priority, key)
-            self._sift_up(idx)
-            return True
-        return False
-
-    def pop(self) -> Tuple[int, float]:
-        """Remove and return ``(key, priority)`` with the smallest priority."""
-        if not self._heap:
-            raise IndexError("pop from empty IndexedHeap")
-        priority, key = self._heap[0]
-        del self._pos[key]
-        last = self._heap.pop()
-        if self._heap:
-            self._heap[0] = last
-            self._pos[last[1]] = 0
-            self._sift_down(0)
-        return key, priority
+        """Insert ``key`` or decrease its priority; True if the heap changed
+        (a new key, or a strictly smaller priority for a live one)."""
+        current = self._best.get(key)
+        if current is not None and current <= priority:
+            return False
+        self._best[key] = priority
+        heappush(self._heap, (priority, key))
+        return True
 
     def peek(self) -> Tuple[int, float]:
         """Return ``(key, priority)`` with the smallest priority, no removal."""
-        if not self._heap:
-            raise IndexError("peek at empty IndexedHeap")
-        priority, key = self._heap[0]
-        return key, priority
+        heap = self._heap
+        # An entry is live iff it carries its key's best priority (identical
+        # twins left by a re-push are interchangeable), and every live key
+        # has one, so only an empty heap runs the list dry.
+        while heap:
+            priority, key = heap[0]
+            if self._best.get(key) == priority:
+                return key, priority
+            heappop(heap)
+        raise IndexError("peek at empty IndexedHeap")
+
+    def pop(self) -> Tuple[int, float]:
+        """Remove and return ``(key, priority)`` with the smallest priority."""
+        heap = self._heap
+        best = self._best
+        while heap:
+            priority, key = heappop(heap)
+            if best.get(key) == priority:
+                del best[key]
+                if not best:
+                    heap.clear()  # all stale: garbage must not outlive reuse
+                return key, priority
+        raise IndexError("pop from empty IndexedHeap")
 
     def remove(self, key: int) -> bool:
         """Remove ``key`` if present.  Returns True if it was removed."""
-        idx = self._pos.pop(key, None)
-        if idx is None:
+        if self._best.pop(key, None) is None:
             return False
-        last = self._heap.pop()
-        if idx < len(self._heap):
-            self._heap[idx] = last
-            self._pos[last[1]] = idx
-            # The replacement may need to move either direction.
-            self._sift_up(idx)
-            self._sift_down(self._pos[last[1]])
+        if not self._best:
+            self._heap.clear()
         return True
 
     def clear(self) -> None:
-        """Empty the heap in place, retaining the backing containers.
-
-        The backing list and position dict are cleared, never replaced, so
-        external references to the heap stay valid and a cleared heap can be
-        refilled immediately — this is what lets a
-        :class:`~repro.core.workspace.SearchWorkspace` keep two heaps alive
-        across thousands of queries without per-query container churn.
-        Cost is O(current size), independent of historical peak size.
-        """
+        """Empty the heap in place, retaining the backing containers."""
         self._heap.clear()
-        self._pos.clear()
-
-    # -- internal sifting ---------------------------------------------------
-
-    def _sift_up(self, idx: int) -> None:
-        heap = self._heap
-        pos = self._pos
-        item = heap[idx]
-        while idx > 0:
-            parent = (idx - 1) >> 1
-            if heap[parent][0] <= item[0]:
-                break
-            heap[idx] = heap[parent]
-            pos[heap[idx][1]] = idx
-            idx = parent
-        heap[idx] = item
-        pos[item[1]] = idx
-
-    def _sift_down(self, idx: int) -> None:
-        heap = self._heap
-        pos = self._pos
-        size = len(heap)
-        item = heap[idx]
-        while True:
-            child = 2 * idx + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and heap[right][0] < heap[child][0]:
-                child = right
-            if heap[child][0] >= item[0]:
-                break
-            heap[idx] = heap[child]
-            pos[heap[idx][1]] = idx
-            idx = child
-        heap[idx] = item
-        pos[item[1]] = idx
+        self._best.clear()

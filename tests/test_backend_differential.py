@@ -6,10 +6,12 @@ reference — same values and the same stats-visible search work
 (activations, pushes, relaxations, per-kind prune counts, index answers) —
 for every pruning policy, under randomized graphs, churn, and query mixes.
 
-Weighted comparisons use continuous random weights: distinct path costs
-make heap ordering tie-free, so traversal statistics are deterministic and
-comparable.  The hop metric (unit weights, massive ties) compares values
-only.
+Most comparisons use continuous random weights, where distinct path costs
+leave the heaps nothing to break ties on.  Parity does not depend on that:
+both planes order their queues by ``(priority, id)`` and dense ids sort like
+vertex ids, so equal priorities pop in the same order on both.
+``TestTieParity`` and the hop metric (unit weights, massive ties) hold the
+two planes to the same values, paths *and* stats on tie-heavy weights.
 """
 
 from __future__ import annotations
@@ -34,10 +36,18 @@ POLICIES = [
 ]
 
 
+def _weight(rng: random.Random, weights) -> float:
+    """A continuous (tie-free) weight, or a draw from ``weights``."""
+    if weights is None:
+        return rng.uniform(0.5, 3.0)
+    return float(rng.choice(weights))
+
+
 def _random_graph(rng: random.Random, n: int, m: int,
-                  directed: bool) -> DynamicGraph:
-    """Random graph with continuous (tie-free) weights and a few isolated
-    vertices, so the dense plane's empty CSR rows are exercised too."""
+                  directed: bool, weights=None) -> DynamicGraph:
+    """Random graph with continuous (tie-free) weights — or weights drawn
+    from the small set ``weights`` — and a few isolated vertices, so the
+    dense plane's empty CSR rows are exercised too."""
     g = DynamicGraph(directed=directed)
     for v in range(n):
         g.add_vertex(v)
@@ -46,18 +56,18 @@ def _random_graph(rng: random.Random, n: int, m: int,
         u, v = rng.randrange(n - 3), rng.randrange(n - 3)
         if u == v or g.has_edge(u, v):
             continue
-        g.add_edge(u, v, rng.uniform(0.5, 3.0))
+        g.add_edge(u, v, _weight(rng, weights))
         added += 1
     return g
 
 
 def _twin_sgraphs(rng: random.Random, policy: PruningPolicy, directed: bool,
-                  queries=("distance",)):
+                  queries=("distance",), weights=None):
     """The same graph served twice: dict reference vs dense plane."""
     seed = rng.randrange(1 << 30)
     pair = []
     for backend in ("dict", "dense"):
-        g = _random_graph(random.Random(seed), 80, 240, directed)
+        g = _random_graph(random.Random(seed), 80, 240, directed, weights)
         pair.append(SGraph(graph=g, config=SGraphConfig(
             num_hubs=6, policy=policy, queries=queries, backend=backend,
         )))
@@ -75,7 +85,7 @@ def _stats_tuple(stats):
     )
 
 
-def _churn(rng: random.Random, sgraphs, rounds: int) -> None:
+def _churn(rng: random.Random, sgraphs, rounds: int, weights=None) -> None:
     """Apply one identical batch of mutations to every facade."""
     verts = sorted(sgraphs[0].graph.vertices())
     for _ in range(rounds):
@@ -84,7 +94,7 @@ def _churn(rng: random.Random, sgraphs, rounds: int) -> None:
             for sg in sgraphs:
                 sg.remove_edge(u, v)
         else:
-            w = rng.uniform(0.5, 3.0)
+            w = _weight(rng, weights)
             for sg in sgraphs:
                 sg.add_edge(u, v, w)
 
@@ -137,7 +147,8 @@ class TestFacadeParity:
                 assert b.value == a.value
 
     def test_hops_values_match(self):
-        # Unit weights are tie-heavy, so only values are comparable.
+        # Unit weights are tie-heavy; ties break by id on both planes, so
+        # the search work is comparable too.
         rng = random.Random(9)
         sg_dict, sg_dense = _twin_sgraphs(
             rng, PruningPolicy.UPPER_AND_LOWER, directed=False,
@@ -147,8 +158,10 @@ class TestFacadeParity:
         for _ in range(2):
             for _ in range(20):
                 s, t = rng.sample(verts, 2)
-                assert (sg_dense.hop_distance(s, t).value
-                        == sg_dict.hop_distance(s, t).value)
+                a = sg_dict.hop_distance(s, t)
+                b = sg_dense.hop_distance(s, t)
+                assert b.value == a.value
+                assert _stats_tuple(b.stats) == _stats_tuple(a.stats)
             _churn(rng, (sg_dict, sg_dense), rounds=5)
 
     def test_isolated_endpoints_unreachable_on_both(self):
@@ -162,6 +175,63 @@ class TestFacadeParity:
         b = sg_dense.distance(verts[0], isolated)
         assert a.value == b.value == math.inf
         assert _stats_tuple(b.stats) == _stats_tuple(a.stats)
+
+
+TIE_WEIGHTS = [(1,), (1, 1, 1, 2, 3), (1, 2, 3, 4)]
+
+
+class TestTieParity:
+    """Tie-heavy weights: equal priorities everywhere, same work anyway.
+
+    Small-integer weights make most heap comparisons ties, so any
+    difference in how the two planes order equal priorities shows up as
+    different activation/push/prune counts (and different, equally short,
+    paths).  Both order by ``(priority, id)``; nothing may differ.
+    """
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("weights", TIE_WEIGHTS)
+    def test_distance_and_path_bit_identical(self, weights, directed, policy):
+        rng = random.Random(4000 + 100 * len(weights) + 10 * directed
+                            + POLICIES.index(policy))
+        sg_dict, sg_dense = _twin_sgraphs(rng, policy, directed,
+                                          weights=weights)
+        verts = sorted(sg_dict.graph.vertices())
+        for _epoch_round in range(2):
+            for _ in range(20):
+                s, t = rng.sample(verts, 2)
+                a = sg_dict.distance(s, t)
+                b = sg_dense.distance(s, t)
+                assert b.value == a.value
+                assert _stats_tuple(b.stats) == _stats_tuple(a.stats)
+                a = sg_dict.shortest_path(s, t)
+                b = sg_dense.shortest_path(s, t)
+                assert b.value == a.value
+                assert b.path == a.path
+                assert _stats_tuple(b.stats) == _stats_tuple(a.stats)
+            _churn(rng, (sg_dict, sg_dense), rounds=6, weights=weights)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("weights", TIE_WEIGHTS)
+    def test_batched_and_neighborhood_verbs_bit_identical(
+        self, weights, directed
+    ):
+        rng = random.Random(4500 + 100 * len(weights) + directed)
+        sg_dict, sg_dense = _twin_sgraphs(
+            rng, PruningPolicy.UPPER_AND_LOWER, directed, weights=weights
+        )
+        verts = sorted(sg_dict.graph.vertices())
+        for _ in range(15):
+            s = rng.choice(verts)
+            targets = rng.sample(verts, rng.randrange(1, 24))
+            a = sg_dict.distance_many_result(s, targets)
+            b = sg_dense.distance_many_result(s, targets)
+            assert b.values == a.values
+            assert _stats_tuple(b.stats) == _stats_tuple(a.stats)
+            # Equidistant vertices rank in id order on both planes.
+            assert sg_dense.nearest(s, 9) == sg_dict.nearest(s, 9)
+            assert sg_dense.within(s, 3.0) == sg_dict.within(s, 3.0)
 
 
 class TestOneToManyParity:

@@ -39,6 +39,9 @@ def assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
         assert a.flags.c_contiguous and a.flags.owndata, field
         assert np.array_equal(a, b), field
     assert got.ids == want.ids
+    # Dense ids must sort like vertex ids: both planes break heap ties by
+    # id, and their stats parity under tied weights rests on this.
+    assert got.ids == sorted(got.ids)
     assert got.dense_map == want.dense_map
     assert (got.directed, got.epoch) == (want.directed, want.epoch)
     assert got.nbytes == want.nbytes

@@ -98,23 +98,24 @@ class TestBasics:
         assert h.pop() == (1, 1.0)
 
     def test_clear_retains_backing_storage(self):
-        """clear() empties in place — the backing list and position dict
-        survive, so a reused heap never re-allocates its storage."""
+        """clear() empties in place — the backing entry list and priority
+        dict survive, so external references to a reused heap stay valid."""
         h = IndexedHeap()
-        backing_heap, backing_pos = h._heap, h._pos
+        backing_heap, backing_best = h._heap, h._best
         for i in range(100):
             h.push(i, float(i))
         h.clear()
         assert not h
         assert h._heap is backing_heap
-        assert h._pos is backing_pos
+        assert h._best is backing_best
+        assert backing_heap == [] and backing_best == {}
         for round_ in range(3):
             for i in range(50):
                 h.push(i, float((i * 7 + round_) % 50))
             drained = [h.pop()[1] for _ in range(len(h))]
             assert drained == sorted(drained)
             h.clear()
-            assert h._heap is backing_heap and h._pos is backing_pos
+            assert h._heap is backing_heap and h._best is backing_best
 
     def test_clear_after_partial_drain(self):
         """clear() mid-drain leaves a fully consistent empty heap: stale
@@ -142,6 +143,78 @@ class TestBasics:
 
     def test_priority_absent_is_none(self):
         assert IndexedHeap().priority(4) is None
+
+
+class TestLazyDeletion:
+    """What the heapq backing must not let show through."""
+
+    def test_equal_priorities_pop_in_key_order(self):
+        h = IndexedHeap()
+        for key in (5, 2, 9, 0, 7):
+            h.push(key, 1.0)
+        h.push(3, 0.5)
+        assert [h.pop()[0] for _ in range(6)] == [3, 0, 2, 5, 7, 9]
+
+    def test_len_counts_live_keys_not_stored_entries(self):
+        h = IndexedHeap()
+        h.push(1, 9.0)
+        h.push(2, 8.0)
+        for pri in (7.0, 5.0, 3.0):     # three decrease-keys of one key
+            assert h.push(1, pri)
+        assert len(h._heap) == 5        # superseded entries are still stored
+        assert len(h) == 2 and 1 in h and 2 in h
+        assert sorted(h) == [(3.0, 1), (8.0, 2)]
+        assert h.remove(2)
+        assert len(h) == 1 and bool(h)
+        assert h.pop() == (1, 3.0)
+        assert len(h) == 0 and not h
+
+    def test_peek_never_returns_a_superseded_entry(self):
+        h = IndexedHeap()
+        h.push(1, 2.0)
+        h.push(2, 5.0)
+        h.push(3, 4.0)
+        h.remove(1)                     # the stored minimum is now stale
+        assert h.peek() == (3, 4.0)
+        h.push(2, 1.0)
+        assert h.peek() == (2, 1.0)
+        assert h.pop() == (2, 1.0)
+        assert h.peek() == (3, 4.0)     # not key 2's old (5.0, 2) entry
+        assert h.pop() == (3, 4.0)
+        with pytest.raises(IndexError):
+            h.peek()
+
+    def test_repush_after_pop_with_equal_priority_stale_twin_buried(self):
+        h = IndexedHeap()
+        h.push(1, 5.0)
+        h.push(1, 3.0)                  # (5.0, 1) is superseded, stays buried
+        h.push(2, 9.0)
+        assert h.pop() == (1, 3.0)
+        assert 1 not in h
+        assert h.push(1, 5.0)           # a live twin of the buried stale entry
+        assert h.priority(1) == 5.0 and len(h) == 2
+        assert h.pop() == (1, 5.0)      # key 1 pops once …
+        assert 1 not in h and len(h) == 1
+        assert h.pop() == (2, 9.0)      # … its twin never resurfaces as live
+        assert not h
+        with pytest.raises(IndexError):
+            h.pop()
+
+    def test_backing_list_empties_with_the_last_live_key(self):
+        """Stale entries cannot accumulate across reuse: whichever way the
+        last live key leaves, the stored entries leave with it."""
+        h = IndexedHeap()
+        for round_ in range(3):
+            for key in range(10):
+                h.push(key, 100.0 - round_)
+                h.push(key, float(key))         # one stale entry per key
+            assert len(h._heap) == 20
+            if round_ == 1:
+                for key in range(10):
+                    h.remove(key)
+            else:
+                assert [h.pop()[0] for _ in range(10)] == list(range(10))
+            assert h._heap == [] and h._best == {}
 
 
 class TestAgainstHeapq:

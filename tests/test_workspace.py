@@ -1,31 +1,31 @@
 """Epoch-scoped search workspaces: sparse reset, reuse, failure isolation.
 
-Three contracts under test.  :class:`JournaledHeap` journals exactly the
-first insertion of every key, so the journal enumerates the touched
-workspace entries.  :class:`SearchWorkspace` restores pristine state in
-O(touched) after every verb — including verbs that raise mid-search —
-which the O(V) ``is_clean()`` audit checks directly.  And the engine
-binds one workspace per plane, so steady-state queries perform zero O(V)
-allocations while answering bit-identically to a fresh-state engine.
+Three contracts under test.  The dense loops append an id to the
+workspace's journal before the first write of its label, so the journals
+enumerate exactly the touched workspace entries.  :class:`SearchWorkspace`
+restores pristine state in O(touched) after every verb — including verbs
+that raise mid-search — which the O(V) ``is_clean()`` audit checks
+directly.  And the engine binds one workspace per plane, so steady-state
+queries perform zero O(V) allocations while answering bit-identically to a
+fresh-state engine.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.core.hub_index as hub_index_mod
 from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
 from repro.core.pruning import PruningPolicy
-from repro.core.workspace import JournaledHeap, SearchWorkspace
+from repro.core.workspace import SearchWorkspace
 from repro.errors import ConfigError, QueryError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.sgraph import SGraph
-from repro.utils.pqueue import IndexedHeap
 
 POLICIES = [
     PruningPolicy.NONE,
@@ -78,55 +78,6 @@ def _stats_tuple(stats):
     )
 
 
-class TestJournaledHeap:
-    def test_journal_records_first_insertion_once(self):
-        h = JournaledHeap()
-        h.push(3, 5.0)
-        h.push(3, 1.0)   # decrease-key: no second journal entry
-        h.push(3, 9.0)   # ignored increase: no entry either
-        h.push(8, 2.0)
-        assert h.journal == [3, 8]
-
-    def test_journal_survives_pop_and_remove(self):
-        h = JournaledHeap()
-        for i in range(5):
-            h.push(i, float(i))
-        h.pop()
-        h.remove(3)
-        assert h.journal == [0, 1, 2, 3, 4]
-
-    def test_clear_empties_journal(self):
-        h = JournaledHeap()
-        h.push(1, 1.0)
-        h.clear()
-        assert h.journal == []
-        assert not h
-        h.push(1, 2.0)
-        assert h.journal == [1]  # re-insertion after clear is "first" again
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 30), st.floats(0, 100, allow_nan=False)),
-            max_size=200,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_heap_semantics_identical_to_indexed_heap(self, ops):
-        """Journaling must not perturb heap behavior in any way."""
-        j, plain = JournaledHeap(), IndexedHeap()
-        first_seen = []
-        seen = set()
-        for key, pri in ops:
-            assert j.push(key, pri) == plain.push(key, pri)
-            if key not in seen:
-                seen.add(key)
-                first_seen.append(key)
-        assert j.journal == first_seen
-        while plain:
-            assert j.pop() == plain.pop()
-        assert not j
-
-
 class TestSearchWorkspace:
     def test_first_acquire_is_not_a_hit(self):
         ws = SearchWorkspace()
@@ -153,15 +104,54 @@ class TestSearchWorkspace:
         ws = SearchWorkspace(100)
         ws.acquire(100)
         for v in (3, 17, 42):
-            ws.heap_f.push(v, float(v))
+            ws.journal_f.append(v)
             ws.g_f[v] = float(v)
+            ws.heap_f.append((float(v), v))
             ws.settled_f[v] = 1
-        ws.heap_b.push(99, 0.5)
+        ws.heap_f.append((1.0, 17))  # a superseding entry: no new journal id
+        ws.journal_b.append(99)
         ws.g_b[99] = 0.5
+        ws.heap_b.append((0.5, 99))
         touched = ws.release()
         assert touched == 4
         assert ws.touched_reset == 4
         assert ws.is_clean()
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_journals_name_exactly_the_written_ids(self, policy):
+        """The sparse-reset invariant, observed on real searches: at release
+        time each journal names every id whose label, settled mark or
+        parent entry was written — exactly those, each once."""
+        audited = []
+
+        class AuditingWorkspace(SearchWorkspace):
+            def release(self):
+                for journal, g, settled, parent in (
+                    (self.journal_f, self.g_f, self.settled_f, self.parent_f),
+                    (self.journal_b, self.g_b, self.settled_b, self.parent_b),
+                ):
+                    written = [
+                        v for v in range(self.num_vertices)
+                        if g[v] != math.inf or settled[v] or parent[v] != -1
+                    ]
+                    assert sorted(journal) == written
+                    audited.append(len(journal))
+                return super().release()
+
+        engine, _plane = _dense_engine(47, policy,
+                                       workspace=AuditingWorkspace())
+        rng = random.Random(11)
+        for _ in range(12):
+            s, t = rng.sample(range(60), 2)
+            engine.best_cost(s, t)
+            engine.best_path(s, t)
+        engine.one_to_many(0, list(range(1, 30)))
+        engine.expand(0, 10, None)
+        engine.expand(5, None, 2.5)
+        # searches ran (some pairs may be closed by the index before
+        # acquiring), and decrease-keys happened without double-journaling
+        assert len(audited) >= 6 and max(audited) > 10
+        assert engine.workspace.is_clean()
 
     def test_release_covers_lazy_parent_and_slot_arrays(self):
         # Parents are allocated with the labels (every pairwise search
@@ -171,10 +161,10 @@ class TestSearchWorkspace:
         assert ws.slot is None
         ws.acquire(50)
         slot = ws.ensure_slot()
-        ws.heap_f.push(7, 1.0)
+        ws.journal_f.append(7)
         ws.g_f[7] = 1.0
         ws.parent_f[7] = 3
-        ws.heap_b.push(9, 2.0)
+        ws.journal_b.append(9)
         ws.parent_b[9] = 4
         slot[7] = 0
         ws.release()
@@ -239,6 +229,38 @@ class TestEngineSteadyState:
         assert engine.workspace_stats()["workspace_allocs"] == 0
 
 
+class _ExplodingWeights(list):
+    """The CSR weight view, raising on its N-th element read.
+
+    The dense loops call no Python-level method a test could patch — the
+    queue is ``heapq`` on a plain list — so the fault is injected through
+    the data they read: ``weights[k]`` sits in the middle of a relaxation,
+    after labels, journal and heap already hold earlier writes.
+    """
+
+    def __init__(self, weights, reads_left: int) -> None:
+        super().__init__(weights)
+        self.reads_left = reads_left
+
+    def __getitem__(self, k):
+        if self.reads_left <= 0:
+            raise RuntimeError("injected mid-search failure")
+        self.reads_left -= 1
+        return super().__getitem__(k)
+
+
+@contextlib.contextmanager
+def _weights_that_raise(monkeypatch, csr, after: int):
+    """Swap both of ``csr``'s cached weight lists for exploding copies."""
+    with monkeypatch.context() as patch:
+        for attr, lists in (("_out_lists", csr.out_lists()),
+                            ("_in_lists", csr.in_lists())):
+            patch.setattr(csr, attr, (
+                lists[0], lists[1], _ExplodingWeights(lists[2], after),
+            ))
+        yield
+
+
 class TestFailureIsolation:
     """Satellite: a failed verb can never poison the next query."""
 
@@ -262,7 +284,7 @@ class TestFailureIsolation:
     def test_exception_mid_search_leaves_next_query_bit_identical(
         self, monkeypatch, policy
     ):
-        engine, _plane = _dense_engine(44, policy)
+        engine, plane = _dense_engine(44, policy)
         # Find a pair the index cannot close, so the search actually pops.
         probe_rng = random.Random(3)
         while True:
@@ -272,21 +294,9 @@ class TestFailureIsolation:
             _value, probe_stats = engine.best_cost(ps, pt)
             if probe_stats.activations >= 4:
                 break
-        victim = engine.workspace.heap_f
-        state = {"pops": 0}
-        orig_pop = JournaledHeap.pop
-
-        def exploding_pop(self):
-            if self is victim:
-                state["pops"] += 1
-                if state["pops"] > 2:
-                    raise RuntimeError("injected mid-search failure")
-            return orig_pop(self)
-
-        monkeypatch.setattr(JournaledHeap, "pop", exploding_pop)
-        with pytest.raises(RuntimeError, match="injected"):
-            engine.best_cost(ps, pt)
-        monkeypatch.setattr(JournaledHeap, "pop", orig_pop)
+        with _weights_that_raise(monkeypatch, plane.csr, after=6):
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.best_cost(ps, pt)
 
         assert not engine.workspace.in_use
         assert engine.workspace.is_clean()
@@ -298,24 +308,12 @@ class TestFailureIsolation:
             assert _stats_tuple(stats) == _stats_tuple(ref_stats)
 
     def test_exception_mid_one_to_many_resets_slot_map(self, monkeypatch):
-        engine, _plane = _dense_engine(45, PruningPolicy.NONE)
+        engine, plane = _dense_engine(45, PruningPolicy.NONE)
         targets = list(range(1, 25))
         engine.one_to_many(0, targets)  # bind + allocate the slot map
-        victim = engine.workspace.heap_f
-        state = {"pops": 0}
-        orig_pop = JournaledHeap.pop
-
-        def exploding_pop(self):
-            if self is victim:
-                state["pops"] += 1
-                if state["pops"] > 2:
-                    raise RuntimeError("injected mid-batch failure")
-            return orig_pop(self)
-
-        monkeypatch.setattr(JournaledHeap, "pop", exploding_pop)
-        with pytest.raises(RuntimeError, match="injected"):
-            engine.one_to_many(0, targets)
-        monkeypatch.setattr(JournaledHeap, "pop", orig_pop)
+        with _weights_that_raise(monkeypatch, plane.csr, after=6):
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.one_to_many(0, targets)
 
         assert engine.workspace.is_clean()  # covers the slot map too
         fresh, _ = _dense_engine(45, PruningPolicy.NONE)
