@@ -1239,7 +1239,7 @@ def _slack_edges(plane, edges):
     """
     import numpy as np
 
-    F, _B = plane.tables._stacked()
+    F = plane.tables.F
     dense = plane.csr.dense_map
     out = []
     for u, v, w in edges:

@@ -492,7 +492,7 @@ class PairwiseEngine:
             for i, td in enumerate(act_t):
                 slot[td] = i
             ids = csr.ids
-            indptr, indices, weights = csr.out_lists()
+            indptr, indices, weights = csr.out_views
             # Lazy-deletion heapq on the workspace's list, as in
             # `_search_dense`; forward-only, so a superseded entry is simply
             # skipped when it surfaces.
@@ -788,8 +788,8 @@ class PairwiseEngine:
 
         Same decisions, same answers, same stats — but search state lives in
         flat lists indexed by dense id (``g`` labels, parents, settled
-        bytemaps) and adjacency is walked through the CSR's cached list
-        views, eliminating the per-step dict hashing of the reference path.
+        bytemaps) and adjacency is walked through memoryviews of the CSR
+        arrays, eliminating the per-step dict hashing of the reference path.
         Min-plus algebra only, which lets the semiring calls inline to
         ``+`` / ``<`` and lets path mode keep its ties by arithmetic instead
         of by a second set of comparisons: every prune tests against
@@ -867,21 +867,21 @@ class PairwiseEngine:
             # Frontier sizes (what the dict plane's `len(heap)` reads) are
             # first touches minus pops: journal length minus these.
             popped_f = popped_b = 0
-            indptr_f, indices_f, weights_f = csr.out_lists()
-            indptr_b, indices_b, weights_b = csr.in_lists()
+            indptr_f, indices_f, weights_f = csr.out_views
+            indptr_b, indices_b, weights_b = csr.in_views
             use_ub = self._policy.uses_index
             use_lb = self._policy.uses_lower_bounds
             if use_lb:
-                # Per-hub rows as flat lists plus the four per-endpoint
+                # Per-hub row memoryviews plus the four per-endpoint
                 # scalar columns the prune tests reference, zipped into one
                 # tuple per hub so the probe loops unpack instead of
-                # indexing four lists.  Probes short-circuit on the first
-                # deciding hub, exactly like the dict path — O(1) for the
-                # overwhelmingly common pruned vertex.  Columns come from
-                # the tables' per-epoch LRU.
-                rows_f, rows_b = plane.tables.rows_as_lists()
-                fwd_t, bwd_t = plane.tables.columns_for(t)  # d(h,t) / d(t,h)
-                fwd_s, bwd_s = plane.tables.columns_for(s)  # d(h,s) / d(s,h)
+                # indexing four sequences.  Probes short-circuit on the
+                # first deciding hub, exactly like the dict path — O(1) for
+                # the overwhelmingly common pruned vertex.
+                tables = plane.tables
+                rows_f, rows_b = tables.fwd_views, tables.bwd_views
+                fwd_t, bwd_t = tables.columns_for(t)  # d(h,t) / d(t,h)
+                fwd_s, bwd_s = tables.columns_for(s)  # d(h,s) / d(s,h)
                 probes_f = list(zip(rows_f, fwd_t, bwd_t, rows_b))
                 probes_b = list(zip(fwd_s, rows_f, rows_b, bwd_s))
             # With a tolerance, prune/terminate against incumbent/(1+tol):
@@ -1088,7 +1088,7 @@ def expand_from_csr(
     """
     s = csr.dense_id(source)
     ids = csr.ids
-    indptr, indices, weights = csr.out_lists()
+    indptr, indices, weights = csr.out_views
     workspace.acquire(csr.num_vertices)
     try:
         g = workspace.g_f

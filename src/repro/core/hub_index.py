@@ -33,10 +33,6 @@ from repro.streaming.incremental_sssp import IncrementalBestPath
 #: per-hub frozen cost tables, keyed by hub vertex
 FrozenTables = Dict[int, Mapping]
 
-#: capacity of the per-epoch LRU of extracted hub columns (entries are two
-#: k-length lists each, so even at capacity the cache stays a few megabytes)
-HUB_COLUMN_CACHE = 4096
-
 #: capacity of the per-epoch LRU of residual lower-bound rows (entries are
 #: |V|-length float lists — megabytes each on large planes — so the cap is
 #: deliberately small; it only needs to cover the recurring target set of a
@@ -342,68 +338,88 @@ class HubIndex:
 # -- the dense serving plane -------------------------------------------------
 
 
-def _full_row(mapping: Mapping, dense: Dict[int, int], n: int) -> np.ndarray:
-    """Materialize one hub cost table as a dense float64 row (inf = absent)."""
-    row = np.full(n, math.inf, dtype=np.float64)
-    dget = dense.get
-    for v, c in mapping.items():
-        i = dget(v)
-        if i is not None:
-            row[i] = c
-    return row
+def _dirty_keys(new_map: Mapping, prev_map: Optional[Mapping]) -> Optional[list]:
+    """The vertices whose cost may differ between two versions of one table.
 
-
-def _derive_row(
-    new_map: Mapping,
-    prev_map: Optional[Mapping],
-    prev_row: Optional[np.ndarray],
-    dense: Dict[int, int],
-) -> Optional[np.ndarray]:
-    """Derive a dense row from the previous epoch's row in O(overlay).
-
-    Works whenever both mappings are :class:`LayeredMapping` layers over the
-    *identical* base object (the invariant `derive_mapping` maintains until
-    it compacts): the two versions then differ in at most the union of their
-    overlay keys, so copying the previous row and re-reading just those keys
-    reproduces a full rebuild exactly.  Returns None when the precondition
-    does not hold and the caller must pay the O(|V|) `_full_row`.
+    ``[]`` when nothing changed.  Works whenever both mappings are
+    :class:`LayeredMapping` layers over the *identical* base object (the
+    invariant `derive_mapping` maintains until it compacts): the two
+    versions then differ in at most the union of their overlay keys, so
+    re-reading just those keys reproduces a full rebuild exactly.  None when
+    the precondition does not hold and the row must be rebuilt in O(|V|).
     """
-    if prev_map is None or prev_row is None:
+    if prev_map is None:
         return None
     if new_map is prev_map:
-        return prev_row
+        return []
     if not isinstance(new_map, LayeredMapping):
         return None
-    base = new_map.base
-    prev_base = prev_map.base if isinstance(prev_map, LayeredMapping) else prev_map
-    if prev_base is not base:
+    prev_layered = isinstance(prev_map, LayeredMapping)
+    if (prev_map.base if prev_layered else prev_map) is not new_map.base:
         return None
     keys = list(new_map.overlay_keys())
-    if isinstance(prev_map, LayeredMapping):
+    if prev_layered:
         keys.extend(prev_map.overlay_keys())
-    if not keys:
-        return prev_row
-    row = prev_row.copy()
+    return keys
+
+
+def _derive_matrix(
+    hubs: List[int],
+    tables: Dict[int, Mapping],
+    dense: Dict[int, int],
+    n: int,
+    prev: Optional[np.ndarray],
+    prev_refs: Dict[int, Mapping],
+) -> np.ndarray:
+    """One direction's ``(k, |V|)`` cost matrix (row per hub, inf = absent).
+
+    With ``prev`` (the previous epoch's matrix over the same id space and
+    hub list) every row that :func:`_dirty_keys` can diff is patched in
+    O(overlay) and only the rest are rebuilt; when no row changed at all,
+    ``prev`` itself is returned and the epochs share one matrix.
+    """
+    plan = [
+        (pos, tables[h],
+         None if prev is None else _dirty_keys(tables[h], prev_refs.get(h)))
+        for pos, h in enumerate(hubs)
+    ]
+    if prev is not None and not any(keys is None or keys for _, _, keys in plan):
+        return prev
+    out = (prev.copy() if prev is not None
+           else np.empty((len(hubs), n), dtype=np.float64))
     inf = math.inf
-    get = new_map.get
     dget = dense.get
-    for v in keys:
-        i = dget(v)
-        if i is not None:
-            row[i] = get(v, inf)
-    return row
+    for pos, mapping, keys in plan:
+        row = out[pos]
+        if keys is None:
+            row.fill(inf)
+            for v, c in mapping.items():
+                i = dget(v)
+                if i is not None:
+                    row[i] = c
+            continue
+        get = mapping.get
+        for v in keys:
+            i = dget(v)
+            if i is not None:
+                row[i] = get(v, inf)
+    return out
 
 
 class DenseHubTables:
-    """Frozen hub cost tables as numpy rows over dense vertex ids.
+    """Frozen hub cost tables as numpy matrices over dense vertex ids.
 
-    One float64 row of length ``|V|`` per hub and direction (``inf`` marks
-    unreachable), stored per hub so rows can be *shared by reference* across
-    epochs: :meth:`derive` copies an old row and patches only the overlay
-    keys when the underlying :class:`LayeredMapping` freeze chain allows it,
-    mirroring the O(Δ) dict-table publish.  Bound evaluation additionally
-    keeps lazily stacked ``(k, |V|)`` matrices so ``UB``/residual math is a
-    handful of vectorized ops instead of ``k`` dict probes.
+    One C-contiguous float64 ``(k, |V|)`` matrix per direction (``inf``
+    marks unreachable): ``F[j, v]`` = cost hub_j → v, ``B[j, v]`` = cost
+    v → hub_j, with ``B is F`` on undirected tables.  :meth:`derive` shares
+    the previous epoch's matrix when no hub table changed and otherwise
+    copies it once and patches only the overlay keys the
+    :class:`LayeredMapping` freeze chain names, mirroring the O(Δ)
+    dict-table publish.  Bound evaluation is a handful of vectorized ops on
+    the matrices; the search loop's per-vertex probes index
+    :attr:`fwd_views` / :attr:`bwd_views`, one memoryview per hub row made
+    with the tables, so no per-epoch Python copy of a row ever exists.
+    ``fwd_rows`` / ``bwd_rows`` are the same rows as numpy views.
 
     Only meaningful for the min-plus (shortest distance / hops) algebra —
     the residual formulas baked into the bound methods assume it.
@@ -411,19 +427,16 @@ class DenseHubTables:
 
     __slots__ = (
         "hubs",
+        "F",
+        "B",
         "fwd_rows",
         "bwd_rows",
+        "fwd_views",
+        "bwd_views",
         "directed",
         "_ids",
         "_fwd_refs",
         "_bwd_refs",
-        "_F",
-        "_B",
-        "_Fl",
-        "_Bl",
-        "_cols",
-        "column_hits",
-        "column_misses",
         "_res_rows",
         "row_hits",
         "row_misses",
@@ -432,29 +445,30 @@ class DenseHubTables:
     def __init__(
         self,
         hubs: List[int],
-        fwd_rows: List[np.ndarray],
-        bwd_rows: List[np.ndarray],
+        F: np.ndarray,
+        B: np.ndarray,
         directed: bool,
         ids: List[int],
         fwd_refs: Dict[int, Mapping],
         bwd_refs: Dict[int, Mapping],
     ) -> None:
         self.hubs = hubs
-        self.fwd_rows = fwd_rows
-        self.bwd_rows = bwd_rows
+        self.F = F
+        self.B = B
+        self.fwd_rows = [F[j] for j in range(F.shape[0])]
+        self.fwd_views = tuple(map(memoryview, self.fwd_rows))
+        if B is F:
+            self.bwd_rows = self.fwd_rows
+            self.bwd_views = self.fwd_views
+        else:
+            self.bwd_rows = [B[j] for j in range(B.shape[0])]
+            self.bwd_views = tuple(map(memoryview, self.bwd_rows))
         self.directed = directed
         self._ids = ids
         # The frozen mappings each row was materialized from — the baseline
         # the next epoch's derive() diffs against.
         self._fwd_refs = fwd_refs
         self._bwd_refs = bwd_refs
-        self._F: Optional[np.ndarray] = None
-        self._B: Optional[np.ndarray] = None
-        self._Fl: Optional[List[list]] = None
-        self._Bl: Optional[List[list]] = None
-        self._cols: "OrderedDict[int, Tuple[list, list]]" = OrderedDict()
-        self.column_hits = 0
-        self.column_misses = 0
         self._res_rows: "OrderedDict[int, list]" = OrderedDict()
         self.row_hits = 0
         self.row_misses = 0
@@ -468,7 +482,7 @@ class DenseHubTables:
         bwd_tables: Dict[int, Mapping],
         prev: Optional["DenseHubTables"] = None,
     ) -> "DenseHubTables":
-        """Dense rows for one freeze, reusing ``prev``'s rows where possible.
+        """Dense matrices for one freeze, derived from ``prev``'s if possible.
 
         ``fwd_tables``/``bwd_tables`` are :meth:`HubIndex.freeze` output
         (``bwd_tables`` empty for undirected graphs, where backward aliases
@@ -482,47 +496,25 @@ class DenseHubTables:
         directed = csr.directed
         if directed and not bwd_tables:
             raise IndexStateError("directed dense tables need backward tables")
-        compatible = (
-            prev is not None
-            and prev._ids is csr.ids
-            and prev.hubs == hubs
-            and prev.directed == directed
-        )
-        fwd_rows: List[np.ndarray] = []
-        for pos, h in enumerate(hubs):
-            mapping = fwd_tables[h]
-            row = None
-            if compatible:
-                row = _derive_row(
-                    mapping, prev._fwd_refs.get(h), prev.fwd_rows[pos], dense
-                )
-            if row is None:
-                row = _full_row(mapping, dense, n)
-            fwd_rows.append(row)
-        if not directed:
-            bwd_rows = fwd_rows
-            bwd_refs: Dict[int, Mapping] = {}
+        if (prev is not None and prev._ids is csr.ids and prev.hubs == hubs
+                and prev.directed == directed):
+            prev_F, prev_B = prev.F, prev.B
+            prev_fwd, prev_bwd = prev._fwd_refs, prev._bwd_refs
         else:
-            bwd_rows = []
-            for pos, h in enumerate(hubs):
-                mapping = bwd_tables[h]
-                row = None
-                if compatible:
-                    row = _derive_row(
-                        mapping, prev._bwd_refs.get(h), prev.bwd_rows[pos], dense
-                    )
-                if row is None:
-                    row = _full_row(mapping, dense, n)
-                bwd_rows.append(row)
-            bwd_refs = dict(bwd_tables)
+            prev_F = prev_B = None
+            prev_fwd = prev_bwd = {}
+        F = _derive_matrix(hubs, fwd_tables, dense, n, prev_F, prev_fwd)
+        B = F
+        if directed:
+            B = _derive_matrix(hubs, bwd_tables, dense, n, prev_B, prev_bwd)
         return cls(
             hubs=hubs,
-            fwd_rows=fwd_rows,
-            bwd_rows=bwd_rows,
+            F=F,
+            B=B,
             directed=directed,
             ids=csr.ids,
             fwd_refs=dict(fwd_tables),
-            bwd_refs=bwd_refs,
+            bwd_refs=dict(bwd_tables) if directed else {},
         )
 
     @classmethod
@@ -534,31 +526,18 @@ class DenseHubTables:
         ids: List[int],
         directed: bool,
     ) -> "DenseHubTables":
-        """Adopt prebuilt stacked ``(k, |V|)`` cost matrices by reference.
+        """Adopt prebuilt C-contiguous ``(k, |V|)`` cost matrices by reference.
 
-        The shared-memory attach path: the per-hub rows become views into
-        ``F``/``B`` and the stacked matrices are pre-seeded, so neither
-        construction nor the first vectorized bound pays a copy.  Pass the
+        The shared-memory attach path: rows and views read the mapped
+        buffers, so construction is O(k) and nothing is copied.  Pass the
         same array for ``B`` and ``F`` on undirected tables (backward then
-        aliases forward throughout).
+        aliases forward throughout).  Adopted tables carry no freeze
+        mappings, so a later :meth:`derive` from them rebuilds every row.
         """
-        fwd_rows = [F[j] for j in range(F.shape[0])]
-        if B is F:
-            bwd_rows = fwd_rows
-        else:
-            bwd_rows = [B[j] for j in range(B.shape[0])]
-        tables = cls(
-            hubs=list(hubs),
-            fwd_rows=fwd_rows,
-            bwd_rows=bwd_rows,
-            directed=directed,
-            ids=ids,
-            fwd_refs={},
-            bwd_refs={},
+        return cls(
+            hubs=list(hubs), F=F, B=B, directed=directed, ids=ids,
+            fwd_refs={}, bwd_refs={},
         )
-        tables._F = F
-        tables._B = F if bwd_rows is fwd_rows else B
-        return tables
 
     @property
     def num_hubs(self) -> int:
@@ -570,10 +549,10 @@ class DenseHubTables:
 
     @property
     def nbytes(self) -> int:
-        """Array payload bytes of the per-hub rows."""
-        total = sum(int(row.nbytes) for row in self.fwd_rows)
-        if self.bwd_rows is not self.fwd_rows:
-            total += sum(int(row.nbytes) for row in self.bwd_rows)
+        """Array payload bytes of the cost matrices."""
+        total = int(self.F.nbytes)
+        if self.B is not self.F:
+            total += int(self.B.nbytes)
         return total
 
     def __repr__(self) -> str:
@@ -582,63 +561,14 @@ class DenseHubTables:
             f"directed={self.directed})"
         )
 
-    def _stacked(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Lazily stacked ``(k, |V|)`` forward/backward cost matrices.
-
-        ``F[j, v]`` = cost hub_j → v, ``B[j, v]`` = cost v → hub_j (dense
-        ids).  Stacking copies, so it runs once per tables object and only
-        when a query actually needs vectorized bounds.
-        """
-        if self._F is None:
-            self._F = np.vstack(self.fwd_rows)
-            if self.bwd_rows is self.fwd_rows:
-                self._B = self._F
-            else:
-                self._B = np.vstack(self.bwd_rows)
-        return self._F, self._B
-
-    def rows_as_lists(self) -> Tuple[List[list], List[list]]:
-        """Cached per-hub rows as plain Python lists, ``(forward, backward)``.
-
-        The search hot loop probes individual ``row[dense_id]`` entries with
-        short-circuit (most pruned vertices are decided by the first hub);
-        Python-list indexing beats numpy scalar indexing several-fold there.
-        Built once per tables object — O(k·|V|) amortized over every query
-        this freeze serves — then shared.  Backward aliases forward for
-        undirected tables.
-        """
-        if self._Fl is None:
-            self._Fl = [row.tolist() for row in self.fwd_rows]
-            if self.bwd_rows is self.fwd_rows:
-                self._Bl = self._Fl
-            else:
-                self._Bl = [row.tolist() for row in self.bwd_rows]
-        return self._Fl, self._Bl
-
     def columns_for(self, v: int) -> Tuple[list, list]:
         """The per-hub ``(forward, backward)`` cost columns at dense id ``v``.
 
         ``forward[j]`` = cost hub_j → v, ``backward[j]`` = cost v → hub_j —
         the two k-length scalar columns the dense pairwise search references
-        for each query endpoint.  Extracting them is O(k) per call, which a
-        serving workload repeats endlessly for hot endpoints, so the columns
-        are kept in a small LRU keyed by dense id.  Tables are immutable for
-        the life of an epoch, so entries can never go stale; the cache dies
-        with the tables object on epoch handoff.
+        for each query endpoint.  O(k), two strided reads of the matrices.
         """
-        cache = self._cols
-        entry = cache.get(v)
-        if entry is not None:
-            cache.move_to_end(v)
-            self.column_hits += 1
-            return entry
-        Fl, Bl = self.rows_as_lists()
-        entry = ([row[v] for row in Fl], [row[v] for row in Bl])
-        cache[v] = entry
-        self.column_misses += 1
-        if len(cache) > HUB_COLUMN_CACHE:
-            cache.popitem(last=False)
-        return entry
+        return self.F[:, v].tolist(), self.B[:, v].tolist()
 
     def residual_list_for(self, t: int) -> list:
         """The residual lower-bound row to ``t``, cached, as a plain list.
@@ -667,12 +597,12 @@ class DenseHubTables:
 
     def upper_bound(self, s: int, t: int) -> float:
         """``min over hubs of d(s,h) + d(h,t)`` — dense ids in, cost out."""
-        F, B = self._stacked()
+        F, B = self.F, self.B
         return float((B[:, s] + F[:, t]).min())
 
     def residual_pair(self, s: int, t: int) -> float:
         """Tightest per-hub lower bound on ``d(s, t)`` (dense ids)."""
-        F, B = self._stacked()
+        F, B = self.F, self.B
         inf = math.inf
         fs, ft = F[:, s], F[:, t]
         bs, bt = B[:, s], B[:, t]
@@ -691,7 +621,7 @@ class DenseHubTables:
         The vectorized twin of ``QueryBounds.residual_forward`` — one numpy
         pass replaces ``|V| * k`` scalar dict probes.
         """
-        F, B = self._stacked()
+        F, B = self.F, self.B
         inf = math.inf
         ft = F[:, t : t + 1]
         bt = B[:, t : t + 1]
@@ -713,7 +643,7 @@ class DenseHubTables:
         (min over the same IEEE float64 sums, merely evaluated together).
         Dense ids in, a length-``m`` float64 array out.
         """
-        F, B = self._stacked()
+        F, B = self.F, self.B
         cols = np.asarray(targets, dtype=np.intp)
         return (B[:, s][:, None] + F[:, cols]).min(axis=0)
 
@@ -724,7 +654,7 @@ class DenseHubTables:
         residual formulas, evaluated over the ``(k, m)`` target columns in
         one pass.  Dense ids in, a length-``m`` float64 array out.
         """
-        F, B = self._stacked()
+        F, B = self.F, self.B
         inf = math.inf
         cols = np.asarray(targets, dtype=np.intp)
         fs = F[:, s][:, None]
@@ -750,7 +680,7 @@ class DenseHubTables:
         ``(k, m, |V|)`` cube.  Max over hubs is order-independent, so each
         output row is bit-identical to the per-target method's.
         """
-        F, B = self._stacked()
+        F, B = self.F, self.B
         inf = math.inf
         cols = np.asarray(targets, dtype=np.intp)
         out = np.zeros((len(cols), F.shape[1]))

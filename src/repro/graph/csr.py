@@ -7,9 +7,11 @@ snapshot with a dense internal vertex numbering plus the id mapping needed to
 translate back to caller-visible vertex ids.
 
 Beyond rebuilds, the CSR is the *traversal substrate of the dense serving
-plane*: the pruned bidirectional engine walks :meth:`out_lists` /
-:meth:`in_lists` (cached Python-list views of the arrays, the fastest
-per-element access pure Python offers), bound evaluation slices rows with
+plane*: the pruned bidirectional engine walks :attr:`CSRGraph.out_views` /
+:attr:`CSRGraph.in_views` (memoryviews of the arrays, made with the CSR:
+indexing one reads the element straight out of the numpy buffer as a
+Python scalar, so no per-epoch copy ever exists — in a shm worker the views
+read the mapped segment itself), bound evaluation slices rows with
 :meth:`out_slice` / :meth:`in_slice`, and frozen hub tables are laid out
 over the same dense numbering.  Vertices with no out- (or in-) arcs —
 including fully isolated vertices — occupy an empty row, so every vertex of
@@ -148,6 +150,11 @@ class CSRGraph:
     rev_indptr, rev_indices, rev_weights:
         The same for backward traversal.  For undirected graphs these alias
         the forward arrays.
+    out_views, in_views:
+        ``(indptr, indices, weights)`` as memoryviews of the forward /
+        backward arrays — the dense search loops' per-element access.
+        ``in_views is out_views`` when the backward arrays alias the
+        forward ones.
     """
 
     __slots__ = (
@@ -157,13 +164,13 @@ class CSRGraph:
         "rev_indptr",
         "rev_indices",
         "rev_weights",
+        "out_views",
+        "in_views",
         "_ids",
         "_dense",
         "directed",
         "epoch",
         "_unit",
-        "_out_lists",
-        "_in_lists",
         "_source",
     )
 
@@ -187,6 +194,14 @@ class CSRGraph:
         self.rev_indptr = rev_indptr
         self.rev_indices = rev_indices
         self.rev_weights = rev_weights
+        self.out_views = (
+            memoryview(indptr), memoryview(indices), memoryview(weights)
+        )
+        self.in_views = (
+            self.out_views if rev_indptr is indptr and rev_weights is weights
+            else (memoryview(rev_indptr), memoryview(rev_indices),
+                  memoryview(rev_weights))
+        )
         # Adopt a list by reference so id-space identity survives (see
         # module docstring); other sequences are copied.
         self._ids = vertex_ids if isinstance(vertex_ids, list) else list(vertex_ids)
@@ -197,8 +212,6 @@ class CSRGraph:
         self.directed = directed
         self.epoch = epoch
         self._unit: Optional["CSRGraph"] = None
-        self._out_lists: Optional[Tuple[list, list, list]] = None
-        self._in_lists: Optional[Tuple[list, list, list]] = None
         # What the next epoch derives from: the snapshot's (out, in)
         # adjacency mappings — the mapping objects only, never the snapshot,
         # which memoizes this CSR — and the *weighted* weight arrays, which
@@ -297,13 +310,22 @@ class CSRGraph:
         rev_indices: Optional[np.ndarray] = None,
         rev_weights: Optional[np.ndarray] = None,
     ) -> "CSRGraph":
-        """Adopt prebuilt CSR arrays by reference (no validation pass).
+        """Adopt prebuilt CSR arrays by reference (no per-arc validation).
 
         The shared-memory attach path: arrays are zero-copy views into a
         mapped segment, so construction stays O(#buffers).  Undirected
         callers omit the ``rev_*`` triple (backward aliases forward);
-        directed callers must supply all three.
+        directed callers must supply all three.  ``vertex_ids`` (a list or
+        an int array) must be strictly increasing: dense ids sort like
+        vertex ids everywhere else, and the search loops break label ties
+        by dense id, so an unsorted foreign plane would answer right but
+        tie-break differently from the dict plane.
         """
+        ids = np.asarray(vertex_ids)
+        if not (ids[1:] > ids[:-1]).all():
+            raise ConfigError("adopted CSR vertex ids must be strictly increasing")
+        if isinstance(vertex_ids, np.ndarray):
+            vertex_ids = ids.tolist()
         if directed:
             if rev_indptr is None or rev_indices is None or rev_weights is None:
                 raise ConfigError(
@@ -454,34 +476,6 @@ class CSRGraph:
     def in_degree(self, dense: int) -> int:
         return int(self.rev_indptr[dense + 1] - self.rev_indptr[dense])
 
-    def out_lists(self) -> Tuple[list, list, list]:
-        """``(indptr, indices, weights)`` as cached plain Python lists.
-
-        Per-element access on a Python list is several times faster than
-        numpy scalar indexing, which makes these the hot-loop view for the
-        dense search path.  Built once per CSR (O(V+E)), then shared.
-        """
-        if self._out_lists is None:
-            self._out_lists = (
-                self.indptr.tolist(),
-                self.indices.tolist(),
-                self.weights.tolist(),
-            )
-        return self._out_lists
-
-    def in_lists(self) -> Tuple[list, list, list]:
-        """Backward twin of :meth:`out_lists` (aliases it when undirected)."""
-        if self._in_lists is None:
-            if self.rev_indptr is self.indptr and self.rev_weights is self.weights:
-                self._in_lists = self.out_lists()
-            else:
-                self._in_lists = (
-                    self.rev_indptr.tolist(),
-                    self.rev_indices.tolist(),
-                    self.rev_weights.tolist(),
-                )
-        return self._in_lists
-
     def sssp(self, source: int, backward: bool = False) -> np.ndarray:
         """Dijkstra distances from ``source`` (a caller-visible id).
 
@@ -495,9 +489,7 @@ class CSRGraph:
         dist = [math.inf] * self.num_vertices
         src = self.dense_id(source)
         dist[src] = 0.0
-        indptr, indices, weights = (
-            self.in_lists() if backward else self.out_lists()
-        )
+        indptr, indices, weights = self.in_views if backward else self.out_views
         heap: List[Tuple[float, int]] = [(0.0, src)]
         while heap:
             d, v = heappop(heap)

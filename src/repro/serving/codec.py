@@ -11,7 +11,7 @@ byte blob laid out as::
 
 The manifest records ``{name: {dtype, shape, offset, chunks}}`` for every
 buffer — CSR ``indptr/indices/weights`` (plus the ``rev_*`` triple when
-directed), the dense→caller id map, and the stacked hub cost matrices
+directed), the dense→caller id map, and the hub cost matrices
 ``F`` (and ``B`` when directed and distinct) — so decoding needs nothing
 but the bytes: parse the manifest, wrap each buffer in a zero-copy numpy
 view.
@@ -37,8 +37,9 @@ bytes); the TCP transport encodes into a ``bytearray`` once per publish,
 ships it (or a delta against the reader's cached base) over the socket,
 and remote readers decode their private copy.  Either way
 :func:`materialize_plane` rebuilds a fully functional ``DensePlane`` over
-the decoded views in O(#buffers); the O(V+E) work (list caches, residual
-rows) is deferred to first use exactly as on the in-process plane.
+the decoded views in O(#buffers) plus the id map; the search loops read
+the buffers in place, and residual rows are deferred to first use exactly
+as on the in-process plane.
 """
 
 from __future__ import annotations
@@ -95,13 +96,12 @@ def plane_buffers(plane) -> List[Tuple[str, np.ndarray]]:
     """
     csr = plane.csr
     tables = plane.tables
-    F, B = tables._stacked()
     buffers: List[Tuple[str, np.ndarray]] = [
         ("indptr", csr.indptr),
         ("indices", csr.indices),
         ("weights", csr.weights),
         ("ids", np.asarray(csr.ids, dtype=np.int64)),
-        ("F", np.ascontiguousarray(F)),
+        ("F", tables.F),
     ]
     if csr.directed:
         buffers += [
@@ -109,8 +109,8 @@ def plane_buffers(plane) -> List[Tuple[str, np.ndarray]]:
             ("rev_indices", csr.rev_indices),
             ("rev_weights", csr.rev_weights),
         ]
-        if B is not F:
-            buffers.append(("B", np.ascontiguousarray(B)))
+        if tables.B is not tables.F:
+            buffers.append(("B", tables.B))
     return buffers
 
 
@@ -274,9 +274,11 @@ def decode_plane(source,
 def materialize_plane(manifest: Dict, arrays: Dict[str, np.ndarray]):
     """A :class:`DensePlane` over decoded buffers, O(#buffers).
 
-    The CSR adopts the views directly; hub tables adopt the stacked
-    matrices.  List caches (``out_lists`` / ``rows_as_lists``) build
-    lazily at first query, as everywhere else.
+    The CSR adopts the views directly and the hub tables adopt the cost
+    matrices; both index memoryviews of those buffers at query time, so
+    nothing is ever copied out of the payload.  The id buffer must be
+    strictly increasing (:meth:`CSRGraph.from_arrays` raises
+    :class:`ConfigError` otherwise, with one vectorized comparison).
     """
     from repro.core.hub_index import DenseHubTables, DensePlane
     from repro.graph.csr import CSRGraph
@@ -286,7 +288,7 @@ def materialize_plane(manifest: Dict, arrays: Dict[str, np.ndarray]):
         indptr=arrays["indptr"],
         indices=arrays["indices"],
         weights=arrays["weights"],
-        vertex_ids=arrays["ids"].tolist(),
+        vertex_ids=arrays["ids"],
         directed=directed,
         epoch=manifest["epoch"],
         rev_indptr=arrays.get("rev_indptr"),

@@ -143,7 +143,7 @@ class TestEdgeCases:
             g.add_vertex(v)
         g.add_edge(1, 2, 1.0)
         csr = g.snapshot().to_csr()
-        indptr, indices, weights = csr.out_lists()
+        indptr, indices, weights = csr.out_views
         assert len(indptr) == csr.num_vertices + 1
         assert indptr[-1] == len(indices) == len(weights) == 1
         for v in range(csr.num_vertices):

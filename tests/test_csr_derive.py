@@ -49,9 +49,9 @@ def assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
         assert got.rev_indptr is got.indptr
         assert got.rev_indices is got.indices
         assert got.rev_weights is got.weights
-    assert got.out_lists() == want.out_lists()
-    assert got.in_lists() == want.in_lists()
-    assert (got.in_lists() is got.out_lists()) == (not got.directed)
+    assert got.out_views == want.out_views
+    assert got.in_views == want.in_views
+    assert (got.in_views is got.out_views) == (not got.directed)
 
 
 _FROM_SNAPSHOT = CSRGraph.from_snapshot.__func__
@@ -114,7 +114,7 @@ def test_churn_sequences_match_from_scratch(directed, steps):
             assert csr.ids is prev.ids and csr.same_id_space(prev)
             assert csr.dense_map is prev.dense_map
         if prev is not None and csr is not prev and csr.num_arcs:
-            assert csr.out_lists() is not prev.out_lists()
+            assert csr.out_views is not prev.out_views
         prev = csr
 
 

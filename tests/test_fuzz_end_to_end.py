@@ -4,7 +4,9 @@ One randomized driver exercises mutations, every query kind, path queries,
 budget queries, one-to-many, versioned views, and save/load in arbitrary
 order against brute-force oracles computed on a shadow copy of the graph.
 This is the test that catches cross-feature interactions no unit test
-thinks to write.
+thinks to write.  Weights come from a continuous range and, in the
+tie-heavy variants, from ``{1, 1, 1, 2, 3}`` or dyadic rationals, where
+most queue priorities tie and every sum is exact.
 """
 
 from __future__ import annotations
@@ -40,20 +42,33 @@ def _ref_hops(graph, source):
     return hops
 
 
+#: tie-heavy weight draws, used for the seed graph and every mutation
+TIE_DRAWS = {
+    "small-int": lambda rng: rng.choice((1.0, 1.0, 1.0, 2.0, 3.0)),
+    "dyadic": lambda rng: rng.randrange(8, 41) / 8,
+}
+
+
 class Driver:
     """Applies one random action and checks it against oracles."""
 
-    def __init__(self, seed: int, tmp_path=None, directed: bool = False):
+    def __init__(self, seed: int, tmp_path=None, directed: bool = False,
+                 weights=None, backend: str = "auto"):
         self.rng = random.Random(seed)
+        self.weight = weights or (lambda rng: rng.uniform(1.0, 5.0))
         self.graph = erdos_renyi_graph(
             18, 34, seed=seed % 997, directed=directed,
             weight_range=(1.0, 5.0),
         )
+        if weights is not None:
+            for u, v, _w in list(self.graph.edges()):
+                self.graph.add_edge(u, v, weights(self.rng))
         self.sg = SGraph(
             graph=self.graph,
             config=SGraphConfig(
                 num_hubs=3,
                 queries=("distance", "hops", "capacity"),
+                backend=backend,
             ),
         )
         self.sg.rebuild_indexes()
@@ -69,7 +84,7 @@ class Driver:
         if self.graph.has_edge(u, v) and self.rng.random() < 0.45:
             self.sg.remove_edge(u, v)
         else:
-            self.sg.add_edge(u, v, self.rng.uniform(1.0, 5.0))
+            self.sg.add_edge(u, v, self.weight(self.rng))
 
     def act_remove_vertex(self):
         """Remove a vertex (possibly a hub → index rebuild) and re-add it."""
@@ -78,7 +93,7 @@ class Driver:
         self.sg.add_vertex(v)
         # Reconnect with a couple of edges so the vertex stays queryable.
         for u in self.rng.sample([x for x in self.verts if x != v], 2):
-            self.sg.add_edge(v, u, self.rng.uniform(1.0, 5.0))
+            self.sg.add_edge(v, u, self.weight(self.rng))
 
     def act_distance(self):
         s, t = self.rng.sample(self.verts, 2)
@@ -187,6 +202,15 @@ def test_fuzz_undirected(seed):
 @settings(max_examples=4, deadline=None)
 def test_fuzz_directed(seed):
     Driver(seed, directed=True).run(steps=35)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("draw", sorted(TIE_DRAWS))
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=4, deadline=None)
+def test_fuzz_tied_weights(draw, directed, seed):
+    Driver(seed, directed=directed, weights=TIE_DRAWS[draw],
+           backend="dense").run(steps=40)
 
 
 def test_fuzz_with_persistence(tmp_path):

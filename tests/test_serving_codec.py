@@ -17,6 +17,7 @@ from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
 from repro.core.pruning import PruningPolicy
 from repro.errors import ConfigError
+from repro.graph.csr import CSRGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serving.codec import (
     ALIGN,
@@ -76,7 +77,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(arrays["weights"], plane.csr.weights)
         np.testing.assert_array_equal(arrays["ids"],
                                       np.asarray(plane.csr.ids))
-        F, B = plane.tables._stacked()
+        F, B = plane.tables.F, plane.tables.B
         np.testing.assert_array_equal(arrays["F"], F)
         if directed:
             np.testing.assert_array_equal(arrays["rev_indptr"],
@@ -150,6 +151,26 @@ class TestRoundTrip:
         _sg, _view, plane = _published_plane(56)
         with pytest.raises(ConfigError):
             encode_plane_into(plane, bytearray(16))
+
+    def test_unsorted_ids_rejected(self):
+        """A foreign plane's id buffer must be strictly increasing: dense
+        ids break label ties, and only sorted ids break them the way the
+        dict plane does."""
+        _sg, view, plane = _published_plane(57)
+        payload = bytearray(encode_plane(plane, epoch=view.epoch))
+        ids = decode_plane(payload, writable=True)[1]["ids"]
+        ids[:] = np.random.default_rng(1).permutation(ids)
+        manifest, arrays = decode_plane(bytes(payload))
+        assert not np.all(np.diff(arrays["ids"]) > 0)
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            materialize_plane(manifest, arrays)
+        # a repeated id is rejected too, from a plain list as well
+        csr = plane.csr
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            CSRGraph.from_arrays(
+                csr.indptr, csr.indices, csr.weights,
+                [0] + csr.ids[:-1], directed=False, epoch=0,
+            )
 
 
 class TestChunkTables:

@@ -135,6 +135,53 @@ class TestTransportDifferential:
             assert [d for _, d in nn] == [d for _, d in view.nearest(0, 5)]
 
 
+class TestReadOnlyPlane:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_decoded_read_only_plane_answers_like_writer(self, directed):
+        """A tcp reader's plane is decoded from fetched bytes, so every
+        array — and every memoryview the kernels index — is read-only.
+        It must answer every dense verb exactly as the writer's plane."""
+        from repro.core.engine import PairwiseEngine
+        from repro.serving.codec import PlaneGraph
+        from repro.serving.net import NetClient
+
+        sg = _sgraph(69, directed=directed)
+        with sg.serve(workers=1, transport="tcp") as session:
+            server = session.transport.server
+            view = session.store.latest()
+            client = NetClient(server.host, server.port)
+            lease = client.acquire()
+            try:
+                remote = lease.plane
+                csr, tables = remote.csr, remote.tables
+                assert not csr.weights.flags.writeable
+                assert not tables.F.flags.writeable
+                assert all(v.readonly for v in csr.out_views + csr.in_views)
+                assert all(v.readonly for v in tables.fwd_views)
+                writer = view.dense_plane()
+                engines = [
+                    PairwiseEngine(PlaneGraph(plane.csr),
+                                   policy="upper+lower", dense=plane)
+                    for plane in (remote, writer)
+                ]
+                rng = random.Random(23)
+                verts = sorted(sg.graph.vertices())
+                for _ in range(30):
+                    s, t = rng.sample(verts, 2)
+                    got, want = (e.best_cost(s, t) for e in engines)
+                    assert got[0] == want[0]
+                    assert _stats_tuple(got[1]) == _stats_tuple(want[1])
+                targets = verts[1:30]
+                got, want = (e.one_to_many(verts[0], targets) for e in engines)
+                assert got[0] == want[0]
+                assert _stats_tuple(got[1]) == _stats_tuple(want[1])
+                got, want = (e.expand(verts[0], 6, None) for e in engines)
+                assert got == want
+            finally:
+                lease.release()
+                client.close()
+
+
 class TestFetchOnPublish:
     def test_cached_plane_not_refetched(self):
         sg = _sgraph(63)

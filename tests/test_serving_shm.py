@@ -293,6 +293,42 @@ class TestEpochHandoff:
             assert len(served_epochs) >= 2  # handoff actually happened
         assert leaked_segments(prefix) == []
 
+    def test_in_place_kernels_unmap_cleanly_across_epochs(self, capfd):
+        """Every search loop in the worker indexes memoryviews of the mapped
+        segment.  Each handoff must still unmap the old segment: a view
+        outliving its lease makes ``SharedMemory.close()`` raise
+        ``BufferError``, which surfaces only as worker stderr spew."""
+        sg = _sgraph(33)
+        rng = random.Random(19)
+        verts = sorted(sg.graph.vertices())
+        with sg.serve(workers=1, transport="shm") as session:
+            prefix = session.prefix
+            epochs = []
+            for round_no in range(3):
+                if round_no:
+                    u, v = rng.sample(verts[:40], 2)
+                    sg.add_edge(u, v, rng.uniform(0.1, 0.4))
+                    session.publish()
+                view = session.store.latest()
+                epochs.append(view.epoch)
+                reference = _dict_reference(view)
+                activations = 0
+                for _ in range(15):
+                    s, t = rng.sample(verts, 2)
+                    value, stats, epoch = session.distance(s, t)
+                    assert epoch == view.epoch
+                    assert value == reference.best_cost(s, t)[0]
+                    activations += stats.activations
+                assert activations > 0  # the pairwise loop really ran
+                targets = list(range(1, 30))
+                values, _stats, _epoch = session.distance_many(0, targets)
+                assert values == view.distance_many(0, targets)
+                nn, _ = session.nearest(0, 5)
+                assert nn == view.nearest(0, 5)
+            assert len(set(epochs)) == 3
+        assert leaked_segments(prefix) == []
+        assert "BufferError" not in capfd.readouterr().err
+
     def test_retired_plane_unlinked_after_reattach(self):
         sg = _sgraph(32)
         with sg.serve(workers=1) as session:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import repro.core.hub_index as hub_index_mod
@@ -25,7 +27,9 @@ from repro.core.pruning import PruningPolicy
 from repro.core.workspace import SearchWorkspace
 from repro.errors import ConfigError, QueryError
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.generators import grid_graph
 from repro.sgraph import SGraph
+from repro.streaming.versioning import VersionedStore
 
 POLICIES = [
     PruningPolicy.NONE,
@@ -251,12 +255,12 @@ class _ExplodingWeights(list):
 
 @contextlib.contextmanager
 def _weights_that_raise(monkeypatch, csr, after: int):
-    """Swap both of ``csr``'s cached weight lists for exploding copies."""
+    """Swap both of ``csr``'s weight views for exploding copies."""
     with monkeypatch.context() as patch:
-        for attr, lists in (("_out_lists", csr.out_lists()),
-                            ("_in_lists", csr.in_lists())):
+        for attr in ("out_views", "in_views"):
+            views = getattr(csr, attr)
             patch.setattr(csr, attr, (
-                lists[0], lists[1], _ExplodingWeights(lists[2], after),
+                views[0], views[1], _ExplodingWeights(views[2], after),
             ))
         yield
 
@@ -324,7 +328,7 @@ class TestFailureIsolation:
 
 
 class TestHubTableCaches:
-    """Per-epoch LRUs on DenseHubTables: columns and residual rows."""
+    """DenseHubTables' per-endpoint columns and residual-row LRU."""
 
     def _tables(self, seed: int = 46):
         _engine, plane = _dense_engine(seed, PruningPolicy.UPPER_AND_LOWER)
@@ -332,24 +336,10 @@ class TestHubTableCaches:
 
     def test_columns_match_direct_extraction(self):
         tables = self._tables()
-        Fl, Bl = tables.rows_as_lists()
-        for v in (0, 7, 33, 7):  # 7 twice: second read is a cache hit
+        for v in (0, 7, 33):
             fwd, bwd = tables.columns_for(v)
-            assert fwd == [row[v] for row in Fl]
-            assert bwd == [row[v] for row in Bl]
-        assert tables.column_hits == 1
-        assert tables.column_misses == 3
-        assert tables.columns_for(7) is tables.columns_for(7)
-
-    def test_column_cache_evicts_lru(self, monkeypatch):
-        monkeypatch.setattr(hub_index_mod, "HUB_COLUMN_CACHE", 2)
-        tables = self._tables()
-        tables.columns_for(0)
-        tables.columns_for(1)
-        tables.columns_for(2)       # evicts 0
-        assert 0 not in tables._cols
-        tables.columns_for(0)       # miss again
-        assert tables.column_misses == 4
+            assert fwd == [row[v] for row in tables.fwd_views]
+            assert bwd == [row[v] for row in tables.bwd_views]
 
     def test_residual_rows_match_uncached_reference(self):
         tables = self._tables()
@@ -372,3 +362,40 @@ class TestHubTableCaches:
         tables.residual_list_for(2)
         assert 0 not in tables._res_rows
         assert set(tables._res_rows) == {1, 2}
+
+
+class TestFirstQueryOfEpoch:
+    """The first dense query after a publish reads the frozen plane in place.
+
+    Publishing derives the new epoch's CSR and hub matrices in O(Δ); if the
+    first query then copied the plane into Python objects (per-row lists,
+    a stacked matrix) it would allocate at least one ``(k, |V|)`` float64
+    matrix's worth, so the tracemalloc peak of that query stays under it.
+    """
+
+    def test_first_query_allocates_less_than_one_hub_matrix(self):
+        side, k = 64, 16
+        sg = SGraph(graph=grid_graph(side, side, seed=7), config=SGraphConfig(
+            num_hubs=k, queries=("distance",), backend="dense",
+        ))
+        store = VersionedStore(sg)
+        s, t = 0, side * side - 1
+        store.publish().distance(s, t)  # epoch e builds its plane
+        sg.add_edge(side + 1, 2 * side + 2, 0.5)
+        view = store.publish()
+        plane = view.dense_plane()  # the O(Δ) derive, outside the trace
+        tracemalloc.start()
+        try:
+            result = view.distance(s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stats.activations > 0  # the search loop really ran
+        n = plane.csr.num_vertices
+        assert n == side * side
+        assert peak < k * n * 8
+        tables = plane.tables
+        assert tables.F.shape == (k, n) and tables.B is tables.F
+        for j in range(k):
+            assert np.shares_memory(tables.fwd_rows[j], tables.F)
+            assert tables.fwd_views[j].obj is tables.fwd_rows[j]

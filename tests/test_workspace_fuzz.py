@@ -8,6 +8,12 @@ bit-identical, in values AND search counters, to replaying each query on
 an engine that rebuilds its state from scratch every call.  Any entry a
 verb failed to sparse-reset would eventually surface here as a wrong
 label, a phantom settled mark, or a perturbed counter.
+
+The same interleaving also runs on tie-heavy weights — small integers and
+dyadic rationals, whose sums are exact — where it must additionally match
+the dict plane's replay in values, paths and counters: with most queue
+priorities tied, any change in what order the dense loops read their data
+in shows up as a different tie break.
 """
 
 from __future__ import annotations
@@ -31,8 +37,14 @@ POLICIES = [
 
 N = 64
 
+#: tie-heavy weight draws (seed graph and churn alike)
+TIE_DRAWS = {
+    "small-int": lambda rng: rng.choice((1.0, 1.0, 1.0, 2.0, 3.0)),
+    "dyadic": lambda rng: rng.randrange(2, 25) / 8,
+}
 
-def _seed_graph(seed: int) -> DynamicGraph:
+
+def _seed_graph(seed: int, draw) -> DynamicGraph:
     rng = random.Random(seed)
     g = DynamicGraph(directed=False)
     for v in range(N):
@@ -42,7 +54,7 @@ def _seed_graph(seed: int) -> DynamicGraph:
         u, v = rng.randrange(N), rng.randrange(N)
         if u == v or g.has_edge(u, v):
             continue
-        g.add_edge(u, v, rng.uniform(0.5, 3.0))
+        g.add_edge(u, v, draw(rng))
         added += 1
     return g
 
@@ -91,13 +103,12 @@ def _run_verb(engine: PairwiseEngine, verb: str, args):
     return engine.expand(args[0], None, args[1]), None
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_interleaved_verbs_across_epochs_match_fresh_replays(policy):
-    sg = SGraph(graph=_seed_graph(77), config=SGraphConfig(
+def _interleave_and_replay(policy, rng, seed_draw, churn_draw,
+                           dict_parity: bool = False) -> None:
+    sg = SGraph(graph=_seed_graph(77, seed_draw), config=SGraphConfig(
         num_hubs=6, policy=policy, queries=("distance",), backend="dense",
     ))
     store = VersionedStore(sg, capacity=4)
-    rng = random.Random(1000 + POLICIES.index(policy))
 
     views = [store.publish()]
     for _round in range(2):
@@ -109,7 +120,7 @@ def test_interleaved_verbs_across_epochs_match_fresh_replays(policy):
             if sg.graph.has_edge(u, v) and rng.random() < 0.4:
                 sg.remove_edge(u, v)
             else:
-                sg.add_edge(u, v, rng.uniform(0.3, 2.5))
+                sg.add_edge(u, v, churn_draw(rng))
         views.append(store.publish())
     assert len({v.epoch for v in views}) >= 3
 
@@ -143,3 +154,34 @@ def test_interleaved_verbs_across_epochs_match_fresh_replays(policy):
         assert _run_verb(references[view.epoch], verb, args) == result, (
             f"epoch {view.epoch}: {verb}{args} diverged from fresh replay"
         )
+    if not dict_parity:
+        return
+    dict_engines = {
+        view.epoch: PairwiseEngine(
+            view.snapshot, index=view.engine("distance").index, policy=policy,
+        )
+        for view in views
+    }
+    for view, verb, args, result in trace:
+        assert _run_verb(dict_engines[view.epoch], verb, args) == result, (
+            f"epoch {view.epoch}: {verb}{args} diverged from the dict plane"
+        )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_interleaved_verbs_across_epochs_match_fresh_replays(policy):
+    _interleave_and_replay(
+        policy, random.Random(1000 + POLICIES.index(policy)),
+        seed_draw=lambda rng: rng.uniform(0.5, 3.0),
+        churn_draw=lambda rng: rng.uniform(0.3, 2.5),
+    )
+
+
+@pytest.mark.parametrize("draw", sorted(TIE_DRAWS))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_tied_weights_match_fresh_and_dict_replays(policy, draw):
+    _interleave_and_replay(
+        policy, random.Random(2000 + POLICIES.index(policy) + 10 * len(draw)),
+        seed_draw=TIE_DRAWS[draw], churn_draw=TIE_DRAWS[draw],
+        dict_parity=True,
+    )
