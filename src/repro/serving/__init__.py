@@ -10,13 +10,14 @@ publishing.  Three layers:
 * :mod:`repro.serving.codec` — the byte format: one self-describing blob
   per plane (embedded manifest, 64-byte-aligned buffers), decode cost
   O(buffers) not O(V+E).  Both transports speak it.
-* :mod:`repro.serving.registry` — the epoch-handoff protocol: a slot table
-  with per-plane refcounts and FREE/LIVE/RETIRED states; the writer
-  registers fully materialized planes and bumps a generation counter,
-  readers acquire/release by slot and dead readers are reaped.
-  :class:`~repro.serving.epoch.EpochBoard` lays the table into shared
-  memory; :class:`~repro.serving.registry.LocalRegistry` keeps it behind a
-  thread lock for the TCP server.
+* :mod:`repro.serving.registry` — the epoch-handoff protocol: one
+  :class:`~repro.serving.registry.EpochRegistry` slot table with
+  per-plane refcounts and FREE/LIVE/RETIRED states; the writer registers
+  fully materialized planes and bumps a generation counter, readers
+  acquire/release by slot, and each reader's references are a multiset
+  so a dead reader is reaped whole.  The table lives in a shared-memory
+  segment for shm readers (``create`` / ``attach``) or in the writer's
+  own memory behind a thread lock for the TCP server (the constructor).
 * :mod:`repro.serving.transport` — where the bytes live:
   :class:`~repro.serving.transport.ShmTransport` encodes each plane into a
   named segment readers map zero-copy
@@ -55,9 +56,8 @@ from repro.serving.codec import (
     materialize_plane,
     plane_digest,
 )
-from repro.serving.epoch import EpochBoard
 from repro.serving.pool import ServeSession, WorkerPool
-from repro.serving.registry import EpochRegistry, LocalRegistry
+from repro.serving.registry import EpochRegistry
 from repro.serving.shm_plane import (
     ShmPlane,
     leaked_segments,
@@ -72,11 +72,9 @@ from repro.serving.transport import (
 __all__ = [
     "Backoff",
     "CHUNK_BYTES",
-    "EpochBoard",
     "EpochRegistry",
     "FaultPolicy",
     "FaultProxy",
-    "LocalRegistry",
     "RespawnBreaker",
     "PlaneGraph",
     "PlaneTransport",

@@ -5,8 +5,8 @@ the same epoch-handoff protocol over a small length-prefixed TCP wire so
 reader fleets anywhere can serve published epochs:
 
 * the writer owns a :class:`PlaneServer` — a background accept thread plus
-  one thread per reader connection — holding a
-  :class:`~repro.serving.registry.LocalRegistry` slot table and, per LIVE
+  one thread per reader connection — holding a process-private
+  :class:`~repro.serving.registry.EpochRegistry` slot table and, per LIVE
   or still-referenced slot, the epoch's plane encoded once by
   :mod:`repro.serving.codec` (with its SHA-256 digest);
 * on publish the writer registers ``(epoch, manifest, digest)``; readers
@@ -26,7 +26,7 @@ reader fleets anywhere can serve published epochs:
   frame, so delta mode is never less correct than full mode;
 * queries then run entirely locally on the cached plane — the same
   ``_search_dense`` hot path, bit-identical to shm workers — and the
-  refcount protocol retires old epochs exactly as on the board.  A reader
+  refcount protocol retires old epochs exactly as on shm.  A reader
   whose connection drops (crash, SIGKILL) is reaped by its connection
   thread, returning its refcount.
 
@@ -67,7 +67,7 @@ from repro.serving.codec import (
     materialize_plane,
     plane_digest,
 )
-from repro.serving.registry import DEFAULT_SLOTS, LocalRegistry
+from repro.serving.registry import DEFAULT_SLOTS, EpochRegistry
 from repro.serving.transport import (
     PlaneClient,
     PlaneLease,
@@ -179,7 +179,7 @@ class PlaneServer:
         # generation counter may collide with the one I cached".
         self.server_id = f"{os.getpid():x}-{os.urandom(4).hex()}"
         self._idle_timeout = idle_timeout
-        self._registry = LocalRegistry(
+        self._registry = EpochRegistry(
             num_slots=num_slots, on_evict=self._on_evict,
             generation_base=generation_base,
         )
@@ -227,7 +227,7 @@ class PlaneServer:
     # -- writer API ---------------------------------------------------------
 
     @property
-    def registry(self) -> LocalRegistry:
+    def registry(self) -> EpochRegistry:
         return self._registry
 
     @property
@@ -423,13 +423,11 @@ class PlaneServer:
             # is reaped here — its refcount goes back, possibly evicting a
             # retired plane.  ServeSession.reap() is idempotent on top.
             reader = self._conn_readers.pop(conn, None)
-            if reader is not None and not self._closed:
+            if reader is not None:
                 with self._registry.lock:
-                    if self._registry.readers().get(reader) is not None:
+                    if (self._registry.release_reader(reader)
+                            and not self._closed):
                         self._lifecycle["reaps"] += 1
-                    self._registry.release_reader(reader)
-            elif reader is not None:
-                self._registry.release_reader(reader)
             try:
                 conn.close()
             except OSError:  # pragma: no cover
@@ -476,8 +474,7 @@ class PlaneServer:
             # Tolerant: a release replayed after a reconnect (the old
             # connection's reap already returned the refcount) or landing
             # on a restarted server must not drive a refcount negative.
-            if reader is not None:
-                self._registry.release_if_held(msg["slot"], reader)
+            self._registry.release(msg["slot"], reader)
             _send_msg(conn, {"ok": True})
         elif op == "fetch":
             with self._registry.lock:
@@ -584,7 +581,7 @@ class NetTransport(PlaneTransport):
         self._published: set = set()
 
     @property
-    def registry(self) -> LocalRegistry:
+    def registry(self) -> EpochRegistry:
         return self._server.registry
 
     @property
@@ -984,7 +981,7 @@ class NetClient(PlaneClient):
 
     def _release_quiet(self, slot: int) -> None:
         # One attempt, no retry: the release op is tolerant server-side
-        # (release_if_held) and a dead connection reaps the refcount
+        # (EpochRegistry.release) and a dead connection reaps the refcount
         # anyway, so failing loudly here would only mask the real error.
         if self._sock is None:
             return

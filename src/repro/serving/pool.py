@@ -488,11 +488,6 @@ class ServeSession:
         return self._transport
 
     @property
-    def board(self):
-        """The transport's epoch registry (named for the shm board)."""
-        return self._transport.registry
-
-    @property
     def pool(self) -> WorkerPool:
         return self._pool
 

@@ -1,10 +1,10 @@
-"""The epoch-handoff slot-table protocol, independent of any transport.
+"""The epoch-handoff slot table: one state machine over one of two buffers.
 
 A registry is the one piece of shared state between a plane writer and
 its readers: a table of published planes, each identified by a *ref* (a
 shm segment name, a payload digest — whatever the transport uses to find
 the bytes) and carrying an epoch, a refcount, and a state in
-{FREE, LIVE, RETIRED}.  The protocol is the same everywhere:
+{FREE, LIVE, RETIRED}.  The protocol:
 
 * the writer :meth:`~EpochRegistry.register`\\ s a fully materialized
   plane as the newest epoch; the previous current slot is RETIRED and a
@@ -12,106 +12,71 @@ the bytes) and carrying an epoch, a refcount, and a state in
 * readers :meth:`~EpochRegistry.acquire` a reference on the current slot
   before serving from it and :meth:`~EpochRegistry.release` it when they
   move on; a RETIRED slot whose refcount reaches zero is *evicted* (the
-  transport unlinks the segment / drops the payload);
-* readers that die without releasing are reaped —
-  :meth:`~EpochRegistry.release_reader` returns whatever refcount the
-  registry still attributes to them.
+  segment is unlinked / the transport drops the payload);
+* every reader's references are a multiset of slots, so a reader that
+  dies — even between acquiring the new epoch and releasing the old one —
+  is reaped whole: :meth:`~EpochRegistry.release_reader` returns every
+  reference the table attributes to it.
 
-Two implementations ship: :class:`~repro.serving.epoch.EpochBoard` lays
-the table into a shared-memory segment readers map directly (readers and
-writer in different processes on one box), and :class:`LocalRegistry`
-below keeps it in writer-process memory behind a ``threading`` lock (the
-TCP transport's server mutates it on behalf of remote readers).  The
-safety argument is shared and layout-free: a plane is fully written
-*before* its ref is registered, and a ref is evicted only when its slot
-is RETIRED with refcount zero — so no reader can ever observe a torn or
-vanished plane.
+The cells are numpy arrays over one of two buffers.
+:meth:`EpochRegistry.create` / :meth:`EpochRegistry.attach` lay the table
+into a small shared-memory segment the writer and its forked readers all
+map, behind a ``multiprocessing`` lock; reader ids are worker indexes
+into a ``(num_workers, num_slots)`` count matrix inside the segment, and
+eviction unlinks the plane's segment.  The constructor keeps the table in
+process-private memory behind a ``threading.RLock`` (the TCP server
+mutates it on behalf of remote readers); reader ids are any hashable
+token, each with its own count row.  The safety argument is the same for
+both: a plane is fully written *before* its ref is registered, and a ref
+is evicted only when its slot is RETIRED with refcount zero — so no
+reader can ever observe a torn or vanished plane.
 """
 
 from __future__ import annotations
 
 import threading
-from abc import ABC, abstractmethod
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError
+from repro.serving import shm_plane
+from repro.serving.shm_plane import _untrack, unlink_segment
 
-#: slot states shared by every registry implementation
+try:  # pragma: no cover
+    from multiprocessing import shared_memory
+except ImportError:  # pragma: no cover
+    shared_memory = None
+
+#: slot states
 FREE, LIVE, RETIRED = 0, 1, 2
 
 #: default slot-table capacity (bounds how many retired planes readers
 #: may pin concurrently before registration fails loudly)
 DEFAULT_SLOTS = 16
 
-
-class EpochRegistry(ABC):
-    """Abstract slot table: FREE/LIVE/RETIRED states, refcounts, reaping.
-
-    Reader ids are opaque hashable keys; the shm board restricts them to
-    small ints (its reap cells live in a fixed array), the local registry
-    accepts anything hashable (pool workers use ints, remote TCP readers
-    use server-assigned tokens).
-    """
-
-    # -- introspection ------------------------------------------------------
-
-    @abstractmethod
-    def generation(self) -> int:
-        """Registration counter — the reader's cheap staleness probe."""
-
-    @abstractmethod
-    def current_epoch(self) -> Optional[int]:
-        """Epoch of the current slot, or None before the first publish."""
-
-    @abstractmethod
-    def slots(self) -> List[Tuple[int, str, int, int, int]]:
-        """Snapshot of non-FREE slots: (slot, ref, epoch, refcount, state)."""
-
-    # -- writer protocol ----------------------------------------------------
-
-    @abstractmethod
-    def register(self, ref: str, epoch: int) -> int:
-        """Publish a fully materialized plane as the newest epoch.
-
-        Retires the previous current slot (evicted immediately when no
-        reader holds it, else by the last release) and bumps the
-        generation.  Returns the slot index used.
-        """
-
-    @abstractmethod
-    def release_reader(self, reader_id) -> None:
-        """Reap the slot held by a reader that died without releasing."""
-
-    @abstractmethod
-    def shutdown(self) -> None:
-        """Writer teardown: evict every remaining slot."""
-
-    # -- reader protocol ----------------------------------------------------
-
-    @abstractmethod
-    def acquire(self, reader_id) -> Optional[Tuple[int, int, int, str]]:
-        """Take a reference on the current plane.
-
-        Returns ``(generation, slot, epoch, ref)``, or None when nothing
-        has been registered yet.  The caller must pair this with
-        :meth:`release` (normal detach) — or die and be reaped via
-        :meth:`release_reader`.
-        """
-
-    @abstractmethod
-    def release(self, slot: int, reader_id=None) -> None:
-        """Drop a reference; the last release of a retired slot evicts."""
+_NAME_LEN = 128
+_HEADER = 4  # generation, current_slot, num_slots, num_workers
 
 
-class LocalRegistry(EpochRegistry):
-    """Writer-owned in-memory slot table (the TCP transport's registry).
+def _table_bytes(num_slots: int, num_workers: int) -> int:
+    return (_HEADER * 8 + num_slots * (_NAME_LEN + 3 * 8)
+            + num_workers * num_slots * 8)
 
-    Same semantics as the shm board, different substrate: the table lives
-    in the writer process and every mutation happens under one
-    ``threading.RLock`` (the TCP server mutates it from per-connection
-    threads).  ``on_evict(slot, ref)`` fires — under the lock — whenever a
-    slot is freed, so the owning transport can drop the plane payload the
-    ref points at.
+
+def _unlink_plane(_slot: int, name: str) -> None:
+    unlink_segment(name)
+
+
+class EpochRegistry:
+    """The slot table: FREE/LIVE/RETIRED states, refcounts, reaping.
+
+    :meth:`create` / :meth:`attach` build it over a shared-memory segment;
+    ``EpochRegistry(num_slots, on_evict, generation_base)`` builds a
+    process-private table.  ``on_evict(slot, ref)`` fires — under the
+    lock — whenever a slot is freed, so the owning transport can drop the
+    payload the ref points at; ``generation_base`` lets a restarted writer
+    continue the generation sequence readers cached.
     """
 
     def __init__(self, num_slots: int = DEFAULT_SLOTS,
@@ -121,156 +86,255 @@ class LocalRegistry(EpochRegistry):
             raise ConfigError("num_slots must be >= 1")
         if generation_base < 0:
             raise ConfigError("generation_base must be >= 0")
+        self._shm = None
+        self._created = False
         self._lock = threading.RLock()
         self._on_evict = on_evict
-        # slot -> [ref, epoch, refcount, state]
-        self._table: List[list] = [["", 0, 0, FREE] for _ in range(num_slots)]
-        # A restarted writer may seed the counter with the generation it
-        # persisted at shutdown, so readers that cached the old value keep
-        # seeing a monotonic sequence instead of a collision at zero.
-        self._generation = generation_base
-        self._current = -1
-        # reader -> {slot: held count}.  A multiset, not a single slot: a
-        # reader moving to a new epoch acquires the new slot *before*
-        # releasing the old one, so it transiently holds two.
-        self._reader_slots: dict = {}
+        # reader -> count row; the shm table keeps its rows in the segment
+        self._rows: Optional[Dict[object, np.ndarray]] = {}
+        self._map(bytearray(_table_bytes(num_slots, 0)),
+                  (generation_base, -1, num_slots, 0))
+
+    @classmethod
+    def create(cls, name: str, num_workers: int, lock,
+               num_slots: int = DEFAULT_SLOTS) -> "EpochRegistry":
+        """Writer side: allocate a zeroed table segment for ``num_workers``
+        readers, who attach it by ``name``."""
+        if shared_memory is None:  # pragma: no cover
+            raise ConfigError("multiprocessing.shared_memory is unavailable")
+        if num_workers < 1:
+            raise ConfigError("num_workers must be >= 1")
+        if num_slots < 1:
+            raise ConfigError("num_slots must be >= 1")
+        size = _table_bytes(num_slots, num_workers)
+        shm = shared_memory.SharedMemory(create=True, size=size, name=name)
+        shm_plane._created.add(name)
+        _untrack(name)
+        shm.buf[:size] = bytes(size)
+        return cls._over_segment(shm, lock, True,
+                                 (0, -1, num_slots, num_workers))
+
+    @classmethod
+    def attach(cls, name: str, lock) -> "EpochRegistry":
+        """Reader side: map an existing table segment."""
+        return cls._over_segment(shm_plane._attach_segment(name), lock, False)
+
+    @classmethod
+    def _over_segment(cls, shm, lock, created: bool,
+                      header=None) -> "EpochRegistry":
+        self = cls.__new__(cls)
+        self._shm = shm
+        self._created = created
+        self._lock = lock
+        self._on_evict = _unlink_plane
+        self._rows = None
+        self._map(shm.buf, header)
+        return self
+
+    def _map(self, buf, header=None) -> None:
+        head = np.frombuffer(buf, dtype=np.int64, count=_HEADER)
+        if header is not None:
+            head[:] = header
+        num_slots, num_workers = int(head[2]), int(head[3])
+        off = _HEADER * 8
+        self._head = head  # [generation, current_slot, slots, workers]
+        self._names = np.frombuffer(
+            buf, dtype=np.uint8, count=num_slots * _NAME_LEN, offset=off
+        ).reshape(num_slots, _NAME_LEN)
+        off += num_slots * _NAME_LEN
+        # (num_slots, 3): epoch, refcount, state
+        self._meta = np.frombuffer(
+            buf, dtype=np.int64, count=num_slots * 3, offset=off
+        ).reshape(num_slots, 3)
+        off += num_slots * 3 * 8
+        # (num_workers, num_slots): references each worker holds per slot
+        self._held = np.frombuffer(
+            buf, dtype=np.int64, count=num_workers * num_slots, offset=off
+        ).reshape(num_workers, num_slots)
+
+    # -- introspection ------------------------------------------------------
 
     @property
-    def lock(self) -> threading.RLock:
+    def lock(self):
         """The mutation lock (the TCP server serializes payload access
         under it too, so eviction and fetch can never interleave)."""
         return self._lock
 
-    # -- introspection ------------------------------------------------------
+    @property
+    def name(self) -> Optional[str]:
+        """The table segment's name (None for a process-private table)."""
+        return None if self._shm is None else self._shm.name.lstrip("/")
 
     def generation(self) -> int:
+        """Registration counter — the reader's cheap staleness probe."""
         with self._lock:
-            return self._generation
+            return int(self._head[0])
 
     def current_epoch(self) -> Optional[int]:
+        """Epoch of the current slot, or None before the first publish."""
         with self._lock:
-            if self._current < 0:
-                return None
-            return self._table[self._current][1]
+            slot = int(self._head[1])
+            return None if slot < 0 else int(self._meta[slot, 0])
 
     def slots(self) -> List[Tuple[int, str, int, int, int]]:
+        """Snapshot of non-FREE slots: (slot, ref, epoch, refcount, state)."""
         with self._lock:
             return [
-                (i, row[0], row[1], row[2], row[3])
-                for i, row in enumerate(self._table)
-                if row[3] != FREE
+                (int(i), self._slot_name(i), int(self._meta[i, 0]),
+                 int(self._meta[i, 1]), int(self._meta[i, 2]))
+                for i in np.flatnonzero(self._meta[:, 2] != FREE)
             ]
 
-    def readers(self) -> dict:
+    def readers(self) -> Dict[object, Dict[int, int]]:
         """Per-reader multiset of held slots (reap bookkeeping)."""
         with self._lock:
-            return {r: dict(held) for r, held in self._reader_slots.items()}
+            rows = (enumerate(self._held) if self._rows is None
+                    else self._rows.items())
+            out = {}
+            for reader, row in rows:
+                held = {int(s): int(row[s]) for s in np.flatnonzero(row)}
+                if held:
+                    out[reader] = held
+            return out
 
     # -- writer protocol ----------------------------------------------------
 
     def register(self, ref: str, epoch: int) -> int:
+        """Publish a fully materialized plane as the newest epoch.
+
+        Retires the previous current slot (evicted immediately when no
+        reader holds it, else by the last release) and bumps the
+        generation.  Returns the slot index used.
+        """
+        encoded = ref.encode("ascii")
+        if len(encoded) >= _NAME_LEN:
+            raise ConfigError(f"plane ref too long: {ref!r}")
         with self._lock:
-            slot = -1
-            for i, row in enumerate(self._table):
-                if row[3] == FREE:
-                    slot = i
-                    break
-            if slot < 0:
+            free = np.flatnonzero(self._meta[:, 2] == FREE)
+            if not len(free):
                 raise ConfigError(
                     "epoch registry is full: readers are holding "
-                    f"{len(self._table)} retired planes"
+                    f"{len(self._meta)} retired planes"
                 )
-            self._table[slot] = [ref, epoch, 0, LIVE]
-            old = self._current
+            slot = int(free[0])
+            row = self._names[slot]
+            row[:] = 0
+            row[: len(encoded)] = np.frombuffer(encoded, dtype=np.uint8)
+            self._meta[slot] = (epoch, 0, LIVE)
+            old = int(self._head[1])
             if old >= 0:
-                self._table[old][3] = RETIRED
+                self._meta[old, 2] = RETIRED
                 self._maybe_evict(old)
-            self._current = slot
-            self._generation += 1
+            self._head[1] = slot
+            self._head[0] += 1
             return slot
 
-    def release_reader(self, reader_id) -> None:
+    def release_reader(self, reader) -> int:
+        """Reap a reader that died without releasing: return every
+        reference the table attributes to it.  Returns how many."""
         with self._lock:
-            held = self._reader_slots.pop(reader_id, None)
-            if not held:
-                return
-            for slot, count in held.items():
-                self._table[slot][2] -= count
+            row = self._row(reader)
+            if row is None:
+                return 0
+            returned = int(row.sum())
+            for slot in np.flatnonzero(row):
+                self._meta[slot, 1] -= row[slot]
+                row[slot] = 0
                 self._maybe_evict(slot)
+            if self._rows is not None:
+                del self._rows[reader]
+            return returned
 
     def shutdown(self) -> None:
+        """Writer teardown: evict every remaining slot (and unlink the
+        table segment this process created)."""
         with self._lock:
-            for i, row in enumerate(self._table):
-                if row[3] != FREE:
-                    ref = row[0]
-                    self._table[i] = ["", 0, 0, FREE]
-                    if self._on_evict is not None:
-                        self._on_evict(i, ref)
-            self._current = -1
-            self._reader_slots.clear()
+            for slot in np.flatnonzero(self._meta[:, 2] != FREE):
+                self._evict(slot)
+            self._head[1] = -1
+            if self._rows is not None:
+                self._rows.clear()
+        if self._shm is not None:
+            name = self.name
+            self.detach()
+            if self._created:
+                unlink_segment(name)
 
     # -- reader protocol ----------------------------------------------------
 
-    def acquire(self, reader_id) -> Optional[Tuple[int, int, int, str]]:
-        with self._lock:
-            slot = self._current
-            if slot < 0:
-                return None
-            row = self._table[slot]
-            row[2] += 1
-            if reader_id is not None:
-                held = self._reader_slots.setdefault(reader_id, {})
-                held[slot] = held.get(slot, 0) + 1
-            return (self._generation, slot, row[1], row[0])
+    def acquire(self, reader) -> Optional[Tuple[int, int, int, str]]:
+        """Take a reference on the current plane for ``reader``.
 
-    def release(self, slot: int, reader_id=None) -> None:
-        with self._lock:
-            self._table[slot][2] -= 1
-            if reader_id is not None:
-                self._drop_held(reader_id, slot)
-            self._maybe_evict(slot)
-
-    def release_if_held(self, slot: int, reader_id) -> bool:
-        """Release ``slot`` only if ``reader_id`` is recorded as holding it.
-
-        The TCP server uses this for release ops so a retried or replayed
-        release (a reconnecting reader whose refcount was already reaped
-        when its old connection dropped, or a release landing on a
-        restarted server that never saw the acquire) cannot drive a
-        refcount negative or free someone else's pin.  Returns whether a
-        reference was actually returned.
+        Returns ``(generation, slot, epoch, ref)``, or None when nothing
+        has been registered yet.  The caller must pair this with
+        :meth:`release` — or die and be reaped via :meth:`release_reader`.
         """
         with self._lock:
-            if self._reader_slots.get(reader_id, {}).get(slot, 0) <= 0:
+            slot = int(self._head[1])
+            if slot < 0:
+                return None
+            self._meta[slot, 1] += 1
+            self._row(reader, create=True)[slot] += 1
+            return (int(self._head[0]), slot, int(self._meta[slot, 0]),
+                    self._slot_name(slot))
+
+    def release(self, slot: int, reader) -> bool:
+        """Drop one of ``reader``'s references on ``slot``; the last
+        release of a retired slot evicts it.
+
+        Tolerant: a release the table does not attribute to ``reader`` (a
+        retried release whose reference a reap already returned, or one
+        landing on a restarted writer that never saw the acquire) changes
+        nothing.  Returns whether a reference was returned.
+        """
+        with self._lock:
+            row = self._row(reader)
+            if row is None or not 0 <= slot < len(row) or row[slot] <= 0:
                 return False
-            self._drop_held(reader_id, slot)
-            self._table[slot][2] -= 1
+            row[slot] -= 1
+            self._meta[slot, 1] -= 1
             self._maybe_evict(slot)
             return True
 
+    def detach(self) -> None:
+        """Drop this process's mapping of the table segment."""
+        if self._shm is None:
+            return
+        # numpy views must be dropped before the mapping can close.
+        self._head = self._names = self._meta = self._held = None
+        try:
+            self._shm.close()
+        except BufferError:  # pragma: no cover
+            pass
+
     # -- internals ----------------------------------------------------------
 
-    def _drop_held(self, reader_id, slot: int) -> None:
-        # Lock held.  Remove one unit of ``slot`` from the reader's held
-        # multiset, pruning empty entries so ``readers()`` stays truthful.
-        held = self._reader_slots.get(reader_id)
-        if held is None:
-            return
-        count = held.get(slot, 0)
-        if count <= 1:
-            held.pop(slot, None)
-        else:
-            held[slot] = count - 1
-        if not held:
-            self._reader_slots.pop(reader_id, None)
+    def _row(self, reader, create: bool = False) -> Optional[np.ndarray]:
+        # Lock held.  The reader's per-slot reference counts.
+        if self._rows is None:
+            return self._held[reader]
+        row = self._rows.get(reader)
+        if row is None and create:
+            row = self._rows[reader] = np.zeros(len(self._meta), np.int64)
+        return row
+
+    def _slot_name(self, slot: int) -> str:
+        return bytes(self._names[slot]).rstrip(b"\0").decode("ascii")
 
     def _maybe_evict(self, slot: int) -> None:
         # Lock held.  RETIRED + refcount 0 means nobody can ever reach the
         # ref again (readers only learn refs of the *current* slot), so the
-        # transport may drop the payload it points at.
-        row = self._table[slot]
-        if row[3] == RETIRED and row[2] <= 0:
-            ref = row[0]
-            self._table[slot] = ["", 0, 0, FREE]
-            if self._on_evict is not None:
-                self._on_evict(slot, ref)
+        # last releaser evicts it.
+        if self._meta[slot, 2] == RETIRED and self._meta[slot, 1] <= 0:
+            self._evict(slot)
+
+    def _evict(self, slot: int) -> None:
+        ref = self._slot_name(slot)
+        self._names[slot] = 0
+        self._meta[slot] = (0, 0, FREE)
+        if self._on_evict is not None:
+            self._on_evict(int(slot), ref)
+
+
+#: former name of the process-private table, kept as an alias
+LocalRegistry = EpochRegistry

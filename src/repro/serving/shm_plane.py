@@ -11,7 +11,7 @@ exactly as on the in-process plane.
 
 Cleanup has three layers: explicit :meth:`ShmPlane.close`/``unlink``, the
 epoch registry's refcounted unlink-on-last-detach (see
-:mod:`repro.serving.epoch`), and a module-level registry of every segment
+:mod:`repro.serving.registry`), and a module-level registry of every segment
 this process *created* that an ``atexit`` hook unlinks — so a crashed writer
 never strands segments in ``/dev/shm``.
 """

@@ -28,7 +28,6 @@ from abc import ABC, abstractmethod
 from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigError
-from repro.serving.epoch import EpochBoard
 from repro.serving.registry import EpochRegistry
 from repro.serving.shm_plane import ShmPlane
 
@@ -169,14 +168,14 @@ class ShmReaderSpec(ReaderSpec):
 
     def connect(self, reader_id) -> "ShmClient":
         return ShmClient(
-            EpochBoard.attach(self.board_name, self.lock), int(reader_id)
+            EpochRegistry.attach(self.board_name, self.lock), int(reader_id)
         )
 
 
 class ShmClient(PlaneClient):
     """Reader endpoint over the shm board: attach segments by name."""
 
-    def __init__(self, board: EpochBoard, reader_id: int) -> None:
+    def __init__(self, board: EpochRegistry, reader_id: int) -> None:
         self._board = board
         self._reader_id = reader_id
 
@@ -193,7 +192,7 @@ class ShmClient(PlaneClient):
         try:
             handle = ShmPlane.attach(seg_name)
         except FileNotFoundError:
-            board.release(slot, worker_id=reader_id)
+            board.release(slot, reader_id)
             return None
         plane = handle.as_dense_plane()
 
@@ -205,7 +204,7 @@ class ShmClient(PlaneClient):
 
             gc.collect()
             handle.close()
-            board.release(slot, worker_id=reader_id)
+            board.release(slot, reader_id)
 
         return PlaneLease(generation, slot, epoch, plane, release)
 
@@ -220,15 +219,14 @@ class ShmTransport(PlaneTransport):
 
     def __init__(self, prefix: str, num_workers: int, ctx) -> None:
         self._prefix = prefix
-        self._num_workers = num_workers
         self._lock = ctx.Lock()
-        self._board = EpochBoard.create(
+        self._board = EpochRegistry.create(
             prefix + "board", num_workers=num_workers, lock=self._lock,
         )
         self._exports: Dict[int, ShmPlane] = {}
 
     @property
-    def registry(self) -> EpochBoard:
+    def registry(self) -> EpochRegistry:
         return self._board
 
     @property
@@ -252,8 +250,6 @@ class ShmTransport(PlaneTransport):
         return f"shm segments {self._prefix}*"
 
     def close(self) -> None:
-        for worker_id in range(self._num_workers):
-            self._board.release_worker(worker_id)
         for handle in self._exports.values():
             handle.close()
         self._exports = {}

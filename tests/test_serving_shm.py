@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -20,7 +21,8 @@ from repro.core.engine import PairwiseEngine
 from repro.core.pruning import PruningPolicy
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serving import PlaneGraph, ShmPlane, leaked_segments, shm_available
-from repro.serving.epoch import EpochBoard
+from repro.serving.registry import LIVE, EpochRegistry
+from repro.serving.shm_plane import unlink_segment
 from repro.sgraph import SGraph
 from repro.streaming.versioning import VersionedStore
 
@@ -70,6 +72,31 @@ def _dict_reference(view, policy=PruningPolicy.UPPER_AND_LOWER):
         index=view.engine("distance").index,
         policy=policy,
     )
+
+
+STORAGES = ("shm", "private")
+
+
+def _slot_table(storage: str, prefix: str) -> EpochRegistry:
+    """One slot table per storage; both evict by unlinking the segment."""
+    if storage == "shm":
+        return EpochRegistry.create(f"{prefix}-board", num_workers=8,
+                                    lock=threading.Lock())
+    return EpochRegistry(on_evict=lambda _slot, name: unlink_segment(name))
+
+
+def _export_segments(prefix: str, labels) -> list:
+    """One real plane segment per label, named ``{prefix}-{label}``."""
+    sg = _sgraph(43)
+    store = VersionedStore(sg)
+    names = []
+    for i, label in enumerate(labels):
+        view = store.publish()
+        names.append(f"{prefix}-{label}")
+        ShmPlane.export(view.dense_plane("distance"), names[-1],
+                        epoch=view.epoch).close()
+        sg.add_edge(0, 57, 0.4 + i)
+    return names
 
 
 class TestShmPlaneRoundTrip:
@@ -333,13 +360,13 @@ class TestEpochHandoff:
         sg = _sgraph(32)
         with sg.serve(workers=1) as session:
             prefix = session.prefix
-            first = session.board.current_epoch()
+            first = session.transport.registry.current_epoch()
             session.distance(0, 1)  # worker now holds epoch `first`
             sg.add_edge(0, 55, 0.2)
             session.publish()
             session.distance(0, 55)  # forces detach old / attach new
             names = [name for _slot, name, _e, _rc, _st in
-                     session.board.slots()]
+                     session.transport.registry.slots()]
             assert f"{prefix}e{first}" not in names
             assert leaked_segments(f"{prefix}e{first}") == []
         assert leaked_segments(prefix) == []
@@ -363,7 +390,7 @@ class TestWorkerCrash:
             assert [a[0] for a in after] == [b[0] for b in before]
             # the dead worker's board refcount was returned
             assert all(refcount <= 1 for _s, _n, _e, refcount, _st
-                       in session.board.slots())
+                       in session.transport.registry.slots())
         assert leaked_segments(prefix) == []
 
     def test_crash_then_publish_still_hands_off(self):
@@ -380,37 +407,118 @@ class TestWorkerCrash:
             assert epoch == session.store.latest().epoch
         assert leaked_segments(prefix) == []
 
-    def test_reap_after_handoff_returns_the_new_slots_reference(self):
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_reap_after_handoff_returns_the_new_slots_reference(self, storage):
         # A worker acquires the new epoch *before* releasing the old one;
-        # releasing the old slot must not erase the board's record that the
+        # releasing the old slot must not erase the table's record that the
         # worker holds the new one, or a kill after the handoff is never
         # reaped and the retired segment leaks.
-        sg = _sgraph(43)
-        store = VersionedStore(sg)
-        prefix = "rptest-reap"
-        board = EpochBoard.create(f"{prefix}-board", num_workers=1,
-                                  lock=threading.Lock())
+        prefix = f"rptest-reap-{storage}"
+        names = _export_segments(prefix, ("e1", "e2", "e3"))
+        table = _slot_table(storage, prefix)
         try:
-            names = []
-            for label in ("e1", "e2"):
-                view = store.publish()
-                names.append(f"{prefix}-{label}")
-                ShmPlane.export(view.dense_plane("distance"), names[-1],
-                                epoch=view.epoch).close()
-                sg.add_edge(0, 57, 0.4)
-            board.register(names[0], 1)
-            _gen, slot1, _epoch, _name = board.acquire(0)
-            board.register(names[1], 2)
-            _gen, slot2, _epoch, _name = board.acquire(0)
-            board.release(slot1, 0)
+            table.register(names[0], 1)
+            _gen, slot1, _epoch, _name = table.acquire(0)
+            table.register(names[1], 2)
+            table.acquire(0)
+            assert table.release(slot1, 0) is True
             assert leaked_segments(names[0]) == []
-            board.release_worker(0)  # the worker died holding e2
-            refcounts = {name: rc for _s, name, _e, rc, _st in board.slots()}
+            assert table.release_reader(0) == 1  # the worker died holding e2
+            refcounts = {name: rc for _s, name, _e, rc, _st in table.slots()}
             assert refcounts == {names[1]: 0}
-            ShmPlane.export(store.publish().dense_plane("distance"),
-                            f"{prefix}-e3").close()
-            board.register(f"{prefix}-e3", 3)  # retires e2: unlinked at once
+            table.register(names[2], 3)  # retires e2: unlinked at once
             assert leaked_segments(names[1]) == []
         finally:
-            board.shutdown()
+            table.shutdown()
+        assert leaked_segments(prefix) == []
+
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_reap_inside_handoff_returns_both_references(self, storage):
+        # A worker killed between acquiring the new epoch and releasing the
+        # old one holds two slots; the reap must return both, or the
+        # retired plane stays pinned for good.
+        prefix = f"rptest-window-{storage}"
+        names = _export_segments(prefix, ("e1", "e2"))
+        table = _slot_table(storage, prefix)
+        try:
+            table.register(names[0], 1)
+            table.acquire(0)
+            table.register(names[1], 2)
+            table.acquire(0)
+            assert table.readers() == {0: {0: 1, 1: 1}}
+            assert table.release_reader(0) == 2  # killed inside the window
+            assert [(name, rc, st) for _s, name, _e, rc, st
+                    in table.slots()] == [(names[1], 0, LIVE)]
+            assert leaked_segments(names[0]) == []
+            assert table.readers() == {}
+            assert table.release_reader(0) == 0  # idempotent
+        finally:
+            table.shutdown()
+        assert leaked_segments(prefix) == []
+
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_release_ignores_references_the_reader_does_not_hold(self,
+                                                                 storage):
+        prefix = f"rptest-release-{storage}"
+        names = _export_segments(prefix, ("e1", "e2"))
+        table = _slot_table(storage, prefix)
+        try:
+            slot = table.register(names[0], 1)
+            table.acquire(0)
+            assert table.release(slot, 1) is False  # not the holder
+            assert table.release(slot + 1, 0) is False  # FREE slot
+            assert table.release(-1, 0) is False
+            assert table.release(99, 0) is False
+            table.register(names[1], 2)
+            assert leaked_segments(names[0]) != []  # still pinned by 0
+            assert table.release(slot, 0) is True
+            assert leaked_segments(names[0]) == []
+            assert table.release(slot, 0) is False  # replayed release
+            assert [rc for _s, _n, _e, rc, _st in table.slots()] == [0]
+        finally:
+            table.shutdown()
+        assert leaked_segments(prefix) == []
+
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_concurrent_handoffs_return_every_reference(self, storage):
+        # More reader threads than cores, switching as often as possible,
+        # each handing off acquire-new-then-release-old while the writer
+        # registers: a lost update on a refcount or a count row leaves a
+        # slot pinned, or a release refused.
+        prefix = f"rptest-stress-{storage}"
+        table = _slot_table(storage, prefix)
+        errors = []
+
+        def reader(reader_id):
+            try:
+                held = None
+                for _ in range(300):
+                    slot = table.acquire(reader_id)[1]
+                    if held is not None and not table.release(held, reader_id):
+                        raise AssertionError(f"release of {held} refused")
+                    held = slot
+                table.release(held, reader_id)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table.register(f"{prefix}-e0", 0)
+            threads = [threading.Thread(target=reader, args=(r,))
+                       for r in range(6)]
+            for thread in threads:
+                thread.start()
+            for epoch in range(1, 200):
+                table.register(f"{prefix}-e{epoch}", epoch)
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert [(rc, st) for _s, _n, _e, rc, st
+                    in table.slots()] == [(0, LIVE)]
+            assert table.readers() == {}
+        finally:
+            sys.setswitchinterval(switch)
+            table.shutdown()
         assert leaked_segments(prefix) == []
