@@ -9,7 +9,6 @@ from repro.baselines.dijkstra import (
 from repro.baselines.propagation import PropagationEngine
 from repro.baselines.recompute import RecomputeEngine
 from repro.baselines.streaming_engine import ContinuousPairwiseEngine
-from repro.baselines.ub_only import UpperBoundOnlyEngine
 
 __all__ = [
     "dijkstra_distance",
@@ -19,5 +18,4 @@ __all__ = [
     "PropagationEngine",
     "RecomputeEngine",
     "ContinuousPairwiseEngine",
-    "UpperBoundOnlyEngine",
 ]

@@ -3,11 +3,38 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.core.hub_selection import DEFAULT_STRATEGY, STRATEGIES
 from repro.core.pruning import PruningPolicy
+from repro.core.semiring import (
+    BOTTLENECK_CAPACITY,
+    RELIABILITY_PRODUCT,
+    SHORTEST_DISTANCE,
+    PathSemiring,
+)
 from repro.errors import ConfigError
+
+
+@dataclass(frozen=True)
+class Family:
+    """How one query family is indexed and served."""
+
+    #: the cost algebra of the family's index and engine
+    semiring: PathSemiring
+    #: the hop metric: index and search run over the unit-weight view
+    unit_weights: bool = False
+    #: min-plus, so a :class:`~repro.core.hub_index.DensePlane` can serve it
+    dense: bool = False
+
+
+#: Every query family, by the name ``SGraphConfig.queries`` uses.
+FAMILIES: Dict[str, Family] = {
+    "distance": Family(SHORTEST_DISTANCE, dense=True),
+    "hops": Family(SHORTEST_DISTANCE, unit_weights=True, dense=True),
+    "capacity": Family(BOTTLENECK_CAPACITY),
+    "reliability": Family(RELIABILITY_PRODUCT),
+}
 
 
 @dataclass(frozen=True)
@@ -73,8 +100,7 @@ class SGraphConfig:
                 f"known: {', '.join(STRATEGIES)}"
             )
         object.__setattr__(self, "policy", PruningPolicy.parse(self.policy))
-        known = {"distance", "hops", "capacity", "reliability"}
-        bad = set(self.queries) - known
+        bad = set(self.queries) - set(FAMILIES)
         if bad:
             raise ConfigError(f"unknown query families: {sorted(bad)}")
         if not self.queries:

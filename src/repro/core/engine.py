@@ -58,14 +58,14 @@ class PairwiseEngine:
         Min-plus (distance/hops) algebra only.
     dense_factory:
         Zero-argument callable producing the :class:`DensePlane` on demand.
-        The publish path uses this to keep publishing O(Δ): the plane is
+        The freeze path uses this to keep publishing O(Δ): the plane is
         built (and cached) at the *first dense query*, not at construction.
     workspace:
         An optional :class:`SearchWorkspace` to adopt.  Long-lived owners
-        (the SGraph facade, serving workers) pass the same workspace into
-        each epoch's fresh engine so the O(V) search state survives epoch
-        handoff; when omitted the engine allocates its own at the first
-        dense query.
+        (the SGraph facade's frozen engines, serving workers) pass the same
+        workspace into each epoch's fresh engine so the O(V) search state
+        survives epoch handoff; when omitted the engine allocates its own
+        at the first dense query.
     reuse_workspace:
         When False every dense query runs in a freshly allocated
         workspace — the pre-workspace cold path, kept for benchmarking the

@@ -11,6 +11,9 @@ supported query kinds map onto the two cost algebras plus derived forms:
 * ``reachability`` — existence of a path (distance search with first-path
   short-circuit);
 * ``bottleneck`` — widest-path capacity (BottleneckCapacity algebra).
+
+:class:`PairwiseVerbs` is the query surface over those kinds, written once
+for the live facade and for every published view.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from time import perf_counter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.stats import QueryStats
+from repro.errors import QueryError
 
 
 class QueryKind(Enum):
@@ -154,3 +159,202 @@ class ManyQueryResult:
             f"ManyQueryResult({self.kind.value}, {self.source}->"
             f"{len(self.values)} targets, act={self.stats.activations})"
         )
+
+
+class PairwiseVerbs:
+    """The query verbs over one graph state, each written once.
+
+    :class:`repro.SGraph` (the live graph) and
+    :class:`repro.streaming.versioning.FrozenView` (one published epoch)
+    answer every verb the same way: look up the engine serving the family,
+    time one engine call, and wrap its answer with the epoch.  A subclass
+    supplies
+
+    * ``_engine(family)`` — the :class:`~repro.core.engine.PairwiseEngine`
+      serving a configured family, :class:`~repro.errors.ConfigError` for
+      any other;
+    * ``_families`` — its configured families, in configuration order;
+    * ``epoch`` — the epoch its answers reflect;
+
+    and may set ``_cache`` to an epoch-guarded
+    :class:`~repro.core.cache.QueryCache` for the four value verbs.
+    """
+
+    _families: Tuple[str, ...] = ()
+    _cache = None
+
+    def _engine(self, family: str):
+        raise NotImplementedError
+
+    # -- best cost ---------------------------------------------------------
+
+    def distance(
+        self, source: int, target: int, tolerance: float = 0.0
+    ) -> QueryResult:
+        """Weighted shortest-path cost from source to target.
+
+        ``tolerance`` requests a bounded-error approximation: the result is a
+        real path cost at most ``(1 + tolerance)`` times the optimum, letting
+        many more queries resolve directly from the index bounds.
+        """
+        return self._cost(QueryKind.DISTANCE, "distance", source, target,
+                          tolerance)
+
+    def hop_distance(self, source: int, target: int) -> QueryResult:
+        """Unweighted shortest-path length (hop count)."""
+        return self._cost(QueryKind.HOPS, "hops", source, target)
+
+    def bottleneck(self, source: int, target: int) -> QueryResult:
+        """Widest-path capacity from source to target."""
+        return self._cost(QueryKind.BOTTLENECK, "capacity", source, target)
+
+    def reliability(self, source: int, target: int) -> QueryResult:
+        """Most-reliable-path probability (edge weights are probabilities)."""
+        return self._cost(QueryKind.RELIABILITY, "reliability", source, target)
+
+    def _cost(self, kind: QueryKind, family: str, source: int, target: int,
+              tolerance: float = 0.0) -> QueryResult:
+        cache = self._cache
+        if cache is not None:
+            key = (kind, source, target, tolerance)
+            cached = cache.get(key, self.epoch)
+            if cached is not None:
+                return cached
+        engine = self._engine(family)
+        start = perf_counter()
+        value, stats = engine.best_cost(source, target, tolerance=tolerance)
+        stats.elapsed = perf_counter() - start
+        result = QueryResult(kind, source, target, value, stats, self.epoch)
+        if cache is not None:
+            cache.put(key, self.epoch, result)
+        return result
+
+    # -- paths ---------------------------------------------------------------
+
+    def shortest_path(self, source: int, target: int) -> QueryResult:
+        """Weighted shortest path: cost plus an explicit vertex list.
+
+        The result's :attr:`QueryResult.path` is None when the target is
+        unreachable.
+        """
+        return self._path(QueryKind.DISTANCE, "distance", source, target)
+
+    def widest_path(self, source: int, target: int) -> QueryResult:
+        """Bottleneck-optimal path: capacity plus an explicit vertex list."""
+        return self._path(QueryKind.BOTTLENECK, "capacity", source, target)
+
+    def _path(self, kind: QueryKind, family: str, source: int,
+              target: int) -> QueryResult:
+        engine = self._engine(family)
+        start = perf_counter()
+        value, path, stats = engine.best_path(source, target)
+        stats.elapsed = perf_counter() - start
+        return QueryResult(kind, source, target, value, stats, self.epoch,
+                           path)
+
+    # -- yes/no ----------------------------------------------------------------
+
+    def reachable(self, source: int, target: int) -> QueryResult:
+        """Whether any source→target path exists.
+
+        Served by the first configured family (the first name in
+        ``SGraphConfig.queries``), whichever algebra it uses.
+        """
+        engine = self._engine(self._families[0])
+        start = perf_counter()
+        exists, stats = engine.feasible(source, target)
+        stats.elapsed = perf_counter() - start
+        return QueryResult(QueryKind.REACHABILITY, source, target,
+                           1.0 if exists else 0.0, stats, self.epoch)
+
+    def within_distance(
+        self, source: int, target: int, budget: float
+    ) -> QueryResult:
+        """Whether the weighted distance source→target is ≤ ``budget``.
+
+        Usually answered from the index bounds alone (see
+        :meth:`PairwiseEngine.within_budget`); the result value is 1.0/0.0.
+        """
+        return self._budget("distance", source, target, budget)
+
+    def capacity_at_least(
+        self, source: int, target: int, budget: float
+    ) -> QueryResult:
+        """Whether some path of capacity ≥ ``budget`` exists."""
+        return self._budget("capacity", source, target, budget)
+
+    def reliability_at_least(
+        self, source: int, target: int, budget: float
+    ) -> QueryResult:
+        """Whether some path of delivery probability ≥ ``budget`` exists."""
+        return self._budget("reliability", source, target, budget)
+
+    def _budget(self, family: str, source: int, target: int,
+                budget: float) -> QueryResult:
+        engine = self._engine(family)
+        start = perf_counter()
+        ok, stats = engine.within_budget(source, target, budget)
+        stats.elapsed = perf_counter() - start
+        return QueryResult(QueryKind.REACHABILITY, source, target,
+                           1.0 if ok else 0.0, stats, self.epoch)
+
+    # -- one source, many answers ------------------------------------------------
+
+    def distance_many(
+        self, source: int, targets: Iterable[int]
+    ) -> Dict[int, float]:
+        """Shortest distances from ``source`` to every target in one pass.
+
+        Much cheaper than per-target :meth:`distance` calls when the target
+        set is large: index-closable targets cost nothing and the rest share
+        a single search (see :meth:`PairwiseEngine.one_to_many`).  Use
+        :meth:`distance_many_result` when the combined search counters are
+        wanted alongside the values.
+        """
+        return self.distance_many_result(source, targets).values
+
+    def distance_many_result(
+        self, source: int, targets: Iterable[int]
+    ) -> ManyQueryResult:
+        """Like :meth:`distance_many`, surfacing the combined counters.
+
+        The ``stats`` record covers the entire shared search, so batched
+        queries are observable exactly like pairwise ones.  When the
+        distance family is served dense the batch runs on the same flat
+        arrays as the pairwise verbs.
+        """
+        engine = self._engine("distance")
+        start = perf_counter()
+        values, stats = engine.one_to_many(source, list(targets))
+        stats.elapsed = perf_counter() - start
+        return ManyQueryResult(QueryKind.DISTANCE, source, values, stats,
+                               self.epoch)
+
+    def nearest(self, source: int, k: int) -> List[Tuple[int, float]]:
+        """The ``k`` closest vertices to ``source`` by weighted distance.
+
+        Returns ``(vertex, distance)`` pairs sorted by distance (excluding
+        the source itself); fewer than ``k`` when the component is small.
+        A plain truncated Dijkstra — neighborhood queries don't benefit
+        from pairwise bounds, but they round out the query surface.
+        """
+        if k < 1:
+            raise QueryError("k must be >= 1")
+        return self._expand(source, k, None)
+
+    def within(self, source: int, radius: float) -> List[Tuple[int, float]]:
+        """All vertices within weighted distance ``radius`` of ``source``."""
+        if radius < 0:
+            raise QueryError("radius must be non-negative")
+        return self._expand(source, None, radius)
+
+    def _expand(self, source: int, max_results: Optional[int],
+                radius: Optional[float]) -> List[Tuple[int, float]]:
+        """Truncated Dijkstra behind :meth:`nearest` / :meth:`within`.
+
+        Runs on the engine serving ``distance``: over a dense plane it walks
+        the epoch's CSR, otherwise the dict adjacency — same distances
+        either way, though equidistant vertices may order differently
+        between the two planes (heap tie-breaking).
+        """
+        return self._engine("distance").expand(source, max_results, radius)

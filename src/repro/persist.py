@@ -18,15 +18,9 @@ import json
 from pathlib import Path
 from typing import Dict, Union
 
-from repro.core.config import SGraphConfig
+from repro.core.config import FAMILIES, SGraphConfig
 from repro.core.hub_index import HubIndex
 from repro.core.pruning import PruningPolicy
-from repro.core.semiring import (
-    BOTTLENECK_CAPACITY,
-    RELIABILITY_PRODUCT,
-    SHORTEST_DISTANCE,
-    PathSemiring,
-)
 from repro.errors import ReproError
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.views import UnitWeightView
@@ -34,20 +28,9 @@ from repro.sgraph import SGraph
 
 FORMAT_VERSION = 1
 
-_SEMIRINGS: Dict[str, PathSemiring] = {
-    "distance": SHORTEST_DISTANCE,
-    "capacity": BOTTLENECK_CAPACITY,
-    "reliability": RELIABILITY_PRODUCT,
-}
-
 
 class PersistError(ReproError):
     """A save/load operation failed or the on-disk state is inconsistent."""
-
-
-def _family_semiring(family: str) -> PathSemiring:
-    # hop indexes use the distance algebra over the unit-weight view
-    return _SEMIRINGS.get(family, SHORTEST_DISTANCE)
 
 
 def _encode_table(table: Dict[int, float]) -> Dict[str, float]:
@@ -141,8 +124,9 @@ def load_sgraph(directory: Union[str, Path], verify: bool = False) -> SGraph:
     indexes: Dict[str, HubIndex] = {}
     for family, info in meta["families"].items():
         hubs = info["hubs"]
-        semiring = _family_semiring(family)
-        family_graph = UnitWeightView(graph) if family == "hops" else graph
+        spec = FAMILIES[family]
+        semiring = spec.semiring
+        family_graph = UnitWeightView(graph) if spec.unit_weights else graph
         raw = tables.get(family)
         if raw is None:
             raise PersistError(f"tables.json missing family {family!r}")

@@ -4,7 +4,9 @@ This is the library's front door.  An :class:`SGraph` owns one
 :class:`~repro.graph.DynamicGraph`, builds a hub index per configured query
 family (weighted distance, hop count, bottleneck capacity), keeps every
 index incrementally in sync as edges churn, and answers pairwise queries
-through the pruned bidirectional engine.
+through the pruned bidirectional engine — with the same verbs
+(:class:`~repro.core.pairwise.PairwiseVerbs`) a published
+:class:`~repro.streaming.versioning.FrozenView` answers with.
 
 Typical use::
 
@@ -24,20 +26,15 @@ and rebuilds indexes when a hub vertex is removed.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cache import QueryCache
-from repro.core.config import SGraphConfig
+from repro.core.config import FAMILIES, SGraphConfig
 from repro.core.engine import PairwiseEngine, expand_from_graph
 from repro.core.hub_index import DensePlane, HubIndex
+from repro.core.pairwise import PairwiseVerbs
+from repro.core.semiring import RELIABILITY_PRODUCT
 from repro.core.workspace import SearchWorkspace
-from repro.core.pairwise import ManyQueryResult, QueryKind, QueryResult
-from repro.core.semiring import (
-    BOTTLENECK_CAPACITY,
-    RELIABILITY_PRODUCT,
-    SHORTEST_DISTANCE,
-)
 from repro.errors import ConfigError, QueryError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.snapshot import GraphSnapshot
@@ -55,7 +52,7 @@ AUTO_DENSE_QUERY_RATIO = 4.0
 AUTO_EMA_WEIGHT = 0.5
 
 
-class SGraph:
+class SGraph(PairwiseVerbs):
     """Sub-second pairwise queries over an evolving graph.
 
     Parameters
@@ -77,20 +74,27 @@ class SGraph:
     ) -> None:
         self._graph = graph if graph is not None else DynamicGraph(directed=directed)
         self._config = config or SGraphConfig()
+        self._families = self._config.queries
         self._indexes: Dict[str, HubIndex] = {}
         self._engines: Dict[str, PairwiseEngine] = {}
         self._unit_view = UnitWeightView(self._graph)
         self._hubs: set = set()
         self._cache = (QueryCache(self._config.cache_size)
                        if self._config.cache_size > 0 else None)
-        # backend="dense" serving state: per-family (epoch, engine) pairs
-        # built at the first query after a mutation, plus the plane chain
-        # that lets each epoch's dense tables derive from the previous one.
-        self._dense_serving: Dict[str, Tuple[int, PairwiseEngine]] = {}
-        self._dense_planes: Dict[str, DensePlane] = {}
-        # One search workspace per dense-served family, passed into each
-        # epoch's fresh engine: the O(V) search state survives epoch
-        # handoff, so steady-state queries only pay the sparse reset.
+        # The families a dense plane serves: the min-plus ones, unless the
+        # config pins the dict reference path.
+        self._dense_families = frozenset(
+            f for f in self._families
+            if FAMILIES[f].dense and self._config.backend != "dict"
+        )
+        # Frozen serving state per family, shared by the live facade's dense
+        # queries and every publish: the (epoch, engine) of the latest
+        # freeze; the latest plane built, which the next one derives from;
+        # and the one search workspace every frozen engine of the family
+        # binds, so the O(V) search state survives epoch handoff and
+        # steady-state queries only pay the sparse reset.
+        self._frozen: Dict[str, Tuple[int, PairwiseEngine]] = {}
+        self._planes: Dict[str, DensePlane] = {}
         self._workspaces: Dict[str, SearchWorkspace] = {}
         # backend="auto" crossover state: queries observed since the last
         # mutation, and an EMA of queries-per-update-interval (folded each
@@ -193,44 +197,17 @@ class SGraph:
         """
         cfg = self._config
         num_hubs = min(cfg.num_hubs, self._graph.num_vertices)
-        self._indexes = {}
-        self._engines = {}
+        indexes: Dict[str, HubIndex] = {}
         for family in cfg.queries:
-            if family == "distance":
-                index = HubIndex.build(
-                    self._graph, num_hubs, strategy=cfg.hub_strategy,
-                    seed=cfg.seed, semiring=SHORTEST_DISTANCE,
-                )
-                engine_graph = self._graph
-            elif family == "hops":
-                index = HubIndex.build(
-                    self._unit_view, num_hubs, strategy=cfg.hub_strategy,
-                    seed=cfg.seed, semiring=SHORTEST_DISTANCE,
-                )
-                engine_graph = self._unit_view
-            elif family == "reliability":
+            spec = FAMILIES[family]
+            if spec.semiring is RELIABILITY_PRODUCT:
                 self._validate_probability_weights()
-                index = HubIndex.build(
-                    self._graph, num_hubs, strategy=cfg.hub_strategy,
-                    seed=cfg.seed, semiring=RELIABILITY_PRODUCT,
-                )
-                engine_graph = self._graph
-            else:  # capacity
-                index = HubIndex.build(
-                    self._graph, num_hubs, strategy=cfg.hub_strategy,
-                    seed=cfg.seed, semiring=BOTTLENECK_CAPACITY,
-                )
-                engine_graph = self._graph
-            self._indexes[family] = index
-            self._engines[family] = PairwiseEngine(
-                engine_graph, index=index, policy=cfg.policy,
+            indexes[family] = HubIndex.build(
+                self._unit_view if spec.unit_weights else self._graph,
+                num_hubs, strategy=cfg.hub_strategy, seed=cfg.seed,
+                semiring=spec.semiring,
             )
-        self._hubs = set()
-        for index in self._indexes.values():
-            self._hubs.update(index.hubs)
-        # Dense engines froze the *old* tables; the plane chain stays (the
-        # CSR id space is still reusable) but serving engines must rebuild.
-        self._dense_serving = {}
+        self._install(indexes)
 
     def adopt_indexes(self, indexes: Dict[str, HubIndex]) -> None:
         """Install externally constructed indexes (persistence restore path).
@@ -254,18 +231,22 @@ class SGraph:
                     f"index for family {family!r} was built over a different "
                     "graph object"
                 )
-        self._indexes = dict(indexes)
-        self._engines = {}
-        for family, index in self._indexes.items():
-            # Bind each engine to the exact graph (or view) the index was
-            # built over, so the engine's identity check holds.
-            self._engines[family] = PairwiseEngine(
-                index.graph, index=index, policy=self._config.policy
-            )
-        self._hubs = set()
-        for index in self._indexes.values():
-            self._hubs.update(index.hubs)
-        self._dense_serving = {}
+        self._install(dict(indexes))
+
+    def _install(self, indexes: Dict[str, HubIndex]) -> None:
+        """Serve queries and maintenance from one index per family."""
+        policy = self._config.policy
+        self._indexes = indexes
+        # Bind each engine to the exact graph (or view) the index was built
+        # over, so the engine's identity check holds.
+        self._engines = {
+            family: PairwiseEngine(index.graph, index=index, policy=policy)
+            for family, index in indexes.items()
+        }
+        self._hubs = {h for index in indexes.values() for h in index.hubs}
+        # Frozen engines hold the old tables and must be refrozen; the plane
+        # chain stays (the CSR id space is still reusable).
+        self._frozen = {}
 
     def _validate_probability_weights(self) -> None:
         for src, dst, weight in self._graph.edges():
@@ -296,20 +277,17 @@ class SGraph:
             # observes graph state consistent with the event.  The hop index
             # is topology-only and skips the churn entirely.
             graph.remove_edge(src, dst)
-            if self._indexes:
-                for family, index in self._indexes.items():
-                    if family == "hops":
-                        continue
+            for family, index in self._indexes.items():
+                if not FAMILIES[family].unit_weights:
                     index.notify_edge_deleted(src, dst, old_weight)
                     settled += index.settled_last_update
         graph.add_edge(src, dst, weight)
-        if self._indexes:
-            for family, index in self._indexes.items():
-                if old_weight is not None and family == "hops":
-                    continue  # topology unchanged; hop index unaffected
-                w_new = 1.0 if family == "hops" else weight
-                index.notify_edge_inserted(src, dst, w_new)
-                settled += index.settled_last_update
+        for family, index in self._indexes.items():
+            unit = FAMILIES[family].unit_weights
+            if unit and old_weight is not None:
+                continue  # topology unchanged; hop index unaffected
+            index.notify_edge_inserted(src, dst, 1.0 if unit else weight)
+            settled += index.settled_last_update
         self.last_maintenance_settled = settled
 
     def remove_edge(self, src: int, dst: int) -> None:
@@ -317,11 +295,10 @@ class SGraph:
         old_weight = self._graph.edge_weight(src, dst)
         self._graph.remove_edge(src, dst)
         settled = 0
-        if self._indexes:
-            for family, index in self._indexes.items():
-                w_old = 1.0 if family == "hops" else old_weight
-                index.notify_edge_deleted(src, dst, w_old)
-                settled += index.settled_last_update
+        for family, index in self._indexes.items():
+            unit = FAMILIES[family].unit_weights
+            index.notify_edge_deleted(src, dst, 1.0 if unit else old_weight)
+            settled += index.settled_last_update
         self.last_maintenance_settled = settled
 
     def discard_edge(self, src: int, dst: int) -> bool:
@@ -364,233 +341,37 @@ class SGraph:
             count += 1
         return count
 
-    # -- queries ------------------------------------------------------------------
+    # -- serving: which engine answers a query ------------------------------------
 
-    def distance(
-        self, source: int, target: int, tolerance: float = 0.0
-    ) -> QueryResult:
-        """Weighted shortest-path cost from source to target.
-
-        ``tolerance`` requests a bounded-error approximation: the result is a
-        real path cost at most ``(1 + tolerance)`` times the optimum, letting
-        many more queries resolve directly from the index bounds.
-        """
-        return self._run(QueryKind.DISTANCE, "distance", source, target,
-                         tolerance=tolerance)
-
-    def hop_distance(self, source: int, target: int) -> QueryResult:
-        """Unweighted shortest-path length (hop count)."""
-        return self._run(QueryKind.HOPS, "hops", source, target)
-
-    def bottleneck(self, source: int, target: int) -> QueryResult:
-        """Widest-path capacity from source to target."""
-        return self._run(QueryKind.BOTTLENECK, "capacity", source, target)
-
-    def reliability(self, source: int, target: int) -> QueryResult:
-        """Most-reliable-path probability (edge weights are probabilities)."""
-        return self._run(QueryKind.RELIABILITY, "reliability", source, target)
-
-    def shortest_path(self, source: int, target: int) -> QueryResult:
-        """Weighted shortest path: cost plus an explicit vertex list.
-
-        The result's :attr:`~repro.core.pairwise.QueryResult.path` is None
-        when the target is unreachable.
-        """
-        return self._run_path(QueryKind.DISTANCE, "distance", source, target)
-
-    def widest_path(self, source: int, target: int) -> QueryResult:
-        """Bottleneck-optimal path: capacity plus an explicit vertex list."""
-        return self._run_path(QueryKind.BOTTLENECK, "capacity", source, target)
-
-    def _run_path(
-        self, kind: QueryKind, family: str, source: int, target: int
-    ) -> QueryResult:
-        self._ensure_indexes()
-        if family not in self._engines:
-            raise ConfigError(
-                f"{kind.value} path queries need the {family!r} family in "
-                f"SGraphConfig.queries (configured: {self._config.queries})"
-            )
-        engine = self._serving_engine(family)
-        start = time.perf_counter()
-        value, path, stats = engine.best_path(source, target)
-        stats.elapsed = time.perf_counter() - start
-        return QueryResult(
-            kind=kind,
-            source=source,
-            target=target,
-            value=value,
-            stats=stats,
-            epoch=self.epoch,
-            path=path,
-        )
-
-    def reachable(self, source: int, target: int) -> QueryResult:
-        """Whether any source→target path exists.
-
-        Served by whichever configured family answers cheapest: the first of
-        distance / hops / capacity present in the configuration.
-        """
-        self._ensure_indexes()
-        family = self._config.queries[0]
-        engine = self._serving_engine(family)
-        start = time.perf_counter()
-        exists, stats = engine.feasible(source, target)
-        stats.elapsed = time.perf_counter() - start
-        return QueryResult(
-            kind=QueryKind.REACHABILITY,
-            source=source,
-            target=target,
-            value=1.0 if exists else 0.0,
-            stats=stats,
-            epoch=self.epoch,
-        )
-
-    def within_distance(
-        self, source: int, target: int, budget: float
-    ) -> QueryResult:
-        """Whether the weighted distance source→target is ≤ ``budget``.
-
-        Usually answered from the index bounds alone (see
-        :meth:`PairwiseEngine.within_budget`); the result value is 1.0/0.0.
-        """
-        return self._run_budget("distance", source, target, budget)
-
-    def capacity_at_least(
-        self, source: int, target: int, budget: float
-    ) -> QueryResult:
-        """Whether some path of capacity ≥ ``budget`` exists."""
-        return self._run_budget("capacity", source, target, budget)
-
-    def reliability_at_least(
-        self, source: int, target: int, budget: float
-    ) -> QueryResult:
-        """Whether some path of delivery probability ≥ ``budget`` exists."""
-        return self._run_budget("reliability", source, target, budget)
-
-    def _run_budget(
-        self, family: str, source: int, target: int, budget: float
-    ) -> QueryResult:
-        self._ensure_indexes()
-        if family not in self._engines:
-            raise ConfigError(
-                f"budget queries on {family!r} need that family in "
-                f"SGraphConfig.queries (configured: {self._config.queries})"
-            )
-        engine = self._serving_engine(family)
-        start = time.perf_counter()
-        ok, stats = engine.within_budget(source, target, budget)
-        stats.elapsed = time.perf_counter() - start
-        return QueryResult(
-            kind=QueryKind.REACHABILITY,
-            source=source,
-            target=target,
-            value=1.0 if ok else 0.0,
-            stats=stats,
-            epoch=self.epoch,
-        )
-
-    def distance_many(
-        self, source: int, targets: Iterable[int]
-    ) -> Dict[int, float]:
-        """Shortest distances from ``source`` to every target in one pass.
-
-        Much cheaper than per-target :meth:`distance` calls when the target
-        set is large: index-closable targets cost nothing and the rest share
-        a single search (see :meth:`PairwiseEngine.one_to_many`).  Use
-        :meth:`distance_many_result` when the combined search counters are
-        wanted alongside the values.
-        """
-        return self.distance_many_result(source, targets).values
-
-    def distance_many_result(
-        self, source: int, targets: Iterable[int]
-    ) -> ManyQueryResult:
-        """Like :meth:`distance_many`, surfacing the combined counters.
-
-        Returns a :class:`~repro.core.pairwise.ManyQueryResult` whose
-        ``stats`` record covers the entire shared search — batched queries
-        are observable exactly like pairwise ones.  Under
-        ``backend="dense"`` the search runs on the flat-array plane.
-        """
-        self._ensure_indexes()
-        if "distance" not in self._engines:
-            raise ConfigError(
-                "distance_many needs the 'distance' family in "
-                f"SGraphConfig.queries (configured: {self._config.queries})"
-            )
-        engine = self._serving_engine("distance")
-        start = time.perf_counter()
-        results, stats = engine.one_to_many(source, list(targets))
-        stats.elapsed = time.perf_counter() - start
-        return ManyQueryResult(
-            kind=QueryKind.DISTANCE,
-            source=source,
-            values=results,
-            stats=stats,
-            epoch=self.epoch,
-        )
-
-    def nearest(self, source: int, k: int) -> List[Tuple[int, float]]:
-        """The ``k`` closest vertices to ``source`` by weighted distance.
-
-        Returns ``(vertex, distance)`` pairs sorted by distance (excluding
-        the source itself); fewer than ``k`` when the component is small.
-        A plain truncated Dijkstra — neighborhood queries don't benefit
-        from pairwise bounds, but they round out the query surface.
-        """
-        if k < 1:
-            raise QueryError("k must be >= 1")
-        return self._expand_from(source, max_results=k, radius=None)
-
-    def within(self, source: int, radius: float) -> List[Tuple[int, float]]:
-        """All vertices within weighted distance ``radius`` of ``source``."""
-        if radius < 0:
-            raise QueryError("radius must be non-negative")
-        return self._expand_from(source, max_results=None, radius=radius)
-
-    def _expand_from(
-        self,
-        source: int,
-        max_results: Optional[int],
-        radius: Optional[float],
-    ) -> List[Tuple[int, float]]:
-        """Truncated Dijkstra behind :meth:`nearest` / :meth:`within`.
-
-        Served by whichever engine answers ``distance`` queries (see
-        :meth:`_serving_engine`; under ``backend="auto"`` the expansion
-        counts as a query): over a dense plane it walks the per-epoch CSR
-        slices, otherwise the live dict adjacency — same distances either
-        way.  Equidistant vertices may order differently between the two
-        planes (heap tie-breaking); distances always agree.
-        """
-        if "distance" not in self._config.queries:
-            return expand_from_graph(self._graph, source, max_results, radius)
-        self._ensure_indexes()
-        return self._serving_engine("distance").expand(
-            source, max_results, radius
-        )
-
-    # -- dense serving (backend="dense" / "auto") ---------------------------------
-
-    def _serving_engine(self, family: str) -> PairwiseEngine:
-        """The engine answering queries for ``family``.
+    def _engine(self, family: str) -> PairwiseEngine:
+        """The engine answering ``family`` queries now.
 
         With ``backend="dense"`` the min-plus families are always served by
-        a per-epoch dense engine (flat arrays over the current snapshot).
-        With ``backend="auto"`` the same engine serves them once the
-        workload looks query-heavy (see :meth:`serving_backend`); under
-        heavy churn auto skips the per-epoch dense rebuild and stays on the
-        dict path.  Everything else — and every family under
-        ``backend="dict"`` — uses the live dict engine.  Value, path,
-        budget, and one-to-many queries all route through here.
+        this epoch's frozen engine (:meth:`_frozen_engine`), its plane built
+        here, before the query timer starts.  With ``backend="auto"`` the
+        same engine serves them once the workload looks query-heavy (see
+        :meth:`serving_backend`); under heavy churn auto skips the per-epoch
+        plane and stays on the dict path.  Everything else — and every
+        family under ``backend="dict"`` — uses the live dict engine.
         """
-        if family in ("distance", "hops"):
-            backend = self._config.backend
-            if backend == "dense" or (backend == "auto"
-                                      and self._note_query()):
-                return self._dense_engine(family)
-        return self._engines[family]
+        engine = self._engines.get(family)
+        if engine is None:
+            self.index_for(family)  # builds the indexes, or raises
+            engine = self._engines[family]
+        if family in self._dense_families and (
+                self._config.backend == "dense" or self._note_query()):
+            engine = self._frozen_engine(family)
+            engine.dense_plane  # forces the lazy build
+        return engine
+
+    def _expand(self, source: int, max_results: Optional[int],
+                radius: Optional[float]) -> List[Tuple[int, float]]:
+        """As :meth:`PairwiseVerbs._expand` (under ``backend="auto"`` the
+        expansion counts as a query); with no distance family configured,
+        a plain dict traversal of the live graph."""
+        if "distance" not in self._families:
+            return expand_from_graph(self._graph, source, max_results, radius)
+        return super()._expand(source, max_results, radius)
 
     def _auto_fold(self) -> Tuple[float, int]:
         """Project the auto-crossover state to the current epoch.
@@ -631,11 +412,10 @@ class SGraph:
         A non-destructive peek at the crossover decision — returns
         ``"dense"`` or ``"dict"`` without recording a query.
         """
-        if family not in ("distance", "hops"):
+        if family not in self._dense_families:
             return "dict"
-        backend = self._config.backend
-        if backend in ("dense", "dict"):
-            return backend
+        if self._config.backend == "dense":
+            return "dense"
         ema, queries = self._auto_fold()
         dense = (ema >= AUTO_DENSE_QUERY_RATIO
                  or queries + 1 >= AUTO_DENSE_QUERY_RATIO)
@@ -686,86 +466,59 @@ class SGraph:
                             capacity=capacity, transport=transport,
                             chunk=chunk, delta=delta, **transport_options)
 
-    def _dense_engine(self, family: str) -> PairwiseEngine:
-        """Per-epoch dense-served engine for one min-plus family (memoized).
+    def _frozen_engine(self, family: str) -> PairwiseEngine:
+        """This epoch's engine over the frozen state of ``family`` (memoized).
 
-        Built at the first query after a mutation: freeze the live index
-        (O(Δ) — derived from the previous freeze), snapshot the graph
-        (copy-on-write), and derive the dense plane from the previous
-        epoch's plane.  Queries between mutations reuse the cached engine.
+        The one freeze path, shared by the live facade's dense queries and
+        :meth:`VersionedStore.publish`: freeze the index (O(Δ), derived from
+        the previous freeze), wrap the tables in a frozen :class:`HubIndex`
+        over the copy-on-write snapshot (its unit-weight view for ``hops``)
+        and bind the family's search workspace.  A dense-served family gets
+        its :class:`DensePlane` lazily, at its first use, so a publish stays
+        O(Δ); the plane derives from the last plane built for the family,
+        whatever epoch that was (derivation diffs the frozen mappings
+        symmetrically, so views queried out of publish order are fine).
         """
-        entry = self._dense_serving.get(family)
-        if entry is not None and entry[0] == self.epoch:
+        epoch = self.epoch
+        entry = self._frozen.get(family)
+        if entry is not None and entry[0] == epoch:
             return entry[1]
+        index = self.index_for(family)
         snapshot = self.snapshot()
-        index = self._indexes[family]
         fwd, bwd = index.freeze()
-        view_graph = (UnitWeightView(snapshot) if family == "hops"
-                      else snapshot)
+        hubs = index.hubs
+        unit = FAMILIES[family].unit_weights
+        graph = UnitWeightView(snapshot) if unit else snapshot
         frozen = HubIndex.from_tables(
-            view_graph, index.hubs, index.semiring, fwd,
+            graph, hubs, index.semiring, fwd,
             backward_tables=bwd if snapshot.directed else None,
             copy=False,
         )
-        plane = DensePlane.build(
-            snapshot, index.hubs, fwd, bwd,
-            unit_weights=(family == "hops"),
-            prev=self._dense_planes.get(family),
-        )
-        self._dense_planes[family] = plane
-        workspace = self._workspaces.get(family)
-        if workspace is None:
-            workspace = self._workspaces[family] = SearchWorkspace()
+        build = workspace = None
+        if family in self._dense_families:
+            def build() -> DensePlane:
+                plane = self._planes[family] = DensePlane.build(
+                    snapshot, hubs, fwd, bwd, unit_weights=unit,
+                    prev=self._planes.get(family),
+                )
+                return plane
+
+            workspace = self._workspaces.setdefault(family, SearchWorkspace())
         engine = PairwiseEngine(
-            view_graph, index=frozen, policy=self._config.policy, dense=plane,
-            workspace=workspace,
+            graph, index=frozen, policy=self._config.policy,
+            dense_factory=build, workspace=workspace,
         )
-        self._dense_serving[family] = (self.epoch, engine)
+        self._frozen[family] = (epoch, engine)
         return engine
 
     def workspace_stats(self, family: str = "distance") -> Dict[str, int]:
         """Lifetime reuse counters of one family's dense search workspace.
 
-        All zeros until the family has served a dense query.  In steady
-        state ``workspace_allocs`` stays at 1 across epochs (the workspace
-        outlives each per-epoch engine) while ``workspace_hits`` /
+        All zeros until the family has served a dense query.  Every frozen
+        engine of the family binds the same workspace — the live facade's
+        and each published view's, at every epoch — so in steady state
+        ``workspace_allocs`` stays at 1 while ``workspace_hits`` /
         ``workspace_resets`` count reused searches.
         """
         workspace = self._workspaces.get(family) or SearchWorkspace()
         return workspace.stats_row()
-
-    def _run(
-        self,
-        kind: QueryKind,
-        family: str,
-        source: int,
-        target: int,
-        tolerance: float = 0.0,
-    ) -> QueryResult:
-        self._ensure_indexes()
-        if family not in self._engines:
-            raise ConfigError(
-                f"{kind.value} queries need the {family!r} family in "
-                f"SGraphConfig.queries (configured: {self._config.queries})"
-            )
-        cache_key = None
-        if self._cache is not None:
-            cache_key = (kind, source, target, tolerance)
-            cached = self._cache.get(cache_key, self.epoch)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
-        engine = self._serving_engine(family)
-        start = time.perf_counter()
-        value, stats = engine.best_cost(source, target, tolerance=tolerance)
-        stats.elapsed = time.perf_counter() - start
-        result = QueryResult(
-            kind=kind,
-            source=source,
-            target=target,
-            value=value,
-            stats=stats,
-            epoch=self.epoch,
-        )
-        if self._cache is not None:
-            self._cache.put(cache_key, self.epoch, result)
-        return result

@@ -17,26 +17,27 @@ journal via :meth:`repro.core.hub_index.HubIndex.freeze`.  A publish after
 independent of |V| and |E| — and publishing an epoch that is already the
 last published one is a dictionary lookup.  Only the first publish (or one
 right after a wholesale index rebuild) pays the old O(|V|·k) full-copy
-cost.  Queries against a view cost the same as live queries.  This is the
-deterministic single-process stand-in for SGraph's epoch-published,
-snapshot-isolated concurrent reads.
+cost.  The freeze itself is the facade's (``SGraph._frozen_engine``): a
+view and the live facade at the same epoch share one frozen engine per
+family, and so one dense plane.  Queries against a view answer the same
+verbs as live queries (:class:`~repro.core.pairwise.PairwiseVerbs`) at the
+same cost.  This is the deterministic single-process stand-in for SGraph's
+epoch-published, snapshot-isolated concurrent reads.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.engine import PairwiseEngine
-from repro.core.hub_index import DensePlane, HubIndex
-from repro.core.pairwise import ManyQueryResult, QueryKind, QueryResult
-from repro.errors import ConfigError, QueryError, SnapshotError
+from repro.core.hub_index import DensePlane
+from repro.core.pairwise import PairwiseVerbs
+from repro.errors import ConfigError, SnapshotError
 from repro.graph.snapshot import GraphSnapshot
-from repro.graph.views import UnitWeightView
 
 
-class FrozenView:
+class FrozenView(PairwiseVerbs):
     """Read-only pairwise query surface over one published epoch."""
 
     def __init__(
@@ -47,6 +48,7 @@ class FrozenView:
     ) -> None:
         self._snapshot = snapshot
         self._engines = engines
+        self._families = tuple(engines)
         self.label = label
 
     @property
@@ -102,97 +104,6 @@ class FrozenView:
             )
         return plane
 
-    def _run(self, kind: QueryKind, family: str, source: int,
-             target: int) -> QueryResult:
-        engine = self._engine(family)
-        start = time.perf_counter()
-        value, stats = engine.best_cost(source, target)
-        stats.elapsed = time.perf_counter() - start
-        return QueryResult(kind=kind, source=source, target=target,
-                           value=value, stats=stats, epoch=self.epoch)
-
-    def distance(self, source: int, target: int) -> QueryResult:
-        """Weighted shortest-path cost at this epoch."""
-        return self._run(QueryKind.DISTANCE, "distance", source, target)
-
-    def hop_distance(self, source: int, target: int) -> QueryResult:
-        """Hop count at this epoch."""
-        return self._run(QueryKind.HOPS, "hops", source, target)
-
-    def bottleneck(self, source: int, target: int) -> QueryResult:
-        """Widest-path capacity at this epoch."""
-        return self._run(QueryKind.BOTTLENECK, "capacity", source, target)
-
-    def reachable(self, source: int, target: int) -> QueryResult:
-        """Path existence at this epoch."""
-        family = next(iter(self._engines))
-        engine = self._engines[family]
-        start = time.perf_counter()
-        exists, stats = engine.feasible(source, target)
-        stats.elapsed = time.perf_counter() - start
-        return QueryResult(kind=QueryKind.REACHABILITY, source=source,
-                           target=target, value=1.0 if exists else 0.0,
-                           stats=stats, epoch=self.epoch)
-
-    def within_distance(
-        self, source: int, target: int, budget: float
-    ) -> QueryResult:
-        """Whether the weighted distance at this epoch is ≤ ``budget``."""
-        engine = self._engine("distance")
-        start = time.perf_counter()
-        ok, stats = engine.within_budget(source, target, budget)
-        stats.elapsed = time.perf_counter() - start
-        return QueryResult(kind=QueryKind.REACHABILITY, source=source,
-                           target=target, value=1.0 if ok else 0.0,
-                           stats=stats, epoch=self.epoch)
-
-    # -- batched queries ----------------------------------------------------
-
-    def distance_many(
-        self, source: int, targets: Iterable[int]
-    ) -> Dict[int, float]:
-        """Shortest distances to every target, as of this epoch.
-
-        One shared search (see :meth:`PairwiseEngine.one_to_many`); when
-        this view serves the dense plane the whole batch runs on the same
-        flat arrays as its pairwise queries.
-        """
-        return self.distance_many_result(source, targets).values
-
-    def distance_many_result(
-        self, source: int, targets: Iterable[int]
-    ) -> ManyQueryResult:
-        """Like :meth:`distance_many`, surfacing the combined counters."""
-        engine = self._engine("distance")
-        start = time.perf_counter()
-        results, stats = engine.one_to_many(source, list(targets))
-        stats.elapsed = time.perf_counter() - start
-        return ManyQueryResult(
-            kind=QueryKind.DISTANCE,
-            source=source,
-            values=results,
-            stats=stats,
-            epoch=self.epoch,
-        )
-
-    def nearest(self, source: int, k: int) -> List[Tuple[int, float]]:
-        """The ``k`` closest vertices to ``source`` as of this epoch.
-
-        Runs over the view's dense CSR when the distance family is served
-        dense; otherwise a dict traversal of the frozen snapshot.
-        """
-        if k < 1:
-            raise QueryError("k must be >= 1")
-        return self._engine("distance").expand(source, max_results=k,
-                                               radius=None)
-
-    def within(self, source: int, radius: float) -> List[Tuple[int, float]]:
-        """All vertices within distance ``radius``, as of this epoch."""
-        if radius < 0:
-            raise QueryError("radius must be non-negative")
-        return self._engine("distance").expand(source, max_results=None,
-                                               radius=radius)
-
 
 class VersionedStore:
     """Bounded ring of published epochs over one :class:`repro.SGraph`."""
@@ -203,10 +114,6 @@ class VersionedStore:
         self._sgraph = sgraph
         self._capacity = capacity
         self._views: "OrderedDict[int, FrozenView]" = OrderedDict()
-        # Most recently *built* dense plane per family — the `prev` seed that
-        # lets the next epoch's plane derive its CSR id space and hub rows
-        # delta-proportionally instead of from scratch.
-        self._planes: Dict[str, DensePlane] = {}
         self._subscribers: List = []
 
     @property
@@ -227,39 +134,16 @@ class VersionedStore:
         epoch twice returns the existing view; otherwise the cost is
         proportional to the churn since the last publish (the snapshot and
         every frozen table are derived from the previous version plus the
-        change journals — see the module docstring).
+        change journals — see the module docstring), and no dense plane is
+        built until the view's first dense query or :meth:`FrozenView.dense_plane`.
         """
         sg = self._sgraph
         epoch = sg.epoch
         existing = self._views.get(epoch)
         if existing is not None:
             return existing
-        snapshot = sg.snapshot()  # memoized per epoch
-        engines: Dict[str, PairwiseEngine] = {}
-        for family in sg.config.queries:
-            index = sg.index_for(family)
-            fwd, bwd = index.freeze()
-            view_graph = (UnitWeightView(snapshot) if family == "hops"
-                          else snapshot)
-            frozen_index = HubIndex.from_tables(
-                view_graph, index.hubs, index.semiring, fwd,
-                backward_tables=bwd if snapshot.directed else None,
-                copy=False,
-            )
-            # Dense serving for the min-plus families unless the config pins
-            # the dict reference path.  The factory defers the plane build
-            # to the first query against this view, so publish() itself
-            # stays O(Δ) — no CSR or array materialization here.
-            dense_factory = None
-            if sg.config.backend != "dict" and family in ("distance", "hops"):
-                dense_factory = self._make_plane_factory(
-                    family, snapshot, index.hubs, fwd, bwd
-                )
-            engines[family] = PairwiseEngine(
-                view_graph, index=frozen_index, policy=sg.config.policy,
-                dense_factory=dense_factory,
-            )
-        view = FrozenView(snapshot, engines, label=label)
+        engines = {f: sg._frozen_engine(f) for f in sg.config.queries}
+        view = FrozenView(sg.snapshot(), engines, label=label)
         self._views[epoch] = view
         sg._note_published(epoch)
         while len(self._views) > self._capacity:
@@ -291,27 +175,6 @@ class VersionedStore:
                 pass
 
         return unsubscribe
-
-    def _make_plane_factory(self, family, snapshot, hubs, fwd, bwd):
-        """Lazy :class:`DensePlane` builder for one published family.
-
-        Chains off the last plane this store built for the family, whatever
-        epoch that was: derivation diffs the frozen mapping objects
-        symmetrically (union of both overlays), so it is order-independent
-        even when views are queried out of publish order or some freezes
-        were never queried at all.
-        """
-
-        def build() -> DensePlane:
-            plane = DensePlane.build(
-                snapshot, hubs, fwd, bwd,
-                unit_weights=(family == "hops"),
-                prev=self._planes.get(family),
-            )
-            self._planes[family] = plane
-            return plane
-
-        return build
 
     def view_at(self, epoch: int) -> FrozenView:
         """The view published at exactly ``epoch``."""

@@ -39,10 +39,10 @@ def _auto() -> SGraph:
 
 
 def _served_dense(sg: SGraph) -> bool:
-    """Whether the last distance query ran on the dense plane (the dense
-    serving cache holds an engine for the current epoch exactly when it
-    did)."""
-    entry = sg._dense_serving.get("distance")
+    """Whether the last distance query ran on the dense plane (with nothing
+    published, the facade holds a frozen engine for the current epoch
+    exactly when it did)."""
+    entry = sg._frozen.get("distance")
     return entry is not None and entry[0] == sg.epoch
 
 

@@ -419,7 +419,7 @@ class TestDerivedRowsMatchRebuild:
             _churn(rng, (sg,), rounds=10)
             view = store.publish()
             view.distance(verts[0], verts[1])  # derived from the prev plane
-            derived = store._planes["distance"]
+            derived = view.dense_plane("distance")
             index = sg.index_for("distance")
             fwd, bwd = index.freeze()
             fresh = DensePlane.build(view.snapshot, index.hubs, fwd, bwd)
@@ -433,8 +433,9 @@ class TestDerivedRowsMatchRebuild:
                 )
 
     def test_skipped_publish_still_derives_correctly(self):
-        # The store derives from the last *queried* plane, whatever epoch it
-        # came from — churn twice between queries to force a 2-epoch diff.
+        # A plane derives from the family's last *built* plane, whatever
+        # epoch it came from — churn twice between queries to force a
+        # 2-epoch diff.
         rng = random.Random(41)
         g = _random_graph(rng, 50, 150, directed=False)
         sg = SGraph(graph=g, config=SGraphConfig(
@@ -448,7 +449,7 @@ class TestDerivedRowsMatchRebuild:
         _churn(rng, (sg,), rounds=8)
         view = store.publish()
         view.distance(verts[0], verts[1])
-        derived = store._planes["distance"]
+        derived = view.dense_plane("distance")
         index = sg.index_for("distance")
         fwd, bwd = index.freeze()
         fresh = DensePlane.build(view.snapshot, index.hubs, fwd, bwd)

@@ -16,7 +16,8 @@ from repro.baselines.dijkstra import (
 )
 from repro.baselines.recompute import RecomputeEngine
 from repro.baselines.streaming_engine import ContinuousPairwiseEngine
-from repro.baselines.ub_only import UpperBoundOnlyEngine
+from repro.core.engine import PairwiseEngine
+from repro.core.hub_index import HubIndex
 from repro.core.pairwise import QueryKind
 from repro.errors import QueryError
 from repro.graph.generators import erdos_renyi_graph
@@ -113,28 +114,35 @@ class TestRecompute:
         assert engine.settled_last_update == 0
 
 
+def _upper_only(graph, num_hubs):
+    """The Tripoline-style comparator: a hub index that follows the graph as
+    an ingest listener, used only to seed the search's upper bound."""
+    index = HubIndex.build(graph, num_hubs)
+    return index, PairwiseEngine(graph, index=index, policy="upper-only")
+
+
 class TestUpperBoundOnly:
     def test_distance_correct(self, small_powerlaw):
-        engine = UpperBoundOnlyEngine(small_powerlaw, num_hubs=4)
+        _index, engine = _upper_only(small_powerlaw, 4)
         verts = sorted(small_powerlaw.vertices())
         ref = reference_dijkstra(small_powerlaw, verts[0])
         for t in verts[1:8]:
-            assert engine.distance(verts[0], t).value == pytest.approx(
+            assert engine.best_cost(verts[0], t)[0] == pytest.approx(
                 ref.get(t, math.inf)
             )
 
     def test_tracks_updates_via_listener(self, line_graph):
-        engine = UpperBoundOnlyEngine(line_graph, num_hubs=2)
-        ingest = IngestEngine(line_graph, [engine])
+        index, engine = _upper_only(line_graph, 2)
+        ingest = IngestEngine(line_graph, [index])
         ingest.apply_update(EdgeUpdate.insert(0, 4, 0.5))
-        assert engine.distance(0, 4).value == 0.5
+        assert engine.best_cost(0, 4)[0] == 0.5
         ingest.apply_update(EdgeUpdate.delete(0, 4))
-        assert engine.distance(0, 4).value == 4.0
+        assert engine.best_cost(0, 4)[0] == 4.0
 
     def test_reachable(self, two_components):
-        engine = UpperBoundOnlyEngine(two_components, num_hubs=2)
-        assert engine.reachable(0, 1).value == 1.0
-        assert engine.reachable(0, 2).value == 0.0
+        _index, engine = _upper_only(two_components, 2)
+        assert engine.feasible(0, 1)[0] is True
+        assert engine.feasible(0, 2)[0] is False
 
 
 class TestContinuousEngine:

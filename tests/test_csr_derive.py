@@ -20,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SGraphConfig
+from repro.core.hub_index import DensePlane
 from repro.graph.csr import CSRGraph
 from repro.graph.deltas import LayeredMapping
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.generators import erdos_renyi_graph
+from repro.graph.generators import erdos_renyi_graph, grid_graph
 from repro.sgraph import SGraph
 from repro.streaming.versioning import VersionedStore
 
@@ -226,7 +227,7 @@ def test_unit_variant_derives_from_weighted_parent():
 @pytest.mark.parametrize("live", [False, True])
 def test_serving_planes_chain_without_full_builds(queries, live, full_builds):
     """Three publishes through the real call sites: the store's per-family
-    plane chain and the live facade's ``_dense_planes``."""
+    plane chain and the live facade's, which are one chain."""
     graph = _directed_graph(90, seed=9)
     sg = SGraph(graph=graph, config=SGraphConfig(
         num_hubs=4, queries=queries, backend="dense"))
@@ -242,8 +243,7 @@ def test_serving_planes_chain_without_full_builds(queries, live, full_builds):
         if live:
             sg.hop_distance(verts[0], verts[1])
             snapshot = sg.snapshot()
-            planes = {f: sg._dense_planes[f] for f in queries
-                      if f in sg._dense_planes}
+            planes = {f: sg._planes[f] for f in queries if f in sg._planes}
         else:
             view = store.publish()
             snapshot = view.snapshot
@@ -258,3 +258,32 @@ def test_serving_planes_chain_without_full_builds(queries, live, full_builds):
         if "distance" in planes:
             assert planes["distance"].csr is snapshot.to_csr()
     assert full_builds == [first_epoch]
+
+
+def test_live_facade_and_views_build_one_plane_per_epoch(monkeypatch):
+    """The live facade and a view of the same epoch are served by one
+    plane, built once; the next epoch's plane derives from it, whichever
+    side asks first."""
+    build = DensePlane.build.__func__
+    built = []  # (plane, derived from a previous plane)
+
+    def counting(cls, *args, **kwargs):
+        plane = build(cls, *args, **kwargs)
+        built.append((plane, kwargs.get("prev") is not None))
+        return plane
+
+    monkeypatch.setattr(DensePlane, "build", classmethod(counting))
+    sg = SGraph(graph=grid_graph(16, 16, seed=3), config=SGraphConfig(
+        num_hubs=4, backend="dense"))
+    store = VersionedStore(sg)
+    s, t = 0, 255
+    live = sg.distance(s, t)
+    view = store.publish()
+    assert view.distance(s, t).value == live.value
+    assert len(built) == 1
+    assert view.dense_plane("distance") is built[0][0]
+    sg.add_edge(s, 17, 0.5)
+    view = store.publish()
+    assert view.distance(s, t).value == sg.distance(s, t).value
+    assert [derived for _plane, derived in built] == [False, True]
+    assert view.dense_plane("distance") is built[1][0]

@@ -56,7 +56,7 @@ def _engines(seed: int, policy: PruningPolicy, directed: bool):
         num_hubs=6, policy=policy, queries=("distance",), backend="dense",
     ))
     sg._ensure_indexes()
-    return g, dict_engine, sg._dense_engine("distance")
+    return g, dict_engine, sg._frozen_engine("distance")
 
 
 def _path_cost(g: DynamicGraph, path) -> float:
@@ -194,7 +194,7 @@ def test_dense_path_needs_index_for_witness():
         num_hubs=6, queries=("distance",), backend="dense",
     ))
     sg._ensure_indexes()
-    plane = sg._dense_engine("distance").dense_plane
+    plane = sg._frozen_engine("distance").dense_plane
     from repro.serving import PlaneGraph
 
     engine = PairwiseEngine(

@@ -9,8 +9,9 @@ import pytest
 from repro.baselines.dijkstra import dijkstra_distance
 from repro.baselines.recompute import RecomputeEngine
 from repro.baselines.streaming_engine import ContinuousPairwiseEngine
-from repro.baselines.ub_only import UpperBoundOnlyEngine
 from repro.core.config import SGraphConfig
+from repro.core.engine import PairwiseEngine
+from repro.core.hub_index import HubIndex
 from repro.graph.datasets import load_dataset
 from repro.graph.stats import sample_vertex_pairs
 from repro.sgraph import SGraph
@@ -29,7 +30,8 @@ class TestFourSystemsAgree:
 
         sg = SGraph(graph=graph, config=SGraphConfig(num_hubs=8))
         sg.distance(*pairs[0])  # build index
-        ub_only = UpperBoundOnlyEngine(graph, num_hubs=8)
+        ub_index = HubIndex.build(graph, 8)
+        ub_only = PairwiseEngine(graph, index=ub_index, policy="upper-only")
         recompute = RecomputeEngine(graph)
         continuous = ContinuousPairwiseEngine(graph)
         continuous.register_pairs(pairs)
@@ -47,21 +49,21 @@ class TestFourSystemsAgree:
                 old_w = graph.edge_weight(upd.src, upd.dst) if existed else None
                 sg.add_edge(upd.src, upd.dst, upd.weight)
                 if existed:
-                    ub_only.notify_edge_deleted(upd.src, upd.dst, old_w)
+                    ub_index.notify_edge_deleted(upd.src, upd.dst, old_w)
                     continuous.notify_edge_deleted(upd.src, upd.dst, old_w)
-                ub_only.notify_edge_inserted(upd.src, upd.dst, upd.weight)
+                ub_index.notify_edge_inserted(upd.src, upd.dst, upd.weight)
                 continuous.notify_edge_inserted(upd.src, upd.dst, upd.weight)
             else:
                 if graph.has_edge(upd.src, upd.dst):
                     old_w = graph.edge_weight(upd.src, upd.dst)
                     sg.remove_edge(upd.src, upd.dst)
-                    ub_only.notify_edge_deleted(upd.src, upd.dst, old_w)
+                    ub_index.notify_edge_deleted(upd.src, upd.dst, old_w)
                     continuous.notify_edge_deleted(upd.src, upd.dst, old_w)
 
         for s, t in pairs:
             expected = recompute.distance(s, t).value
             assert sg.distance(s, t).value == pytest.approx(expected)
-            assert ub_only.distance(s, t).value == pytest.approx(expected)
+            assert ub_only.best_cost(s, t)[0] == pytest.approx(expected)
             assert continuous.distance(s, t).value == pytest.approx(expected)
 
 
@@ -95,14 +97,15 @@ class TestScheduledWorkload:
 class TestIngestWithMultipleListeners:
     def test_shared_stream_keeps_everyone_consistent(self):
         graph = load_dataset("uniform-er")
-        sg_view = UpperBoundOnlyEngine(graph, num_hubs=4)
+        ub_index = HubIndex.build(graph, 4)
+        ub_only = PairwiseEngine(graph, index=ub_index, policy="upper-only")
         continuous = ContinuousPairwiseEngine(graph)
         verts = sorted(graph.vertices())
         continuous.register_source(verts[0])
-        ingest = IngestEngine(graph, [sg_view, continuous])
+        ingest = IngestEngine(graph, [ub_index, continuous])
         stats = ingest.apply_all(mixed_stream(graph, 100, 0.7, seed=7))
         assert stats.applied == 100
         for t in verts[1:15]:
             ref, _s = dijkstra_distance(graph, verts[0], t)
-            assert sg_view.distance(verts[0], t).value == pytest.approx(ref)
+            assert ub_only.best_cost(verts[0], t)[0] == pytest.approx(ref)
             assert continuous.distance(verts[0], t).value == pytest.approx(ref)

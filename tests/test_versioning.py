@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.core.config import SGraphConfig
+from repro.core.pairwise import ManyQueryResult, PairwiseVerbs
 from repro.errors import ConfigError, SnapshotError
 from repro.graph.generators import erdos_renyi_graph, power_law_graph
 from repro.sgraph import SGraph
@@ -133,3 +134,110 @@ class TestMultiVersionHistory:
                 view.label
             )
         assert store.epochs() == sorted(store.epochs())
+
+
+# -- one verb surface -----------------------------------------------------------
+
+ALL_FAMILIES = ("distance", "hops", "capacity", "reliability")
+
+
+def _verb_calls(pairs, far):
+    """(verb, args) for every verb, over ``pairs``; ``far`` seeds budgets."""
+    calls = {verb: [] for verb in (
+        "distance", "hop_distance", "bottleneck", "reliability",
+        "shortest_path", "widest_path", "reachable", "within_distance",
+        "capacity_at_least", "reliability_at_least", "distance_many",
+        "distance_many_result", "nearest", "within")}
+    for s, t in pairs:
+        for verb in ("distance", "hop_distance", "bottleneck", "reliability",
+                     "shortest_path", "widest_path", "reachable"):
+            calls[verb].append((s, t))
+        calls["distance"].append((s, t, 0.25))
+        for budget in (0.5 * far, far, 2.0 * far):
+            calls["within_distance"].append((s, t, budget))
+        for budget in (0.05, 0.3, 0.9):
+            calls["capacity_at_least"].append((s, t, budget))
+            calls["reliability_at_least"].append((s, t, budget ** 3))
+    targets = [t for _s, t in pairs]
+    for s, _t in pairs[:3]:
+        calls["distance_many"].append((s, targets))
+        calls["distance_many_result"].append((s, targets))
+        calls["nearest"].append((s, 7))
+        calls["within"].append((s, far))
+    return calls
+
+
+def _answer(out):
+    """Everything an answer says: values, path, epoch and the six search
+    counters (workspace counters depend on which engine ran before)."""
+    if isinstance(out, (dict, list)):
+        return out
+    stats = out.stats
+    counters = (stats.activations, stats.pushes, stats.relaxations,
+                stats.pruned_by_upper_bound, stats.pruned_by_lower_bound,
+                stats.answered_by_index)
+    if isinstance(out, ManyQueryResult):
+        return out.kind, out.source, out.values, out.epoch, counters
+    return (out.kind, out.source, out.target, out.value, out.path,
+            out.epoch, counters)
+
+
+class TestOneVerbSurface:
+    """``SGraph`` and a ``FrozenView`` of its current epoch answer every
+    verb identically, whichever plane serves each side."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("backend", ["dict", "dense", "auto"])
+    def test_every_verb_matches_the_live_facade(self, backend, directed):
+        graph = erdos_renyi_graph(48, 150, seed=11 + directed,
+                                  directed=directed, weight_range=(0.05, 1.0))
+        sg = SGraph(graph=graph, config=SGraphConfig(
+            num_hubs=4, queries=ALL_FAMILIES, backend=backend))
+        store = VersionedStore(sg)
+        store.publish().distance(0, 1)
+        sg.add_edge(0, 47, 0.5)
+        sg.discard_edge(*next(iter(graph.edges()))[:2])
+        view = store.publish()
+        assert view.epoch == sg.epoch
+        pairs = [(0, 47), (3, 3), (5, 20), (9, 41), (30, 2), (44, 13)]
+        calls = _verb_calls(pairs, far=sg.distance(5, 20).value)
+        public = {name for name in vars(PairwiseVerbs)
+                  if not name.startswith("_")}
+        assert set(calls) == public
+        for verb, arg_lists in calls.items():
+            for args in arg_lists:
+                live = getattr(sg, verb)(*args)
+                assert _answer(getattr(view, verb)(*args)) == _answer(live), (
+                    verb, args)
+
+    def test_unconfigured_family_raises_on_both(self):
+        sg = SGraph(graph=erdos_renyi_graph(30, 80, seed=2,
+                                            weight_range=(0.1, 1.0)),
+                    config=SGraphConfig(num_hubs=3))
+        view = VersionedStore(sg).publish()
+        for verb in ("hop_distance", "bottleneck", "reliability",
+                     "widest_path"):
+            for side in (sg, view):
+                with pytest.raises(ConfigError):
+                    getattr(side, verb)(0, 1)
+        for verb in ("capacity_at_least", "reliability_at_least"):
+            for side in (sg, view):
+                with pytest.raises(ConfigError):
+                    getattr(side, verb)(0, 1, 0.5)
+
+    def test_reachable_uses_the_first_configured_family(self, monkeypatch):
+        sg = SGraph(graph=erdos_renyi_graph(30, 80, seed=3,
+                                            weight_range=(0.1, 1.0)),
+                    config=SGraphConfig(num_hubs=3,
+                                        queries=("reliability", "distance")))
+        view = VersionedStore(sg).publish()
+        asked = []
+        for side in (sg, view):
+            def spy(family, engine=side._engine):
+                asked.append(family)
+                return engine(family)
+
+            monkeypatch.setattr(side, "_engine", spy)
+        assert (_answer(sg.reachable(0, 29))
+                == _answer(view.reachable(0, 29)))
+        assert asked == ["reliability", "reliability"]

@@ -62,7 +62,7 @@ def _dense_engine(seed: int, policy: PruningPolicy,
         num_hubs=6, policy=policy, queries=("distance",), backend="dense",
     ))
     sg._ensure_indexes()
-    base = sg._dense_engine("distance")
+    base = sg._frozen_engine("distance")
     plane = base.dense_plane
     engine = PairwiseEngine(
         base._graph, index=base.index, policy=policy, dense=plane,
