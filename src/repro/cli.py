@@ -198,6 +198,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import leaked_segments, shm_available
     from repro.streaming.workload import query_stream
 
+    if args.delta and args.transport != "tcp":
+        print("--delta requires --transport tcp", file=sys.stderr)
+        return 2
     if args.transport == "shm" and not shm_available():
         print("POSIX shared memory is unavailable on this platform",
               file=sys.stderr)
@@ -208,9 +211,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config=SGraphConfig(num_hubs=args.hubs, hub_strategy=args.strategy,
                             queries=("distance",)),
     )
-    if args.delta and args.transport != "tcp":
-        print("--delta requires --transport tcp", file=sys.stderr)
-        return 2
     pairs = list(query_stream(graph, args.queries, seed=7))
     verts = sorted(graph.vertices())
     rng = random.Random(11)

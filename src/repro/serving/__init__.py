@@ -23,8 +23,11 @@ publishing.  Three layers:
   named segment readers map zero-copy
   (:mod:`repro.serving.shm_plane`); :class:`~repro.serving.net.NetTransport`
   announces each publish over length-prefixed TCP and remote readers fetch
-  the payload once into a digest-verified local cache
-  (fetch-on-publish).
+  the payload once — in full, or as a delta against a cached ``base`` —
+  into a digest-verified local cache (fetch-on-publish).  Every reader,
+  pool worker or remote :class:`~repro.serving.net.NetReader`, is one
+  :class:`~repro.serving.transport.PlaneReader`: it holds one lease and
+  the engine over it, acquiring a new epoch before releasing the old.
 
 :mod:`repro.serving.pool` ties it together: :class:`WorkerPool` /
 :class:`ServeSession` fan requests across reader processes generically

@@ -15,15 +15,16 @@ reader fleets anywhere can serve published epochs:
   the payload **once**, verify the digest, and decode it into a private
   :class:`~repro.core.hub_index.DensePlane` (fetch-on-publish: the bytes
   cross the socket once per reader per epoch, never per query);
-* a **delta-enabled** reader instead sends ``fetch_delta`` naming the
+* a **delta-enabled** reader's ``fetch`` also names, as ``base``, the
   digest of the newest payload it already holds; the server diffs the two
   planes' chunk tables (:func:`~repro.serving.codec.encode_plane_delta`
   over its last ``cache_planes`` published payloads) and ships only the
   churned chunks — O(Δ) bytes per epoch instead of O(|plane|).  The
   reader composes the delta onto a *copy* of its cached payload and the
   composed plane's digest is verified before swap-in; when the base was
-  evicted (or composition fails) the server/reader fall back to a full
-  frame, so delta mode is never less correct than full mode;
+  evicted the server answers with the full frame, and when composition
+  fails the reader refetches without a base, so delta mode is never less
+  correct than full mode;
 * queries then run entirely locally on the cached plane — the same
   ``_search_dense`` hot path, bit-identical to shm workers — and the
   refcount protocol retires old epochs exactly as on shm.  A reader
@@ -31,10 +32,10 @@ reader fleets anywhere can serve published epochs:
   thread, returning its refcount.
 
 Wire format: every message is an 8-byte big-endian length followed by a
-JSON body; a ``fetch`` (or ``fetch_delta``) response is followed by one
-raw frame carrying the encoded plane (or delta frame).  Ops: ``hello``,
-``poll``, ``acquire``, ``release``, ``fetch``, ``fetch_delta``,
-``stats``.
+JSON body; a ``fetch`` response (``mode`` "full" or "delta") is followed
+by one raw frame carrying the encoded plane or the delta frame.  Ops:
+``hello``, ``poll``, ``acquire``, ``release``, ``fetch`` (optional
+``base``), ``stats``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from repro.errors import (
 )
 from repro.serving.faults import Backoff
 from repro.serving.codec import (
-    PlaneGraph,
     apply_plane_delta,
     decode_plane,
     delta_header,
@@ -71,6 +71,7 @@ from repro.serving.registry import DEFAULT_SLOTS, EpochRegistry
 from repro.serving.transport import (
     PlaneClient,
     PlaneLease,
+    PlaneReader,
     PlaneTransport,
     ReaderSpec,
 )
@@ -255,19 +256,25 @@ class PlaneServer:
         with self._registry.lock:
             return {r: dict(d) for r, d in self._fetches.items()}
 
-    def transfer_stats(self) -> Dict[str, int]:
-        """Delta/full fetch counters, byte totals, lifecycle counters."""
-        with self._registry.lock:
-            stats = dict(self._transfer)
-            stats.update(self._lifecycle)
-            return stats
-
-    def cache_info(self) -> Dict[str, int]:
-        """Delta-base history depth and current occupancy."""
+    def stats(self) -> dict:
+        """Slots, per-reader fetch totals, and the ``transfer`` (delta/full
+        fetches, byte totals), ``lifecycle`` (reaps, idle closes, drains)
+        and ``cache`` (delta-base history depth and occupancy) counters —
+        the ``stats`` op's body, as one snapshot."""
         with self._registry.lock:
             return {
-                "cache_planes": self._cache_planes,
-                "cached": len(self._history),
+                "server_id": self.server_id,
+                "generation": self._registry.generation(),
+                "slots": self._registry.slots(),
+                "fetches": {
+                    r: sum(d.values()) for r, d in self._fetches.items()
+                },
+                "cache": {
+                    "cache_planes": self._cache_planes,
+                    "cached": len(self._history),
+                },
+                "transfer": dict(self._transfer),
+                "lifecycle": dict(self._lifecycle),
             }
 
     def close(self, drain: bool = True,
@@ -481,26 +488,6 @@ class PlaneServer:
                 entry = self._payloads.get(msg["slot"])
                 if entry is not None:
                     payload, digest, _epoch = entry
-                    self._record_fetch(reader, digest,
-                                       len(payload), len(payload),
-                                       delta=False)
-            if entry is None:
-                _send_msg(conn, {
-                    "ok": False,
-                    "error": f"slot {msg['slot']} holds no plane",
-                })
-            else:
-                _send_msg(conn, {
-                    "ok": True, "digest": digest,
-                    "nbytes": len(payload),
-                })
-                _send_frame(conn, payload)
-        elif op == "fetch_delta":
-            with self._registry.lock:
-                entry = self._payloads.get(msg["slot"])
-                frame, mode = None, "full"
-                if entry is not None:
-                    payload, digest, _epoch = entry
                     frame, mode = self._delta_or_full(
                         msg.get("base"), payload, digest,
                     )
@@ -520,23 +507,7 @@ class PlaneServer:
                 })
                 _send_frame(conn, frame)
         elif op == "stats":
-            with self._registry.lock:
-                _send_msg(conn, {
-                    "ok": True,
-                    "server_id": self.server_id,
-                    "generation": self._registry.generation(),
-                    "slots": self._registry.slots(),
-                    "fetches": {
-                        r: sum(d.values())
-                        for r, d in self._fetches.items()
-                    },
-                    "cache": {
-                        "cache_planes": self._cache_planes,
-                        "cached": len(self._history),
-                    },
-                    "transfer": dict(self._transfer),
-                    "lifecycle": dict(self._lifecycle),
-                })
+            _send_msg(conn, {"ok": True, **self.stats()})
         else:
             _send_msg(conn, {"ok": False,
                              "error": f"unknown op {op!r}"})
@@ -548,7 +519,7 @@ class NetTransport(PlaneTransport):
 
     kind = "tcp"
 
-    def __init__(self, num_workers: int = 0, host: str = "127.0.0.1",
+    def __init__(self, host: str = "127.0.0.1",
                  port: int = 0, cache_planes: int = DEFAULT_CACHE_PLANES,
                  num_slots: int = DEFAULT_SLOTS,
                  delta: bool = False,
@@ -567,17 +538,14 @@ class NetTransport(PlaneTransport):
                                    cache_planes=cache_planes,
                                    generation_base=generation_base,
                                    idle_timeout=idle_timeout)
-        self._cache_planes = cache_planes
-        self._delta = bool(delta)
-        self._num_workers = num_workers
-        self._retry = retry
-        self._backoff = backoff
-        self._max_backoff = max_backoff
-        self._op_timeout = op_timeout
         # When readers must dial something other than the bind address
         # (a fault proxy in tests, a NAT'd endpoint in deployment),
         # reader specs advertise that address instead.
-        self._advertise = advertise
+        host, port = advertise or (self._server.host, self._server.port)
+        self._spec = TcpReaderSpec(
+            host, port, cache_planes, delta=bool(delta), retry=retry,
+            backoff=backoff, max_backoff=max_backoff, op_timeout=op_timeout,
+        )
         self._published: set = set()
 
     @property
@@ -601,28 +569,17 @@ class NetTransport(PlaneTransport):
         self._published.add(epoch)
         return True
 
-    @property
-    def delta(self) -> bool:
-        """Whether readers spawned from this transport fetch deltas."""
-        return self._delta
-
     def reader_spec(self) -> "TcpReaderSpec":
-        host, port = self._advertise or (self._server.host,
-                                         self._server.port)
-        return TcpReaderSpec(
-            host, port, self._cache_planes,
-            delta=self._delta, retry=self._retry, backoff=self._backoff,
-            max_backoff=self._max_backoff, op_timeout=self._op_timeout,
-        )
+        return self._spec
 
     def transfer_stats(self) -> Dict[str, int]:
-        """Server-side delta/full fetch counters (see ``stats_row``)."""
-        stats = self._server.transfer_stats()
-        stats.update(self._server.cache_info())
-        return stats
+        """The server's transfer, lifecycle and cache counters, flattened
+        into one row (see ``stats_row``)."""
+        stats = self._server.stats()
+        return {**stats["transfer"], **stats["lifecycle"], **stats["cache"]}
 
     def describe(self) -> str:
-        mode = "delta" if self._delta else "full"
+        mode = "delta" if self._spec.delta else "full"
         return f"tcp {self.address} ({mode} fetch)"
 
     def close(self) -> None:
@@ -667,12 +624,12 @@ class NetClient(PlaneClient):
     round-trip (no payload), so each epoch's buffers cross the socket
     exactly once however many queries it serves.
 
-    With ``delta=True`` a cache miss first tries ``fetch_delta`` against
-    the newest cached payload: the server ships only the churned chunks,
-    the client composes them onto a copy of its cached bytes, and the
+    With ``delta=True`` a cache miss fetches against the newest cached
+    payload as ``base``: the server ships only the churned chunks, the
+    client composes them onto a copy of its cached bytes, and the
     composed payload's digest is verified before the plane is decoded and
-    swapped in.  Any delta failure (base evicted server-side, composition
-    mismatch) falls back to a verified full fetch.
+    swapped in.  A base evicted server-side comes back as a full frame; a
+    composition mismatch is refetched without a base.
 
     **Fault tolerance.**  Every public op runs inside a retry loop: a
     transport fault (connection reset, peer EOF mid-frame, corrupt frame)
@@ -687,8 +644,6 @@ class NetClient(PlaneClient):
     the previous incarnation compare unequal even if the restarted
     server's generation counter collides with the old one.
     """
-
-    supports_delta = True
 
     def __init__(self, host: str, port: int, reader_id=None,
                  cache_planes: int = DEFAULT_CACHE_PLANES,
@@ -993,62 +948,49 @@ class NetClient(PlaneClient):
 
     def _fetch(self, slot: int, digest: str,
                deadline: Optional[float]) -> Tuple[object, bytes]:
-        """Materialize one payload: delta against the newest cached plane
-        when enabled, else (or on any delta failure) a full fetch."""
+        """Materialize one payload: a delta against the newest cached
+        plane when enabled, refetched in full if it does not compose."""
+        base = None
         if self._delta and self._cache:
             base = next(reversed(self._cache))
-            payload = self._fetch_delta(slot, digest, base, deadline)
-            if payload is not None:
-                manifest, arrays = decode_plane(payload)
-                return materialize_plane(manifest, arrays), payload
-        header = self._call_once({"op": "fetch", "slot": slot}, deadline)
-        payload = self._recv_payload_frame("fetch", header["nbytes"],
-                                           deadline)
-        if plane_digest(payload) != digest:
-            raise CorruptFrameError(
-                f"plane digest mismatch for slot {slot}: payload corrupt"
-            )
-        self.transfer["full_fetches"] += 1
-        self.transfer["bytes_received"] += len(payload)
-        self.transfer["bytes_full"] += len(payload)
+        payload = self._fetch_once(slot, digest, base, deadline)
+        if payload is None:
+            payload = self._fetch_once(slot, digest, None, deadline)
         manifest, arrays = decode_plane(payload)
         return materialize_plane(manifest, arrays), payload
 
-    def _fetch_delta(self, slot: int, digest: str, base: str,
-                     deadline: Optional[float]) -> Optional[bytes]:
-        """One ``fetch_delta`` round-trip; None means "retry as full".
+    def _fetch_once(self, slot: int, digest: str, base: Optional[str],
+                    deadline: Optional[float]) -> Optional[bytes]:
+        """One ``fetch`` round-trip; returns the verified payload, or None
+        when a delta frame did not compose (refetch without a base).
 
-        The server answers ``mode="full"`` itself when the base fell out
-        of its history (a restarted server always does — its history
-        starts empty); a delta whose composition does not reproduce the
-        expected digest is discarded the same way — the full path is the
-        always-correct fallback.
+        The server answers ``mode="full"`` itself when there is no base or
+        it fell out of its history (a restarted server's history starts
+        empty); a full frame failing its digest is a corrupt frame.
         """
-        header = self._call_once({"op": "fetch_delta", "slot": slot,
-                                  "base": base}, deadline)
-        frame = self._recv_payload_frame("fetch_delta", header["nbytes"],
-                                         deadline)
-        full_nbytes = header.get("full_nbytes", len(frame))
-        if header.get("mode") != "delta":
-            if plane_digest(frame) != digest:
-                raise CorruptFrameError(
-                    f"plane digest mismatch for slot {slot}: payload corrupt"
-                )
-            self.transfer["full_fetches"] += 1
-            self.transfer["bytes_received"] += len(frame)
-            self.transfer["bytes_full"] += full_nbytes
-            return frame
-        base_payload = self._cache[base][1]
-        try:
-            if delta_header(frame)["target"] != digest:
-                raise ConfigError("delta frame targets a different plane")
-            payload = apply_plane_delta(base_payload, frame,
-                                        base_digest=base)
-        except ConfigError:
-            return None  # composed digest mismatch — refetch in full
-        self.transfer["delta_fetches"] += 1
+        msg = {"op": "fetch", "slot": slot}
+        if base is not None:
+            msg["base"] = base
+        header = self._call_once(msg, deadline)
+        frame = self._recv_payload_frame("fetch", header["nbytes"], deadline)
+        if header.get("mode") == "delta":
+            try:
+                if delta_header(frame)["target"] != digest:
+                    raise ConfigError("delta frame targets a different plane")
+                payload = apply_plane_delta(self._cache[base][1], frame,
+                                            base_digest=base)
+            except ConfigError:
+                return None
+            kind = "delta_fetches"
+        elif plane_digest(frame) != digest:
+            raise CorruptFrameError(
+                f"plane digest mismatch for slot {slot}: payload corrupt"
+            )
+        else:
+            payload, kind = frame, "full_fetches"
+        self.transfer[kind] += 1
         self.transfer["bytes_received"] += len(frame)
-        self.transfer["bytes_full"] += full_nbytes
+        self.transfer["bytes_full"] += header.get("full_nbytes", len(frame))
         return payload
 
     def close(self) -> None:
@@ -1056,22 +998,18 @@ class NetClient(PlaneClient):
         self._cache.clear()
 
 
-class NetReader:
+class NetReader(PlaneReader):
     """Standalone remote reader: attach to a writer, serve queries locally.
 
     What ``repro attach host:port`` drives — the single-process analogue
-    of one pool worker, usable from any host that can reach the writer's
+    of one pool worker (the same :class:`PlaneReader` over a
+    :class:`NetClient`), usable from any host that can reach the writer's
     :class:`PlaneServer`.  Queries run on the locally cached plane; call
     :meth:`refresh` (or any query, which refreshes implicitly) to pick up
-    newly published epochs.
-
-    With ``degrade=True`` (the default) a reader that cannot reach the
-    server — retries exhausted, deadline blown, or the server restarted
-    and has not republished yet — keeps answering from its last-acquired
-    plane instead of raising, with :attr:`stale` set and a
-    ``stale_serves`` counter in :meth:`transfer_stats`; the next
-    successful refresh clears the flag.  ``degrade=False`` restores
-    strict behaviour: any unreachable-server condition raises.
+    newly published epochs.  ``degrade`` is :class:`PlaneReader`'s: by
+    default an unreachable server leaves the last-acquired plane in
+    service with :attr:`stale` set and ``stale_serves`` counting in
+    :meth:`transfer_stats`.
     """
 
     def __init__(self, address: str, policy: str = "upper+lower",
@@ -1087,119 +1025,30 @@ class NetReader:
             raise ConfigError(
                 f"attach address must be host:port, got {address!r}"
             )
-        self._client = NetClient(host, int(port), cache_planes=cache_planes,
-                                 delta=delta, retry=retry, backoff=backoff,
-                                 max_backoff=max_backoff, timeout=timeout)
-        self._policy = policy
-        self._degrade = bool(degrade)
-        self._stale = False
-        self._stale_serves = 0
-        self._lease: Optional[PlaneLease] = None
-        self._engine = None
+        client = NetClient(host, int(port), cache_planes=cache_planes,
+                           delta=delta, retry=retry, backoff=backoff,
+                           max_backoff=max_backoff, timeout=timeout)
+        super().__init__(client, policy, degrade=degrade)
 
-    def transfer_stats(self) -> Dict[str, int]:
-        """This reader's fetch/fault counters and byte totals."""
-        stats = dict(self._client.transfer)
-        stats["stale_serves"] = self._stale_serves
-        return stats
-
-    @property
-    def epoch(self) -> Optional[int]:
-        """Epoch currently served (None before the writer publishes)."""
-        lease = self._lease
-        return None if lease is None else lease.epoch
-
-    @property
-    def stale(self) -> bool:
-        """Whether answers are coming from a plane the server may have
-        superseded (degraded mode after an unreachable-server refresh)."""
-        return self._stale
-
-    @property
-    def client(self) -> NetClient:
-        return self._client
-
-    def _serve_stale(self, lease: PlaneLease) -> int:
-        self._stale = True
-        self._stale_serves += 1
-        return lease.epoch
-
-    def refresh(self) -> Optional[int]:
-        """Adopt the newest published epoch; returns it (None when bare).
-
-        In degraded mode an unreachable server leaves the last-acquired
-        plane in service (see :attr:`stale`) instead of raising.
-        """
-        from repro.core.engine import PairwiseEngine
-
-        lease = self._lease
-        try:
-            if (lease is not None
-                    and lease.generation == self._client.generation()):
-                self._stale = False
-                return lease.epoch
-            fresh = self._client.acquire()
-        except QueryError:
-            if self._degrade and lease is not None:
-                return self._serve_stale(lease)
-            raise
-        if fresh is None:
-            # Server reachable but bare — a restarted writer that has not
-            # republished yet.  Degraded readers keep the old plane.
-            if lease is not None:
-                if self._degrade:
-                    return self._serve_stale(lease)
-                self._lease, self._engine = None, None
-                lease.release()
-            return None
-        # Acquire-before-release: the new engine is built while the old
-        # lease still pins its plane, so a query never sees a gap.
-        self._lease = fresh
-        self._engine = PairwiseEngine(
-            PlaneGraph(fresh.plane.csr), policy=self._policy,
-            dense=fresh.plane,
-        )
-        self._stale = False
-        if lease is not None:
-            lease.release()
-        return fresh.epoch
-
-    def _current_engine(self):
-        self.refresh()
-        if self._engine is None:
-            raise QueryError("no epoch has been published yet")
-        return self._engine, self._lease
+    def transfer_stats(self) -> Dict[str, object]:
+        """This reader's fetch/fault counters and byte totals (its
+        :meth:`~PlaneReader.stats_row`)."""
+        return self.stats_row()
 
     def vertices(self) -> List[int]:
         """Caller-space vertex ids of the served plane (demo drivers)."""
-        _engine, lease = self._current_engine()
-        return list(lease.plane.csr.ids)
+        engine, _epoch = self.current()
+        return list(engine.dense_plane.csr.ids)
 
     def distance(self, source: int, target: int,
                  tolerance: float = 0.0) -> Tuple[float, object, int]:
         """One pairwise distance on the cached plane: (value, stats, epoch)."""
-        engine, lease = self._current_engine()
+        engine, epoch = self.current()
         value, stats = engine.best_cost(source, target, tolerance=tolerance)
-        return value, stats, lease.epoch
+        return value, stats, epoch
 
     def distance_many(self, source: int, targets) -> Tuple[dict, object, int]:
         """One-to-many on the cached plane: (values, stats, epoch)."""
-        engine, lease = self._current_engine()
+        engine, epoch = self.current()
         values, stats = engine.one_to_many(source, list(targets))
-        return values, stats, lease.epoch
-
-    def close(self) -> None:
-        lease, self._lease = self._lease, None
-        self._engine = None
-        if lease is not None:
-            try:
-                lease.release()
-            except QueryError:  # pragma: no cover - writer already gone
-                pass
-        self._client.close()
-
-    def __enter__(self) -> "NetReader":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        return values, stats, epoch

@@ -9,11 +9,12 @@ bit-identical ``_search_dense`` hot path.  Requests and responses travel
 over two multiprocessing queues; per-query payloads are a few scalars plus
 a :class:`~repro.core.stats.QueryStats` — graphs are never pickled.
 
-Workers poll the registry generation between requests: stale readers
-release their lease (returning the refcount, possibly evicting a retired
-plane) and acquire the newest one.  A request already being answered
-keeps using the plane it started on — in-flight queries finish on their
-starting epoch by construction.
+Each worker is a :class:`~repro.serving.transport.PlaneReader` plus a
+request loop: between requests the reader polls the registry generation
+and, when stale, acquires the newest plane and releases the old one
+(returning the refcount, possibly evicting a retired plane).  A request
+already being answered keeps using the plane it started on — in-flight
+queries finish on their starting epoch by construction.
 
 The pool is generic over the transport: each worker receives a picklable
 :class:`~repro.serving.transport.ReaderSpec` and connects inside its own
@@ -42,7 +43,7 @@ from multiprocessing.connection import wait as _mp_wait
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, QueryError
-from repro.serving.transport import PlaneTransport, make_transport
+from repro.serving.transport import PlaneReader, PlaneTransport, make_transport
 
 #: queries bundled per pool message — amortizes the ~100µs queue round-trip
 #: across enough sub-millisecond searches to keep workers compute-bound.
@@ -60,7 +61,7 @@ class Response(NamedTuple):
     payload: object
 
 
-def _dispatch(engine, plane, verb: str, payload):
+def _dispatch(engine, verb: str, payload):
     if verb == "distance":
         source, target, tolerance = payload
         return engine.best_cost(source, target, tolerance=tolerance)
@@ -74,8 +75,6 @@ def _dispatch(engine, plane, verb: str, payload):
         if verb == "nearest":
             return engine.expand(source, arg, None)
         return engine.expand(source, None, arg)
-    if verb == "workspace_stats":
-        return engine.workspace_stats()
     raise QueryError(f"unknown verb {verb!r}")
 
 
@@ -93,75 +92,14 @@ def _worker_main(worker_id: int, spec, requests, responses,
     deliver.  The writer round-robins over the private queues of workers
     it still believes alive and multiplexes their response pipes.
     """
-    from repro.core.engine import PairwiseEngine
-    from repro.core.workspace import SearchWorkspace
-    from repro.serving.codec import PlaneGraph
-
-    client = spec.connect(worker_id)
-    held: Dict[str, Optional[tuple]] = {"entry": None}
-    # Degradation bookkeeping: when the transport cannot reach the writer
-    # (server down, retries exhausted) a worker that already holds a plane
-    # keeps answering from it instead of failing the request.
-    state = {"stale": False, "stale_serves": 0}
-    # One workspace for the worker's whole life: each epoch's fresh engine
-    # adopts it, so the request loop re-allocates O(V) search state only
-    # when an epoch actually changes the plane's vertex count.
-    workspace = SearchWorkspace()
-
-    def detach() -> None:
-        entry = held["entry"]
-        held["entry"] = None
-        if entry is None:
-            return
-        lease = entry[0]
-        # The lease's release path may need every view into the plane
-        # dropped first (shm unmaps); clear our references before calling.
-        entry = None
-        lease.release()
-
+    # A worker that loses the writer keeps answering from its held plane
+    # (degraded), flagged stale in its reader_stats row.
+    reader = PlaneReader(spec.connect(worker_id), policy_value)
     # Finalizer for exits that skip the normal loop teardown (unhandled
     # signals short of SIGKILL, interpreter shutdown): the refcount must be
     # returned or the writer would wait on a ghost reader.  SIGKILL itself
     # is covered by the writer-side reap (transport.release_reader).
-    atexit.register(detach)
-
-    def current() -> Optional[tuple]:
-        entry = held["entry"]
-        try:
-            if (entry is not None
-                    and entry[0].generation == client.generation()):
-                state["stale"] = False
-                return entry
-            lease = client.acquire()
-        except QueryError:
-            # Writer unreachable: serve the held plane, stale but live.
-            if entry is not None:
-                state["stale"] = True
-                state["stale_serves"] += 1
-                return entry
-            raise
-        if lease is None:
-            # Writer reachable but bare — a restarted server that has not
-            # republished yet.  Keep the held plane in service.
-            if entry is not None:
-                state["stale"] = True
-                state["stale_serves"] += 1
-                return entry
-            return None
-        # Acquire-before-detach: the new lease is pinned before the old
-        # plane's views are dropped, so there is never a served gap.
-        entry = None
-        detach()
-        plane = lease.plane
-        engine = PairwiseEngine(
-            PlaneGraph(plane.csr), policy=policy_value, dense=plane,
-            workspace=workspace,
-        )
-        entry = (lease, engine, plane)
-        held["entry"] = entry
-        state["stale"] = False
-        return entry
-
+    atexit.register(reader.release)
     try:
         while True:
             req = requests.get()
@@ -169,33 +107,26 @@ def _worker_main(worker_id: int, spec, requests, responses,
                 break
             req_id, verb, payload = req
             try:
-                if verb == "client_stats":
-                    stats = dict(getattr(client, "transfer", None) or {})
-                    stats["stale_serves"] = state["stale_serves"]
-                    stats["stale"] = state["stale"]
+                if verb == "reader_stats":
                     responses.put(Response(
-                        req_id, worker_id, None, True, stats,
+                        req_id, worker_id, reader.epoch, True,
+                        reader.stats_row(),
                     ))
                     continue
-                entry = current()
-                if entry is None:
-                    raise QueryError("no epoch has been published yet")
-                result = _dispatch(entry[1], entry[2], verb, payload)
-                responses.put(Response(
-                    req_id, worker_id, entry[0].epoch, True, result,
-                ))
+                engine, epoch = reader.current()
+                result = _dispatch(engine, verb, payload)
+                responses.put(Response(req_id, worker_id, epoch, True, result))
             except Exception as exc:  # noqa: BLE001 - report, don't die
                 responses.put(Response(
                     req_id, worker_id, None, False,
                     f"{type(exc).__name__}: {exc}",
                 ))
             finally:
-                # Keep held["entry"] the only reference to the acquired
-                # plane between requests, so detach() can actually release.
-                entry = None
+                # Keep the reader the only holder of the plane between
+                # requests, so its release can actually unmap.
+                engine = None
     finally:
-        detach()
-        client.close()
+        reader.close()
 
 
 class WorkerPool:
@@ -306,7 +237,7 @@ class WorkerPool:
     def submit_to(self, worker_id: int, verb: str, payload) -> int:
         """Enqueue one request on a *specific* worker; returns its id.
 
-        For per-worker introspection verbs (``workspace_stats``) that the
+        For the per-worker probe verb (``reader_stats``) that the
         round-robin cursor cannot target.  The worker must be alive.
         """
         if not self._procs[worker_id].is_alive():
@@ -543,66 +474,35 @@ class ServeSession:
             "stale_serves": 0,
         }
         row.update(self._transport.transfer_stats())
-        for cs_row in self.client_stats():
+        for reader_row in self.reader_stats():
             for key in ("retries", "reconnects", "server_restarts",
                         "peer_closed", "corrupt_frames",
-                        "deadline_exceeded", "stale_serves"):
-                row[key] += cs_row.get(key, 0)
-        for ws_row in self.workspace_stats():
-            for key in ("workspace_allocs", "workspace_hits",
+                        "deadline_exceeded", "stale_serves",
+                        "workspace_allocs", "workspace_hits",
                         "workspace_resets", "touched_reset"):
-                row[key] += ws_row[key]
+                row[key] += reader_row.get(key, 0)
         return row
 
-    def client_stats(self, timeout: float = 5.0) -> List[Dict[str, object]]:
-        """Per-worker transport fault counters and staleness state.
+    def reader_stats(self, timeout: float = 5.0) -> List[Dict[str, object]]:
+        """One :meth:`PlaneReader.stats_row` per alive worker, plus its id.
 
-        One row per alive worker: the reader client's ``transfer``
-        accounting (retries, reconnects, server restarts observed, frames
-        rejected) plus the worker's ``stale``/``stale_serves`` degradation
-        markers.  Workers that cannot answer are skipped.
+        Each row carries the reader client's fault accounting (retries,
+        reconnects, server restarts observed, frames rejected; tcp only),
+        the ``stale``/``stale_serves`` degradation markers, the served
+        ``epoch``, and the search-workspace reuse counters — the
+        observable form of the zero-O(V)-allocations-per-request
+        guarantee: ``workspace_allocs`` only moves when an epoch rebind
+        changes the vertex count.  Workers that cannot answer are skipped.
         """
         rows: List[Dict[str, object]] = []
         for worker_id in self._pool.alive():
             try:
-                req_id = self._pool.submit_to(worker_id, "client_stats",
-                                              None)
+                req_id = self._pool.submit_to(worker_id, "reader_stats", None)
             except QueryError:
                 continue
             resp = self._pool.gather([req_id], timeout=timeout).get(req_id)
-            if resp is None or not resp.ok:
-                continue
-            cs_row = dict(resp.payload)
-            cs_row["worker"] = worker_id
-            rows.append(cs_row)
-        return rows
-
-    def workspace_stats(self,
-                        timeout: float = 5.0) -> List[Dict[str, object]]:
-        """Per-worker search-workspace reuse counters.
-
-        One row per alive worker (plus its id and current epoch).  This is
-        the observable form of the zero-O(V)-allocations-per-request
-        guarantee: across any number of requests on a fixed-size plane,
-        ``workspace_allocs`` only moves when an epoch rebind changes the
-        vertex count.  Workers that cannot answer (no published epoch yet,
-        or died mid-probe) are skipped.
-        """
-        rows: List[Dict[str, object]] = []
-        for worker_id in self._pool.alive():
-            try:
-                req_id = self._pool.submit_to(
-                    worker_id, "workspace_stats", None
-                )
-            except QueryError:
-                continue
-            resp = self._pool.gather([req_id], timeout=timeout).get(req_id)
-            if resp is None or not resp.ok:
-                continue
-            ws_row = dict(resp.payload)
-            ws_row["worker"] = worker_id
-            ws_row["epoch"] = resp.epoch
-            rows.append(ws_row)
+            if resp is not None and resp.ok:
+                rows.append(dict(resp.payload, worker=worker_id))
         return rows
 
     def __enter__(self) -> "ServeSession":

@@ -12,6 +12,8 @@ bytes live.  A :class:`PlaneTransport` decides that:
   :class:`PlaneClient`: ``generation()`` is the cheap staleness probe and
   ``acquire()`` returns a :class:`PlaneLease` pinning one epoch's
   materialized :class:`~repro.core.hub_index.DensePlane` until released.
+  A :class:`PlaneReader` drives a client: it holds one lease and the
+  engine over it, and swaps both when the generation moves.
 
 :class:`ShmTransport` is the one-box implementation — each plane encoded
 once into a named POSIX shared-memory segment that readers map zero-copy
@@ -25,9 +27,12 @@ any host, which cache each fetched plane locally (fetch-on-publish).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.core.engine import PairwiseEngine
+from repro.core.workspace import SearchWorkspace
+from repro.errors import ConfigError, QueryError
+from repro.serving.codec import PlaneGraph
 from repro.serving.registry import EpochRegistry
 from repro.serving.shm_plane import ShmPlane
 
@@ -62,18 +67,7 @@ class PlaneLease:
 
 
 class PlaneClient(ABC):
-    """Reader-side endpoint of one transport, bound to one reader id.
-
-    A client whose transport can ship chunk-addressed deltas between
-    adjacent planes (see :func:`repro.serving.codec.encode_plane_delta`)
-    sets ``supports_delta`` and keeps the raw payload of cached planes so
-    a new epoch can be composed from its predecessor instead of fetched
-    in full; mapped transports (shm) have nothing to save — readers
-    already share the writer's bytes — and leave it False.
-    """
-
-    #: whether acquire() can fetch O(Δ) deltas against cached planes
-    supports_delta: bool = False
+    """Reader-side endpoint of one transport, bound to one reader id."""
 
     @abstractmethod
     def generation(self):
@@ -109,6 +103,136 @@ class ReaderSpec(ABC):
     @abstractmethod
     def connect(self, reader_id) -> PlaneClient:
         """Open this reader's endpoint (called inside the reader process)."""
+
+
+class PlaneReader:
+    """The reader half of serving: one held lease and the engine over it.
+
+    Pool workers (any transport) and standalone remote readers
+    (:class:`repro.serving.net.NetReader`) are both this class around a
+    :class:`PlaneClient`.  :meth:`refresh` polls the client's generation
+    between requests and, when stale, acquires the newest plane *before*
+    releasing the held one, so there is never a served gap.  Every
+    epoch's engine adopts the reader's one
+    :class:`~repro.core.workspace.SearchWorkspace`, so an epoch handoff
+    re-allocates O(V) search state only when the vertex count changes.
+
+    With ``degrade=True`` a reader that cannot reach the writer —
+    retries exhausted, deadline blown, or a restarted writer that has not
+    republished — keeps answering from its held plane with :attr:`stale`
+    set and :attr:`stale_serves` counting; the next successful refresh
+    clears the flag.  ``degrade=False`` raises instead.
+    """
+
+    def __init__(self, client: PlaneClient, policy: str = "upper+lower",
+                 degrade: bool = True) -> None:
+        self._client = client
+        self._policy = policy
+        self._degrade = bool(degrade)
+        self._lease: Optional[PlaneLease] = None
+        self._engine = None
+        self._workspace = SearchWorkspace()
+        self._stale = False
+        self._stale_serves = 0
+
+    @property
+    def client(self) -> PlaneClient:
+        return self._client
+
+    @property
+    def epoch(self) -> Optional[int]:
+        """Epoch currently served (None before the writer publishes)."""
+        lease = self._lease
+        return None if lease is None else lease.epoch
+
+    @property
+    def stale(self) -> bool:
+        """Whether answers come from a plane the writer may have
+        superseded (degraded mode after an unreachable-writer refresh)."""
+        return self._stale
+
+    @property
+    def stale_serves(self) -> int:
+        """Refreshes answered from the held plane in degraded mode."""
+        return self._stale_serves
+
+    def _serve_stale(self) -> int:
+        self._stale = True
+        self._stale_serves += 1
+        return self._lease.epoch
+
+    def refresh(self) -> Optional[int]:
+        """Adopt the newest published epoch; returns it (None when bare)."""
+        lease = self._lease
+        try:
+            if (lease is not None
+                    and lease.generation == self._client.generation()):
+                self._stale = False
+                return lease.epoch
+            fresh = self._client.acquire()
+        except QueryError:
+            if self._degrade and lease is not None:
+                return self._serve_stale()
+            raise
+        if fresh is None:
+            # Writer reachable but bare — a restarted writer that has not
+            # republished yet.  Degraded readers keep the held plane.
+            if self._degrade and lease is not None:
+                return self._serve_stale()
+            self.release()
+            return None
+        # Acquire-before-release: the new lease is pinned before the old
+        # one goes.  The old engine is dropped before its lease releases —
+        # a mapped transport cannot unmap a plane an engine still views.
+        self._engine = None
+        self._lease = fresh
+        if lease is not None:
+            lease.release()
+        self._engine = PairwiseEngine(
+            PlaneGraph(fresh.plane.csr), policy=self._policy,
+            dense=fresh.plane, workspace=self._workspace,
+        )
+        self._stale = False
+        return fresh.epoch
+
+    def current(self) -> Tuple[object, int]:
+        """Refresh, then ``(engine, epoch)`` to answer one request on.
+
+        Callers drop the engine once the request is answered: between
+        requests the reader must be the plane's only holder.
+        """
+        self.refresh()
+        if self._engine is None:
+            raise QueryError("no epoch has been published yet")
+        return self._engine, self._lease.epoch
+
+    def stats_row(self) -> Dict[str, object]:
+        """The client's transfer and fault counters (transports that move
+        bytes keep them), the workspace reuse counters, the served epoch
+        and the staleness markers."""
+        row: Dict[str, object] = dict(getattr(self._client, "transfer", {}))
+        row.update(self._workspace.stats_row())
+        row["epoch"] = self.epoch
+        row["stale"] = self._stale
+        row["stale_serves"] = self._stale_serves
+        return row
+
+    def release(self) -> None:
+        """Drop the engine and return the held lease (idempotent)."""
+        lease, self._lease = self._lease, None
+        self._engine = None
+        if lease is not None:
+            lease.release()
+
+    def close(self) -> None:
+        self.release()
+        self._client.close()
+
+    def __enter__(self) -> "PlaneReader":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
 
 class PlaneTransport(ABC):
@@ -270,5 +394,5 @@ def make_transport(kind: str, prefix: str, num_workers: int, ctx,
     if kind == "tcp":
         from repro.serving.net import NetTransport
 
-        return NetTransport(num_workers=num_workers, **options)
+        return NetTransport(**options)
     raise ConfigError(f"unknown transport {kind!r}; known: shm, tcp")

@@ -198,7 +198,7 @@ class TestFaultProxy:
 
     def test_pool_workers_dial_through_proxy(self):
         """`advertise=` points pool reader specs at the proxy; worker-side
-        retry counters surface through ``client_stats``/``stats_row``."""
+        retry counters surface through ``reader_stats``/``stats_row``."""
         import socket as socket_mod
 
         probe = socket_mod.socket()
@@ -223,7 +223,7 @@ class TestFaultProxy:
                         assert pv == cv
                         assert _stats_tuple(pstats) == _stats_tuple(cstats)
                         assert pepoch == cepoch
-                    rows = session.client_stats()
+                    rows = session.reader_stats()
                     assert len(rows) == 1
                     assert rows[0]["retries"] == policy.disruptions()
                     assert not rows[0]["stale"]
@@ -353,6 +353,20 @@ def _server_incarnation(port, seed, mutate, generation_base, ready):
 
 class TestServerRestart:
     pytestmark = net_only
+
+    def test_pool_worker_serves_stale_when_server_dies(self):
+        """A pool worker that loses its server keeps answering from the
+        held plane, flagged stale in its reader_stats row."""
+        sg = _sgraph(97)
+        with ServeSession(sg, workers=1, transport="tcp", retry=1,
+                          backoff=0.01, max_backoff=0.02,
+                          op_timeout=2.0) as session:
+            value, _stats, epoch = session.distance(0, 1)
+            session.transport.server.close(drain=False)
+            assert session.distance(0, 1)[::2] == (value, epoch)
+            row = session.reader_stats()[0]
+            assert row["stale"] is True
+            assert row["stale_serves"] >= 1
 
     def test_reader_survives_sigkill_restart_bit_identically(self):
         """SIGKILL the server, restart on the same address with the next

@@ -309,6 +309,27 @@ class TestNetReader:
                 )
             )
 
+    def test_reader_keeps_one_workspace_across_epochs(self):
+        """Each epoch's engine adopts the reader's one workspace: the first
+        query after a same-|V| handoff is a reuse hit, not a fresh O(V)
+        allocation."""
+        from repro.graph.generators import grid_graph
+
+        sg = SGraph(graph=grid_graph(8, 8, seed=3),
+                    config=SGraphConfig(num_hubs=4, backend="dense"))
+        with sg.serve(workers=1, transport="tcp") as session:
+            with NetReader(session.transport.address) as reader:
+                reader.distance(0, 63)
+                hits = []
+                for round_no in range(3):
+                    sg.add_edge(round_no, 63 - round_no, 0.5 + round_no)
+                    view = session.publish()
+                    value, stats, epoch = reader.distance(0, 63)
+                    assert value == view.distance(0, 63).value
+                    assert epoch == view.epoch
+                    hits.append(stats.workspace_hits)
+                assert hits == [1, 1, 1]
+
     def test_bad_address_raises(self):
         from repro.errors import ConfigError
 

@@ -243,7 +243,7 @@ class TestServeSessionParity:
             session.map_distance(pairs)
             session.distance_many(0, list(range(1, 25)))
             session.nearest(0, 5)
-            rows = {r["worker"]: r for r in session.workspace_stats()}
+            rows = {r["worker"]: r for r in session.reader_stats()}
             assert len(rows) == 2
             for row in rows.values():
                 assert row["workspace_allocs"] == 1
@@ -264,7 +264,7 @@ class TestServeSessionParity:
             for _ in range(20):
                 s, t = rng.sample(verts, 2)
                 _value, _stats, epoch = session.distance(s, t)
-            after = {r["worker"]: r for r in session.workspace_stats()}
+            after = {r["worker"]: r for r in session.reader_stats()}
             for worker_id, row in after.items():
                 assert row["workspace_allocs"] == 1, row
                 assert (row["workspace_resets"]
