@@ -2,8 +2,9 @@
 
 Claim reproduced (shape): the amortized one-to-many search (E14's
 workload) gains a second axis of speedup when served from the dense
-plane — one flat ``g`` array shared across the whole target set, batched
-numpy bound rows instead of per-target hub-dict probes on every pop.
+plane — one flat ``g`` array shared across the whole target set, and the
+per-target lower-bound probes read hub-row memoryviews instead of hub
+dicts.
 The dense median must drop below the dict reference for every target set
 of 16 or more on both stand-in topologies, at *identical* activation
 counts (the dense path is a transliteration, not a different algorithm).
@@ -29,6 +30,6 @@ def test_e20_many_backend_table(benchmark):
             assert dense["act="] and dict_["act="]
             assert dense["activations"] == dict_["activations"]
             # Latency must strictly improve once the batch amortizes the
-            # vectorized bound setup.
+            # dense plane's fixed per-call costs.
             if count >= 16:
                 assert dense["median_ms"] < dict_["median_ms"]

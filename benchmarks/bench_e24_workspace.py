@@ -15,10 +15,10 @@ Assertions, in decreasing universality:
   matches on values AND the six search counters; reuse can never trade
   correctness for latency;
 * the headline claim — warm median latency for index-pruned pairwise
-  queries is at least 2x below cold (observed: ~9x); the warm engine
+  queries is at least 2x below cold (observed: ~16x); the warm engine
   allocated its workspace exactly once for the whole run;
-* the batched verb rides the same machinery (plus the per-epoch residual
-  row LRU) — asserted at the same 2x bar (observed: ~4.5x);
+* the batched verb rides the same machinery — asserted at the same 2x
+  bar (observed: ~6x);
 * the unpruned row is reported but unasserted: when the search itself is
   O(thousands of pops), setup reuse legitimately fades toward 1x — that
   row documents where the optimization stops mattering.
@@ -60,6 +60,6 @@ def test_e24_workspace_table(benchmark):
             f"(ratio {row['ratio']}) — workspace reuse is not paying"
         )
 
-    # Batched one-to-many rides the same workspace + row-cache machinery.
+    # Batched one-to-many rides the same workspace machinery.
     for row in batched_rows:
         assert row["ratio"] >= 2.0, row

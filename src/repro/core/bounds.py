@@ -18,7 +18,7 @@ bound.  ``residual == semiring.unreachable`` is a proof that no path exists.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import math
 
@@ -252,75 +252,3 @@ class DenseQueryBounds:
             return True
         return ub != math.inf and lb == ub
 
-
-class DenseManyBounds:
-    """Batched bound evaluators: one source against a whole target set.
-
-    The one-to-many twin of :class:`DenseQueryBounds`.  Where the dict path
-    builds one :class:`QueryBounds` per target — ``k`` dict-table probes
-    each — this object computes every target's witness upper bound and
-    residual lower bound in a single vectorized ``(k, m)`` pass over the
-    stacked hub matrices.  Per-target residual rows (the per-vertex prune
-    signal the shared search probes) are materialized on demand as plain
-    Python lists, one O(k·|V|) vectorized pass per *surviving* target —
-    index-closed targets never pay for one.
-
-    All values are bit-identical to the per-target :class:`QueryBounds`
-    arithmetic: the same IEEE float64 subtraction/max/min chains, evaluated
-    across targets at once.  Dense-id space, min-plus algebra only.
-    """
-
-    __slots__ = ("_tables", "source", "targets", "_upper", "_lower")
-
-    def __init__(
-        self, tables: DenseHubTables, source: int, targets: Sequence[int]
-    ) -> None:
-        self._tables = tables
-        self.source = source
-        self.targets = list(targets)
-        self._upper: Optional[list] = None
-        self._lower: Optional[list] = None
-
-    def upper_bounds(self) -> list:
-        """Witness-path bound ``min_h d(s,h)+d(h,t)`` per target, in order."""
-        if self._upper is None:
-            self._upper = self._tables.upper_bounds_many(
-                self.source, self.targets
-            ).tolist()
-        return self._upper
-
-    def lower_bounds(self) -> list:
-        """Residual lower bound on ``d(s, t)`` per target, in order."""
-        if self._lower is None:
-            self._lower = self._tables.residual_pairs_many(
-                self.source, self.targets
-            ).tolist()
-        return self._lower
-
-    def residual_list(self, target: int) -> list:
-        """Lower bounds on ``d(v, target)`` indexed by dense id ``v``.
-
-        The per-target row the shared search's lower-bound prune probes;
-        ``residual >= incumbent - g(v)`` is exactly the dict path's
-        ``QueryBounds.prunable_forward`` decision (residuals are clamped
-        non-negative and ``inf`` marks a proof of unreachability, so the
-        single comparison also covers the ``need <= 0`` and unreachable
-        short-circuits).  Served from the tables' per-epoch row LRU (see
-        :meth:`DenseHubTables.residual_list_for`); the returned list is
-        shared and must not be mutated.
-        """
-        return self._tables.residual_list_for(target)
-
-    def residual_lists(self, targets: Sequence[int]) -> List[list]:
-        """One :meth:`residual_list` row per target.
-
-        Each row comes from the tables' per-epoch LRU, so a steady
-        workload re-querying the same target set pays the O(|V|·k)
-        materialization once per target per epoch instead of once per
-        call.  Rows are bit-identical to an uncached
-        :meth:`DenseHubTables.residual_rows_to_target` pass (see that
-        method); the returned outer list is fresh per call — the search
-        swap-removes from it — but the rows themselves are shared and
-        read-only.
-        """
-        return [self._tables.residual_list_for(t) for t in targets]

@@ -24,7 +24,7 @@ import math
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bounds import DenseManyBounds, DenseQueryBounds, QueryBounds
+from repro.core.bounds import DenseQueryBounds, QueryBounds
 from repro.core.hub_index import DensePlane, HubIndex
 from repro.core.paths import hub_witness_path, stitch_bidirectional
 from repro.core.pruning import PruningPolicy
@@ -412,11 +412,12 @@ class PairwiseEngine:
         bookkeeping of the reference path becomes dense-id arrays: one
         shared ``g``-label list, a ``slot`` array mapping dense ids to
         active-target positions (swap-removed as targets finalize), and
-        per-hub bound math batched over the whole target set by
-        :class:`DenseManyBounds` — index-closable targets drop out before
-        the search starts, and the finalize-early / lower-bound prune
-        checks scan flat incumbent and residual lists instead of probing
-        dicts per target.  Min-plus algebra only.
+        the whole-query bounds batched over the target set in one
+        ``(k, m)`` pass, so index-closable targets drop out before the
+        search starts.  The lower-bound prune is the pairwise kernel's:
+        short-circuit hub probes per live target (:func:`_probes_to`), so
+        the bound work of a batch is O(k) per target plus O(touched),
+        never O(k·|V|).  Min-plus algebra only.
         """
         plane = self._dense
         csr = plane.csr
@@ -443,14 +444,13 @@ class PairwiseEngine:
         use_lb = self._policy.uses_lower_bounds
         act_t: List[int] = []        # dense ids of targets the search carries
         act_inc: List[float] = []    # their incumbents (hub witness seeds)
-        bounds: Optional[DenseManyBounds] = None
         if uniq:
             t_dense = [csr.dense_id(t) for t in uniq]
             if self._policy.uses_index:
-                bounds = DenseManyBounds(plane.tables, s, t_dense)
-                ubs = bounds.upper_bounds()
+                tables = plane.tables
+                ubs = tables.upper_bounds_many(s, t_dense).tolist()
                 if use_lb:
-                    lbs = bounds.lower_bounds()
+                    lbs = tables.residual_pairs_many(s, t_dense).tolist()
                     for i, t in enumerate(uniq):
                         ub = ubs[i]
                         lb = lbs[i]
@@ -465,15 +465,17 @@ class PairwiseEngine:
                             act_inc.append(ub)
                 else:
                     act_t = t_dense
-                    act_inc = list(ubs)
+                    act_inc = ubs
             else:
                 act_t = t_dense
                 act_inc = [inf] * len(t_dense)
         if not act_t:
             stats.answered_by_index = True
             return results, stats
-        act_res: List[list] = (
-            bounds.residual_lists(act_t) if use_lb else []
+        # Per live target, the forward probes `_search_dense` runs toward
+        # its one target (O(k) each).
+        act_probes: List[list] = (
+            [_probes_to(plane.tables, td) for td in act_t] if use_lb else []
         )
 
         # Snapshot the active target ids before the search swap-removes
@@ -522,12 +524,12 @@ class PairwiseEngine:
                             act_t[i] = act_t[m]
                             act_inc[i] = act_inc[m]
                             if use_lb:
-                                act_res[i] = act_res[m]
+                                act_probes[i] = act_probes[m]
                             slot[act_t[i]] = i
                         act_t.pop()
                         act_inc.pop()
                         if use_lb:
-                            act_res.pop()
+                            act_probes.pop()
                     else:
                         i += 1
                 if not m:
@@ -541,26 +543,33 @@ class PairwiseEngine:
                         act_t[i] = act_t[m]
                         act_inc[i] = act_inc[m]
                         if use_lb:
-                            act_res[i] = act_res[m]
+                            act_probes[i] = act_probes[m]
                         slot[act_t[i]] = i
                     act_t.pop()
                     act_inc.pop()
                     if use_lb:
-                        act_res.pop()
+                        act_probes.pop()
                     if not m:
                         break
                 if use_lb:
                     # Expand only vertices that can still improve on *some*
-                    # remaining target's incumbent.  `residual >= inc - g(v)`
-                    # is the dict path's full prunable_forward decision: the
-                    # clamped residual covers `need <= 0` and `inf` marks a
-                    # proof of unreachability (inf >= inf prunes too).
-                    useful = False
-                    for i in range(m):
-                        if act_res[i][v] < act_inc[i] - cost_v:
-                            useful = True
-                            break
-                    if not useful:
+                    # remaining target's incumbent: per target, the dict
+                    # path's prunable_forward as `_search_dense`'s
+                    # short-circuit probes.  Finalize-early above dropped
+                    # every target with `inc <= g(v)`, so `need` is positive.
+                    for inc, probes in zip(act_inc, act_probes):
+                        need = inc - cost_v
+                        for row_hv, ht, th, row_vh in probes:
+                            hv = row_hv[v]                     # d(h, v)
+                            if hv != inf and (ht == inf or ht - hv >= need):
+                                break
+                            if th != inf:
+                                vh = row_vh[v]                 # d(v, h)
+                                if vh == inf or vh - th >= need:
+                                    break
+                        else:
+                            break  # no hub prunes this target: v is useful
+                    else:
                         pruned_lb += 1
                         continue
                 activations += 1
@@ -872,18 +881,16 @@ class PairwiseEngine:
             use_ub = self._policy.uses_index
             use_lb = self._policy.uses_lower_bounds
             if use_lb:
-                # Per-hub row memoryviews plus the four per-endpoint
-                # scalar columns the prune tests reference, zipped into one
-                # tuple per hub so the probe loops unpack instead of
-                # indexing four sequences.  Probes short-circuit on the
-                # first deciding hub, exactly like the dict path — O(1) for
-                # the overwhelmingly common pruned vertex.
+                # Per-hub row memoryviews plus the per-endpoint scalar
+                # columns the prune tests reference, one tuple per hub (see
+                # `_probes_to`).  Probes short-circuit on the first deciding
+                # hub, exactly like the dict path — O(1) for the
+                # overwhelmingly common pruned vertex.
                 tables = plane.tables
-                rows_f, rows_b = tables.fwd_views, tables.bwd_views
-                fwd_t, bwd_t = tables.columns_for(t)  # d(h,t) / d(t,h)
+                probes_f = _probes_to(tables, t)
                 fwd_s, bwd_s = tables.columns_for(s)  # d(h,s) / d(s,h)
-                probes_f = list(zip(rows_f, fwd_t, bwd_t, rows_b))
-                probes_b = list(zip(fwd_s, rows_f, rows_b, bwd_s))
+                probes_b = list(zip(fwd_s, tables.fwd_views,
+                                    tables.bwd_views, bwd_s))
             # With a tolerance, prune/terminate against incumbent/(1+tol):
             # any path forgone then costs at least that much, so the
             # returned incumbent is within the requested factor of the
@@ -1026,6 +1033,20 @@ class PairwiseEngine:
             stats.pruned_by_lower_bound = pruned_lb
             stats.workspace_resets = 1
             stats.touched_reset = ws.release()
+
+
+def _probes_to(tables, t: int) -> list:
+    """The forward lower-bound probes toward dense id ``t``.
+
+    One ``(d(h,·) row, d(h,t), d(t,h), d(·,h) row)`` tuple per hub, so a
+    probe loop unpacks instead of indexing four sequences.  A vertex ``v``
+    is pruned at the first hub with ``d(h,t) - d(h,v) >= need`` or
+    ``d(v,h) - d(t,h) >= need`` (or an unreachability proof).  Both dense
+    search routines build theirs here: the pairwise kernel once per query,
+    the batched verb once per live target.  O(k).
+    """
+    fwd_t, bwd_t = tables.columns_for(t)  # d(h,t) / d(t,h)
+    return list(zip(tables.fwd_views, fwd_t, bwd_t, tables.bwd_views))
 
 
 # -- neighborhood expansion (nearest / within) --------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,12 +31,6 @@ from repro.streaming.incremental_sssp import IncrementalBestPath
 
 #: per-hub frozen cost tables, keyed by hub vertex
 FrozenTables = Dict[int, Mapping]
-
-#: capacity of the per-epoch LRU of residual lower-bound rows (entries are
-#: |V|-length float lists — megabytes each on large planes — so the cap is
-#: deliberately small; it only needs to cover the recurring target set of a
-#: steady one-to-many workload)
-RESIDUAL_ROW_CACHE = 32
 
 
 class HubIndex:
@@ -437,9 +430,6 @@ class DenseHubTables:
         "_ids",
         "_fwd_refs",
         "_bwd_refs",
-        "_res_rows",
-        "row_hits",
-        "row_misses",
     )
 
     def __init__(
@@ -469,9 +459,6 @@ class DenseHubTables:
         # the next epoch's derive() diffs against.
         self._fwd_refs = fwd_refs
         self._bwd_refs = bwd_refs
-        self._res_rows: "OrderedDict[int, list]" = OrderedDict()
-        self.row_hits = 0
-        self.row_misses = 0
 
     @classmethod
     def derive(
@@ -570,29 +557,6 @@ class DenseHubTables:
         """
         return self.F[:, v].tolist(), self.B[:, v].tolist()
 
-    def residual_list_for(self, t: int) -> list:
-        """The residual lower-bound row to ``t``, cached, as a plain list.
-
-        ``result[v]`` bounds ``d(v, t)`` from below — the row the
-        one-to-many search probes once per settled vertex per live target.
-        Materializing it is O(|V|·k) (a numpy pass plus ``tolist``), which
-        dwarfs a pruned search, so rows are kept in a small LRU keyed by
-        target dense id.  Callers must treat the returned list as
-        read-only — it is shared across queries for the life of the epoch.
-        """
-        cache = self._res_rows
-        row = cache.get(t)
-        if row is not None:
-            cache.move_to_end(t)
-            self.row_hits += 1
-            return row
-        row = self.residual_rows_to_target(t).tolist()
-        cache[t] = row
-        self.row_misses += 1
-        if len(cache) > RESIDUAL_ROW_CACHE:
-            cache.popitem(last=False)
-        return row
-
     # -- vectorized bound math (min-plus algebra) ----------------------------
 
     def upper_bound(self, s: int, t: int) -> float:
@@ -614,26 +578,6 @@ class DenseHubTables:
                 bt == inf, 0.0, np.where(bs == inf, inf, np.maximum(bs - bt, 0.0))
             )
         return max(0.0, float(np.maximum(from_hub, to_hub).max()))
-
-    def residual_rows_to_target(self, t: int) -> np.ndarray:
-        """Row of lower bounds on ``d(v, t)`` for every dense id ``v``.
-
-        The vectorized twin of ``QueryBounds.residual_forward`` — one numpy
-        pass replaces ``|V| * k`` scalar dict probes.
-        """
-        F, B = self.F, self.B
-        inf = math.inf
-        ft = F[:, t : t + 1]
-        bt = B[:, t : t + 1]
-        with np.errstate(invalid="ignore"):
-            from_hub = np.where(
-                F == inf, 0.0, np.where(ft == inf, inf, np.maximum(ft - F, 0.0))
-            )
-            to_hub = np.where(
-                bt == inf, 0.0, np.where(B == inf, inf, np.maximum(B - bt, 0.0))
-            )
-        res = np.maximum(from_hub.max(axis=0), to_hub.max(axis=0))
-        return np.maximum(res, 0.0)
 
     def upper_bounds_many(self, s: int, targets: Sequence[int]) -> np.ndarray:
         """Witness bounds ``min_h d(s,h) + d(h,t)`` for a whole target set.
@@ -670,48 +614,6 @@ class DenseHubTables:
             )
         res = np.maximum(from_hub, to_hub).max(axis=0)
         return np.maximum(res, 0.0)
-
-    def residual_rows_to_targets(self, targets: Sequence[int]) -> np.ndarray:
-        """``(m, |V|)`` matrix of lower bounds on ``d(v, t)`` per target.
-
-        The batched twin of :meth:`residual_rows_to_target` — identical
-        per-hub residual formulas, accumulated hub by hub with ``(m, |V|)``
-        broadcasts so peak memory stays one row-set rather than a
-        ``(k, m, |V|)`` cube.  Max over hubs is order-independent, so each
-        output row is bit-identical to the per-target method's.
-        """
-        F, B = self.F, self.B
-        inf = math.inf
-        cols = np.asarray(targets, dtype=np.intp)
-        out = np.zeros((len(cols), F.shape[1]))
-        if B is F:
-            # Undirected: max(from_hub, to_hub) collapses to |d(h,t)-d(h,v)|
-            # exactly (IEEE negation is exact; one-sided inf -> inf; both
-            # inf -> inf-inf = nan -> no evidence, i.e. 0).
-            with np.errstate(invalid="ignore"):
-                for h in range(F.shape[0]):
-                    fv = F[h]
-                    d = np.abs(fv[cols][:, None] - fv)
-                    d[np.isnan(d)] = 0.0
-                    np.maximum(out, d, out=out)
-            return out
-        with np.errstate(invalid="ignore"):
-            for h in range(F.shape[0]):
-                fv = F[h]
-                bv = B[h]
-                ft = fv[cols][:, None]
-                bt = bv[cols][:, None]
-                from_hub = np.where(
-                    fv == inf, 0.0,
-                    np.where(ft == inf, inf, np.maximum(ft - fv, 0.0)),
-                )
-                to_hub = np.where(
-                    bt == inf, 0.0,
-                    np.where(bv == inf, inf, np.maximum(bv - bt, 0.0)),
-                )
-                np.maximum(out, from_hub, out=out)
-                np.maximum(out, to_hub, out=out)
-        return out
 
 
 class DensePlane:

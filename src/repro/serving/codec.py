@@ -38,8 +38,7 @@ ships it (or a delta against the reader's cached base) over the socket,
 and remote readers decode their private copy.  Either way
 :func:`materialize_plane` rebuilds a fully functional ``DensePlane`` over
 the decoded views in O(#buffers) plus the id map; the search loops read
-the buffers in place, and residual rows are deferred to first use exactly
-as on the in-process plane.
+the buffers in place, exactly as on the in-process plane.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ One :class:`~repro.core.hub_index.DensePlane` becomes one
 of :mod:`repro.serving.codec` — header, JSON manifest, then every buffer
 at a 64-byte-aligned offset.  Export encodes straight into the freshly
 created segment; attach decodes the mapped bytes into zero-copy numpy
-views, so attaching costs O(#buffers), the search loops then index the
-mapped bytes themselves, and residual rows are deferred to first use
-exactly as on the in-process plane.
+views, so attaching costs O(#buffers) and the search loops then index the
+mapped bytes themselves, exactly as on the in-process plane.
 
 Cleanup has three layers: explicit :meth:`ShmPlane.close`/``unlink``, the
 epoch registry's refcounted unlink-on-last-detach (see

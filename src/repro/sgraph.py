@@ -52,6 +52,16 @@ AUTO_DENSE_QUERY_RATIO = 4.0
 AUTO_EMA_WEIGHT = 0.5
 
 
+def _check_directed(directed) -> None:
+    """Reject a non-bool ``directed``: ``SGraph(g, SGraphConfig(...))``
+    binds the config there, and would otherwise run on default knobs."""
+    if not isinstance(directed, bool):
+        raise ConfigError(
+            f"directed must be a bool, got {type(directed).__name__} "
+            "(pass the config by keyword: config=...)"
+        )
+
+
 class SGraph(PairwiseVerbs):
     """Sub-second pairwise queries over an evolving graph.
 
@@ -72,6 +82,7 @@ class SGraph(PairwiseVerbs):
         directed: bool = False,
         config: Optional[SGraphConfig] = None,
     ) -> None:
+        _check_directed(directed)
         self._graph = graph if graph is not None else DynamicGraph(directed=directed)
         self._config = config or SGraphConfig()
         self._families = self._config.queries
@@ -114,6 +125,7 @@ class SGraph(PairwiseVerbs):
         config: Optional[SGraphConfig] = None,
     ) -> "SGraph":
         """Build from ``(src, dst)`` or ``(src, dst, weight)`` tuples."""
+        _check_directed(directed)
         graph = DynamicGraph.from_edges(edges, directed=directed)
         return cls(graph=graph, config=config)
 

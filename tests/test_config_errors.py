@@ -19,6 +19,7 @@ from repro.errors import (
     VertexNotFoundError,
     WorkloadError,
 )
+from repro.sgraph import SGraph
 
 
 class TestConfig:
@@ -57,6 +58,17 @@ class TestConfig:
         cfg = SGraphConfig()
         with pytest.raises(AttributeError):
             cfg.num_hubs = 3  # type: ignore[misc]
+
+    def test_positional_config_is_rejected(self):
+        # The second positional slot is `directed`; a config there used to
+        # run silently on default knobs (and from_edges built a directed
+        # graph, the config being truthy).
+        cfg = SGraphConfig(num_hubs=2)
+        with pytest.raises(ConfigError, match="config="):
+            SGraph(None, cfg)
+        with pytest.raises(ConfigError, match="config="):
+            SGraph.from_edges([(0, 1, 1.0)], cfg)
+        assert SGraph.from_edges([(0, 1, 1.0)], config=cfg).config is cfg
 
 
 class TestPruningPolicy:

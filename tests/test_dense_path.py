@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
-from repro.core.hub_index import DenseHubTables, HubIndex
+from repro.core.hub_index import HubIndex
 from repro.core.pruning import PruningPolicy
 from repro.errors import ConfigError
 from repro.graph.dynamic_graph import DynamicGraph
@@ -94,15 +94,10 @@ def test_dense_path_bit_identical(policy, directed):
             assert _stats_tuple(stats) == _stats_tuple(ref_stats)
 
 
-def test_dense_path_does_no_whole_graph_bound_work(monkeypatch):
-    """A dense path query prunes by per-vertex hub probes, like the distance
-    verb: it never materializes an O(k·|V|) residual row."""
-
-    def materialized(self, t):
-        raise AssertionError("best_path materialized a residual row")
-
-    monkeypatch.setattr(DenseHubTables, "residual_rows_to_target",
-                        materialized)
+def test_dense_path_matches_dict_when_searched_and_when_index_closed():
+    """A dense path query prunes by the same per-vertex hub probes as the
+    distance verb, and falls back to the hub witness when the index closes
+    the pair; both cases match the dict plane."""
     g, dict_engine, dense_engine = _engines(
         0, PruningPolicy.UPPER_AND_LOWER, directed=False,
     )

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
-from repro.core.hub_index import HubIndex
+from repro.core.hub_index import DensePlane, HubIndex
 from repro.core.semiring import BOTTLENECK_CAPACITY
 from repro.errors import ConfigError, QueryError
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph, power_law_graph
 from repro.graph.stats import sample_vertex_pairs
 from repro.sgraph import SGraph
@@ -85,6 +86,22 @@ class TestEngineOneToMany:
         results, _stats = engine.one_to_many(source, verts[1:])
         for t in verts[1:]:
             assert results[t] == pytest.approx(ref.get(t, -math.inf)), t
+
+    def test_dead_end_pruned_by_unreachability_proof_on_both_planes(self):
+        # The hub 9 is reachable from the target 2 but not from the branch
+        # 3 -> 4 -> 5, so d(3, 9) = inf proves 3 cannot reach 2 and the
+        # lower-bound prune drops the branch at its first vertex.
+        g = DynamicGraph(directed=True)
+        for u, v in [(0, 1), (1, 2), (2, 9), (0, 3), (3, 4), (4, 5)]:
+            g.add_edge(u, v, 1.0)
+        index = HubIndex(g, [9])
+        fwd, bwd = index.freeze()
+        plane = DensePlane.build(g.snapshot(), [9], fwd, bwd)
+        for engine in (PairwiseEngine(g, index=index),
+                       PairwiseEngine(g, index=index, dense=plane)):
+            results, stats = engine.one_to_many(0, [2])
+            assert results == {2: 2.0}
+            assert (stats.activations, stats.pruned_by_lower_bound) == (2, 1)
 
     def test_amortization_beats_singles(self):
         graph = power_law_graph(1200, 5, seed=6, weight_range=(1.0, 4.0))

@@ -20,7 +20,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.core.hub_index as hub_index_mod
 from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
 from repro.core.pruning import PruningPolicy
@@ -327,8 +326,8 @@ class TestFailureIsolation:
         assert _stats_tuple(stats) == _stats_tuple(ref_stats)
 
 
-class TestHubTableCaches:
-    """DenseHubTables' per-endpoint columns and residual-row LRU."""
+class TestHubTableColumns:
+    """DenseHubTables' per-endpoint columns."""
 
     def _tables(self, seed: int = 46):
         _engine, plane = _dense_engine(seed, PruningPolicy.UPPER_AND_LOWER)
@@ -340,28 +339,6 @@ class TestHubTableCaches:
             fwd, bwd = tables.columns_for(v)
             assert fwd == [row[v] for row in tables.fwd_views]
             assert bwd == [row[v] for row in tables.bwd_views]
-
-    def test_residual_rows_match_uncached_reference(self):
-        tables = self._tables()
-        for t in (3, 12, 3):
-            row = tables.residual_list_for(t)
-            assert row == tables.residual_rows_to_target(t).tolist()
-        assert tables.row_hits == 1
-        assert tables.row_misses == 2
-        # and the batched matrix pass agrees row-for-row (bit-identity of
-        # the one-to-many prune inputs regardless of which path built them)
-        batched = tables.residual_rows_to_targets([3, 12]).tolist()
-        assert batched[0] == tables.residual_list_for(3)
-        assert batched[1] == tables.residual_list_for(12)
-
-    def test_residual_row_cache_evicts_lru(self, monkeypatch):
-        monkeypatch.setattr(hub_index_mod, "RESIDUAL_ROW_CACHE", 2)
-        tables = self._tables()
-        tables.residual_list_for(0)
-        tables.residual_list_for(1)
-        tables.residual_list_for(2)
-        assert 0 not in tables._res_rows
-        assert set(tables._res_rows) == {1, 2}
 
 
 class TestFirstQueryOfEpoch:
@@ -401,3 +378,32 @@ class TestFirstQueryOfEpoch:
         for j in range(k):
             assert np.shares_memory(tables.fwd_rows[j], tables.F)
             assert tables.fwd_views[j].obj is tables.fwd_rows[j]
+
+    def test_batched_verb_does_no_whole_graph_bound_work(self):
+        # The batched verb prunes with the pairwise kernel's hub probes, so
+        # its bound work is O(k) per target: a per-target O(k·|V|) residual
+        # row would alone outgrow the budget below.
+        side, k = 64, 16
+        g = grid_graph(side, side, seed=7)
+        sg = SGraph(graph=g, config=SGraphConfig(
+            num_hubs=k, queries=("distance",), backend="dense",
+        ))
+        view = VersionedStore(sg).publish()
+        plane = view.dense_plane()
+        s = 2 * side + 3
+        targets = [r * side + c for r in (20, 40, 60) for c in (5, 30, 55)]
+        tracemalloc.start()
+        try:
+            result = view.distance_many_result(s, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stats.activations > 0
+        assert result.stats.pruned_by_lower_bound > 0
+        n = plane.csr.num_vertices
+        assert peak < k * n * 8
+        ref = SGraph(graph=g, config=SGraphConfig(
+            num_hubs=k, queries=("distance",), backend="dict",
+        )).distance_many_result(s, targets)
+        assert result.values == ref.values
+        assert _stats_tuple(result.stats) == _stats_tuple(ref.stats)
