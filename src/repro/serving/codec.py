@@ -9,17 +9,18 @@ byte blob laid out as::
     [data_start:...) the buffers themselves, each at a 64-byte-aligned
                      offset *relative to data_start*
 
-The manifest records ``{name: {dtype, shape, offset, chunks}}`` for every
-buffer — CSR ``indptr/indices/weights`` (plus the ``rev_*`` triple when
-directed), the dense→caller id map, and the hub cost matrices
+The manifest records ``{name: {dtype, shape, offset}}`` (plus ``chunks``
+on chunked payloads, below) for every buffer — CSR
+``indptr/indices/weights`` (plus the ``rev_*`` triple when directed),
+the dense→caller id map, and the hub cost matrices
 ``F`` (and ``B`` when directed and distinct) — so decoding needs nothing
 but the bytes: parse the manifest, wrap each buffer in a zero-copy numpy
 view.
 
-**Chunk addressing.**  Every buffer is additionally divided into fixed
-:data:`CHUNK_BYTES` chunks and the manifest records a short content
-digest per chunk.  Two manifests therefore describe not just *what* their
-planes contain but *which bytes differ*: :func:`diff_manifests` yields
+**Chunk addressing.**  On a chunked payload every buffer is additionally
+divided into fixed :data:`CHUNK_BYTES` chunks and the manifest records a
+short content digest per chunk.  Two manifests therefore describe not
+just *what* their planes contain but *which bytes differ*: :func:`diff_manifests` yields
 per-buffer dirty byte ranges, :func:`encode_plane_delta` packs exactly
 those ranges (plus the new manifest) into a delta frame, and
 :func:`apply_plane_delta` composes a delta onto the base payload to
@@ -31,12 +32,15 @@ identical buffers reduces to a header-only frame carrying just the new
 manifest.  This is what makes remote epoch visibility O(Δ): a reader
 holding the previous payload fetches only the churned chunks.
 
-Both transports speak the full format.  The shm transport encodes
-straight into a ``shared_memory`` segment's buffer (readers map the same
-bytes); the TCP transport encodes into a ``bytearray`` once per publish,
-ships it (or a delta against the reader's cached base) over the socket,
-and remote readers decode their private copy.  Either way
-:func:`materialize_plane` rebuilds a fully functional ``DensePlane`` over
+The transport decides which manifests carry chunk tables, and shm
+segments carry no chunk table.  The shm transport encodes straight into
+a ``shared_memory`` segment's buffer (readers map the same bytes and
+never diff, so hashing would be wasted); the TCP transport encodes a
+chunked payload into a ``bytearray`` once per publish, ships it (or a
+delta against the reader's cached base) over the socket, and remote
+readers decode their private copy.  Either encode lays the manifest out
+once: the layout that sizes the sink is the one written into it.
+Either way :func:`materialize_plane` rebuilds a fully functional ``DensePlane`` over
 the decoded views in O(#buffers) plus the id map; the search loops read
 the buffers in place, exactly as on the in-process plane.
 """
@@ -113,31 +117,45 @@ def plane_buffers(plane) -> List[Tuple[str, np.ndarray]]:
     return buffers
 
 
+#: ``(manifest, manifest JSON bytes, total encoded size)`` — computed
+#: once per encode, then used both to size the sink and to fill it
+Layout = Tuple[Dict, bytes, int]
+
+
 def buffers_manifest(buffers: Sequence[Tuple[str, np.ndarray]],
-                     meta: Optional[Dict] = None) -> Tuple[Dict, bytes, int]:
+                     meta: Optional[Dict] = None,
+                     chunked: bool = True) -> Layout:
     """Manifest dict, its JSON encoding, and the total encoded size.
 
     The generalized core of :func:`plane_manifest`: lays out any named
-    buffer sequence (offset table + per-chunk digest table) under
-    arbitrary ``meta`` keys.  The size covers header + manifest + aligned
-    buffers — callers presize their sink (a shm segment, a bytearray)
-    with it before encoding.
+    buffer sequence (offset table, plus the per-chunk digest table when
+    ``chunked``) under arbitrary ``meta`` keys.  The size covers header +
+    manifest + aligned buffers — callers presize their sink (a shm
+    segment, a bytearray) with it, then hand the same layout to
+    :func:`encode_buffers_into`, so nothing is laid out or hashed twice.
+
+    Only a byte-moving transport diffs manifests, so only it asks for
+    chunk tables.  An unchunked manifest has neither ``chunk_bytes`` nor
+    per-buffer ``chunks``, and :func:`diff_manifests` never calls any of
+    its buffers clean.
     """
     table: Dict[str, Dict] = {}
     offset = 0
     for buf_name, arr in buffers:
-        arr = np.ascontiguousarray(arr)
         offset = aligned(offset)
-        table[buf_name] = {
+        spec = {
             "dtype": str(arr.dtype),
             "shape": list(arr.shape),
             "offset": offset,
-            "chunks": chunk_digests(arr),
         }
+        if chunked:
+            spec["chunks"] = chunk_digests(np.ascontiguousarray(arr))
+        table[buf_name] = spec
         offset += arr.nbytes
     manifest = {"version": FORMAT_VERSION}
     manifest.update(meta or {})
-    manifest["chunk_bytes"] = CHUNK_BYTES
+    if chunked:
+        manifest["chunk_bytes"] = CHUNK_BYTES
     manifest["buffers"] = table
     mbytes = json.dumps(manifest, separators=(",", ":")).encode("ascii")
     data_start = aligned(_HEADER_BYTES + len(mbytes))
@@ -145,31 +163,36 @@ def buffers_manifest(buffers: Sequence[Tuple[str, np.ndarray]],
     return manifest, mbytes, total
 
 
-def plane_manifest(plane, epoch=None,
-                   buffers=None) -> Tuple[Dict, bytes, int]:
-    """Manifest dict, its JSON encoding, and the total encoded size."""
-    if buffers is None:
-        buffers = plane_buffers(plane)
+def _plane_meta(plane, epoch) -> Dict:
     csr = plane.csr
-    return buffers_manifest(buffers, meta={
+    return {
         "epoch": int(csr.epoch if epoch is None else epoch),
         "directed": bool(csr.directed),
         "n": csr.num_vertices,
         "hubs": [int(h) for h in plane.tables.hubs],
-    })
+    }
+
+
+def plane_manifest(plane, epoch=None, buffers=None,
+                   chunked: bool = True) -> Layout:
+    """Manifest dict, its JSON encoding, and the total encoded size."""
+    if buffers is None:
+        buffers = plane_buffers(plane)
+    return buffers_manifest(buffers, _plane_meta(plane, epoch), chunked)
 
 
 def encoded_size(plane, epoch=None) -> int:
-    """Bytes :func:`encode_plane_into` will write for ``plane``."""
+    """Bytes :func:`encode_plane` produces for ``plane``."""
     return plane_manifest(plane, epoch)[2]
 
 
 def encode_buffers_into(buffers: Sequence[Tuple[str, np.ndarray]], sink,
-                        meta: Optional[Dict] = None,
+                        layout: Layout,
                         ) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Serialize named buffers into a writable sink (see
-    :func:`encode_plane_into`)."""
-    manifest, mbytes, total = buffers_manifest(buffers, meta=meta)
+    :func:`encode_plane_into`).  ``layout`` is the :func:`buffers_manifest`
+    of these buffers that the caller sized the sink with."""
+    manifest, mbytes, total = layout
     buf = memoryview(sink)
     if len(buf) < total:
         raise ConfigError(
@@ -202,28 +225,25 @@ def encode_plane_into(plane, sink,
     offset is 64-byte aligned so the views keep the alignment the
     vectorized kernels expect.
     """
-    csr = plane.csr
-    return encode_buffers_into(plane_buffers(plane), sink, meta={
-        "epoch": int(csr.epoch if epoch is None else epoch),
-        "directed": bool(csr.directed),
-        "n": csr.num_vertices,
-        "hubs": [int(h) for h in plane.tables.hubs],
-    })
+    buffers = plane_buffers(plane)
+    return encode_buffers_into(buffers, sink,
+                               plane_manifest(plane, epoch, buffers))
 
 
 def encode_buffers(buffers: Sequence[Tuple[str, np.ndarray]],
                    meta: Optional[Dict] = None) -> bytes:
-    """Serialize named buffers into a fresh bytes object."""
-    sink = bytearray(buffers_manifest(buffers, meta=meta)[2])
-    encode_buffers_into(buffers, sink, meta=meta)
+    """Serialize named buffers into a fresh bytes object (chunked: the
+    layout, and so every chunk digest, is computed once)."""
+    layout = buffers_manifest(buffers, meta)
+    sink = bytearray(layout[2])
+    encode_buffers_into(buffers, sink, layout)
     return bytes(sink)
 
 
 def encode_plane(plane, epoch=None) -> bytes:
-    """Serialize ``plane`` into a fresh bytes object (the TCP payload)."""
-    sink = bytearray(encoded_size(plane, epoch))
-    encode_plane_into(plane, sink, epoch=epoch)
-    return bytes(sink)
+    """Serialize ``plane`` into a fresh bytes object (the TCP payload,
+    chunked so TCP readers can diff consecutive manifests)."""
+    return encode_buffers(plane_buffers(plane), _plane_meta(plane, epoch))
 
 
 def payload_manifest(payload) -> Dict:
@@ -329,20 +349,23 @@ def diff_manifests(base: Dict, target: Dict) -> Dict[str, Optional[
     ranges — relative to the buffer — covering exactly the chunks whose
     digests differ (empty when the buffer is bit-identical).  Buffers
     present only in ``base`` simply vanish: the target manifest does not
-    mention them.
+    mention them.  A buffer without a chunk table on either side (an
+    unchunked shm layout) is always resent whole: absent digests prove
+    nothing clean.
     """
     out: Dict[str, Optional[List[Tuple[int, int]]]] = {}
     base_table = base.get("buffers", {})
-    comparable = base.get("chunk_bytes") == target.get("chunk_bytes")
+    chunk = target.get("chunk_bytes")
+    comparable = chunk is not None and base.get("chunk_bytes") == chunk
     for name, spec in target["buffers"].items():
         old = base_table.get(name)
         if (not comparable or old is None
+                or "chunks" not in old or "chunks" not in spec
                 or old["dtype"] != spec["dtype"]
                 or old["shape"] != spec["shape"]):
             out[name] = None
             continue
         nbytes = _buffer_nbytes(spec)
-        chunk = target["chunk_bytes"]
         ranges: List[Tuple[int, int]] = []
         for i, (was, now) in enumerate(zip(old["chunks"], spec["chunks"])):
             if was == now:

@@ -34,6 +34,7 @@ O(Δ) deltas against its cached planes instead of full payloads, and
 from __future__ import annotations
 
 import atexit
+import gc
 import itertools
 import multiprocessing as mp
 import os
@@ -92,6 +93,11 @@ def _worker_main(worker_id: int, spec, requests, responses,
     deliver.  The writer round-robins over the private queues of workers
     it still believes alive and multiplexes their response pipes.
     """
+    # Move everything inherited from the writer into the permanent
+    # generation: each epoch handoff runs a full gc.collect() (see
+    # ShmClient.acquire), which would otherwise walk the writer's whole
+    # heap every time.  Respawns re-enter here, so they freeze too.
+    gc.freeze()
     # A worker that loses the writer keeps answering from its held plane
     # (degraded), flagged stale in its reader_stats row.
     reader = PlaneReader(spec.connect(worker_id), policy_value)

@@ -3,10 +3,12 @@
 One :class:`~repro.core.hub_index.DensePlane` becomes one
 ``multiprocessing.shared_memory`` segment holding exactly the byte format
 of :mod:`repro.serving.codec` — header, JSON manifest, then every buffer
-at a 64-byte-aligned offset.  Export encodes straight into the freshly
-created segment; attach decodes the mapped bytes into zero-copy numpy
-views, so attaching costs O(#buffers) and the search loops then index the
-mapped bytes themselves, exactly as on the in-process plane.
+at a 64-byte-aligned offset — with no per-chunk digest table, since
+mapped readers never diff.  Export lays the manifest out once and encodes
+straight into the freshly created segment; attach decodes the mapped
+bytes into zero-copy numpy views, so attaching costs O(#buffers) and the
+search loops then index the mapped bytes themselves, exactly as on the
+in-process plane.
 
 Cleanup has three layers: explicit :meth:`ShmPlane.close`/``unlink``, the
 epoch registry's refcounted unlink-on-last-detach (see
@@ -28,9 +30,10 @@ from repro.errors import ConfigError
 from repro.serving.codec import (
     PlaneGraph,
     decode_plane,
-    encode_plane_into,
-    encoded_size,
+    encode_buffers_into,
     materialize_plane,
+    plane_buffers,
+    plane_manifest,
 )
 
 __all__ = [
@@ -192,11 +195,15 @@ class ShmPlane:
         """
         if shared_memory is None:  # pragma: no cover
             raise ConfigError("multiprocessing.shared_memory is unavailable")
-        total = encoded_size(plane, epoch)
-        shm = shared_memory.SharedMemory(create=True, size=total, name=name)
+        # Readers map these bytes and never diff them: no chunk table, and
+        # the one layout both sizes the segment and is written into it.
+        buffers = plane_buffers(plane)
+        layout = plane_manifest(plane, epoch, buffers, chunked=False)
+        shm = shared_memory.SharedMemory(create=True, size=layout[2],
+                                         name=name)
         _created.add(name)
         _untrack(name)
-        manifest, arrays = encode_plane_into(plane, shm.buf, epoch=epoch)
+        manifest, arrays = encode_buffers_into(buffers, shm.buf, layout)
         return cls(shm, manifest, arrays, created=True)
 
     @classmethod

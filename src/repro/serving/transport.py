@@ -26,6 +26,7 @@ any host, which cache each fetched plane locally (fetch-on-publish).
 
 from __future__ import annotations
 
+import gc
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Optional, Tuple
 
@@ -208,13 +209,16 @@ class PlaneReader:
 
     def stats_row(self) -> Dict[str, object]:
         """The client's transfer and fault counters (transports that move
-        bytes keep them), the workspace reuse counters, the served epoch
-        and the staleness markers."""
+        bytes keep them), the workspace reuse counters, the served epoch,
+        the staleness markers, and ``gc_frozen``: the objects in this
+        process's permanent gc generation, which every collection skips
+        (a pool worker freezes what it inherited from the writer)."""
         row: Dict[str, object] = dict(getattr(self._client, "transfer", {}))
         row.update(self._workspace.stats_row())
         row["epoch"] = self.epoch
         row["stale"] = self._stale
         row["stale_serves"] = self._stale_serves
+        row["gc_frozen"] = gc.get_freeze_count()
         return row
 
     def release(self) -> None:
@@ -323,9 +327,9 @@ class ShmClient(PlaneClient):
         def release() -> None:
             # The engine and plane hold numpy views into the mapping; the
             # caller dropped its references, but stray cycles would defer
-            # the munmap to interpreter shutdown — collect first.
-            import gc
-
+            # the munmap to interpreter shutdown — collect first.  Pool
+            # workers gc.freeze() everything inherited from the writer at
+            # start, so this walks only the reader's own objects.
             gc.collect()
             handle.close()
             board.release(slot, reader_id)

@@ -24,11 +24,13 @@ from repro.serving.codec import (
     CHUNK_BYTES,
     PlaneGraph,
     apply_plane_delta,
+    buffers_manifest,
     decode_plane,
     delta_header,
     delta_patch_bytes,
     diff_manifests,
     encode_buffers,
+    encode_buffers_into,
     encode_plane,
     encode_plane_delta,
     encoded_size,
@@ -303,6 +305,58 @@ class TestChunkTables:
             s, t = rng.sample(verts, 2)
             value, _stats = engine.best_cost(s, t)
             assert value == new_view.distance(s, t).value
+
+    def test_unchunked_manifests_never_diff_clean(self):
+        """Without chunk tables nothing proves a buffer clean: every buffer
+        is resent whole, even between byte-identical payloads."""
+        x = np.arange(600, dtype=np.float64)
+        layout = buffers_manifest([("x", x)], chunked=False)
+        sink = bytearray(layout[2])
+        encode_buffers_into([("x", x)], sink, layout)
+        bare = bytes(sink)
+        manifest = payload_manifest(bare)
+        assert "chunk_bytes" not in manifest
+        assert "chunks" not in manifest["buffers"]["x"]
+        np.testing.assert_array_equal(decode_plane(bare)[1]["x"], x)
+        chunked = encode_buffers([("x", x)])
+        for base, target in ((bare, bare), (chunked, bare), (bare, chunked)):
+            dirty = diff_manifests(payload_manifest(base),
+                                   payload_manifest(target))
+            assert dirty == {"x": None}
+            delta = encode_plane_delta(base, target)
+            assert delta_patch_bytes(delta) == x.nbytes
+            assert apply_plane_delta(base, delta) == target
+        # a chunk table missing on one buffer only resends that buffer
+        spec_less = payload_manifest(chunked)
+        del spec_less["buffers"]["x"]["chunks"]
+        assert diff_manifests(spec_less, payload_manifest(chunked)) \
+            == {"x": None}
+        assert diff_manifests(payload_manifest(chunked), spec_less) \
+            == {"x": None}
+
+    def test_encode_plane_hashes_each_buffer_once(self, monkeypatch):
+        """One layout per encode: the payload is byte-identical to the
+        two-pass encode, with exactly one digest pass per buffer."""
+        from repro.serving import codec
+
+        _sg, view, plane = _published_plane(60, directed=True)
+        calls = []
+        real = codec.chunk_digests
+
+        def counting(data, *args, **kwargs):
+            calls.append(data.nbytes)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(codec, "chunk_digests", counting)
+        payload = encode_plane(plane, epoch=view.epoch)
+        buffers = codec.plane_buffers(plane)
+        assert len(calls) == len(buffers)
+        assert calls == [arr.nbytes for _name, arr in buffers]
+        calls.clear()
+        two_pass = bytearray(encoded_size(plane, epoch=view.epoch))
+        codec.encode_plane_into(plane, two_pass, epoch=view.epoch)
+        assert bytes(two_pass) == payload
+        assert plane_digest(two_pass) == plane_digest(payload)
 
     def test_wrong_base_rejected(self):
         _sg, view, plane = _published_plane(59)

@@ -134,6 +134,52 @@ class TestShmPlaneRoundTrip:
             exported.unlink()
         assert leaked_segments(name) == []
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_export_hashes_nothing(self, directed, monkeypatch):
+        """Mapped readers never diff, so a segment carries no chunk table
+        and exporting one computes no chunk digest at all."""
+        from repro.serving import codec
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("shm export hashed a chunk")
+
+        monkeypatch.setattr(codec, "chunk_digests", refuse)
+        sg = _sgraph(13, directed)
+        view = VersionedStore(sg).publish()
+        name = f"rptest-nohash{int(directed)}"
+        exported = ShmPlane.export(view.dense_plane("distance"), name,
+                                   epoch=view.epoch)
+        try:
+            attached = ShmPlane.attach(name)
+            manifest = attached.manifest
+            assert "chunk_bytes" not in manifest
+            assert all("chunks" not in spec
+                       for spec in manifest["buffers"].values())
+            remote = attached.as_dense_plane()
+            engine = PairwiseEngine(
+                PlaneGraph(remote.csr),
+                policy=PruningPolicy.UPPER_AND_LOWER,
+                dense=remote,
+            )
+            local = view.engine("distance")
+            rng = random.Random(6)
+            verts = sorted(sg.graph.vertices())
+            for _ in range(30):
+                s, t = rng.sample(verts, 2)
+                value, stats = engine.best_cost(s, t)
+                ref_value, ref_stats = local.best_cost(s, t)
+                assert value == ref_value
+                assert _stats_tuple(stats) == _stats_tuple(ref_stats)
+            targets = verts[1:25]
+            assert (engine.one_to_many(verts[0], targets)[0]
+                    == local.one_to_many(verts[0], targets)[0])
+            engine = remote = None  # drop views before unmapping
+            attached.close()
+        finally:
+            exported.close()
+            exported.unlink()
+        assert leaked_segments(name) == []
+
     def test_attach_is_zero_copy(self):
         sg = _sgraph(12)
         store = VersionedStore(sg)
@@ -392,6 +438,23 @@ class TestWorkerCrash:
             assert all(refcount <= 1 for _s, _n, _e, refcount, _st
                        in session.transport.registry.slots())
         assert leaked_segments(prefix) == []
+
+    def test_workers_freeze_the_inherited_heap(self):
+        """Every worker, forked at start or respawned after a kill, moves
+        what it inherited from the writer into the permanent gc
+        generation, so the collect each epoch handoff runs skips it."""
+        sg = _sgraph(44)
+        with sg.serve(workers=2) as session:
+            rows = session.reader_stats()
+            assert len(rows) == 2
+            assert all(row["gc_frozen"] > 0 for row in rows), rows
+            session.pool.kill_worker(0)
+            session.reap()
+            assert session.pool.respawns == 1
+            session.distance(0, 1)
+            rows = session.reader_stats()
+            assert sorted(row["worker"] for row in rows) == [0, 1]
+            assert all(row["gc_frozen"] > 0 for row in rows), rows
 
     def test_crash_then_publish_still_hands_off(self):
         sg = _sgraph(42)
