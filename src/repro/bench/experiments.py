@@ -131,9 +131,10 @@ def _dense_engine_for(wl, policy: PruningPolicy) -> PairwiseEngine:
     frozen = HubIndex.from_tables(
         snapshot, index.hubs, index.semiring, fwd,
         backward_tables=bwd if snapshot.directed else None,
-        copy=False,
+        copy=False, large_diameter=index.large_diameter,
     )
-    plane = DensePlane.build(snapshot, index.hubs, fwd, bwd)
+    plane = DensePlane.build(snapshot, index.hubs, fwd, bwd,
+                             large_diameter=index.large_diameter)
     return PairwiseEngine(snapshot, index=frozen, policy=policy, dense=plane)
 
 

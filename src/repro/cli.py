@@ -24,6 +24,7 @@ from repro.bench.report import format_table
 from repro.core.config import SGraphConfig
 from repro.errors import ConfigError, QueryError
 from repro.core.hub_selection import DEFAULT_STRATEGY, STRATEGIES
+from repro.core.semiring import ShortestDistance
 from repro.graph.datasets import dataset_names, load_dataset
 from repro.graph.stats import profile_graph
 from repro.sgraph import SGraph
@@ -65,12 +66,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.repeat < 1:
         raise ConfigError("--repeat must be >= 1")
     run = dispatch[args.kind]
+    family = {"hops": "hops", "bottleneck": "capacity"}.get(args.kind,
+                                                          "distance")
     result = run(args.source, args.target)
     stats = result.stats
     print(f"{args.kind}({args.source}, {args.target}) = {result.value}")
     print(
         f"  latency {1e3 * stats.elapsed:.3f} ms, "
-        f"{stats.activations} activations, "
+        f"{stats.activations} activations ordered by "
+        f"{_search_order(sg, family)}, "
         f"answered_by_index={stats.answered_by_index}"
     )
     if args.repeat > 1:
@@ -84,21 +88,30 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"  repeat x{args.repeat}: cold {1e3 * stats.elapsed:.3f} ms, "
             f"warm median {1e3 * median:.3f} ms"
         )
-        family = {"distance": "distance", "hops": "hops",
-                  "reachability": "distance"}.get(args.kind)
-        if family is not None:
-            ws = sg.workspace_stats(family)
-            if ws["workspace_allocs"]:
-                print(
-                    f"  workspace: {ws['workspace_allocs']} allocs, "
-                    f"{ws['workspace_hits']} hits, "
-                    f"{ws['workspace_resets']} resets, "
-                    f"{ws['touched_reset']} entries sparse-reset"
-                )
+        ws = sg.workspace_stats(family)
+        if ws["workspace_allocs"]:
+            print(
+                f"  workspace: {ws['workspace_allocs']} allocs, "
+                f"{ws['workspace_hits']} hits, "
+                f"{ws['workspace_resets']} resets, "
+                f"{ws['touched_reset']} entries sparse-reset"
+            )
     if args.path and args.kind == "distance":
         path_result = sg.shortest_path(args.source, args.target)
         print(f"  path: {path_result.path}")
     return 0
+
+
+def _search_order(sg: SGraph, family: str) -> str:
+    """The queue key ``family``'s pairwise search uses: ``g + p`` (label
+    plus hub-bound potential) where the hub placement found the graph
+    large-diameter and the family is min-plus under lower-bound pruning,
+    the label ``g`` alone otherwise."""
+    index = sg.index_for(family)
+    if (index.large_diameter and sg.config.policy.uses_lower_bounds
+            and isinstance(index.semiring, ShortestDistance)):
+        return "g+p (large-diameter graph)"
+    return "g"
 
 
 def _cmd_many(args: argparse.Namespace) -> int:

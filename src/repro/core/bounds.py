@@ -25,6 +25,45 @@ import math
 from repro.core.hub_index import DenseHubTables, HubIndex
 from repro.core.semiring import PathSemiring, ShortestDistance
 
+#: How many hubs the bound-ordered search puts in its potential ``p``: per
+#: query, the ones whose lower bound on ``d(s, t)`` is largest (ALT's
+#: "active landmarks").  More hubs tighten ``p``; each costs two row reads
+#: per touched vertex.  Time relative to the unordered dense search for the
+#: ledger's 210 ``engine-read`` single pairs (64² grid, 16 ``auto`` hubs,
+#: cost queries, min–max of five alternating rounds on a 2-vCPU host):
+#:
+#: ====  =================
+#: hubs  time vs unordered
+#: ====  =================
+#: 16    0.74–0.81
+#: 8     0.51–0.56
+#: 4     **0.42–0.47**
+#: 3     0.45–0.51
+#: 2     0.52–0.58
+#: ====  =================
+POTENTIAL_HUBS = 4
+
+
+def potential_hubs(fwd_s, bwd_s, fwd_t, bwd_t) -> List[int]:
+    """Positions of the :data:`POTENTIAL_HUBS` hubs bounding ``d(s, t)`` best.
+
+    The four arguments are the per-hub columns ``d(h,s)``, ``d(s,h)``,
+    ``d(h,t)``, ``d(t,h)`` in hub order; each hub's bound is the larger of
+    its two triangle inequalities.  Ties go to the earlier hub, so both
+    planes pick the same hubs from the same columns.  O(k log k), k small.
+    """
+    inf = math.inf
+    scores = []
+    for hs, sh, ht, th in zip(fwd_s, bwd_s, fwd_t, bwd_t):
+        best = 0.0
+        if hs != inf:
+            best = max(best, ht - hs)
+        if th != inf:
+            best = max(best, sh - th)
+        scores.append(best)
+    order = sorted(range(len(scores)), key=lambda j: -scores[j])
+    return order[:POTENTIAL_HUBS]
+
 
 class QueryBounds:
     """Bound evaluators specialized to one (source, target) pair."""
@@ -195,6 +234,22 @@ class QueryBounds:
         """
         return self.residual_forward(self.source)
 
+    def potential_rows(self) -> list:
+        """The bound-ordered search's hubs (see :func:`potential_hubs`), as
+        ``(d(h,·), d(·,h), d(h,t), d(t,h), d(h,s), d(s,h))`` tuples whose
+        two tables are the raw cost dicts.  Distance algebra only."""
+        inf = math.inf
+        s = self.source
+        rows = self._rows
+        fwd_s = [fwd.get(s, inf) for fwd, _ft, _bwd, _bt in rows]
+        bwd_s = [bwd.get(s, inf) for _fwd, _ft, bwd, _bt in rows]
+        fwd_t = [ft for _fwd, ft, _bwd, _bt in rows]
+        bwd_t = [bt for _fwd, _ft, _bwd, bt in rows]
+        return [
+            (rows[j][0], rows[j][2], fwd_t[j], bwd_t[j], fwd_s[j], bwd_s[j])
+            for j in potential_hubs(fwd_s, bwd_s, fwd_t, bwd_t)
+        ]
+
     def proves_unreachable(self) -> bool:
         """True when the index alone proves no source→target path exists."""
         return self.lower_bound() == self._semiring.unreachable
@@ -239,6 +294,19 @@ class DenseQueryBounds:
         if self._lower is None:
             self._lower = self._tables.residual_pair(self.source, self.target)
         return self._lower
+
+    def potential_rows(self) -> list:
+        """Dense twin of :meth:`QueryBounds.potential_rows`: the same hubs
+        from the same columns, with memoryview rows in place of dicts."""
+        tables = self._tables
+        fwd_s, bwd_s = tables.columns_for(self.source)
+        fwd_t, bwd_t = tables.columns_for(self.target)
+        fwd_views, bwd_views = tables.fwd_views, tables.bwd_views
+        return [
+            (fwd_views[j], bwd_views[j], fwd_t[j], bwd_t[j], fwd_s[j],
+             bwd_s[j])
+            for j in potential_hubs(fwd_s, bwd_s, fwd_t, bwd_t)
+        ]
 
     def proves_unreachable(self) -> bool:
         """True when the index alone proves no source→target path exists."""

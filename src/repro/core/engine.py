@@ -12,7 +12,11 @@ One search routine serves every pruning policy the evaluation compares:
   tested against ``concat(g(v), residual(v))`` where ``residual(v)`` is the
   index's optimistic bound on the *remaining* cost.  Vertices that provably
   cannot improve the incumbent are discarded, and queries whose lower and
-  upper bounds already coincide are answered with zero traversal.
+  upper bounds already coincide are answered with zero traversal.  On a
+  large-diameter graph (the hub placement's verdict) the min-plus search
+  is also *ordered* by the bound: both queues key by ``g(v) + p(v)``, the
+  ALT potential ``p = ½(π_t − π_s)`` over
+  :data:`~repro.core.bounds.POTENTIAL_HUBS` hubs.
 
 The routine is generic over :class:`~repro.core.semiring.PathSemiring`, so
 the same code answers shortest-distance and bottleneck queries.
@@ -631,7 +635,9 @@ class PairwiseEngine:
         answer with a value but no path (bounds coincide, any finite
         witness) are cost-mode only.  This is the reference every dense
         routine is differentially tested against, and the only search for
-        the capacity and reliability algebras.
+        the capacity and reliability algebras.  On a large-diameter graph
+        the distance algebra's search is bound-ordered exactly as in
+        :meth:`_search_dense`.
         """
         graph = self._graph
         sr = self._semiring
@@ -692,24 +698,43 @@ class PairwiseEngine:
         settled_b: set = set()
         heap_f = IndexedHeap()
         heap_b = IndexedHeap()
-        heap_f.push(source, sr.priority(sr.source_value))
-        heap_b.push(target, sr.priority(sr.source_value))
         use_ub = self._policy.uses_index
         use_lb = self._policy.uses_lower_bounds
         # With a tolerance, prune/terminate against incumbent/(1+tol): any
         # path forgone then costs at least that much, so the returned
         # incumbent is within the requested factor of the optimum.
         threshold = incumbent / scale
+        nextafter = math.nextafter
+        cut = nextafter(threshold, math.inf) if want_path else threshold
+        # On a large-diameter graph the min-plus search is bound-ordered:
+        # both queues key by g + p (p_b = -p_f), see `_search_dense`.
+        ordered = use_lb and is_distance and self._index.large_diameter
+        if ordered:
+            assert bounds is not None
+            rows = bounds.potential_rows()
+            pot_f: dict = {}
+            pot_b: dict = {}
+            for v in (source, target):
+                pot_f[v], pot_b[v] = _potential_dict(rows, v)
+            heap_f.push(source, pot_f[source][0])
+            heap_b.push(target, pot_b[target][0])
+        else:
+            heap_f.push(source, sr.priority(sr.source_value))
+            heap_b.push(target, sr.priority(sr.source_value))
         best_meet = None
 
         while heap_f and heap_b:
             if incumbent != unreachable:
-                key_f, _ = heap_f.peek()
-                key_b, _ = heap_b.peek()
-                frontier = sr.concat(labels_f[key_f], labels_b[key_b])
-                if (sr.is_better(threshold, frontier) if want_path
-                        else not sr.is_better(frontier, threshold)):
-                    break
+                if ordered:
+                    if heap_f.peek()[1] + heap_b.peek()[1] >= cut:
+                        break
+                else:
+                    key_f, _ = heap_f.peek()
+                    key_b, _ = heap_b.peek()
+                    frontier = sr.concat(labels_f[key_f], labels_b[key_b])
+                    if (sr.is_better(threshold, frontier) if want_path
+                            else not sr.is_better(frontier, threshold)):
+                        break
             forward = len(heap_f) <= len(heap_b)
             if forward:
                 heap, labels, other_labels, settled, parents = (
@@ -733,6 +758,8 @@ class PairwiseEngine:
                 ):
                     incumbent = candidate
                     threshold = incumbent / scale
+                    cut = (nextafter(threshold, math.inf) if want_path
+                           else threshold)
                     best_meet = v
                     if stop_at_feasible:
                         break
@@ -743,7 +770,12 @@ class PairwiseEngine:
             ):
                 stats.pruned_by_upper_bound += 1
                 continue
-            if use_lb:
+            if ordered:
+                pot = pot_f if forward else pot_b
+                if cost_v + pot[v][1] >= cut:
+                    stats.pruned_by_lower_bound += 1
+                    continue
+            elif use_lb:
                 assert bounds is not None
                 prunable = (
                     bounds.prunable_forward(v, cost_v, threshold,
@@ -758,17 +790,56 @@ class PairwiseEngine:
 
             stats.activations += 1
             neighbors = graph.out_items(v) if forward else graph.in_items(v)
+            if not ordered:
+                for u, w in neighbors:
+                    stats.relaxations += 1
+                    if u in settled:
+                        continue
+                    candidate = sr.extend(cost_v, w)
+                    current = labels.get(u)
+                    if current is None or sr.is_better(candidate, current):
+                        labels[u] = candidate
+                        parents[u] = v
+                        heap.push(u, sr.priority(candidate))
+                        stats.pushes += 1
+                continue
+            # The bound-ordered relaxation, step for step `_search_dense`'s.
+            meet = math.inf
+            meet_u = None
             for u, w in neighbors:
                 stats.relaxations += 1
                 if u in settled:
                     continue
-                candidate = sr.extend(cost_v, w)
+                candidate = cost_v + w
                 current = labels.get(u)
-                if current is None or sr.is_better(candidate, current):
+                if current is None or candidate < current:
+                    cached = pot.get(u)
+                    if cached is None:
+                        pot_f[u], pot_b[u] = _potential_dict(rows, u)
+                        cached = pot[u]
+                    p_u, lb_u = cached
+                    if candidate + lb_u >= cut:
+                        stats.pruned_by_lower_bound += 1
+                        continue
                     labels[u] = candidate
                     parents[u] = v
-                    heap.push(u, sr.priority(candidate))
+                    heap.push(u, candidate + p_u)
                     stats.pushes += 1
+                    other = other_labels.get(u)
+                    if other is not None:
+                        total = candidate + other
+                        if total < meet or (total == meet and u < meet_u):
+                            meet = total
+                            meet_u = u
+            if meet_u is not None and (
+                meet < incumbent or (want_path and meet == incumbent)
+            ):
+                incumbent = meet
+                threshold = incumbent / scale
+                cut = nextafter(threshold, math.inf) if want_path else threshold
+                best_meet = meet_u
+                if stop_at_feasible:
+                    break
 
         if not want_path or incumbent == unreachable:
             return incumbent, None, stats
@@ -804,6 +875,14 @@ class PairwiseEngine:
         of by a second set of comparisons: every prune tests against
         ``cut``, which is the threshold itself in cost mode and the next
         float above it in path mode (``x >= cut`` is then ``x > threshold``).
+
+        Where the tables' ``large_diameter`` verdict holds (and lower bounds
+        are on), the queues key by ``g + p`` instead of ``g``: a relaxation
+        evaluates the vertex's potential on first touch, refuses the push
+        when ``candidate + π ≥ cut`` and meets the other side's labels
+        (the row's best meet lowers the incumbent once the row is done);
+        the pop-time lower-bound test reads the cached ``π`` instead of
+        probing every hub.  THEORY §3.3 has the argument.
         """
         plane = self._dense
         csr = plane.csr
@@ -867,20 +946,36 @@ class PairwiseEngine:
             heap_b = ws.heap_b
             journal_f = ws.journal_f
             journal_b = ws.journal_b
+            use_ub = self._policy.uses_index
+            use_lb = self._policy.uses_lower_bounds
+            # On a large-diameter graph the search is bound-ordered: both
+            # queues key by g + p, p = ½(π_t − π_s) over a few hubs (see
+            # `POTENTIAL_HUBS`), p_b = −p_f.  p and the direction's π are
+            # evaluated once per touched vertex and cached in the workspace
+            # as `(±p, π)`; elsewhere the keys are the labels themselves.
+            ordered = use_lb and plane.tables.large_diameter
+            seed_f = seed_b = 0.0
+            if ordered:
+                rows = bounds.potential_rows()
+                pot_f, pot_b = ws.ensure_pot()
+                journal_p = ws.journal_p
+                for v in (s, t):
+                    journal_p.append(v)
+                    pot_f[v], pot_b[v] = _potential_dense(rows, v)
+                seed_f = pot_f[s][0]
+                seed_b = pot_b[t][0]
             journal_f.append(s)
             g_f[s] = 0.0
-            heap_f.append((0.0, s))
+            heap_f.append((seed_f, s))
             journal_b.append(t)
             g_b[t] = 0.0
-            heap_b.append((0.0, t))
+            heap_b.append((seed_b, t))
             # Frontier sizes (what the dict plane's `len(heap)` reads) are
             # first touches minus pops: journal length minus these.
             popped_f = popped_b = 0
             indptr_f, indices_f, weights_f = csr.out_views
             indptr_b, indices_b, weights_b = csr.in_views
-            use_ub = self._policy.uses_index
-            use_lb = self._policy.uses_lower_bounds
-            if use_lb:
+            if use_lb and not ordered:
                 # Per-hub row memoryviews plus the per-endpoint scalar
                 # columns the prune tests reference, one tuple per hub (see
                 # `_probes_to`).  Probes short-circuit on the first deciding
@@ -918,7 +1013,8 @@ class PairwiseEngine:
                     )
                     indptr, indices, weights = indptr_b, indices_b, weights_b
 
-                cost_v, v = heappop(heap)
+                v = heappop(heap)[1]
+                cost_v = g[v]
                 settled[v] = 1
                 while heap and settled[heap[0][1]]:
                     heappop(heap)
@@ -943,7 +1039,12 @@ class PairwiseEngine:
                 if use_ub and incumbent != inf and cost_v >= cut:
                     pruned_ub += 1
                     continue
-                if use_lb:
+                if ordered:
+                    pot = pot_f if forward else pot_b
+                    if cost_v + pot[v][1] >= cut:
+                        pruned_lb += 1
+                        continue
+                elif use_lb:
                     # cost_v < cut got us here, so `need` is positive (zero
                     # for a tie path mode kept).  One ulp up turns the
                     # probes' `>= need` into the `> need` ties require.
@@ -986,6 +1087,29 @@ class PairwiseEngine:
                 activations += 1
                 start, stop = indptr[v], indptr[v + 1]
                 relaxations += stop - start
+                if not ordered:
+                    for k in range(start, stop):
+                        u = indices[k]
+                        if settled[u]:
+                            continue
+                        candidate = cost_v + weights[k]
+                        known = g[u]
+                        if candidate < known:
+                            if known == inf:
+                                journal.append(u)
+                            g[u] = candidate
+                            parent[u] = v
+                            heappush(heap, (candidate, u))
+                            pushes += 1
+                    continue
+                # Bound-ordered relaxation: refuse a push that cannot beat
+                # the incumbent (safe, the incumbent only falls), and meet
+                # the other side here, not only at its pop.  The best meet
+                # of the row (ties to the smaller id) lowers the incumbent
+                # once the row is done, so no decision depends on the order
+                # the row lists its neighbours in.
+                meet = inf
+                meet_u = -1
                 for k in range(start, stop):
                     u = indices[k]
                     if settled[u]:
@@ -993,12 +1117,36 @@ class PairwiseEngine:
                     candidate = cost_v + weights[k]
                     known = g[u]
                     if candidate < known:
+                        cached = pot[u]
+                        if cached is None:
+                            journal_p.append(u)
+                            pot_f[u], pot_b[u] = _potential_dense(rows, u)
+                            cached = pot[u]
+                        p_u, lb_u = cached
+                        if candidate + lb_u >= cut:
+                            pruned_lb += 1
+                            continue
                         if known == inf:
                             journal.append(u)
                         g[u] = candidate
                         parent[u] = v
-                        heappush(heap, (candidate, u))
+                        heappush(heap, (candidate + p_u, u))
                         pushes += 1
+                        other = g_other[u]
+                        if other != inf:
+                            total = candidate + other
+                            if total < meet or (total == meet and u < meet_u):
+                                meet = total
+                                meet_u = u
+                if meet_u >= 0 and (
+                    meet < incumbent or (want_path and meet == incumbent)
+                ):
+                    incumbent = meet
+                    threshold = incumbent / scale
+                    cut = nextafter(threshold, inf) if want_path else threshold
+                    best_meet = meet_u
+                    if stop_at_feasible:
+                        break
 
             if not want_path or incumbent == inf:
                 return incumbent, None, stats
@@ -1033,6 +1181,68 @@ class PairwiseEngine:
             stats.pruned_by_lower_bound = pruned_lb
             stats.workspace_resets = 1
             stats.touched_reset = ws.release()
+
+
+def _potential_dense(rows, v: int) -> Tuple[tuple, tuple]:
+    """``((p, π_t), (−p, π_s))`` at dense id ``v``: the forward and backward
+    cache entries of the bound-ordered search.
+
+    ``π_t(v)`` bounds ``d(v, t)`` and ``π_s(v)`` bounds ``d(s, v)``, each
+    the best triangle inequality over ``rows``
+    (:meth:`DenseQueryBounds.potential_rows`) and at least 0; ``inf`` is a
+    proof that no path exists.  ``p = ½(π_t − π_s)``.
+    """
+    inf = math.inf
+    pt = ps = 0.0
+    for row_hv, row_vh, ht, th, hs, sh in rows:
+        hv = row_hv[v]                              # d(h, v)
+        vh = row_vh[v]                              # d(v, h)
+        if hv != inf:
+            x = ht - hv                             # d(v,t) >= d(h,t) - d(h,v)
+            if x > pt:
+                pt = x
+        if th != inf:
+            x = vh - th                             # d(v,t) >= d(v,h) - d(t,h)
+            if x > pt:
+                pt = x
+        if hs != inf:
+            x = hv - hs                             # d(s,v) >= d(h,v) - d(h,s)
+            if x > ps:
+                ps = x
+        if vh != inf:
+            x = sh - vh                             # d(s,v) >= d(s,h) - d(v,h)
+            if x > ps:
+                ps = x
+    p = (pt - ps) * 0.5
+    return (p, pt), (-p, ps)
+
+
+def _potential_dict(rows, v: int) -> Tuple[tuple, tuple]:
+    """Dict-plane twin of :func:`_potential_dense`, the same arithmetic in
+    the same order over :meth:`QueryBounds.potential_rows`."""
+    inf = math.inf
+    pt = ps = 0.0
+    for fwd, bwd, ht, th, hs, sh in rows:
+        hv = fwd.get(v, inf)
+        vh = bwd.get(v, inf)
+        if hv != inf:
+            x = ht - hv
+            if x > pt:
+                pt = x
+        if th != inf:
+            x = vh - th
+            if x > pt:
+                pt = x
+        if hs != inf:
+            x = hv - hs
+            if x > ps:
+                ps = x
+        if vh != inf:
+            x = sh - vh
+            if x > ps:
+                ps = x
+    p = (pt - ps) * 0.5
+    return (p, pt), (-p, ps)
 
 
 def _probes_to(tables, t: int) -> list:

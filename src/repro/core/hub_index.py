@@ -23,7 +23,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.hub_selection import DEFAULT_STRATEGY, select_hubs
+from repro.core.hub_selection import (
+    DEFAULT_STRATEGY,
+    is_large_diameter,
+    place_hubs,
+)
 from repro.core.semiring import SHORTEST_DISTANCE, PathSemiring
 from repro.errors import ConfigError, IndexStateError
 from repro.graph.deltas import TOMBSTONE, LayeredMapping, derive_mapping
@@ -41,6 +45,12 @@ class HubIndex:
     callers must route every graph mutation through
     :meth:`notify_edge_inserted` / :meth:`notify_edge_deleted` *after*
     mutating the graph (the :class:`repro.SGraph` facade does this).
+
+    :attr:`large_diameter` is the graph's
+    :func:`~repro.core.hub_selection.is_large_diameter` verdict, taken once
+    when the hubs are placed (``large_diameter=None`` runs its BFS) and
+    handed on to every frozen copy: it decides whether the min-plus search
+    orders its queues by the hub lower bound.
     """
 
     def __init__(
@@ -48,6 +58,7 @@ class HubIndex:
         graph,
         hubs: Sequence[int],
         semiring: PathSemiring = SHORTEST_DISTANCE,
+        large_diameter: Optional[bool] = None,
     ) -> None:
         if not hubs:
             raise ConfigError("hub index needs at least one hub")
@@ -61,6 +72,9 @@ class HubIndex:
         self._graph = graph
         self._hubs = list(hubs)
         self._semiring = semiring
+        if large_diameter is None:
+            large_diameter = is_large_diameter(graph)
+        self.large_diameter = large_diameter
         self._forward: Dict[int, IncrementalBestPath] = {}
         self._backward: Dict[int, IncrementalBestPath] = {}
         for h in self._hubs:
@@ -91,8 +105,8 @@ class HubIndex:
         semiring: PathSemiring = SHORTEST_DISTANCE,
     ) -> "HubIndex":
         """Select hubs with the named strategy and build the index."""
-        hubs = select_hubs(graph, num_hubs, strategy=strategy, seed=seed)
-        return cls(graph, hubs, semiring=semiring)
+        hubs, large = place_hubs(graph, num_hubs, strategy=strategy, seed=seed)
+        return cls(graph, hubs, semiring=semiring, large_diameter=large)
 
     @classmethod
     def from_tables(
@@ -103,6 +117,7 @@ class HubIndex:
         forward_tables: Dict[int, Mapping],
         backward_tables: Optional[Dict[int, Mapping]] = None,
         copy: bool = True,
+        large_diameter: Optional[bool] = None,
     ) -> "HubIndex":
         """Reconstruct an index from persisted cost tables (no rebuild).
 
@@ -110,12 +125,16 @@ class HubIndex:
         undirected ones (where backward aliases forward).  ``copy=False``
         adopts the mappings by reference — the frozen-publish path, where
         tables are structurally shared across versions and the index is
-        never notified of updates.
+        never notified of updates.  ``large_diameter`` passes the source
+        index's verdict on (None recomputes it with one BFS).
         """
         index = cls.__new__(cls)
         index._graph = graph
         index._hubs = list(hubs)
         index._semiring = semiring
+        if large_diameter is None:
+            large_diameter = is_large_diameter(graph)
+        index.large_diameter = large_diameter
         index._forward = {}
         index._backward = {}
         index.settled_last_update = 0
@@ -160,7 +179,8 @@ class HubIndex:
     def __repr__(self) -> str:
         return (
             f"HubIndex(k={self.num_hubs}, semiring={self._semiring.name}, "
-            f"entries={self.size_entries()})"
+            f"entries={self.size_entries()}, "
+            f"large_diameter={self.large_diameter})"
         )
 
     def cost_from_hub(self, hub: int, vertex: int) -> float:
@@ -413,6 +433,8 @@ class DenseHubTables:
     :attr:`fwd_views` / :attr:`bwd_views`, one memoryview per hub row made
     with the tables, so no per-epoch Python copy of a row ever exists.
     ``fwd_rows`` / ``bwd_rows`` are the same rows as numpy views.
+    ``large_diameter`` carries the :class:`HubIndex` verdict the rows were
+    frozen from: whether the search orders its queues by the hub bound.
 
     Only meaningful for the min-plus (shortest distance / hops) algebra —
     the residual formulas baked into the bound methods assume it.
@@ -427,6 +449,7 @@ class DenseHubTables:
         "fwd_views",
         "bwd_views",
         "directed",
+        "large_diameter",
         "_ids",
         "_fwd_refs",
         "_bwd_refs",
@@ -441,6 +464,7 @@ class DenseHubTables:
         ids: List[int],
         fwd_refs: Dict[int, Mapping],
         bwd_refs: Dict[int, Mapping],
+        large_diameter: bool = False,
     ) -> None:
         self.hubs = hubs
         self.F = F
@@ -454,6 +478,7 @@ class DenseHubTables:
             self.bwd_rows = [B[j] for j in range(B.shape[0])]
             self.bwd_views = tuple(map(memoryview, self.bwd_rows))
         self.directed = directed
+        self.large_diameter = large_diameter
         self._ids = ids
         # The frozen mappings each row was materialized from — the baseline
         # the next epoch's derive() diffs against.
@@ -468,6 +493,7 @@ class DenseHubTables:
         fwd_tables: Dict[int, Mapping],
         bwd_tables: Dict[int, Mapping],
         prev: Optional["DenseHubTables"] = None,
+        large_diameter: bool = False,
     ) -> "DenseHubTables":
         """Dense matrices for one freeze, derived from ``prev``'s if possible.
 
@@ -502,6 +528,7 @@ class DenseHubTables:
             ids=csr.ids,
             fwd_refs=dict(fwd_tables),
             bwd_refs=dict(bwd_tables) if directed else {},
+            large_diameter=large_diameter,
         )
 
     @classmethod
@@ -512,6 +539,7 @@ class DenseHubTables:
         B: np.ndarray,
         ids: List[int],
         directed: bool,
+        large_diameter: bool = False,
     ) -> "DenseHubTables":
         """Adopt prebuilt C-contiguous ``(k, |V|)`` cost matrices by reference.
 
@@ -523,7 +551,7 @@ class DenseHubTables:
         """
         return cls(
             hubs=list(hubs), F=F, B=B, directed=directed, ids=ids,
-            fwd_refs={}, bwd_refs={},
+            fwd_refs={}, bwd_refs={}, large_diameter=large_diameter,
         )
 
     @property
@@ -545,7 +573,7 @@ class DenseHubTables:
     def __repr__(self) -> str:
         return (
             f"DenseHubTables(k={self.num_hubs}, |V|={self.num_vertices}, "
-            f"directed={self.directed})"
+            f"directed={self.directed}, large_diameter={self.large_diameter})"
         )
 
     def columns_for(self, v: int) -> Tuple[list, list]:
@@ -639,6 +667,7 @@ class DensePlane:
         bwd_tables: Dict[int, Mapping],
         unit_weights: bool = False,
         prev: Optional["DensePlane"] = None,
+        large_diameter: bool = False,
     ) -> "DensePlane":
         """Dense plane for one published freeze.
 
@@ -646,6 +675,7 @@ class DensePlane:
         unit-weight variant of the snapshot's CSR (same id space, fresh
         weight arrays).  ``prev`` chains planes across epochs so both the
         CSR id mapping and the per-hub rows derive in O(Δ).
+        ``large_diameter`` is the frozen index's verdict.
         """
         reuse = prev.csr if prev is not None else None
         csr = snapshot.to_csr(reuse=reuse)
@@ -653,7 +683,8 @@ class DensePlane:
             csr = csr.with_unit_weights()
         prev_tables = prev.tables if prev is not None else None
         tables = DenseHubTables.derive(
-            csr, hubs, fwd_tables, bwd_tables, prev=prev_tables
+            csr, hubs, fwd_tables, bwd_tables, prev=prev_tables,
+            large_diameter=large_diameter,
         )
         return cls(csr, tables)
 

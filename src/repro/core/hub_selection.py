@@ -32,6 +32,12 @@ ledger power-law               0.25              **0.21**    0.31           degr
 A degree-skew test (max ÷ mean degree) mis-sorts ``collab-sw`` and
 ``sensor-rel``: they are flat but small-diameter, and far-apart hubs are
 slower there.  The other strategy names stay as explicit overrides.
+
+The verdict also picks the pairwise search order, whatever the strategy:
+:func:`place_hubs` returns it beside the hubs (reusing ``auto``'s and
+``far-apart``'s BFS), :class:`~repro.core.hub_index.HubIndex` keeps it,
+and on a large-diameter graph the min-plus search keys its queues by the
+hub lower bound (``PairwiseEngine._search_dense``).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigError
 
@@ -76,9 +82,7 @@ def select_far_apart(graph, count: int, seed: int = 0) -> List[int]:
     the largest hop distance from the chosen set.  Good on large-diameter
     graphs (road networks) where degree-ranked hubs cluster in one region.
     """
-    _check_count(graph, count)
-    first = _top_degree_vertex(graph)
-    return _spread(graph, count, first, _bfs_hops_multi(graph, [first]), seed)
+    return place_hubs(graph, count, "far-apart", seed)[0]
 
 
 def select_auto(graph, count: int, seed: int = 0) -> List[int]:
@@ -88,12 +92,28 @@ def select_auto(graph, count: int, seed: int = 0) -> List[int]:
     the vertices it reaches); above ``LARGE_DIAMETER_FACTOR · log2|V|`` the
     same BFS seeds :func:`select_far_apart`'s spreading.
     """
-    _check_count(graph, count)
+    return place_hubs(graph, count, "auto", seed)[0]
+
+
+def is_large_diameter(graph) -> bool:
+    """The large-diameter verdict: the top-degree vertex's hop eccentricity,
+    within its component, exceeds ``LARGE_DIAMETER_FACTOR · log2|V|``.
+
+    One BFS.  :func:`select_auto` places hubs by it and the pairwise search
+    orders its queues by it (see :func:`place_hubs`).
+    """
+    if graph.num_vertices < 2:
+        return False
+    return _probe_diameter(graph)[2]
+
+
+def _probe_diameter(graph) -> Tuple[int, Dict[int, int], bool]:
+    """``(top-degree vertex, its BFS hop labels, large-diameter verdict)``."""
     first = _top_degree_vertex(graph)
     hops = _bfs_hops_multi(graph, [first])
-    if max(hops.values()) > LARGE_DIAMETER_FACTOR * math.log2(graph.num_vertices):
-        return _spread(graph, count, first, hops, seed)
-    return select_by_degree(graph, count)
+    large = (max(hops.values())
+             > LARGE_DIAMETER_FACTOR * math.log2(graph.num_vertices))
+    return first, hops, large
 
 
 def select_path_cover(
@@ -257,3 +277,20 @@ def select_hubs(graph, count: int, strategy: str = DEFAULT_STRATEGY,
     if strategy == "degree":
         return fn(graph, count)
     return fn(graph, count, seed=seed)
+
+
+def place_hubs(graph, count: int, strategy: str = DEFAULT_STRATEGY,
+               seed: int = 0) -> Tuple[List[int], bool]:
+    """:func:`select_hubs` plus the graph's :func:`is_large_diameter` verdict.
+
+    ``auto`` and ``far-apart`` already run the verdict's BFS and reuse it;
+    every other strategy pays one extra BFS.
+    """
+    if strategy not in ("auto", "far-apart"):
+        return (select_hubs(graph, count, strategy, seed),
+                is_large_diameter(graph))
+    _check_count(graph, count)
+    first, hops, large = _probe_diameter(graph)
+    if large or strategy == "far-apart":
+        return _spread(graph, count, first, hops, seed), large
+    return select_by_degree(graph, count), large

@@ -29,7 +29,7 @@ rebinding onto a same-sized plane is free, resizing reallocates once.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 _INF = math.inf
 
@@ -40,8 +40,12 @@ class SearchWorkspace:
     Owns two of everything (forward / backward direction): distance label
     lists ``g_f`` / ``g_b``, settled bytemaps, parent arrays, ``heapq``
     entry lists ``heap_f`` / ``heap_b`` and first-touch journals
-    ``journal_f`` / ``journal_b``, plus the lazily-allocated ``slot``
-    active-target map used by the batched one-to-many verb.
+    ``journal_f`` / ``journal_b``, plus two lazily-allocated extras: the
+    ``slot`` active-target map of the batched one-to-many verb, and the
+    potential cache ``pot_f`` / ``pot_b`` of the bound-ordered pairwise
+    search (``None`` until a vertex's potential is evaluated, then a
+    ``(±p(v), π(v))`` pair per direction; ``journal_p`` records every
+    evaluated id).
 
     Lifecycle::
 
@@ -66,8 +70,9 @@ class SearchWorkspace:
         "settled_f", "settled_b",
         "parent_f", "parent_b",
         "slot",
+        "pot_f", "pot_b",
         "heap_f", "heap_b",
-        "journal_f", "journal_b",
+        "journal_f", "journal_b", "journal_p",
         "allocations", "hits", "resets", "touched_reset",
         "in_use", "_fresh",
     )
@@ -82,6 +87,7 @@ class SearchWorkspace:
         self.heap_b: List[tuple] = []
         self.journal_f: List[int] = []
         self.journal_b: List[int] = []
+        self.journal_p: List[int] = []
         self._allocate(num_vertices)
 
     # -- storage ------------------------------------------------------------
@@ -95,11 +101,13 @@ class SearchWorkspace:
         self.settled_b = bytearray(n)
         self.parent_f = [-1] * n
         self.parent_b = [-1] * n
-        # The one-to-many slot map is allocated on first use so
-        # pairwise-only workloads never pay for it.
+        # The one-to-many slot map and the potential cache are allocated on
+        # first use, so workloads that never need them never pay for them.
         self.slot: Optional[List[int]] = None
+        self.pot_f: Optional[List[Optional[tuple]]] = None
+        self.pot_b: Optional[List[Optional[tuple]]] = None
         for store in (self.heap_f, self.heap_b,
-                      self.journal_f, self.journal_b):
+                      self.journal_f, self.journal_b, self.journal_p):
             store.clear()
         if n:
             # The empty shell built by `SearchWorkspace()` before a plane is
@@ -112,6 +120,14 @@ class SearchWorkspace:
         if self.slot is None:
             self.slot = [-1] * self.num_vertices
         return self.slot
+
+    def ensure_pot(self) -> Tuple[List[Optional[tuple]],
+                                  List[Optional[tuple]]]:
+        """Allocate the per-direction potential caches if absent."""
+        if self.pot_f is None:
+            self.pot_f = [None] * self.num_vertices
+            self.pot_b = [None] * self.num_vertices
+        return self.pot_f, self.pot_b
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -136,8 +152,9 @@ class SearchWorkspace:
         """Sparse-reset everything the last search touched.
 
         Walks both journals, restoring ``g[v] = inf``, the settled mark
-        and the parent entry for each touched id, then empties the journals
-        and the heap lists in place.  Returns the number of touched entries
+        and the parent entry for each touched id, and the potential journal,
+        clearing each evaluated potential; then empties the journals and the
+        heap lists in place.  Returns the number of touched label entries
         reset.  Always call from a ``finally`` so a raising search cannot
         leak state.
         """
@@ -155,6 +172,12 @@ class SearchWorkspace:
                 parent[v] = -1
             journal.clear()
             heap.clear()
+        journal_p = self.journal_p
+        if journal_p:
+            pot_f, pot_b = self.pot_f, self.pot_b
+            for v in journal_p:
+                pot_f[v] = pot_b[v] = None
+            journal_p.clear()
         self.resets += 1
         self.touched_reset += touched
         self.in_use = False
@@ -174,7 +197,8 @@ class SearchWorkspace:
 
     def is_clean(self) -> bool:
         """O(V) audit that no search state leaked (test use only)."""
-        if self.heap_f or self.heap_b or self.journal_f or self.journal_b:
+        if (self.heap_f or self.heap_b or self.journal_f or self.journal_b
+                or self.journal_p):
             return False
         if any(x != _INF for x in self.g_f) or any(x != _INF for x in self.g_b):
             return False
@@ -185,4 +209,7 @@ class SearchWorkspace:
                 return False
         if self.slot is not None and any(i != -1 for i in self.slot):
             return False
+        for pot in (self.pot_f, self.pot_b):
+            if pot is not None and any(p is not None for p in pot):
+                return False
         return True

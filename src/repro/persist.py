@@ -3,7 +3,7 @@
 Layout of a saved instance (a directory)::
 
     <dir>/graph.edges   # whitespace edge list (repro.graph.io format)
-    <dir>/meta.json     # format version, config, hub lists per family
+    <dir>/meta.json     # format version, config, hubs + verdict per family
     <dir>/tables.json   # per-family, per-hub cost tables
 
 The format is plain text/JSON — no pickling — so saved instances are safe
@@ -61,7 +61,8 @@ def save_sgraph(sg: SGraph, directory: Union[str, Path]) -> None:
         except ReproError:
             continue
         index.refresh()
-        families[family] = {"hubs": index.hubs}
+        families[family] = {"hubs": index.hubs,
+                            "large_diameter": index.large_diameter}
         fwd = {}
         bwd = {}
         for h in index.hubs:
@@ -140,6 +141,9 @@ def load_sgraph(directory: Union[str, Path], verify: bool = False) -> SGraph:
         index = HubIndex.from_tables(
             family_graph, hubs, semiring, fwd,
             backward_tables=bwd if graph.directed else None,
+            # Absent in saves made before the verdict was recorded: None
+            # recomputes it from the restored graph.
+            large_diameter=info.get("large_diameter"),
         )
         if verify:
             _verify_index(index, family_graph, hubs, semiring)

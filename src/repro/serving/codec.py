@@ -5,7 +5,8 @@ byte blob laid out as::
 
     [0:8)    uint64  manifest length L
     [8:16)   uint64  data_start (aligned offset of the first buffer)
-    [16:16+L)        manifest JSON (epoch, directedness, hubs, buffer table)
+    [16:16+L)        manifest JSON (epoch, directedness, hubs, the
+                     large-diameter verdict, buffer table)
     [data_start:...) the buffers themselves, each at a 64-byte-aligned
                      offset *relative to data_start*
 
@@ -56,7 +57,8 @@ import numpy as np
 from repro.errors import ConfigError
 
 ALIGN = 64
-FORMAT_VERSION = 2
+#: 3 added the manifest's ``large_diameter`` verdict (the search order)
+FORMAT_VERSION = 3
 _HEADER_BYTES = 16
 
 #: fixed chunk size for the per-buffer dirty-range tables.  Small enough
@@ -170,6 +172,7 @@ def _plane_meta(plane, epoch) -> Dict:
         "directed": bool(csr.directed),
         "n": csr.num_vertices,
         "hubs": [int(h) for h in plane.tables.hubs],
+        "large_diameter": bool(plane.tables.large_diameter),
     }
 
 
@@ -318,6 +321,7 @@ def materialize_plane(manifest: Dict, arrays: Dict[str, np.ndarray]):
     B = arrays.get("B", F)
     tables = DenseHubTables.from_matrices(
         manifest["hubs"], F, B, ids=csr.ids, directed=directed,
+        large_diameter=manifest["large_diameter"],
     )
     return DensePlane(csr, tables)
 

@@ -94,6 +94,10 @@ DEFAULT_MAX_BACKOFF = 2.0
 #: attempt and backoff sleep inside it — may run longer than this
 DEFAULT_OP_TIMEOUT = 30.0
 
+#: seconds ``PlaneServer.close`` waits for each of its threads to exit once
+#: their sockets are shut down (they normally exit at once)
+CLOSE_JOIN_TIMEOUT = 5.0
+
 #: a frame length beyond this is treated as stream corruption rather
 #: than waited out (a flipped bit in a length prefix reads as exabytes)
 _MAX_FRAME = 1 << 34
@@ -210,6 +214,8 @@ class PlaneServer:
         self._inflight = 0
         self._inflight_cv = threading.Condition()
         self._conns: List[socket.socket] = []
+        # each connection's thread; close() joins them with the acceptor
+        self._conn_threads: List[threading.Thread] = []
         # conn -> reader id, set by the hello op (each conn's own thread
         # is the only writer of its entry)
         self._conn_readers: Dict[socket.socket, str] = {}
@@ -322,8 +328,24 @@ class PlaneServer:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
+        # No server thread outlives close(): a connection thread still
+        # running keeps this server reachable, so a collection made right
+        # after close() would miss it and its payload history would live
+        # on until some later full collection.
+        # The acceptor first: once it is gone no connection thread is added.
+        me = threading.current_thread()
+        if self._accept_thread is not me:
+            self._accept_thread.join(CLOSE_JOIN_TIMEOUT)
+        for thread in list(self._conn_threads):
+            if thread is not me:
+                thread.join(CLOSE_JOIN_TIMEOUT)
         generation = self._registry.generation()
         self._registry.shutdown()
+        # shutdown() evicted every slot's payload; drop the delta-base
+        # history too, so a closed server holds no plane bytes at all.
+        with self._registry.lock:
+            self._history.clear()
+            self._deltas.clear()
         return generation
 
     # -- internals ----------------------------------------------------------
@@ -384,10 +406,14 @@ class PlaneServer:
             except OSError:  # pragma: no cover
                 pass
             self._conns.append(conn)
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._serve_conn, args=(conn,),
                 name="repro-plane-conn", daemon=True,
-            ).start()
+            )
+            self._conn_threads = [
+                t for t in self._conn_threads if t.is_alive()
+            ] + [thread]
+            thread.start()
 
     def _enter_op(self) -> None:
         with self._inflight_cv:

@@ -504,7 +504,7 @@ class SGraph(PairwiseVerbs):
         frozen = HubIndex.from_tables(
             graph, hubs, index.semiring, fwd,
             backward_tables=bwd if snapshot.directed else None,
-            copy=False,
+            copy=False, large_diameter=index.large_diameter,
         )
         build = workspace = None
         if family in self._dense_families:
@@ -512,6 +512,7 @@ class SGraph(PairwiseVerbs):
                 plane = self._planes[family] = DensePlane.build(
                     snapshot, hubs, fwd, bwd, unit_weights=unit,
                     prev=self._planes.get(family),
+                    large_diameter=index.large_diameter,
                 )
                 return plane
 

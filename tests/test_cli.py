@@ -62,6 +62,16 @@ class TestCommands:
         ]) == 0
         assert "bottleneck(0, 25)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dataset, kind, order", [
+        ("road-grid", "distance", "ordered by g+p"),
+        ("road-grid", "bottleneck", "ordered by g,"),
+        ("collab-sw", "distance", "ordered by g,"),
+    ])
+    def test_query_prints_search_order(self, capsys, dataset, kind, order):
+        assert main(["query", dataset, "3", "40", "--kind", kind,
+                     "--hubs", "4"]) == 0
+        assert order in capsys.readouterr().out
+
     def test_experiment_e1(self, capsys):
         assert main(["experiment", "e1"]) == 0
         assert "dataset" in capsys.readouterr().out

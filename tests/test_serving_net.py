@@ -11,15 +11,18 @@ dies without releasing is reaped by the server, returning its refcount.
 
 from __future__ import annotations
 
+import gc
 import random
+import socket
 import time
+import weakref
 
 import pytest
 
 from repro.core.config import SGraphConfig
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serving import shm_available
-from repro.serving.net import NetReader, net_available
+from repro.serving.net import NetReader, PlaneServer, net_available
 from repro.serving.pool import ServeSession
 from repro.serving.registry import RETIRED
 from repro.sgraph import SGraph
@@ -477,3 +480,48 @@ class TestDeltaSync:
                 except Exception:
                     pass
             session.close()
+
+
+class _SlowExitServer(PlaneServer):
+    """A server whose connection threads linger a moment after their
+    socket is severed."""
+
+    def _serve_conn(self, conn):
+        try:
+            super()._serve_conn(conn)
+        finally:
+            time.sleep(0.3)
+
+
+class TestServerClose:
+    def test_close_waits_for_connection_threads(self):
+        server = _SlowExitServer()
+        with socket.create_connection((server.host, server.port)):
+            assert _wait_until(lambda: server._conn_threads)
+            server.close(drain=False)
+            assert not server._accept_thread.is_alive()
+            assert not any(t.is_alive() for t in server._conn_threads)
+
+    def test_close_joins_threads_and_drops_plane_bytes(self):
+        """Closing a session joins every server thread and drops the
+        payload history, so one collection right after close frees the
+        server whatever its connection threads were doing."""
+        sg = _sgraph(74)
+        rng = random.Random(29)
+        with sg.serve(workers=1, transport="tcp", delta=True) as session:
+            server = session.transport.server
+            session.distance(0, 1)
+            for _ in range(2):
+                _churn_weights(sg, rng)
+                session.publish()
+                session.distance(0, 1)
+            assert session.stats_row()["delta_fetches"] >= 1
+            assert server._history and server._deltas
+        threads = [server._accept_thread, *server._conn_threads]
+        assert len(threads) >= 2
+        assert not any(t.is_alive() for t in threads)
+        assert not (server._payloads or server._history or server._deltas)
+        ref = weakref.ref(server)
+        del server, session
+        gc.collect()
+        assert ref() is None
