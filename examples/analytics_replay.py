@@ -1,15 +1,13 @@
-"""Analytics workflow: auto-tune, record a workload trace, replay it across
+"""Analytics workflow: record a workload trace, replay it across
 configurations, and time-travel with versioned views.
 
 This example shows the operational surface around the core engine:
 
-1. ``auto_tune`` measures bound tightness on the target graph and picks the
-   hub configuration;
-2. a mixed update+query workload is recorded to a trace file, making the
+1. a mixed update+query workload is recorded to a trace file, making the
    benchmark bit-reproducible;
-3. the trace is replayed under the tuned config and under upper-bound-only
-   pruning — identical answers, very different work;
-4. a :class:`VersionedStore` publishes epochs mid-stream so an analyst can
+2. the trace is replayed under the default config and under upper-bound-only
+   pruning with the same hubs — identical answers, very different work;
+3. a :class:`VersionedStore` publishes epochs mid-stream so an analyst can
    query "as of" an earlier version after the graph has moved on.
 
 Run with::
@@ -23,7 +21,6 @@ from pathlib import Path
 from repro import SGraph, SGraphConfig
 from repro.bench.trace import interleave, read_trace, replay_trace, write_trace
 from repro.core.pairwise import QueryKind
-from repro.core.tuning import auto_tune
 from repro.graph.generators import power_law_graph
 from repro.graph.stats import sample_vertex_pairs
 from repro.streaming.versioning import VersionedStore
@@ -33,13 +30,9 @@ from repro.streaming.workload import sliding_window_stream
 def main() -> None:
     graph = power_law_graph(2000, 4, seed=51, weight_range=(1.0, 4.0))
 
-    # 1. tune ---------------------------------------------------------------
-    tuning = auto_tune(graph, hub_budgets=(4, 8, 16), num_pairs=16, seed=52)
-    cfg = tuning.config
-    print(f"auto-tune chose strategy={cfg.hub_strategy} k={cfg.num_hubs} "
-          f"(median bound gap {tuning.chosen.gap_p50:.2f}x)")
+    cfg = SGraphConfig()
 
-    # 2. record -------------------------------------------------------------
+    # 1. record -------------------------------------------------------------
     pairs = sample_vertex_pairs(graph, 12, seed=53, min_hops=2)
     queries = [(QueryKind.DISTANCE, s, t) for s, t in pairs]
     updates = list(sliding_window_stream(graph, 300, seed=54))
@@ -48,12 +41,10 @@ def main() -> None:
     write_trace(trace_path, events)
     print(f"recorded {len(events)} events to {trace_path}")
 
-    # 3. replay under two configurations -------------------------------------
+    # 2. replay under two configurations -------------------------------------
     for label, config in (
-        ("tuned sgraph", cfg),
-        ("upper-only", SGraphConfig(num_hubs=cfg.num_hubs,
-                                    hub_strategy=cfg.hub_strategy,
-                                    policy="upper-only")),
+        ("sgraph", cfg),
+        ("upper-only", SGraphConfig(policy="upper-only")),
     ):
         sg = SGraph(graph=power_law_graph(2000, 4, seed=51,
                                           weight_range=(1.0, 4.0)),
@@ -64,7 +55,7 @@ def main() -> None:
               f"mean {1e3 * agg.mean_elapsed:.3f} ms, "
               f"{agg.mean_activations:.1f} activations/query")
 
-    # 4. time travel ---------------------------------------------------------
+    # 3. time travel ---------------------------------------------------------
     sg = SGraph(graph=power_law_graph(2000, 4, seed=51,
                                       weight_range=(1.0, 4.0)), config=cfg)
     sg.rebuild_indexes()

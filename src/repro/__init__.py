@@ -26,7 +26,6 @@ from repro.core.pairwise import (
 )
 from repro.core.pruning import PruningPolicy
 from repro.core.stats import QueryStats
-from repro.core.tuning import auto_tune
 from repro.errors import ReproError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.persist import load_sgraph, save_sgraph
@@ -49,7 +48,6 @@ __all__ = [
     "EdgeUpdate",
     "UpdateKind",
     "ReproError",
-    "auto_tune",
     "save_sgraph",
     "load_sgraph",
     "VersionedStore",

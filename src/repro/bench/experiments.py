@@ -602,46 +602,6 @@ def run_e14_one_to_many(
 
 
 # ---------------------------------------------------------------------------
-# E15 (extension) — adaptive strategy selection
-# ---------------------------------------------------------------------------
-
-def run_e15_adaptive(num_pairs: int = 24) -> List[Row]:
-    """Adaptive per-query dispatch vs always-pruned and always-plain.
-
-    The adaptive engine should match the better of the two fixed strategies
-    on every topology — tight-bound graphs dispatch to pruned search,
-    loose-bound graphs to plain bidirectional.
-    """
-    from repro.core.adaptive import AdaptiveEngine
-
-    rows: List[Row] = []
-    for dataset in ("social-pl", "collab-sw", "road-grid"):
-        wl = build_workload(dataset, num_pairs=num_pairs)
-        adaptive = AdaptiveEngine(wl.graph, wl.index)
-        contenders: List[Tuple[str, Callable]] = [
-            ("always-pruned",
-             PairwiseEngine(wl.graph, index=wl.index,
-                            policy=PruningPolicy.UPPER_AND_LOWER).best_cost),
-            ("always-plain",
-             PairwiseEngine(wl.graph, index=wl.index,
-                            policy=PruningPolicy.UPPER_ONLY).best_cost),
-            ("adaptive", adaptive.best_cost),
-        ]
-        for label, query in contenders:
-            agg = run_query_workload(query, wl.pairs)
-            row: Row = {
-                "dataset": dataset,
-                "engine": label,
-                "mean_ms": _ms(agg.mean_elapsed),
-                "act/query": round(agg.mean_activations, 1),
-            }
-            if label == "adaptive":
-                row["dispatch"] = str(adaptive.dispatch_counts())
-            rows.append(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # E16 (extension) — third algebra: most-reliable path
 # ---------------------------------------------------------------------------
 
@@ -1752,7 +1712,6 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], List[Row]]] = {
     "E12 approximation": run_e12_tolerance,
     "E13 directed": run_e13_directed,
     "E14 one-to-many": run_e14_one_to_many,
-    "E15 adaptive": run_e15_adaptive,
     "E16 reliability": run_e16_reliability,
     "E17 cache": run_e17_cache,
     "E18 publish latency": run_e18_publish,

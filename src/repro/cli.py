@@ -154,17 +154,6 @@ def _cmd_many(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.core.tuning import auto_tune
-
-    graph = load_dataset(args.dataset)
-    result = auto_tune(graph, num_pairs=args.pairs)
-    print(format_table(result.rows(), title=f"tuning {args.dataset}"))
-    cfg = result.config
-    print(f"\nchosen: strategy={cfg.hub_strategy} k={cfg.num_hubs}")
-    return 0
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
     from repro.bench.trace import interleave, write_trace
     from repro.core.pairwise import QueryKind
@@ -391,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="serving plane for the published view")
     many.set_defaults(fn=_cmd_many)
 
-    tune = sub.add_parser("tune", help="auto-tune hub configuration")
-    tune.add_argument("dataset", choices=dataset_names())
-    tune.add_argument("--pairs", type=int, default=24)
-    tune.set_defaults(fn=_cmd_tune)
-
     record = sub.add_parser("record", help="record a workload trace")
     record.add_argument("dataset", choices=dataset_names())
     record.add_argument("output", help="trace file to write")
@@ -480,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment",
                                 help="regenerate an experiment table")
-    experiment.add_argument("id", help="e1..e25, or 'all'")
+    experiment.add_argument("id", help="e1..e25 (no e15), or 'all'")
     experiment.add_argument("--backend", default="auto",
                             choices=["auto", "dense", "dict"],
                             help="serving plane for backend-aware experiments")

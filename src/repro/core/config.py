@@ -47,11 +47,12 @@ class SGraphConfig:
         Hub count k; more hubs mean tighter bounds but a larger index and
         higher per-update maintenance cost (E7 sweeps this).
     hub_strategy:
-        One of :data:`repro.core.hub_selection.STRATEGIES`.  The default,
-        ``"auto"``, spreads hubs farthest-point when the top-degree vertex's
-        hop eccentricity exceeds ``4 · log2|V|`` (grids, road networks) and
-        takes them by degree otherwise (power-law and small-world graphs);
-        the other names force one placement.
+        One of the four :data:`repro.core.hub_selection.STRATEGIES`:
+        ``"auto"``, ``"degree"``, ``"random"``, ``"far-apart"``.  The
+        default, ``"auto"``, spreads hubs farthest-point when the top-degree
+        vertex's hop eccentricity exceeds ``4 · log2|V|`` (grids, road
+        networks) and takes them by degree otherwise (power-law and
+        small-world graphs); the other three force one placement.
     policy:
         Pruning policy; the default is the paper's full technique.
     queries:

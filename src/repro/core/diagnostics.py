@@ -2,17 +2,15 @@
 
 Bound tightness is *the* determinant of SGraph's pruning power, so the
 library ships the measurement tools: :func:`bound_gap_profile` samples
-query pairs and reports the lower/upper bound gap distribution (optionally
-against ground truth), and :func:`index_coverage` measures how much of the
-pair space the index can bound at all.  The E11 ablation bench is built on
-these.
+query pairs and reports the lower/upper bound gap distribution.  The E11
+ablation bench is built on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.bounds import QueryBounds
 from repro.core.hub_index import HubIndex
@@ -28,7 +26,6 @@ class BoundGap:
     target: int
     lower: float
     upper: float
-    true_cost: Optional[float] = None
 
     @property
     def ratio(self) -> float:
@@ -76,17 +73,6 @@ class BoundGapReport:
         idx = min(len(ratios) - 1, int(round(q * (len(ratios) - 1))))
         return ratios[idx]
 
-    @property
-    def mean_ub_slack(self) -> float:
-        """Mean (upper / truth) over pairs with known finite truth."""
-        vals = [
-            g.upper / g.true_cost
-            for g in self.gaps
-            if g.true_cost not in (None, 0.0, math.inf)
-            and g.upper != math.inf
-        ]
-        return sum(vals) / len(vals) if vals else 0.0
-
     def as_row(self) -> dict:
         return {
             "pairs": self.total,
@@ -101,44 +87,20 @@ class BoundGapReport:
 def bound_gap_profile(
     index: HubIndex,
     pairs: Sequence[Tuple[int, int]],
-    with_truth: bool = False,
 ) -> BoundGapReport:
-    """Measure bound gaps for the given pairs.
-
-    ``with_truth`` additionally computes exact distances (Dijkstra per
-    pair) for upper-bound slack analysis.
-    """
+    """Measure bound gaps for the given pairs."""
     if not isinstance(index.semiring, ShortestDistance):
         raise ConfigError("bound diagnostics are defined for the distance algebra")
     report = BoundGapReport()
-    graph = index.graph
     for source, target in pairs:
         bounds = QueryBounds(index, source, target)
-        true_cost = None
-        if with_truth:
-            from repro.baselines.dijkstra import dijkstra_distance
-
-            true_cost, _stats = dijkstra_distance(graph, source, target)
         report.gaps.append(
             BoundGap(
                 source=source,
                 target=target,
                 lower=bounds.lower_bound(),
                 upper=bounds.upper_bound,
-                true_cost=true_cost,
             )
         )
     return report
 
-
-def index_coverage(index: HubIndex, sample_pairs: Sequence[Tuple[int, int]]) -> float:
-    """Fraction of sampled pairs for which the index yields a finite upper
-    bound (i.e. some hub connects them)."""
-    if not sample_pairs:
-        return 0.0
-    covered = 0
-    unreachable = index.semiring.unreachable
-    for source, target in sample_pairs:
-        if QueryBounds(index, source, target).upper_bound != unreachable:
-            covered += 1
-    return covered / len(sample_pairs)

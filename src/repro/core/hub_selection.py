@@ -31,7 +31,9 @@ ledger power-law               0.25              **0.21**    0.31           degr
 
 A degree-skew test (max ÷ mean degree) mis-sorts ``collab-sw`` and
 ``sensor-rel``: they are flat but small-diameter, and far-apart hubs are
-slower there.  The other strategy names stay as explicit overrides.
+slower there.  :data:`STRATEGIES` holds four names: ``auto``, the two
+placements it chooses between (``degree``, ``far-apart``) as explicit
+overrides, and ``random``, the ablation control.
 
 The verdict also picks the pairwise search order, whatever the strategy:
 :func:`place_hubs` returns it beside the hubs (reusing ``auto``'s and
@@ -116,52 +118,6 @@ def _probe_diameter(graph) -> Tuple[int, Dict[int, int], bool]:
     return first, hops, large
 
 
-def select_path_cover(
-    graph, count: int, seed: int = 0, sample_pairs: int = 48
-) -> List[int]:
-    """Hubs chosen by shortest-path coverage sampling.
-
-    Samples random vertex pairs, traces one shortest (hop) path per pair,
-    and greedily picks the vertices lying on the most *uncovered* sampled
-    paths — the classic landmark-selection heuristic for tight triangle-
-    inequality bounds.  Falls back to degree order for any remaining slots
-    (e.g. when few sampled paths exist).  Ties go to the smaller vertex id.
-    """
-    _check_count(graph, count)
-    rng = random.Random(seed)
-    vertices = list(graph.vertices())
-    paths: List[List[int]] = []
-    for _ in range(sample_pairs):
-        s = rng.choice(vertices)
-        t = rng.choice(vertices)
-        if s == t:
-            continue
-        path = _bfs_path(graph, s, t)
-        if path and len(path) > 2:
-            paths.append(path[1:-1])  # endpoints make poor general hubs
-    hubs: List[int] = []
-    uncovered = list(range(len(paths)))
-    while len(hubs) < count and uncovered:
-        frequency: Dict[int, int] = {}
-        for idx in uncovered:
-            for v in paths[idx]:
-                if v not in hubs:
-                    frequency[v] = frequency.get(v, 0) + 1
-        if not frequency:
-            break
-        best = min(frequency.items(),
-                   key=lambda kv: (-kv[1], -graph.degree(kv[0]), kv[0]))[0]
-        hubs.append(best)
-        uncovered = [idx for idx in uncovered if best not in paths[idx]]
-    if len(hubs) < count:
-        for v in sorted(vertices, key=lambda u: (-graph.degree(u), u)):
-            if v not in hubs:
-                hubs.append(v)
-            if len(hubs) == count:
-                break
-    return hubs
-
-
 def _top_degree_vertex(graph):
     """The vertex :func:`select_by_degree` ranks first."""
     return min(graph.vertices(), key=lambda v: (-graph.degree(v), v))
@@ -186,28 +142,6 @@ def _spread(graph, count: int, first, hops: Dict, seed: int) -> List[int]:
         hubs.append(nxt)
         _bfs_hops_update(graph, nxt, hops)
     return hubs
-
-
-def _bfs_path(graph, source: int, target: int) -> List[int]:
-    """One shortest hop path source→target, or [] if unreachable."""
-    if source == target:
-        return [source]
-    parents = {source: None}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u, _w in graph.out_items(v):
-            if u in parents:
-                continue
-            parents[u] = v
-            if u == target:
-                path = [u]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return path
-            queue.append(u)
-    return []
 
 
 def _check_count(graph, count: int) -> None:
@@ -261,7 +195,6 @@ STRATEGIES: Dict[str, Callable[..., List[int]]] = {
     "degree": select_by_degree,
     "random": select_random,
     "far-apart": select_far_apart,
-    "path-cover": select_path_cover,
 }
 
 

@@ -1,14 +1,8 @@
 """Evolving-graph substrate: storage, snapshots, CSR, generators, datasets."""
 
-from repro.graph.algorithms import (
-    ReachabilityOracle,
-    condensation,
-    strongly_connected_components,
-)
 from repro.graph.csr import CSRGraph
 from repro.graph.deltas import CostJournal, LayeredMapping, derive_mapping
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.history import HistoryGraph
 from repro.graph.generators import (
     erdos_renyi_graph,
     grid_graph,
@@ -25,10 +19,6 @@ __all__ = [
     "CostJournal",
     "LayeredMapping",
     "derive_mapping",
-    "HistoryGraph",
-    "ReachabilityOracle",
-    "condensation",
-    "strongly_connected_components",
     "erdos_renyi_graph",
     "power_law_graph",
     "rmat_graph",

@@ -1,13 +1,5 @@
-"""Shared low-level utilities: indexed heaps, timers, deterministic RNG."""
+"""Shared low-level utilities: the indexed heap."""
 
 from repro.utils.pqueue import IndexedHeap
-from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timer import Stopwatch, format_duration
 
-__all__ = [
-    "IndexedHeap",
-    "make_rng",
-    "spawn_rngs",
-    "Stopwatch",
-    "format_duration",
-]
+__all__ = ["IndexedHeap"]

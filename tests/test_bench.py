@@ -112,14 +112,12 @@ class TestExperimentSmoke:
         from repro.bench.experiments import (
             run_e13_directed,
             run_e14_one_to_many,
-            run_e15_adaptive,
             run_e16_reliability,
             run_e17_cache,
         )
 
         assert len(run_e13_directed(num_pairs=4)) == 3
         assert len(run_e14_one_to_many(target_counts=(1, 4))) == 2
-        assert len(run_e15_adaptive(num_pairs=4)) == 9
         assert len(run_e16_reliability(num_pairs=4)) == 3
         rows = run_e17_cache(num_queries=30)
         assert len(rows) == 3
@@ -138,6 +136,6 @@ class TestExperimentSmoke:
     def test_all_experiments_registry(self):
         from repro.bench.experiments import ALL_EXPERIMENTS
 
-        assert len(ALL_EXPERIMENTS) == 25
+        assert len(ALL_EXPERIMENTS) == 24  # E1–E25 without E15
         assert all(title.split()[0].startswith("E")
                    for title in ALL_EXPERIMENTS)

@@ -95,54 +95,9 @@ class TestFarApart:
         assert (set(hubs) & comp_a) and (set(hubs) & comp_b)
 
 
-class TestPathCover:
-    def test_bridge_vertex_selected(self):
-        """Two cliques joined by one cut vertex: every cross path passes it."""
-        from repro.graph.dynamic_graph import DynamicGraph
-
-        g = DynamicGraph()
-        for a in range(4):
-            for b in range(a + 1, 4):
-                g.add_edge(a, b)
-                g.add_edge(10 + a, 10 + b)
-        g.add_edge(0, 99)
-        g.add_edge(99, 10)
-        from repro.core.hub_selection import select_path_cover
-
-        hubs = select_path_cover(g, 1, seed=3, sample_pairs=200)
-        # Every cross-clique path runs through the 0–99–10 corridor; the
-        # selected hub must lie on it.
-        assert hubs[0] in {0, 99, 10}
-
-    def test_distinct_and_complete(self, star_plus_path):
-        from repro.core.hub_selection import select_path_cover
-
-        hubs = select_path_cover(star_plus_path, 5, seed=1)
-        assert len(hubs) == 5
-        assert len(set(hubs)) == 5
-
-    def test_deterministic(self, star_plus_path):
-        from repro.core.hub_selection import select_path_cover
-
-        assert select_path_cover(star_plus_path, 3, seed=4) == \
-            select_path_cover(star_plus_path, 3, seed=4)
-
-    def test_fallback_fills_count(self):
-        """A graph with no length-3 paths still yields the full hub count."""
-        from repro.core.hub_selection import select_path_cover
-        from repro.graph.dynamic_graph import DynamicGraph
-
-        g = DynamicGraph()
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
-        hubs = select_path_cover(g, 3, seed=1)
-        assert len(hubs) == 3
-
-
 class TestDispatch:
     def test_registry_complete(self):
-        assert set(STRATEGIES) == {"auto", "degree", "random", "far-apart",
-                                   "path-cover"}
+        assert set(STRATEGIES) == {"auto", "degree", "random", "far-apart"}
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_dispatch_runs(self, star_plus_path, strategy):
@@ -306,16 +261,17 @@ class TestNonIntegerIds:
             num_hubs=3, hub_strategy="far-apart"))
         assert sg.distance("v000", "v030").value == 30.0
 
-    def test_path_cover_independent_of_hash_seed(self):
+    def test_strategies_independent_of_hash_seed(self):
         script = (
-            "from repro.core.hub_selection import select_path_cover\n"
+            "from repro.core.hub_selection import STRATEGIES, select_hubs\n"
             "from repro.graph.dynamic_graph import DynamicGraph\n"
             "g = DynamicGraph()\n"
             "for r in range(6):\n"
             "    for c in range(6):\n"
             "        if c < 5: g.add_edge(f'r{r}c{c}', f'r{r}c{c + 1}')\n"
             "        if r < 5: g.add_edge(f'r{r}c{c}', f'r{r + 1}c{c}')\n"
-            "print(select_path_cover(g, 6, seed=1, sample_pairs=8))\n"
+            "for name in sorted(STRATEGIES):\n"
+            "    print(name, select_hubs(g, 6, name, seed=1))\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         outputs = set()

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.config import SGraphConfig
+from repro.errors import ConfigError
 from repro.graph.generators import erdos_renyi_graph, power_law_graph
 from repro.graph.stats import sample_vertex_pairs
 from repro.persist import PersistError, load_sgraph, save_sgraph
@@ -92,6 +93,16 @@ class TestFailureModes:
         meta["format_version"] = 999
         (tmp_path / "snap" / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(PersistError):
+            load_sgraph(tmp_path / "snap")
+
+    def test_removed_hub_strategy_rejected(self, built_sgraph, tmp_path):
+        """A save naming a strategy outside ``STRATEGIES`` fails with the
+        config's own error, which names the strategy."""
+        save_sgraph(built_sgraph, tmp_path / "snap")
+        meta = json.loads((tmp_path / "snap" / "meta.json").read_text())
+        meta["config"]["hub_strategy"] = "path-cover"
+        (tmp_path / "snap" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match="path-cover"):
             load_sgraph(tmp_path / "snap")
 
     def test_missing_table_detected(self, built_sgraph, tmp_path):
