@@ -563,45 +563,6 @@ def run_e13_directed(num_pairs: int = 20) -> List[Row]:
 
 
 # ---------------------------------------------------------------------------
-# E14 (extension) — one-to-many amortization
-# ---------------------------------------------------------------------------
-
-def run_e14_one_to_many(
-    target_counts: Sequence[int] = (1, 4, 16, 64),
-) -> List[Row]:
-    """Activations and latency: one shared multi-target search vs per-target
-    single queries, sweeping the target-set size."""
-    graph = load_dataset("social-pl")
-    index = HubIndex.build(graph, 16)
-    engine = PairwiseEngine(graph, index=index)
-    pairs = sample_vertex_pairs(graph, 80, seed=71, min_hops=2)
-    source = pairs[0][0]
-    all_targets = [t for _s, t in pairs]
-    rows: List[Row] = []
-    for count in target_counts:
-        targets = all_targets[:count]
-        start = time.perf_counter()
-        _results, many_stats = engine.one_to_many(source, targets)
-        many_seconds = time.perf_counter() - start
-        singles_activations = 0
-        start = time.perf_counter()
-        for t in targets:
-            _v, st_single = engine.best_cost(source, t)
-            singles_activations += st_single.activations
-        singles_seconds = time.perf_counter() - start
-        rows.append({
-            "targets": count,
-            "many_act": many_stats.activations,
-            "singles_act": singles_activations,
-            "many_ms": _ms(many_seconds),
-            "singles_ms": _ms(singles_seconds),
-            "act_saving": round(
-                singles_activations / max(many_stats.activations, 1), 2),
-        })
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # E16 (extension) — third algebra: most-reliable path
 # ---------------------------------------------------------------------------
 
@@ -771,65 +732,6 @@ def run_e19_backend(num_pairs: int = 32) -> List[Row]:
                 "index-only%": _pct(agg.answered_by_index / agg.total),
                 "match": match,
             })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# E20 (extension) — batched one-to-many: dict vs dense serving plane
-# ---------------------------------------------------------------------------
-
-def run_e20_many_backend(
-    target_counts: Sequence[int] = (4, 16, 64),
-    repeats: int = 5,
-) -> List[Row]:
-    """One-to-many latency of the dict plane vs the dense plane.
-
-    The E14 workload (one source, growing target set, shared pruned
-    search) replayed on both serving representations of the same frozen
-    state.  The dense path reuses one flat ``g`` array across the batch
-    and probes hub-row memoryviews where the dict path probes hub dicts;
-    it is a transliteration of the dict reference, so the ``match``
-    column checks value parity and ``act=`` checks that both planes
-    activate exactly the same number of vertices — any dense win is pure
-    representation, not extra pruning.  ``benchmarks/
-    bench_e20_many_backend.py`` asserts dense wins from 16 targets up.
-    """
-    rows: List[Row] = []
-    for dataset in ("social-pl", "road-grid"):
-        wl = build_workload(dataset, num_pairs=80)
-        dict_engine = PairwiseEngine(wl.graph, index=wl.index,
-                                     policy=PruningPolicy.UPPER_AND_LOWER)
-        dense_engine = _dense_engine_for(wl, PruningPolicy.UPPER_AND_LOWER)
-        source = wl.pairs[0][0]
-        all_targets = [t for _s, t in wl.pairs]
-        for count in target_counts:
-            targets = all_targets[:count]
-            per_backend = {}
-            for label, engine in (("dict", dict_engine),
-                                  ("dense", dense_engine)):
-                timings = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    values, stats = engine.one_to_many(source, targets)
-                    timings.append(time.perf_counter() - start)
-                timings.sort()
-                per_backend[label] = (values, stats,
-                                      timings[len(timings) // 2])
-            d_values, d_stats, d_median = per_backend["dict"]
-            n_values, n_stats, n_median = per_backend["dense"]
-            match = d_values == n_values
-            for label in ("dict", "dense"):
-                values, stats, median = per_backend[label]
-                rows.append({
-                    "dataset": dataset,
-                    "targets": count,
-                    "backend": label,
-                    "median_ms": _ms(median),
-                    "activations": stats.activations,
-                    "act=": d_stats.activations == n_stats.activations,
-                    "index-only": stats.answered_by_index,
-                    "match": match,
-                })
     return rows
 
 
@@ -1711,12 +1613,10 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], List[Row]]] = {
     "E11 bound tightness": run_e11_bound_tightness,
     "E12 approximation": run_e12_tolerance,
     "E13 directed": run_e13_directed,
-    "E14 one-to-many": run_e14_one_to_many,
     "E16 reliability": run_e16_reliability,
     "E17 cache": run_e17_cache,
     "E18 publish latency": run_e18_publish,
     "E19 backend": run_e19_backend,
-    "E20 many backend": run_e20_many_backend,
     "E21 shm serving": run_e21_shm_serving,
     "E22 net serving": run_e22_net_serving,
     "E23 delta sync": run_e23_delta_sync,

@@ -299,317 +299,33 @@ class PairwiseEngine:
     def one_to_many(
         self, source: int, targets: Sequence[int]
     ) -> Tuple[Dict[int, float], QueryStats]:
-        """Best costs from ``source`` to every target, in one pass.
+        """Best costs from ``source`` to every target, one pairwise search each.
 
-        Amortizes work across targets three ways: targets whose index bounds
-        already coincide are answered with zero traversal; the rest share a
-        single forward search; and each target *finalizes early* — as soon as
-        the search frontier can no longer beat that target's hub witness,
-        the witness is the answer.  Returns a dict (unreachable targets map
-        to the algebra's unreachable value) and one combined stats record.
-
-        When a dense plane serves this engine the whole routine runs on
-        flat arrays (see :meth:`_one_to_many_dense`); answers and stats are
-        identical, only faster.
+        Every endpoint is checked before any search runs; ``source`` and
+        repeated targets are answered without searching.  Each value is
+        the float :meth:`best_cost` returns for that pair (unreachable
+        targets map to the algebra's unreachable value), and the stats
+        are the searches' counters summed, ``answered_by_index`` only when
+        every target was.
         """
-        if self._dense_ready() is not None:
-            return self._one_to_many_dense(source, targets)
         graph = self._graph
-        sr = self._semiring
-        stats = QueryStats()
-        if not graph.has_vertex(source):
-            raise QueryError(f"query endpoint {source} is not in the graph")
+        for v in (source, *targets):
+            if not graph.has_vertex(v):
+                raise QueryError(f"query endpoint {v} is not in the graph")
+        search = self._kernel()
         results: Dict[int, float] = {}
-        incumbents: Dict[int, float] = {}
-        target_bounds: Dict[int, QueryBounds] = {}
-        unreachable = sr.unreachable
+        stats = QueryStats(answered_by_index=True)
         for t in targets:
-            if not graph.has_vertex(t):
-                raise QueryError(f"query endpoint {t} is not in the graph")
-            if t in results or t in incumbents:
+            if t in results:
                 continue
             if t == source:
-                results[t] = sr.source_value
+                results[t] = self._semiring.source_value
                 continue
-            witness = unreachable
-            if self._policy.uses_index:
-                assert self._index is not None
-                bounds = QueryBounds(self._index, source, t)
-                witness = bounds.upper_bound
-                if self._policy.uses_lower_bounds:
-                    lower = bounds.lower_bound()
-                    if lower == unreachable:
-                        results[t] = unreachable
-                        continue
-                    if witness != unreachable and lower == witness:
-                        results[t] = witness
-                        continue
-                    target_bounds[t] = bounds
-            incumbents[t] = witness
-        if not incumbents:
-            stats.answered_by_index = True
-            return results, stats
-
-        remaining = set(incumbents)
-        use_lb = self._policy.uses_lower_bounds
-        labels = {source: sr.source_value}
-        settled: set = set()
-        heap = IndexedHeap()
-        heap.push(source, sr.priority(sr.source_value))
-        while heap and remaining:
-            v, _priority = heap.pop()
-            cost_v = labels[v]
-            settled.add(v)
-            # Finalize targets the frontier can no longer improve on.
-            finished = [
-                t for t in remaining
-                if not sr.is_better(cost_v, incumbents[t])
-            ]
-            for t in finished:
-                results[t] = incumbents[t]
-                remaining.discard(t)
-            if not remaining:
-                break
-            if v in remaining:
-                results[v] = cost_v
-                remaining.discard(v)
-                if not remaining:
-                    break
-            if use_lb:
-                # Expand only vertices that can still improve on *some*
-                # remaining target's incumbent — the one-to-many form of the
-                # lower-bound prune.
-                useful = False
-                for t in remaining:
-                    if not target_bounds[t].prunable_forward(
-                        v, cost_v, incumbents[t]
-                    ):
-                        useful = True
-                        break
-                if not useful:
-                    stats.pruned_by_lower_bound += 1
-                    continue
-            stats.activations += 1
-            for u, w in graph.out_items(v):
-                stats.relaxations += 1
-                if u in settled:
-                    continue
-                candidate = sr.extend(cost_v, w)
-                current = labels.get(u)
-                if current is None or sr.is_better(candidate, current):
-                    labels[u] = candidate
-                    heap.push(u, sr.priority(candidate))
-                    stats.pushes += 1
-                    # A better label for a live target tightens its incumbent.
-                    if u in remaining and sr.is_better(candidate, incumbents[u]):
-                        incumbents[u] = candidate
-        for t in remaining:
-            results[t] = incumbents[t]
+            value, _path, single = search(source, t)
+            results[t] = value
+            stats.merge(single)
+            stats.answered_by_index &= single.answered_by_index
         return results, stats
-
-    def _one_to_many_dense(
-        self, source: int, targets: Sequence[int]
-    ) -> Tuple[Dict[int, float], QueryStats]:
-        """Flat-array mirror of :meth:`one_to_many` over the dense plane.
-
-        Same amortization, same answers, same stats.  The per-target dict
-        bookkeeping of the reference path becomes dense-id arrays: one
-        shared ``g``-label list, a ``slot`` array mapping dense ids to
-        active-target positions (swap-removed as targets finalize), and
-        the whole-query bounds batched over the target set in one
-        ``(k, m)`` pass, so index-closable targets drop out before the
-        search starts.  The lower-bound prune is the pairwise kernel's:
-        short-circuit hub probes per live target (:func:`_probes_to`), so
-        the bound work of a batch is O(k) per target plus O(touched),
-        never O(k·|V|).  Min-plus algebra only.
-        """
-        plane = self._dense
-        csr = plane.csr
-        graph = self._graph
-        stats = QueryStats()
-        if not graph.has_vertex(source):
-            raise QueryError(f"query endpoint {source} is not in the graph")
-        inf = math.inf
-        results: Dict[int, float] = {}
-        seen: set = set()
-        uniq: List[int] = []
-        for t in targets:
-            if not graph.has_vertex(t):
-                raise QueryError(f"query endpoint {t} is not in the graph")
-            if t in seen:
-                continue
-            seen.add(t)
-            if t == source:
-                results[t] = 0.0
-                continue
-            uniq.append(t)
-
-        s = csr.dense_id(source)
-        use_lb = self._policy.uses_lower_bounds
-        act_t: List[int] = []        # dense ids of targets the search carries
-        act_inc: List[float] = []    # their incumbents (hub witness seeds)
-        if uniq:
-            t_dense = [csr.dense_id(t) for t in uniq]
-            if self._policy.uses_index:
-                tables = plane.tables
-                ubs = tables.upper_bounds_many(s, t_dense).tolist()
-                if use_lb:
-                    lbs = tables.residual_pairs_many(s, t_dense).tolist()
-                    for i, t in enumerate(uniq):
-                        ub = ubs[i]
-                        lb = lbs[i]
-                        if lb == inf:
-                            # The index proves there is no path at all.
-                            results[t] = inf
-                        elif ub != inf and lb == ub:
-                            # Bounds coincide: the witness is the answer.
-                            results[t] = ub
-                        else:
-                            act_t.append(t_dense[i])
-                            act_inc.append(ub)
-                else:
-                    act_t = t_dense
-                    act_inc = ubs
-            else:
-                act_t = t_dense
-                act_inc = [inf] * len(t_dense)
-        if not act_t:
-            stats.answered_by_index = True
-            return results, stats
-        # Per live target, the forward probes `_search_dense` runs toward
-        # its one target (O(k) each).
-        act_probes: List[list] = (
-            [_probes_to(plane.tables, td) for td in act_t] if use_lb else []
-        )
-
-        # Snapshot the active target ids before the search swap-removes
-        # them: the slot map is the one workspace array not covered by the
-        # journal, so it is reset from this list in `finally`.
-        slot_ids = list(act_t)
-        ws = self._workspace_for(csr.num_vertices)
-        stats.workspace_hits = 1 if ws.acquire(csr.num_vertices) else 0
-        activations = relaxations = pushes = pruned_lb = 0
-        try:
-            g = ws.g_f
-            settled = ws.settled_f
-            # Dense id -> position in the active lists (-1 when not active);
-            # the array form of the dict path's `remaining` membership test.
-            slot = ws.ensure_slot()
-            for i, td in enumerate(act_t):
-                slot[td] = i
-            ids = csr.ids
-            indptr, indices, weights = csr.out_views
-            # Lazy-deletion heapq on the workspace's list, as in
-            # `_search_dense`; forward-only, so a superseded entry is simply
-            # skipped when it surfaces.
-            heap = ws.heap_f
-            journal = ws.journal_f
-            journal.append(s)
-            g[s] = 0.0
-            heap.append((0.0, s))
-            m = len(act_t)
-            while heap and m:
-                cost_v, v = heappop(heap)
-                if settled[v]:
-                    continue
-                settled[v] = 1
-                # Finalize targets the frontier can no longer improve on
-                # (swap-removal keeps the active lists packed; the answer
-                # set is order-independent, so removal order does not
-                # matter).
-                i = 0
-                while i < m:
-                    if cost_v >= act_inc[i]:
-                        td = act_t[i]
-                        results[ids[td]] = act_inc[i]
-                        slot[td] = -1
-                        m -= 1
-                        if i != m:
-                            act_t[i] = act_t[m]
-                            act_inc[i] = act_inc[m]
-                            if use_lb:
-                                act_probes[i] = act_probes[m]
-                            slot[act_t[i]] = i
-                        act_t.pop()
-                        act_inc.pop()
-                        if use_lb:
-                            act_probes.pop()
-                    else:
-                        i += 1
-                if not m:
-                    break
-                i = slot[v]
-                if i >= 0:
-                    results[ids[v]] = cost_v
-                    slot[v] = -1
-                    m -= 1
-                    if i != m:
-                        act_t[i] = act_t[m]
-                        act_inc[i] = act_inc[m]
-                        if use_lb:
-                            act_probes[i] = act_probes[m]
-                        slot[act_t[i]] = i
-                    act_t.pop()
-                    act_inc.pop()
-                    if use_lb:
-                        act_probes.pop()
-                    if not m:
-                        break
-                if use_lb:
-                    # Expand only vertices that can still improve on *some*
-                    # remaining target's incumbent: per target, the dict
-                    # path's prunable_forward as `_search_dense`'s
-                    # short-circuit probes.  Finalize-early above dropped
-                    # every target with `inc <= g(v)`, so `need` is positive.
-                    for inc, probes in zip(act_inc, act_probes):
-                        need = inc - cost_v
-                        for row_hv, ht, th, row_vh in probes:
-                            hv = row_hv[v]                     # d(h, v)
-                            if hv != inf and (ht == inf or ht - hv >= need):
-                                break
-                            if th != inf:
-                                vh = row_vh[v]                 # d(v, h)
-                                if vh == inf or vh - th >= need:
-                                    break
-                        else:
-                            break  # no hub prunes this target: v is useful
-                    else:
-                        pruned_lb += 1
-                        continue
-                activations += 1
-                start, stop = indptr[v], indptr[v + 1]
-                relaxations += stop - start
-                for k in range(start, stop):
-                    u = indices[k]
-                    if settled[u]:
-                        continue
-                    candidate = cost_v + weights[k]
-                    known = g[u]
-                    if candidate < known:
-                        if known == inf:
-                            journal.append(u)
-                        g[u] = candidate
-                        heappush(heap, (candidate, u))
-                        pushes += 1
-                        # A better label for a live target tightens its
-                        # incumbent.
-                        j = slot[u]
-                        if j >= 0 and candidate < act_inc[j]:
-                            act_inc[j] = candidate
-            for i in range(m):
-                results[ids[act_t[i]]] = act_inc[i]
-            return results, stats
-        finally:
-            slot = ws.slot
-            if slot is not None:
-                for td in slot_ids:
-                    slot[td] = -1
-            stats.activations = activations
-            stats.relaxations = relaxations
-            stats.pushes = pushes
-            stats.pruned_by_lower_bound = pruned_lb
-            stats.workspace_resets = 1
-            stats.touched_reset = ws.release()
 
     # -- the search -------------------------------------------------------------
 
@@ -977,12 +693,15 @@ class PairwiseEngine:
             indptr_b, indices_b, weights_b = csr.in_views
             if use_lb and not ordered:
                 # Per-hub row memoryviews plus the per-endpoint scalar
-                # columns the prune tests reference, one tuple per hub (see
-                # `_probes_to`).  Probes short-circuit on the first deciding
-                # hub, exactly like the dict path — O(1) for the
-                # overwhelmingly common pruned vertex.
+                # columns the prune tests reference, one tuple per hub, so
+                # a probe loop unpacks instead of indexing four sequences.
+                # Probes short-circuit on the first deciding hub, exactly
+                # like the dict path — O(1) for the overwhelmingly common
+                # pruned vertex.
                 tables = plane.tables
-                probes_f = _probes_to(tables, t)
+                fwd_t, bwd_t = tables.columns_for(t)  # d(h,t) / d(t,h)
+                probes_f = list(zip(tables.fwd_views, fwd_t,
+                                    bwd_t, tables.bwd_views))
                 fwd_s, bwd_s = tables.columns_for(s)  # d(h,s) / d(s,h)
                 probes_b = list(zip(fwd_s, tables.fwd_views,
                                     tables.bwd_views, bwd_s))
@@ -1243,20 +962,6 @@ def _potential_dict(rows, v: int) -> Tuple[tuple, tuple]:
                 ps = x
     p = (pt - ps) * 0.5
     return (p, pt), (-p, ps)
-
-
-def _probes_to(tables, t: int) -> list:
-    """The forward lower-bound probes toward dense id ``t``.
-
-    One ``(d(h,·) row, d(h,t), d(t,h), d(·,h) row)`` tuple per hub, so a
-    probe loop unpacks instead of indexing four sequences.  A vertex ``v``
-    is pruned at the first hub with ``d(h,t) - d(h,v) >= need`` or
-    ``d(v,h) - d(t,h) >= need`` (or an unreachability proof).  Both dense
-    search routines build theirs here: the pairwise kernel once per query,
-    the batched verb once per live target.  O(k).
-    """
-    fwd_t, bwd_t = tables.columns_for(t)  # d(h,t) / d(t,h)
-    return list(zip(tables.fwd_views, fwd_t, bwd_t, tables.bwd_views))
 
 
 # -- neighborhood expansion (nearest / within) --------------------------------

@@ -607,42 +607,6 @@ class DenseHubTables:
             )
         return max(0.0, float(np.maximum(from_hub, to_hub).max()))
 
-    def upper_bounds_many(self, s: int, targets: Sequence[int]) -> np.ndarray:
-        """Witness bounds ``min_h d(s,h) + d(h,t)`` for a whole target set.
-
-        One vectorized ``(k, m)`` pass replaces ``m`` per-target scans —
-        the batched twin of :meth:`upper_bound`, bit-identical per column
-        (min over the same IEEE float64 sums, merely evaluated together).
-        Dense ids in, a length-``m`` float64 array out.
-        """
-        F, B = self.F, self.B
-        cols = np.asarray(targets, dtype=np.intp)
-        return (B[:, s][:, None] + F[:, cols]).min(axis=0)
-
-    def residual_pairs_many(self, s: int, targets: Sequence[int]) -> np.ndarray:
-        """Per-target lower bounds on ``d(s, t)`` for a whole target set.
-
-        The batched twin of :meth:`residual_pair`: identical per-hub
-        residual formulas, evaluated over the ``(k, m)`` target columns in
-        one pass.  Dense ids in, a length-``m`` float64 array out.
-        """
-        F, B = self.F, self.B
-        inf = math.inf
-        cols = np.asarray(targets, dtype=np.intp)
-        fs = F[:, s][:, None]
-        bs = B[:, s][:, None]
-        ft = F[:, cols]
-        bt = B[:, cols]
-        with np.errstate(invalid="ignore"):
-            from_hub = np.where(
-                fs == inf, 0.0, np.where(ft == inf, inf, np.maximum(ft - fs, 0.0))
-            )
-            to_hub = np.where(
-                bt == inf, 0.0, np.where(bs == inf, inf, np.maximum(bs - bt, 0.0))
-            )
-        res = np.maximum(from_hub, to_hub).max(axis=0)
-        return np.maximum(res, 0.0)
-
 
 class DensePlane:
     """One epoch's complete dense serving state: CSR adjacency + hub rows.

@@ -127,9 +127,8 @@ class ManyQueryResult:
     """Answer + combined execution counters for one one-to-many query.
 
     The batched sibling of :class:`QueryResult`: one source, a value per
-    target, and a single :class:`QueryStats` record covering the whole
-    shared search — so batched queries are as observable as pairwise ones
-    (the combined counters are what the amortization experiments measure).
+    target, and a single :class:`QueryStats` record summing the per-target
+    searches — so batched queries are as observable as pairwise ones.
     """
 
     kind: QueryKind
@@ -303,11 +302,11 @@ class PairwiseVerbs:
     def distance_many(
         self, source: int, targets: Iterable[int]
     ) -> Dict[int, float]:
-        """Shortest distances from ``source`` to every target in one pass.
+        """Shortest distances from ``source`` to every target.
 
-        Much cheaper than per-target :meth:`distance` calls when the target
-        set is large: index-closable targets cost nothing and the rest share
-        a single search (see :meth:`PairwiseEngine.one_to_many`).  Use
+        ``distance_many(s, T)[t]`` is the float :meth:`distance` returns
+        for ``(s, t)``: each distinct target runs the pairwise search once
+        (see :meth:`PairwiseEngine.one_to_many`).  Use
         :meth:`distance_many_result` when the combined search counters are
         wanted alongside the values.
         """
@@ -318,10 +317,8 @@ class PairwiseVerbs:
     ) -> ManyQueryResult:
         """Like :meth:`distance_many`, surfacing the combined counters.
 
-        The ``stats`` record covers the entire shared search, so batched
-        queries are observable exactly like pairwise ones.  When the
-        distance family is served dense the batch runs on the same flat
-        arrays as the pairwise verbs.
+        The ``stats`` record sums the per-target searches' counters, so
+        batched queries are observable exactly like pairwise ones.
         """
         engine = self._engine("distance")
         start = perf_counter()

@@ -40,8 +40,7 @@ class SearchWorkspace:
     Owns two of everything (forward / backward direction): distance label
     lists ``g_f`` / ``g_b``, settled bytemaps, parent arrays, ``heapq``
     entry lists ``heap_f`` / ``heap_b`` and first-touch journals
-    ``journal_f`` / ``journal_b``, plus two lazily-allocated extras: the
-    ``slot`` active-target map of the batched one-to-many verb, and the
+    ``journal_f`` / ``journal_b``, plus one lazily-allocated extra: the
     potential cache ``pot_f`` / ``pot_b`` of the bound-ordered pairwise
     search (``None`` until a vertex's potential is evaluated, then a
     ``(±p(v), π(v))`` pair per direction; ``journal_p`` records every
@@ -69,7 +68,6 @@ class SearchWorkspace:
         "g_f", "g_b",
         "settled_f", "settled_b",
         "parent_f", "parent_b",
-        "slot",
         "pot_f", "pot_b",
         "heap_f", "heap_b",
         "journal_f", "journal_b", "journal_p",
@@ -101,9 +99,8 @@ class SearchWorkspace:
         self.settled_b = bytearray(n)
         self.parent_f = [-1] * n
         self.parent_b = [-1] * n
-        # The one-to-many slot map and the potential cache are allocated on
-        # first use, so workloads that never need them never pay for them.
-        self.slot: Optional[List[int]] = None
+        # The potential cache is allocated on first use, so workloads that
+        # never order their search never pay for it.
         self.pot_f: Optional[List[Optional[tuple]]] = None
         self.pot_b: Optional[List[Optional[tuple]]] = None
         for store in (self.heap_f, self.heap_b,
@@ -114,12 +111,6 @@ class SearchWorkspace:
             # known costs nothing and is not a real allocation.
             self.allocations += 1
         self._fresh = True
-
-    def ensure_slot(self) -> List[int]:
-        """Allocate the dense-id → active-target slot map if absent."""
-        if self.slot is None:
-            self.slot = [-1] * self.num_vertices
-        return self.slot
 
     def ensure_pot(self) -> Tuple[List[Optional[tuple]],
                                   List[Optional[tuple]]]:
@@ -207,8 +198,6 @@ class SearchWorkspace:
         for parent in (self.parent_f, self.parent_b):
             if any(p != -1 for p in parent):
                 return False
-        if self.slot is not None and any(i != -1 for i in self.slot):
-            return False
         for pot in (self.pot_f, self.pot_b):
             if pot is not None and any(p is not None for p in pot):
                 return False

@@ -612,16 +612,17 @@ class ServeSession:
                       chunk_size: Optional[int] = None):
         """One-to-many distances; returns ``(values, stats, epoch)``.
 
-        Target lists longer than the session chunk are split across the
-        pool: each worker answers one slice with the shared-search kernel
-        and the partial results merge — values union disjointly, counters
+        Targets are de-duplicated in order first, so the answer does not
+        depend on the chunk size.  Target lists longer than the session
+        chunk are split across the pool: each worker answers one slice and
+        the partial results merge — values union disjointly, counters
         sum (:meth:`QueryStats.merge`), ``answered_by_index`` only when
         every slice was.  Slices lost to crashed workers are reaped,
         respawned, and resubmitted until the batch completes or every
         worker is dead.  All partials must come from one epoch; a publish
         racing the fan-out is retried once on the new epoch.
         """
-        targets = list(targets)
+        targets = list(dict.fromkeys(targets))
         chunk = self._chunk if chunk_size is None else chunk_size
         if chunk < 1:
             raise ConfigError("chunk_size must be >= 1")

@@ -235,7 +235,7 @@ class TestTieParity:
 
 
 class TestOneToManyParity:
-    """Batched one-to-many: dense flat-array search vs the dict reference."""
+    """Batched one-to-many: dense plane vs the dict reference."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("directed", [False, True])
@@ -274,10 +274,8 @@ class TestOneToManyParity:
             assert _stats_tuple(b.stats) == _stats_tuple(a.stats)
 
     def test_many_agrees_with_singles(self):
-        # The batch must return the per-target answers, both planes.  Exact
-        # equality only holds within an algorithm: the pairwise engine's
-        # bidirectional meet sums the two half-paths in a different order
-        # than the forward-only batch, so this cross-check is isclose.
+        # The batch must return the per-target answers, both planes, bit
+        # for bit: each target runs the pairwise search itself.
         rng = random.Random(2200)
         sg_dict, sg_dense = _twin_sgraphs(
             rng, PruningPolicy.UPPER_AND_LOWER, directed=False
@@ -287,8 +285,7 @@ class TestOneToManyParity:
         targets = rng.sample(verts, 16)
         many = sg_dense.distance_many(s, targets)
         for t in targets:
-            assert math.isclose(many[t], sg_dict.distance(s, t).value,
-                                rel_tol=1e-9)
+            assert many[t] == sg_dict.distance(s, t).value
 
 
 class TestNeighborhoodParity:

@@ -111,13 +111,11 @@ class TestExperimentSmoke:
         """Tiny-parameter executions of the extension experiments."""
         from repro.bench.experiments import (
             run_e13_directed,
-            run_e14_one_to_many,
             run_e16_reliability,
             run_e17_cache,
         )
 
         assert len(run_e13_directed(num_pairs=4)) == 3
-        assert len(run_e14_one_to_many(target_counts=(1, 4))) == 2
         assert len(run_e16_reliability(num_pairs=4)) == 3
         rows = run_e17_cache(num_queries=30)
         assert len(rows) == 3
@@ -136,6 +134,6 @@ class TestExperimentSmoke:
     def test_all_experiments_registry(self):
         from repro.bench.experiments import ALL_EXPERIMENTS
 
-        assert len(ALL_EXPERIMENTS) == 24  # E1–E25 without E15
+        assert len(ALL_EXPERIMENTS) == 22  # E1–E25 without E14, E15, E20
         assert all(title.split()[0].startswith("E")
                    for title in ALL_EXPERIMENTS)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,7 @@ from repro.core.hub_index import DensePlane, HubIndex
 from repro.core.semiring import BOTTLENECK_CAPACITY
 from repro.errors import ConfigError, QueryError
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.generators import erdos_renyi_graph, power_law_graph
-from repro.graph.stats import sample_vertex_pairs
+from repro.graph.generators import erdos_renyi_graph
 from repro.sgraph import SGraph
 from tests.conftest import reference_dijkstra, reference_widest
 
@@ -103,19 +103,50 @@ class TestEngineOneToMany:
             assert results == {2: 2.0}
             assert (stats.activations, stats.pruned_by_lower_bound) == (2, 1)
 
-    def test_amortization_beats_singles(self):
-        graph = power_law_graph(1200, 5, seed=6, weight_range=(1.0, 4.0))
-        index = HubIndex.build(graph, 16)
-        engine = PairwiseEngine(graph, index=index)
-        pairs = sample_vertex_pairs(graph, 24, seed=7)
-        source = pairs[0][0]
-        targets = [t for _s, t in pairs]
-        _results, many_stats = engine.one_to_many(source, targets)
-        single_total = 0
-        for t in targets:
-            _v, st_single = engine.best_cost(source, t)
-            single_total += st_single.activations
-        assert many_stats.activations <= max(single_total, 1) * 1.5
+
+def _counters(stats):
+    return (stats.activations, stats.pushes, stats.relaxations,
+            stats.pruned_by_lower_bound, stats.pruned_by_upper_bound,
+            stats.touched_reset)
+
+
+class TestBatchIsTheLoopOfSingles:
+    """``distance_many(s, T)[t]`` is the float ``distance(s, t)`` returns.
+
+    Non-dyadic weights make the float sum order-sensitive, so any search
+    that reached a target along another evaluation order than the
+    pairwise kernel would show up as a last-bit difference.
+    """
+
+    @pytest.mark.parametrize("backend", ["dict", "dense"])
+    @pytest.mark.parametrize("policy", ["none", "upper-only", "upper+lower"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_values_and_counters_equal_the_singles(self, directed, policy,
+                                                   backend):
+        rng = random.Random(3100 + 2 * directed)
+        g = DynamicGraph(directed=directed)
+        for v in range(60):
+            g.add_vertex(v)
+        while g.num_edges < 180:
+            u, v = rng.randrange(57), rng.randrange(57)
+            if u != v and not g.has_edge(u, v):
+                g.add_edge(u, v, rng.uniform(0.1, 10.0))
+        sg = SGraph(graph=g, config=SGraphConfig(
+            num_hubs=6, policy=policy, backend=backend))
+        sg.distance(0, 1)  # build the index (and plane) before counting
+        for _ in range(6):
+            s = rng.randrange(60)
+            targets = rng.sample(range(60), 20) + [s, rng.randrange(60)]
+            batch = sg.distance_many_result(s, targets)
+            singles = {t: sg.distance(s, t) for t in targets}
+            assert set(batch.values) == set(singles)
+            for t, single in singles.items():
+                assert batch.values[t] == single.value, (s, t)
+            sums = [sum(col) for col in
+                    zip(*(_counters(r.stats) for r in singles.values()))]
+            assert list(_counters(batch.stats)) == sums
+            assert batch.stats.answered_by_index == all(
+                r.stats.answered_by_index for r in singles.values())
 
 
 class TestFacade:
@@ -142,7 +173,7 @@ class TestFacade:
         assert result.epoch == sg.epoch
         assert len(result) == 3 and 2 in result and result[2] == 3.0
         assert result.reachable_count == 2
-        # The combined counters of the shared search — previously discarded.
+        # The summed counters of the per-target searches.
         assert result.stats.elapsed > 0.0
         assert (result.stats.activations > 0
                 or result.stats.answered_by_index)

@@ -261,7 +261,16 @@ class TestServeSessionParity:
             # and the values agree with the frozen view's full batch
             view_values = session.store.latest().distance_many(0, targets)
             for t, v in view_values.items():
-                assert merged_values[t] == pytest.approx(v)
+                assert merged_values[t] == v
+            # Duplicates spanning slices are searched once, as in a
+            # single-worker request: the fan-out does not depend on chunk.
+            dup_targets = targets[:15] + targets[5:25] + [0, 3, 3]
+            fanned = session.distance_many(0, dup_targets)
+            single = session.distance_many(0, dup_targets,
+                                           chunk_size=len(dup_targets))
+            assert fanned[0] == single[0]
+            assert _stats_tuple(fanned[1]) == _stats_tuple(single[1])
+            assert fanned[2] == single[2]
 
     def test_chunk_knob_and_stats_row(self):
         sg = _sgraph(25)

@@ -156,32 +156,41 @@ class TestSearchWorkspace:
         assert len(audited) >= 6 and max(audited) > 10
         assert engine.workspace.is_clean()
 
-    def test_release_covers_lazy_parent_and_slot_arrays(self):
+    def test_release_covers_parents_and_lazy_potential_cache(self):
         # Parents are allocated with the labels (every pairwise search
-        # records them); only the one-to-many slot map is lazy.
+        # records them); only the bound-ordered search's potential cache
+        # is lazy.
         ws = SearchWorkspace(50)
         assert len(ws.parent_f) == len(ws.parent_b) == 50
-        assert ws.slot is None
+        assert ws.pot_f is None and ws.pot_b is None
         ws.acquire(50)
-        slot = ws.ensure_slot()
+        pot_f, pot_b = ws.ensure_pot()
         ws.journal_f.append(7)
         ws.g_f[7] = 1.0
         ws.parent_f[7] = 3
         ws.journal_b.append(9)
         ws.parent_b[9] = 4
-        slot[7] = 0
+        ws.journal_p.append(7)
+        pot_f[7] = (0.5, 2.0)
+        pot_b[7] = (-0.5, 1.0)
         ws.release()
         assert ws.parent_f[7] == -1 and ws.parent_b[9] == -1
-        slot[7] = -1  # the verb resets slot itself (journal doesn't cover it)
+        assert pot_f[7] is None and pot_b[7] is None
         assert ws.is_clean()
         # a leaked parent entry is caught by the audit
         ws.parent_b[9] = 4
         assert not ws.is_clean()
         ws.parent_b[9] = -1
-        # the lazy slot map persists across acquires — allocated once
+        # so is a potential evaluated without its journal entry
+        pot_b[12] = (0.0, 3.0)
+        assert not ws.is_clean()
+        pot_b[12] = None
+        assert ws.is_clean()
+        # the lazy cache persists across acquires — allocated once
         parent_f = ws.parent_f
         ws.acquire(50)
-        assert ws.slot is slot and ws.parent_f is parent_f
+        assert ws.ensure_pot() == (pot_f, pot_b)
+        assert ws.pot_f is pot_f and ws.parent_f is parent_f
         ws.release()
 
     def test_stats_row_shape(self):
@@ -310,15 +319,16 @@ class TestFailureIsolation:
             assert value == ref_value
             assert _stats_tuple(stats) == _stats_tuple(ref_stats)
 
-    def test_exception_mid_one_to_many_resets_slot_map(self, monkeypatch):
+    def test_exception_mid_one_to_many_leaves_workspace_clean(self,
+                                                             monkeypatch):
         engine, plane = _dense_engine(45, PruningPolicy.NONE)
         targets = list(range(1, 25))
-        engine.one_to_many(0, targets)  # bind + allocate the slot map
+        engine.one_to_many(0, targets)  # bind the workspace
         with _weights_that_raise(monkeypatch, plane.csr, after=6):
             with pytest.raises(RuntimeError, match="injected"):
                 engine.one_to_many(0, targets)
 
-        assert engine.workspace.is_clean()  # covers the slot map too
+        assert engine.workspace.is_clean()
         fresh, _ = _dense_engine(45, PruningPolicy.NONE)
         values, stats = engine.one_to_many(0, targets)
         ref_values, ref_stats = fresh.one_to_many(0, targets)
