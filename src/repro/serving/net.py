@@ -241,6 +241,10 @@ class PlaneServer:
     def address(self) -> str:
         return f"{self.host}:{self.port}"
 
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def publish(self, payload: bytes, epoch: int) -> str:
         """Register one encoded plane as the newest epoch; returns digest."""
         digest = plane_digest(payload)
@@ -597,6 +601,10 @@ class NetTransport(PlaneTransport):
 
     def reader_spec(self) -> "TcpReaderSpec":
         return self._spec
+
+    def stamp(self) -> Optional[int]:
+        # A closed server's registry no longer says what readers can reach.
+        return None if self._server.closed else super().stamp()
 
     def transfer_stats(self) -> Dict[str, int]:
         """The server's transfer, lifecycle and cache counters, flattened

@@ -5,16 +5,20 @@ the live :class:`~repro.SGraph` and keeps ingesting; N reader processes
 acquire the newest published plane through a
 :class:`~repro.serving.transport.PlaneTransport` and answer
 ``distance / distance_many / nearest / within`` requests with the
-bit-identical ``_search_dense`` hot path.  Requests and responses travel
-over two multiprocessing queues; per-query payloads are a few scalars plus
-a :class:`~repro.core.stats.QueryStats` — graphs are never pickled.
+bit-identical ``_search_dense`` hot path.  Each worker has one private
+duplex pipe to the writer and at most one request in flight on it;
+per-query payloads are a few scalars plus a
+:class:`~repro.core.stats.QueryStats` — graphs are never pickled.
 
 Each worker is a :class:`~repro.serving.transport.PlaneReader` plus a
-request loop: between requests the reader polls the registry generation
-and, when stale, acquires the newest plane and releases the old one
-(returning the refcount, possibly evicting a retired plane).  A request
-already being answered keeps using the plane it started on — in-flight
-queries finish on their starting epoch by construction.
+request loop.  Every request carries the registry generation the writer
+read when it sent it (the *stamp*); a worker refreshes — acquires the
+newest plane and releases the old one, returning the refcount and
+possibly evicting a retired plane — only when the stamp differs from the
+one it last refreshed at, so a query submitted after ``publish()``
+returns is answered at that epoch or later, and no query polls.  A
+request already being answered keeps using the plane it started on —
+in-flight queries finish on their starting epoch by construction.
 
 The pool is generic over the transport: each worker receives a picklable
 :class:`~repro.serving.transport.ReaderSpec` and connects inside its own
@@ -38,16 +42,17 @@ import gc
 import itertools
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import time
+from collections import deque
 from multiprocessing.connection import wait as _mp_wait
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, QueryError
 from repro.serving.transport import PlaneReader, PlaneTransport, make_transport
 
-#: queries bundled per pool message — amortizes the ~100µs queue round-trip
-#: across enough sub-millisecond searches to keep workers compute-bound.
+#: queries bundled per pool message — amortizes the pipe round-trip (p50
+#: ~31µs for a small pickled message on a 2-vCPU Xeon VM) across enough
+#: sub-millisecond searches to keep workers compute-bound.
 #: Override per session with ``SGraph.serve(chunk=...)``.
 DEFAULT_CHUNK = 32
 
@@ -79,20 +84,23 @@ def _dispatch(engine, verb: str, payload):
     raise QueryError(f"unknown verb {verb!r}")
 
 
-def _worker_main(worker_id: int, spec, requests, responses,
+def _worker_main(worker_id: int, spec, conn, writer_ends,
                  policy_value: str) -> None:
-    """One reader process: acquire newest plane, drain requests forever.
+    """One reader process: answer requests from ``conn`` until it closes.
 
-    ``requests`` and ``responses`` are this worker's *private* queues: a
-    shared request queue would leave its reader lock held forever if a
-    sibling were SIGKILLed mid-``get``, and a shared response queue does
-    the symmetric thing — the queue's feeder thread holds its write-lock
-    (a cross-process semaphore) around ``send_bytes``, so a SIGKILL
-    landing inside that window leaves the lock acquired forever and every
-    survivor's feeder parks in ``wacquire()`` with answers it can never
-    deliver.  The writer round-robins over the private queues of workers
-    it still believes alive and multiplexes their response pipes.
+    ``conn`` is this worker's end of a *private* duplex pipe: one reader
+    and one writer per end per incarnation, so no cross-process lock
+    guards it and a sibling's SIGKILL cannot strand it.  The writer sends
+    a request only when this worker's previous answer has arrived, so
+    neither side can block sending while the other is blocked sending a
+    large payload back.  ``writer_ends`` are the writer's ends of every
+    pool pipe this fork inherited (its own and its siblings'): closing
+    them leaves the writer their only holder, so a writer that dies — even
+    by SIGKILL — turns ``recv`` into ``EOFError`` and the worker releases
+    its lease and exits instead of waiting forever.
     """
+    for end in writer_ends:
+        end.close()
     # Move everything inherited from the writer into the permanent
     # generation: each epoch handoff runs a full gc.collect() (see
     # ShmClient.acquire), which would otherwise walk the writer's whole
@@ -106,84 +114,115 @@ def _worker_main(worker_id: int, spec, requests, responses,
     # returned or the writer would wait on a ghost reader.  SIGKILL itself
     # is covered by the writer-side reap (transport.release_reader).
     atexit.register(reader.release)
+    # The stamp of the last refresh that reached the writer's plane; None
+    # until one has, and again after a degraded one, so the next request
+    # refreshes (and a None stamp always refreshes).
+    fresh_at = None
     try:
         while True:
-            req = requests.get()
+            try:
+                req = conn.recv()
+            except (EOFError, OSError):
+                break  # the writer is gone
             if req is None:
                 break
-            req_id, verb, payload = req
+            req_id, verb, payload, stamp = req
             try:
                 if verb == "reader_stats":
-                    responses.put(Response(
-                        req_id, worker_id, reader.epoch, True,
-                        reader.stats_row(),
-                    ))
-                    continue
-                engine, epoch = reader.current()
-                result = _dispatch(engine, verb, payload)
-                responses.put(Response(req_id, worker_id, epoch, True, result))
+                    resp = Response(req_id, worker_id, reader.epoch, True,
+                                    reader.stats_row())
+                else:
+                    if stamp is None or stamp != fresh_at:
+                        # A new stamp means the registry moved: acquire
+                        # without polling.  No stamp: poll first, as a
+                        # standalone reader does.
+                        fresh_at = None
+                        reader.refresh(poll=stamp is None)
+                        if not reader.stale:
+                            fresh_at = stamp
+                    engine, epoch = reader.held()
+                    resp = Response(req_id, worker_id, epoch, True,
+                                    _dispatch(engine, verb, payload))
             except Exception as exc:  # noqa: BLE001 - report, don't die
-                responses.put(Response(
-                    req_id, worker_id, None, False,
-                    f"{type(exc).__name__}: {exc}",
-                ))
+                resp = Response(req_id, worker_id, None, False,
+                                f"{type(exc).__name__}: {exc}")
             finally:
                 # Keep the reader the only holder of the plane between
                 # requests, so its release can actually unmap.
                 engine = None
+            try:
+                conn.send(resp)
+            except OSError:
+                break  # the writer is gone
     finally:
         reader.close()
 
 
 class WorkerPool:
-    """N reader processes fed from private request queues.
+    """N reader processes, each behind one private duplex pipe.
+
+    A worker has at most one request in flight: :meth:`submit` sends to
+    the next *idle* alive worker round-robin, and a worker turns idle
+    again when :meth:`gather` reads its answer.  Each request is stamped
+    with the transport's :meth:`~PlaneTransport.stamp` — the registry
+    generation to serve, or None when the worker must poll.
 
     Crashed workers can be :meth:`respawn`\\ ed — re-forked from the same
-    spec onto whatever epoch is current, with *fresh* request and response
-    queues (a SIGKILL mid-``get`` or mid-``put`` can leave a partial
-    pickle frame in the old pipe, desyncing any future reader of it).  A
+    spec onto whatever epoch is current, with a *fresh* pipe (a SIGKILL
+    mid-``send`` can leave a partial pickle frame in the old one,
+    desyncing any future reader of it).  A
     :class:`~repro.serving.faults.RespawnBreaker` bounds the respawn rate:
     once too many crashes land inside its window the pool degrades to the
     survivors until the storm ages out.
     """
 
-    def __init__(self, ctx, workers: int, spec, policy_value: str,
-                 breaker=None) -> None:
+    def __init__(self, ctx, workers: int, transport: PlaneTransport,
+                 policy_value: str, breaker=None) -> None:
         from repro.serving.faults import RespawnBreaker
 
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         self._ctx = ctx
-        self._spec = spec
+        self._spec = transport.reader_spec()
+        self._stamp = transport.stamp
         self._policy_value = policy_value
         self._breaker = breaker if breaker is not None else RespawnBreaker()
-        self._requests = [ctx.Queue() for _ in range(workers)]
-        self._responses = [ctx.Queue() for _ in range(workers)]
         self._ids = itertools.count()
-        self._rr = itertools.count()  # round-robin cursor over alive workers
+        self._last = workers - 1  # round-robin cursor: last worker sent to
         #: completed respawns over the pool's lifetime
         self.respawns = 0
-        # per-worker fork count; a request remembers the incarnation it
-        # was submitted to so lost requests are detectable after respawn
+        # per-worker fork count (process names, crash accounting)
         self._incarnations = [0] * workers
         # crashes already charged to the breaker: (worker, incarnation)
         self._charged: set = set()
-        # req_id -> (worker, incarnation) for unanswered requests
-        self._inflight: Dict[int, Tuple[int, int]] = {}
-        self._procs = [self._fork(i) for i in range(workers)]
-        for proc in self._procs:
-            proc.start()
+        # per worker: the id of its one request in flight, or None (idle);
+        # a respawn clears it, so the request reads as lost
+        self._busy: List[Optional[int]] = [None] * workers
+        # per worker: the writer's end of its pipe
+        self._conns: list = [None] * workers
+        self._procs: list = [None] * workers
+        for worker_id in range(workers):
+            self._start(worker_id)
 
-    def _fork(self, worker_id: int):
+    def _start(self, worker_id: int) -> None:
+        # One pipe per fork, made just before it: a sibling forked earlier
+        # never inherits this worker's end, so its death reads as EOF.
+        mine, theirs = self._ctx.Pipe()
+        self._conns[worker_id] = mine
         suffix = (f"-r{self._incarnations[worker_id]}"
                   if self._incarnations[worker_id] else "")
-        return self._ctx.Process(
+        proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, self._spec, self._requests[worker_id],
-                  self._responses[worker_id], self._policy_value),
+            args=(worker_id, self._spec, theirs,
+                  [end for end in self._conns if end is not None],
+                  self._policy_value),
             daemon=True,
             name=f"repro-serve-{worker_id}{suffix}",
         )
+        proc.start()
+        theirs.close()
+        self._procs[worker_id] = proc
+        self._busy[worker_id] = None
 
     @property
     def workers(self) -> int:
@@ -199,6 +238,16 @@ class WorkerPool:
 
     def dead(self) -> List[int]:
         return [i for i, p in enumerate(self._procs) if not p.is_alive()]
+
+    def idle(self) -> List[int]:
+        """Alive workers with no request in flight."""
+        return [i for i, p in enumerate(self._procs)
+                if self._busy[i] is None and p.is_alive()]
+
+    def in_flight(self) -> List[int]:
+        """Ids of the requests alive workers are still answering."""
+        return [rid for i, rid in enumerate(self._busy)
+                if rid is not None and self._procs[i].is_alive()]
 
     def respawn(self) -> List[int]:
         """Re-fork dead workers onto the current epoch; returns their ids.
@@ -219,99 +268,95 @@ class WorkerPool:
             if not self._breaker.allow():
                 continue
             proc.join(timeout=1)
-            self._requests[worker_id] = self._ctx.Queue()
-            # The response queue is replaced too: the crash may have left a
-            # partial pickle frame in the old pipe, and any complete-but-
-            # unread answers in it belong to the dead incarnation anyway
-            # (request_lost flags their requests for resubmission).
-            self._responses[worker_id] = self._ctx.Queue()
+            proc.close()
+            # The crash may have left a partial pickle frame in the old
+            # pipe, and an answer still in it belongs to the dead
+            # incarnation anyway (its request reads as lost).
+            self._conns[worker_id].close()
             self._incarnations[worker_id] += 1
-            self._procs[worker_id] = self._fork(worker_id)
-            self._procs[worker_id].start()
+            self._start(worker_id)
             self.respawns += 1
             revived.append(worker_id)
         return revived
 
     def submit(self, verb: str, payload) -> int:
-        """Enqueue one request on an alive worker; returns its id."""
-        alive = self.alive()
-        if not alive:
-            raise QueryError("all serving workers are dead")
-        target = alive[next(self._rr) % len(alive)]
-        return self.submit_to(target, verb, payload)
+        """Send one request to the next idle alive worker; returns its id."""
+        idle = self.idle()
+        if not idle:
+            raise QueryError("all serving workers are dead" if not self.alive()
+                             else "every serving worker has a request in flight")
+        count = len(self._procs)
+        self._last = min(idle, key=lambda w: (w - self._last - 1) % count)
+        return self.submit_to(self._last, verb, payload)
 
     def submit_to(self, worker_id: int, verb: str, payload) -> int:
-        """Enqueue one request on a *specific* worker; returns its id.
+        """Send one request to a *specific* idle worker; returns its id.
 
         For the per-worker probe verb (``reader_stats``) that the
-        round-robin cursor cannot target.  The worker must be alive.
+        round-robin cursor cannot target.  The worker must be alive and
+        idle.
         """
         if not self._procs[worker_id].is_alive():
             raise QueryError(f"serving worker {worker_id} is dead")
+        if self._busy[worker_id] is not None:
+            raise QueryError(
+                f"serving worker {worker_id} has a request in flight"
+            )
         req_id = next(self._ids)
-        self._inflight[req_id] = (worker_id, self._incarnations[worker_id])
-        self._requests[worker_id].put((req_id, verb, payload))
+        self._busy[worker_id] = req_id
+        try:
+            self._conns[worker_id].send(
+                (req_id, verb, payload, self._stamp())
+            )
+        except OSError:
+            pass  # died since the check: the request reads as lost
         return req_id
 
     def request_lost(self, req_id: int) -> bool:
-        """Whether an unanswered request can no longer be answered.
-
-        True when the worker it was enqueued on has died or been
-        respawned since (a fresh incarnation never sees the old queue).
-        """
-        meta = self._inflight.get(req_id)
-        if meta is None:
-            return False  # already answered
-        worker_id, incarnation = meta
-        return (self._incarnations[worker_id] != incarnation
-                or not self._procs[worker_id].is_alive())
-
-    def forget(self, req_id: int) -> None:
-        """Drop in-flight bookkeeping for a request being abandoned."""
-        self._inflight.pop(req_id, None)
+        """Whether a request sent and not yet answered never will be:
+        the worker it went to has died or been respawned since (a fresh
+        incarnation never sees the old pipe)."""
+        return req_id not in self.in_flight()
 
     def gather(self, req_ids: Sequence[int],
                timeout: Optional[float] = None) -> Dict[int, Response]:
-        """Collect responses for ``req_ids`` (best effort under a timeout).
+        """Wait until some of ``req_ids`` answer; returns those answers.
 
-        Returns a dict keyed by request id; with a timeout the result may
-        be missing entries whose worker died mid-request — callers decide
-        whether to resubmit (reads are idempotent) or raise.
+        Keyed by request id; empty when the timeout passed, or no worker
+        that could answer is alive, first — callers decide whether to
+        resubmit (reads are idempotent) or raise.  Late answers to
+        requests outside ``req_ids`` are read and dropped, freeing their
+        workers.
         """
         wanted = set(req_ids)
         got: Dict[int, Response] = {}
         deadline = None if timeout is None else time.monotonic() + timeout
-        while wanted:
+        while wanted and not got:
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-            # Multiplex the alive workers' private response pipes.  Dead
-            # workers are skipped on purpose: their pipe may hold a partial
-            # pickle frame (SIGKILL mid-write) that would block a reader
-            # forever; respawn discards the queue and request_lost resends.
-            live = [(i, self._responses[i])
-                    for i, proc in enumerate(self._procs) if proc.is_alive()]
-            if not live:
+            # Multiplex the pipes of alive workers with a request in
+            # flight.  Dead workers are skipped on purpose: respawn
+            # discards their pipe and their request reads as lost.
+            busy = {self._conns[i]: i for i in range(len(self._procs))
+                    if self._busy[i] is not None
+                    and self._procs[i].is_alive()}
+            if not busy:
                 break
-            ready = _mp_wait([q._reader for _i, q in live], timeout=remaining)
-            if not ready:
-                break
-            for worker_id, q in live:
-                if q._reader not in ready:
-                    continue
-                if not self._procs[worker_id].is_alive():
-                    continue
-                while True:
-                    try:
-                        resp = q.get_nowait()
-                    except (queue_mod.Empty, EOFError, OSError):
-                        break
-                    self._inflight.pop(resp.req_id, None)
-                    if resp.req_id in wanted:
-                        wanted.discard(resp.req_id)
-                        got[resp.req_id] = resp
+            for conn in _mp_wait(list(busy), timeout=remaining):
+                worker_id = busy[conn]
+                try:
+                    # No other process holds the worker's end, so a
+                    # worker killed mid-frame reads as EOF, not a hang.
+                    resp = conn.recv()
+                except (EOFError, OSError):
+                    continue  # dying: the next round no longer sees it
+                self._busy[worker_id] = None
+                if resp.req_id in wanted:
+                    wanted.discard(resp.req_id)
+                    got[resp.req_id] = resp
         return got
 
     def kill_worker(self, worker_id: int) -> None:
@@ -324,7 +369,10 @@ class WorkerPool:
     def close(self, timeout: float = 5.0) -> None:
         for i, proc in enumerate(self._procs):
             if proc.is_alive():
-                self._requests[i].put(None)
+                try:
+                    self._conns[i].send(None)
+                except OSError:
+                    pass
         deadline = time.monotonic() + timeout
         for proc in self._procs:
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
@@ -332,9 +380,8 @@ class WorkerPool:
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=1)
-        for q in self._requests + self._responses:
-            q.close()
-            q.cancel_join_thread()
+        for conn in self._conns:
+            conn.close()
 
 
 class ServeSession:
@@ -395,7 +442,7 @@ class ServeSession:
         )
         self._respawn = bool(respawn)
         self._pool = WorkerPool(
-            ctx, workers, self._transport.reader_spec(),
+            ctx, workers, self._transport,
             policy_value=config.policy.value,
             breaker=RespawnBreaker(max_failures=respawn_limit,
                                    window_s=respawn_window),
@@ -500,6 +547,12 @@ class ServeSession:
         guarantee: ``workspace_allocs`` only moves when an epoch rebind
         changes the vertex count.  Workers that cannot answer are skipped.
         """
+        # A worker still answering a request an earlier failed call
+        # abandoned cannot take the probe until that answer is read.
+        deadline = time.monotonic() + timeout
+        while self._pool.in_flight() and time.monotonic() < deadline:
+            self._pool.gather(self._pool.in_flight(),
+                              timeout=deadline - time.monotonic())
         rows: List[Dict[str, object]] = []
         for worker_id in self._pool.alive():
             try:
@@ -539,37 +592,33 @@ class ServeSession:
               timeout: Optional[float] = None) -> List[Response]:
         """Fan one request per payload across the pool until all answer.
 
-        The resubmission loop that makes pool queries survive worker
-        crashes: requests lost to a dead worker are resubmitted — after
-        reaping its refcount and respawning it — as many times as it
-        takes, until every payload is answered, the deadline passes, or
-        no worker is left alive.  Pure reads are idempotent, so a lost
-        slice re-runs with no visible effect beyond latency.
+        Payloads wait in a backlog and go, one at a time, to idle workers:
+        a worker gets its next payload only once its answer has arrived.
+        This is also the resubmission loop that makes pool queries survive
+        worker crashes: a request lost to a dead worker goes back on the
+        backlog — after reaping its refcount and respawning it — as many
+        times as it takes, until every payload is answered, the deadline
+        passes, or no worker is left alive.  Pure reads are idempotent, so
+        a lost slice re-runs with no visible effect beyond latency.
         """
         if self._pool.dead():
             self.reap()
         deadline = None if timeout is None else time.monotonic() + timeout
         answered: Dict[int, Response] = {}
-        req_for: Dict[int, int] = {}  # req_id -> payload index
-
-        def submit(indices) -> None:
-            if not self._pool.alive():
-                raise QueryError(
-                    "all serving workers are dead and respawn could not "
-                    "revive any"
-                )
-            for idx in indices:
-                req_for[self._pool.submit(verb, payloads[idx])] = idx
-
-        submit(range(len(payloads)))
+        backlog = deque(range(len(payloads)))
+        req_for: Dict[int, int] = {}  # in-flight req_id -> payload index
         while len(answered) < len(payloads):
-            pending = [rid for rid, idx in req_for.items()
-                       if idx not in answered]
-            wave = self._pool.gather(pending, timeout=0.25)
+            while backlog and self._pool.idle():
+                idx = backlog.popleft()
+                req_for[self._pool.submit(verb, payloads[idx])] = idx
+            # With nothing of ours in flight, wait out requests an earlier
+            # failed call abandoned: they hold the workers we need.
+            wave = self._pool.gather(list(req_for) or self._pool.in_flight(),
+                                     timeout=0.25)
             for rid, resp in wave.items():
-                idx = req_for.pop(rid)
-                if idx in answered:
-                    continue  # a resubmitted twin already answered
+                idx = req_for.pop(rid, None)
+                if idx is None:
+                    continue  # an abandoned request's late answer
                 if not resp.ok:
                     raise QueryError(
                         f"worker {resp.worker_id} failed: {resp.payload}"
@@ -577,16 +626,16 @@ class ServeSession:
                 answered[idx] = resp
             if wave:
                 continue
-            lost = sorted({
-                req_for[rid] for rid in pending
-                if self._pool.request_lost(rid)
-            } - set(answered))
-            if lost:
+            lost = [rid for rid in req_for if self._pool.request_lost(rid)]
+            if lost or not self._pool.alive():
                 self.reap()
-                for rid in [r for r, idx in req_for.items() if idx in lost]:
-                    self._pool.forget(rid)
-                    del req_for[rid]
-                submit(lost)
+                for rid in lost:
+                    backlog.appendleft(req_for.pop(rid))
+                if not self._pool.alive():
+                    raise QueryError(
+                        "all serving workers are dead and respawn could not "
+                        "revive any"
+                    )
                 continue
             if deadline is not None and time.monotonic() >= deadline:
                 raise QueryError(

@@ -112,8 +112,11 @@ class PlaneReader:
     Pool workers (any transport) and standalone remote readers
     (:class:`repro.serving.net.NetReader`) are both this class around a
     :class:`PlaneClient`.  :meth:`refresh` polls the client's generation
-    between requests and, when stale, acquires the newest plane *before*
-    releasing the held one, so there is never a served gap.  Every
+    and, when stale, acquires the newest plane *before* releasing the held
+    one, so there is never a served gap.  A standalone reader refreshes
+    before every request (:meth:`current`); a pool worker refreshes only
+    when the writer's request stamp says the registry moved and otherwise
+    answers on the held lease (:meth:`held`), polling nothing.  Every
     epoch's engine adopts the reader's one
     :class:`~repro.core.workspace.SearchWorkspace`, so an epoch handoff
     re-allocates O(V) search state only when the vertex count changes.
@@ -162,11 +165,15 @@ class PlaneReader:
         self._stale_serves += 1
         return self._lease.epoch
 
-    def refresh(self) -> Optional[int]:
-        """Adopt the newest published epoch; returns it (None when bare)."""
+    def refresh(self, poll: bool = True) -> Optional[int]:
+        """Adopt the newest published epoch; returns it (None when bare).
+
+        ``poll=False`` skips the generation probe and acquires outright,
+        for a caller that already knows the registry moved.
+        """
         lease = self._lease
         try:
-            if (lease is not None
+            if (poll and lease is not None
                     and lease.generation == self._client.generation()):
                 self._stale = False
                 return lease.epoch
@@ -196,16 +203,21 @@ class PlaneReader:
         self._stale = False
         return fresh.epoch
 
-    def current(self) -> Tuple[object, int]:
-        """Refresh, then ``(engine, epoch)`` to answer one request on.
+    def held(self) -> Tuple[object, int]:
+        """``(engine, epoch)`` over the held lease, asking the client
+        nothing — for callers that know the lease is still the newest.
 
         Callers drop the engine once the request is answered: between
         requests the reader must be the plane's only holder.
         """
-        self.refresh()
         if self._engine is None:
             raise QueryError("no epoch has been published yet")
         return self._engine, self._lease.epoch
+
+    def current(self) -> Tuple[object, int]:
+        """Refresh, then :meth:`held`."""
+        self.refresh()
+        return self.held()
 
     def stats_row(self) -> Dict[str, object]:
         """The client's transfer and fault counters (transports that move
@@ -262,6 +274,13 @@ class PlaneTransport(ABC):
     @abstractmethod
     def describe(self) -> str:
         """Human-readable endpoint ("shm segments rp…*", "tcp host:port")."""
+
+    def stamp(self):
+        """The registry generation a pool request carries: a worker that
+        refreshed at this stamp answers on its held lease without polling.
+        None when the transport cannot vouch for its registry (the worker
+        then polls, as a standalone reader does)."""
+        return self.registry.generation()
 
     def release_reader(self, reader_id) -> None:
         """Reap a dead reader's refcount (idempotent)."""

@@ -1,0 +1,189 @@
+"""The pool protocol: one duplex pipe per worker, one request in flight,
+requests stamped with the generation to serve — on both transports.
+
+Claims: (1) a worker outlives its writer by no more than a moment, even
+when the writer is SIGKILLed (it holds the only writer-side end of its
+pipe, so ``recv`` reads EOF); (2) a batch whose request and answer bytes
+dwarf the pipe's socket buffers completes on one worker (the writer never
+sends while that worker may be sending back); (3) kill + respawn cycles
+leak no writer-side file descriptor; (4) between publishes, pool queries
+poll nothing; (5) the first query after ``publish()`` returns is answered
+at the new epoch; (6) a worker whose server died tries it again on every
+request, degrading each time.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import os
+import random
+import signal
+
+import pytest
+
+from repro.serving import shm_available
+from repro.serving.net import PlaneServer, net_available
+from repro.serving.pool import ServeSession
+
+from tests.test_serving_net import _sgraph, _stats_tuple, _wait_until
+
+TRANSPORTS = [
+    pytest.param("shm", marks=pytest.mark.skipif(
+        not shm_available(), reason="POSIX shared memory unavailable")),
+    pytest.param("tcp", marks=[pytest.mark.net, pytest.mark.skipif(
+        not net_available(), reason="loopback TCP sockets unavailable")]),
+]
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def _fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _writer(transport: str, report) -> None:
+    """A writer process: serve, answer one query, report the worker pids,
+    then wait to be killed."""
+    sg = _sgraph(101)
+    session = ServeSession(sg, workers=2, transport=transport)
+    session.distance(0, 1)
+    session.distance(2, 3)
+    report.send([p.pid for p in mp.active_children()
+                 if p.name.startswith("repro-serve-")])
+    signal.pause()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc")
+class TestPoolLifecycle:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_workers_exit_when_the_writer_is_sigkilled(self, transport):
+        ctx = mp.get_context("fork")
+        report, child_end = ctx.Pipe(duplex=False)
+        writer = ctx.Process(target=_writer, args=(transport, child_end))
+        writer.start()
+        child_end.close()
+        workers = []
+        try:
+            assert report.poll(60), "writer never reported its workers"
+            workers = report.recv()
+            assert len(workers) == 2
+            assert all(_running(pid) for pid in workers)
+            os.kill(writer.pid, signal.SIGKILL)
+            writer.join(5)
+            assert _wait_until(
+                lambda: not any(_running(pid) for pid in workers), 5.0
+            ), "pool workers outlived their SIGKILLed writer"
+        finally:
+            for pid in [writer.pid, *workers]:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            writer.join(5)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_oversized_batch_on_one_worker_completes(self, transport):
+        """Ten chunks whose answers total ~4 MB through one worker: with
+        two requests in flight the writer would block sending the second
+        while the worker blocks sending the first answer."""
+        sg = _sgraph(102)
+        verts = sorted(sg.graph.vertices())
+        rng = random.Random(5)
+        # mostly s == t (answered without a search, so the batch stays
+        # ~1 s) with a real pair every 20th to check the values
+        pairs = [tuple(rng.sample(verts, 2)) if i % 20 == 0
+                 else (verts[i % len(verts)],) * 2 for i in range(60_000)]
+        with ServeSession(sg, workers=1, transport=transport) as session:
+            engine = session.store.latest().engine("distance")
+            out = session.map_distance(pairs, chunk_size=6_000, timeout=60)
+            assert len(out) == len(pairs)
+            for (s, t), (value, stats, _epoch) in zip(pairs[::20], out[::20]):
+                ref_value, ref_stats = engine.best_cost(s, t)
+                assert value == ref_value
+                assert _stats_tuple(stats) == _stats_tuple(ref_stats)
+            assert all(value == 0.0 for value, _stats, _epoch in out[1:20])
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_kill_respawn_cycles_leak_no_descriptor(self, transport):
+        sg = _sgraph(103)
+        with ServeSession(sg, workers=2, transport=transport,
+                          respawn_limit=10) as session:
+            value = session.distance(0, 1)[0]
+            session.distance(0, 1)
+            start = _fd_count()
+            for cycle in range(6):
+                session.pool.kill_worker(cycle % 2)
+                assert session.distance(0, 1)[0] == value
+                assert session.distance(0, 1)[0] == value
+            assert session.pool.respawns == 6
+            # a tcp server closes a dead reader's socket on its own thread
+            assert _wait_until(lambda: _fd_count() == start, 5.0), \
+                f"fd count {start} -> {_fd_count()}"
+
+
+class TestStampedRequests:
+    @pytest.mark.net
+    @pytest.mark.skipif(not net_available(),
+                        reason="loopback TCP sockets unavailable")
+    def test_tcp_pool_queries_poll_nothing_between_publishes(
+            self, monkeypatch):
+        ops = []
+        handle_op = PlaneServer._handle_op
+
+        def counting(self, conn, msg):
+            ops.append(msg.get("op"))
+            return handle_op(self, conn, msg)
+
+        monkeypatch.setattr(PlaneServer, "_handle_op", counting)
+        sg = _sgraph(104)
+        verts = sorted(sg.graph.vertices())
+        with ServeSession(sg, workers=2, transport="tcp") as session:
+            for round_no in range(3):
+                del ops[:]
+                for i in range(12):
+                    session.distance(verts[i], verts[-1 - i])
+                assert "poll" not in ops
+                # each worker takes the new epoch once, on its first query
+                assert ops.count("acquire") == 2
+                sg.add_edge(verts[round_no], verts[-2 - round_no], 0.5)
+                session.publish()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_first_query_after_publish_reads_the_new_epoch(self, transport):
+        sg = _sgraph(105)
+        verts = sorted(sg.graph.vertices())
+        with ServeSession(sg, workers=2, transport=transport) as session:
+            session.map_distance([(0, 1)] * 4, chunk_size=1)
+            for step in range(6):
+                sg.add_edge(verts[step], verts[-1 - step], 0.25 + step)
+                view = session.publish()
+                s, t = verts[step], verts[-1 - step]
+                value, stats, epoch = session.distance(s, t)
+                assert epoch == view.epoch
+                ref_value, ref_stats = view.engine("distance").best_cost(s, t)
+                assert value == ref_value
+                assert _stats_tuple(stats) == _stats_tuple(ref_stats)
+
+    @pytest.mark.net
+    @pytest.mark.skipif(not net_available(),
+                        reason="loopback TCP sockets unavailable")
+    def test_degraded_worker_retries_on_every_request(self):
+        sg = _sgraph(106)
+        with ServeSession(sg, workers=1, transport="tcp", retry=1,
+                          backoff=0.01, max_backoff=0.02,
+                          op_timeout=2.0) as session:
+            value, _stats, epoch = session.distance(0, 1)
+            assert session.reader_stats()[0]["stale_serves"] == 0
+            session.transport.server.close(drain=False)
+            for served in range(1, 5):
+                assert session.distance(0, 1)[::2] == (value, epoch)
+                row = session.reader_stats()[0]
+                assert row["stale"] is True
+                assert row["stale_serves"] == served
