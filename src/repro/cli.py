@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment",
                                 help="regenerate an experiment table")
-    experiment.add_argument("id", help="e1..e25 (no e15), or 'all'")
+    experiment.add_argument("id", help="e1..e13, e16, e18, e19, or 'all'")
     experiment.add_argument("--backend", default="auto",
                             choices=["auto", "dense", "dict"],
                             help="serving plane for backend-aware experiments")

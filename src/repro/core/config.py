@@ -62,10 +62,6 @@ class SGraphConfig:
         probability in (0, 1].
     seed:
         Seed for randomized hub strategies.
-    cache_size:
-        When > 0, the facade keeps an epoch-guarded LRU of this many query
-        answers (hot pairs re-asked between updates hit it; any mutation
-        invalidates implicitly by advancing the epoch).  0 disables caching.
     backend:
         Which serving plane answers pairwise queries for the distance/hops
         families.  ``"dict"`` traverses the live dict-of-dict adjacency and
@@ -89,7 +85,6 @@ class SGraphConfig:
     policy: PruningPolicy = PruningPolicy.UPPER_AND_LOWER
     queries: Tuple[str, ...] = ("distance",)
     seed: int = 0
-    cache_size: int = 0
     backend: str = "auto"
 
     def __post_init__(self) -> None:
@@ -106,8 +101,6 @@ class SGraphConfig:
             raise ConfigError(f"unknown query families: {sorted(bad)}")
         if not self.queries:
             raise ConfigError("at least one query family must be indexed")
-        if self.cache_size < 0:
-            raise ConfigError("cache_size must be >= 0")
         if self.backend not in ("auto", "dense", "dict"):
             raise ConfigError(
                 f"unknown backend {self.backend!r}; "

@@ -72,8 +72,8 @@ class PairwiseEngine:
         at the first dense query.
     reuse_workspace:
         When False every dense query runs in a freshly allocated
-        workspace — the pre-workspace cold path, kept for benchmarking the
-        reuse win (E24) and for bit-identity reference runs.
+        workspace — the pre-workspace cold path, kept as the fresh-state
+        reference the workspace tests compare against.
     """
 
     def __init__(
@@ -284,7 +284,8 @@ class PairwiseEngine:
         Returns ``(vertex, distance)`` pairs in non-decreasing distance
         order, source excluded.  Over a dense plane the search runs in the
         engine's reusable workspace (O(touched) setup); without one it
-        falls back to the dict-plane reference expansion.
+        falls back to the dict-plane reference expansion.  Either way
+        :func:`_check_expansion` vets ``max_results`` and ``radius`` first.
         """
         plane = self._dense_ready()
         if plane is None:
@@ -971,6 +972,19 @@ def _potential_dict(rows, v: int) -> Tuple[tuple, tuple]:
 # equidistant vertices in id order (dense ids sort like caller ids).
 
 
+def _check_expansion(max_results: Optional[int],
+                     radius: Optional[float]) -> None:
+    """The nearest/within argument check both expansion kernels run first,
+    so the facade, published views and pool workers all reject ``k < 1``
+    and a negative radius with :class:`~repro.errors.QueryError`.  The
+    comparisons are negated so a NaN fails them too: it would otherwise
+    never stop the expansion and return the whole component."""
+    if max_results is not None and not max_results >= 1:
+        raise QueryError("k must be >= 1")
+    if radius is not None and not radius >= 0:
+        raise QueryError("radius must be non-negative")
+
+
 def expand_from_graph(
     graph,
     source: int,
@@ -982,6 +996,7 @@ def expand_from_graph(
     Stops after ``max_results`` results (``nearest``) or once the frontier
     passes ``radius`` (``within``); the source itself is excluded.
     """
+    _check_expansion(max_results, radius)
     if not graph.has_vertex(source):
         raise QueryError(f"query endpoint {source} is not in the graph")
     heap = IndexedHeap()
@@ -1022,6 +1037,7 @@ def expand_from_csr(
     caller-visible vertex ids on append.  ``source`` is a caller-visible id
     and must already be validated against the graph the CSR was built from.
     """
+    _check_expansion(max_results, radius)
     s = csr.dense_id(source)
     ids = csr.ids
     indptr, indices, weights = csr.out_views

@@ -562,14 +562,6 @@ class DenseHubTables:
     def num_vertices(self) -> int:
         return len(self._ids)
 
-    @property
-    def nbytes(self) -> int:
-        """Array payload bytes of the cost matrices."""
-        total = int(self.F.nbytes)
-        if self.B is not self.F:
-            total += int(self.B.nbytes)
-        return total
-
     def __repr__(self) -> str:
         return (
             f"DenseHubTables(k={self.num_hubs}, |V|={self.num_vertices}, "
@@ -651,15 +643,6 @@ class DensePlane:
             large_diameter=large_diameter,
         )
         return cls(csr, tables)
-
-    @property
-    def nbytes(self) -> int:
-        """Array payload bytes (CSR + hub rows + the 8-byte/vertex id map).
-
-        What a shared-memory export of this plane must carry — the
-        attach-latency experiment (E21) plots against this.
-        """
-        return self.csr.nbytes + self.tables.nbytes + 8 * self.csr.num_vertices
 
     def __repr__(self) -> str:
         return f"DensePlane({self.csr!r}, {self.tables!r})"

@@ -25,7 +25,6 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.stats import QueryStats
-from repro.errors import QueryError
 
 
 class QueryKind(Enum):
@@ -173,14 +172,10 @@ class PairwiseVerbs:
       serving a configured family, :class:`~repro.errors.ConfigError` for
       any other;
     * ``_families`` — its configured families, in configuration order;
-    * ``epoch`` — the epoch its answers reflect;
-
-    and may set ``_cache`` to an epoch-guarded
-    :class:`~repro.core.cache.QueryCache` for the four value verbs.
+    * ``epoch`` — the epoch its answers reflect.
     """
 
     _families: Tuple[str, ...] = ()
-    _cache = None
 
     def _engine(self, family: str):
         raise NotImplementedError
@@ -213,20 +208,11 @@ class PairwiseVerbs:
 
     def _cost(self, kind: QueryKind, family: str, source: int, target: int,
               tolerance: float = 0.0) -> QueryResult:
-        cache = self._cache
-        if cache is not None:
-            key = (kind, source, target, tolerance)
-            cached = cache.get(key, self.epoch)
-            if cached is not None:
-                return cached
         engine = self._engine(family)
         start = perf_counter()
         value, stats = engine.best_cost(source, target, tolerance=tolerance)
         stats.elapsed = perf_counter() - start
-        result = QueryResult(kind, source, target, value, stats, self.epoch)
-        if cache is not None:
-            cache.put(key, self.epoch, result)
-        return result
+        return QueryResult(kind, source, target, value, stats, self.epoch)
 
     # -- paths ---------------------------------------------------------------
 
@@ -335,14 +321,10 @@ class PairwiseVerbs:
         A plain truncated Dijkstra — neighborhood queries don't benefit
         from pairwise bounds, but they round out the query surface.
         """
-        if k < 1:
-            raise QueryError("k must be >= 1")
         return self._expand(source, k, None)
 
     def within(self, source: int, radius: float) -> List[Tuple[int, float]]:
         """All vertices within weighted distance ``radius`` of ``source``."""
-        if radius < 0:
-            raise QueryError("radius must be non-negative")
         return self._expand(source, None, radius)
 
     def _expand(self, source: int, max_results: Optional[int],

@@ -929,11 +929,6 @@ class NetClient(PlaneClient):
             "stats", lambda d: self._call_once({"op": "stats"}, d)
         )
 
-    def cached_payload(self, digest: str) -> Optional[bytes]:
-        """Raw payload bytes cached under ``digest`` (tests, audits)."""
-        entry = self._cache.get(digest)
-        return None if entry is None else entry[1]
-
     def acquire(self) -> Optional[PlaneLease]:
         return self._retrying("acquire", self._acquire_once)
 

@@ -412,6 +412,10 @@ class ServeSession:
             raise ConfigError(
                 "serving shares the dense plane; backend='dict' publishes none"
             )
+        # Checked before the transport exists: a tcp transport starts its
+        # plane server thread and listening socket on construction.
+        if workers < 1:
+            raise ConfigError("workers must be >= 1")
         if chunk is None:
             chunk = DEFAULT_CHUNK
         if chunk < 1:
@@ -441,12 +445,16 @@ class ServeSession:
             transport, self._prefix, workers, ctx, **transport_options
         )
         self._respawn = bool(respawn)
-        self._pool = WorkerPool(
-            ctx, workers, self._transport,
-            policy_value=config.policy.value,
-            breaker=RespawnBreaker(max_failures=respawn_limit,
-                                   window_s=respawn_window),
-        )
+        try:
+            self._pool = WorkerPool(
+                ctx, workers, self._transport,
+                policy_value=config.policy.value,
+                breaker=RespawnBreaker(max_failures=respawn_limit,
+                                       window_s=respawn_window),
+            )
+        except BaseException:
+            self._transport.close()
+            raise
         # replay_latest covers stores whose current epoch was already
         # published before this session subscribed — the callback fires
         # immediately so the readers still get a plane.

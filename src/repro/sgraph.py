@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.cache import QueryCache
 from repro.core.config import FAMILIES, SGraphConfig
 from repro.core.engine import PairwiseEngine, expand_from_graph
 from repro.core.hub_index import DensePlane, HubIndex
@@ -90,8 +89,6 @@ class SGraph(PairwiseVerbs):
         self._engines: Dict[str, PairwiseEngine] = {}
         self._unit_view = UnitWeightView(self._graph)
         self._hubs: set = set()
-        self._cache = (QueryCache(self._config.cache_size)
-                       if self._config.cache_size > 0 else None)
         # The families a dense plane serves: the min-plus ones, unless the
         # config pins the dict reference path.
         self._dense_families = frozenset(
@@ -150,11 +147,6 @@ class SGraph(PairwiseVerbs):
     @property
     def num_edges(self) -> int:
         return self._graph.num_edges
-
-    @property
-    def cache(self) -> Optional[QueryCache]:
-        """The epoch-guarded result cache, when enabled by the config."""
-        return self._cache
 
     @property
     def last_published_epoch(self) -> Optional[int]:

@@ -226,11 +226,6 @@ class IncrementalBestPath:
 
     # -- change journal (drained by HubIndex.freeze) ---------------------------
 
-    @property
-    def journal_size(self) -> int:
-        """Distinct vertices journaled since the last drain (0 when full)."""
-        return len(self._journal)
-
     def drain_changes(
         self,
     ) -> Tuple[bool, List[Tuple[int, Optional[float], Optional[float]]]]:

@@ -26,12 +26,6 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.streaming.update import EdgeUpdate
 
 
-def _edge_key(graph: DynamicGraph, src: int, dst: int) -> Tuple[int, int]:
-    if graph.directed or src <= dst:
-        return (src, dst)
-    return (dst, src)
-
-
 def _live_edges(graph: DynamicGraph) -> Tuple[Set[Tuple[int, int]], List[Tuple[int, int]]]:
     keys = {(s, d) for s, d, _w in graph.edges()}
     return keys, list(keys)

@@ -233,6 +233,30 @@ class TestFaultProxy:
                 finally:
                     clean.close()
 
+    def test_seeded_schedule_fires_within_its_plan(self):
+        """The schedule really disrupts the reader (so ``retries ==
+        disruptions`` is not 0 == 0), and no kind fires more often than
+        it was planned."""
+        sg = _sgraph(86)
+        policy = FaultPolicy(seed=42, drops=1, truncations=1,
+                             corruptions=1, delays=1, delay_s=0.01)
+        with ServeSession(sg, workers=1, transport="tcp") as session:
+            server = session.transport.server
+            with FaultProxy(server.host, server.port, policy) as proxy:
+                with NetReader(proxy.address, retry=6, backoff=0.01,
+                               max_backoff=0.05) as reader:
+                    for round_no in range(3):
+                        if round_no:
+                            sg.add_edge(0, 50 + round_no, 0.3)
+                            session.publish()
+                        reader.distance(0, 1)
+                    scheduled = policy.scheduled()
+                    assert policy.disruptions() >= 1
+                    assert all(policy.injected[kind] <= scheduled[kind]
+                               for kind in scheduled)
+                    assert (reader.transfer_stats()["retries"]
+                            == policy.disruptions())
+
     def test_delay_fault_costs_no_retry(self):
         sg = _sgraph(85)
         policy = FaultPolicy(seed=11, delays=2, delay_s=0.05)
@@ -269,6 +293,23 @@ class TestWorkerRespawn:
                 lambda: sorted(session.pool.alive()) == [0, 1]
             )
             assert session.distance(0, 1)[0] == value
+
+    def test_one_respawn_leaves_the_breaker_closed(self):
+        """A single crash is charged to the breaker without opening it:
+        the pool is back to full strength and would respawn again."""
+        sg = _sgraph(95)
+        with sg.serve(workers=2) as session:
+            value = session.distance(0, 1)[0]
+            session.pool.kill_worker(1)
+            assert session.distance(0, 1)[0] == value
+            assert _wait_until(lambda: session.pool.respawns >= 1)
+            assert _wait_until(
+                lambda: sorted(session.pool.alive()) == [0, 1]
+            )
+            row = session.stats_row()
+            assert row["alive"] == row["workers"] == 2
+            assert row["breaker_open"] is False
+            assert row["respawns"] >= 1
 
     def test_batch_survives_killing_every_worker(self):
         """The one-shot-resubmission fix: a batched verb keeps reaping,

@@ -438,6 +438,57 @@ class TestDeltaSync:
                 assert 1 <= stats["cache"]["cached"] <= 4
                 assert stats["transfer"]["delta_fetches"] >= 2
 
+    def test_localised_slack_churn_ships_under_a_tenth_of_the_frame(self):
+        """The O(Δ) claim: ~1 % of a grid's edges, inside one vertex-id
+        window, re-weighted upward where no hub's shortest-path tree
+        runs.  Every hub table stays bit-identical, so only the CSR weight
+        chunks the window spans change, and a delta fetch moves under a
+        tenth of the full frame's bytes (the manifest is ~2 % of it)."""
+        import numpy as np
+
+        from repro.graph.generators import grid_graph
+
+        sg = SGraph(graph=grid_graph(32, 32, seed=13,
+                                     weight_range=(1.0, 10.0)),
+                    config=SGraphConfig(num_hubs=8, hub_strategy="degree"))
+        g = sg.graph
+        rng = random.Random(41)
+        verts = sorted(g.vertices())
+        with sg.serve(workers=1, transport="tcp", delta=True) as session:
+            with NetReader(session.transport.address,
+                           delta=True) as reader:
+                reader.refresh()
+                plane = session.store.latest().dense_plane("distance")
+                F, dense = plane.tables.F, plane.csr.dense_map
+                window = set(verts[len(verts) // 3:][:len(verts) // 12])
+                # slack: strictly longer than the detour through any hub
+                # both ways, so raising its weight moves no hub distance
+                slack = [
+                    (u, v, w) for u, v, w in sorted(g.edges())
+                    if u in window and v in window
+                    and np.all(np.abs(F[:, dense[u]] - F[:, dense[v]])
+                               < w - 1e-9)
+                ]
+                chosen = slack[:g.num_edges // 100]
+                assert len(chosen) == g.num_edges // 100
+                for u, v, w in chosen:
+                    sg.add_edge(u, v, w + rng.uniform(0.05, 0.3))
+                before = reader.transfer_stats()
+                view = session.publish()
+                assert reader.refresh() == view.epoch
+                after = reader.transfer_stats()
+                assert np.array_equal(view.dense_plane("distance").tables.F,
+                                      F)
+                assert after["delta_fetches"] == before["delta_fetches"] + 1
+                sent = after["bytes_received"] - before["bytes_received"]
+                full = after["bytes_full"] - before["bytes_full"]
+                assert 0 < sent < 0.10 * full
+                for _ in range(20):
+                    s, t = rng.sample(verts, 2)
+                    value, _stats, epoch = reader.distance(s, t)
+                    assert value == view.distance(s, t).value
+                    assert epoch == view.epoch
+
     def test_server_death_surfaces_as_query_error(self):
         """A strict (degrade=False) reader whose server dies mid-session
         gets a QueryError (the CLI's clean-exit contract), never a raw
@@ -525,3 +576,23 @@ class TestServerClose:
         del server, session
         gc.collect()
         assert ref() is None
+
+    def test_failed_serve_leaves_no_plane_server(self):
+        """A session whose pool cannot start closes the tcp transport it
+        already built: no plane-server thread (and no listening socket)
+        outlives the ConfigError."""
+        import threading
+
+        from repro.errors import ConfigError
+
+        def servers():
+            return {t for t in threading.enumerate()
+                    if t.name == "repro-plane-server"}
+
+        sg = _sgraph(75)
+        before = servers()
+        with pytest.raises(ConfigError):
+            sg.serve(workers=0, transport="tcp")
+        with pytest.raises(ConfigError):  # the pool's breaker rejects it
+            sg.serve(workers=1, transport="tcp", respawn_limit=0)
+        assert _wait_until(lambda: servers() <= before)

@@ -187,3 +187,29 @@ class TestStampedRequests:
                 row = session.reader_stats()[0]
                 assert row["stale"] is True
                 assert row["stale_serves"] == served
+
+
+class TestExpansionArguments:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_pool_and_facade_reject_bad_nearest_within(self, transport):
+        """``k < 1`` and a negative radius raise QueryError wherever the
+        expansion runs: pool workers, the live facade, a published view,
+        and a facade with no distance family (its plain dict traversal)."""
+        from repro.core.config import SGraphConfig
+        from repro.errors import QueryError
+        from repro.sgraph import SGraph
+
+        path = [(i, i + 1, 1.0) for i in range(20)]
+        sg = SGraph.from_edges(path, config=SGraphConfig(num_hubs=2))
+        hops_only = SGraph.from_edges(
+            path, config=SGraphConfig(num_hubs=2, queries=("hops",)))
+        with ServeSession(sg, workers=1, transport=transport) as session:
+            view = session.store.latest()
+            for target in (session, sg, view, hops_only):
+                for k in (0, -3):
+                    with pytest.raises(QueryError):
+                        target.nearest(0, k)
+                with pytest.raises(QueryError):
+                    target.within(0, -1.0)
+            assert session.nearest(0, 1)[0] == [(1, 1.0)]
+            assert session.within(0, 0.0)[0] == []
