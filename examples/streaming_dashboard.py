@@ -1,21 +1,25 @@
 """Streaming dashboard: concurrent ingest + query, the paper's headline demo.
 
 Models the deployment the abstract describes — "ingest millions of updates
-per second and simultaneously answer pairwise queries" — with the epoch
-scheduler: every round applies an update batch (sliding-window churn, so
-deletions exercise the repair path) and then answers a slice of the query
-workload, printing a rolling dashboard of ingest throughput and query
-latency percentiles.
+per second and simultaneously answer pairwise queries" — as a round loop:
+every round applies an update batch (sliding-window churn, so deletions
+exercise the repair path) and then answers a slice of the query workload,
+printing a rolling dashboard of ingest throughput and query latency
+percentiles.
 
 Run with::
 
     python examples/streaming_dashboard.py
 """
 
+import itertools
+import time
+
 from repro import SGraph, SGraphConfig
+from repro.core.stats import StatsAggregate
 from repro.graph.generators import power_law_graph
 from repro.graph.stats import sample_vertex_pairs
-from repro.streaming.scheduler import EpochScheduler
+from repro.streaming.update import batched
 from repro.streaming.workload import sliding_window_stream
 
 
@@ -29,21 +33,32 @@ def main() -> None:
     print(f"{'round':>5}  {'updates':>7}  {'upd k/s':>8}  "
           f"{'queries':>7}  {'q mean ms':>9}  {'q max ms':>8}")
 
-    scheduler = EpochScheduler(sg, sg.distance)
-    report = scheduler.run(updates, queries,
-                           updates_per_round=200, queries_per_round=16)
-    for record in report.rounds:
-        ups = record.updates_applied / max(record.update_seconds, 1e-9)
-        q_mean = 1e3 * record.query_seconds / max(record.queries_answered, 1)
-        print(f"{record.epoch:>5}  {record.updates_applied:>7}  "
-              f"{ups / 1e3:>8.1f}  {record.queries_answered:>7}  "
-              f"{q_mean:>9.3f}  {'':>8}")
+    agg = StatsAggregate()
+    pairs = itertools.cycle(queries)
+    total_updates = 0
+    update_seconds = 0.0
+    for round_no, batch in enumerate(batched(updates, 200)):
+        start = time.perf_counter()
+        applied = sg.apply(batch)
+        elapsed = time.perf_counter() - start
+        total_updates += applied
+        update_seconds += elapsed
+        round_ms = []
+        for s, t in itertools.islice(pairs, 16):
+            q_start = time.perf_counter()
+            stats = sg.distance(s, t).stats
+            stats.elapsed = time.perf_counter() - q_start
+            agg.add(stats)
+            round_ms.append(1e3 * stats.elapsed)
+        print(f"{round_no:>5}  {applied:>7}  "
+              f"{applied / max(elapsed, 1e-9) / 1e3:>8.1f}  "
+              f"{len(round_ms):>7}  {sum(round_ms) / len(round_ms):>9.3f}  "
+              f"{max(round_ms):>8.3f}")
 
-    agg = report.query_stats
     print("\noverall:")
-    print(f"  {report.total_updates} updates at "
-          f"{report.updates_per_second / 1e3:.1f}k updates/s")
-    print(f"  {report.total_queries} queries: "
+    print(f"  {total_updates} updates at "
+          f"{total_updates / max(update_seconds, 1e-9) / 1e3:.1f}k updates/s")
+    print(f"  {agg.total} queries: "
           f"mean {1e3 * agg.mean_elapsed:.3f} ms, "
           f"p50 {1e3 * agg.p(0.50):.3f} ms, "
           f"p99 {1e3 * agg.p(0.99):.3f} ms")

@@ -11,7 +11,7 @@ Public API highlights:
 * :mod:`repro.graph` — the evolving-graph substrate (storage, snapshots,
   generators, dataset proxies).
 * :mod:`repro.streaming` — update streams, ingestion, incremental index
-  maintenance, epoch scheduling.
+  maintenance, published-epoch views.
 * :mod:`repro.baselines` — the comparison systems (plain/bidirectional
   Dijkstra, upper-bound-only pruning, full recompute, continuous streaming
   maintenance).

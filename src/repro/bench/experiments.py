@@ -1,4 +1,4 @@
-"""One function per reconstructed experiment (E1–E13, E16, E18, E19).
+"""One function per reconstructed experiment (E2, E3, E7, E9–E11, E13, E19).
 
 Each ``run_eN`` returns the table rows the corresponding paper table/figure
 would carry; the ``benchmarks/bench_eN_*.py`` modules execute them under
@@ -12,7 +12,6 @@ Python; see DESIGN.md for the scale-substitution rationale.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -21,25 +20,17 @@ from repro.baselines.dijkstra import bidirectional_dijkstra, dijkstra_distance
 from repro.baselines.propagation import PropagationEngine
 from repro.baselines.recompute import RecomputeEngine
 from repro.baselines.streaming_engine import ContinuousPairwiseEngine
-from repro.bench.harness import run_query_workload, time_callable
+from repro.bench.harness import run_query_workload
 from repro.bench.workloads import build_workload
 from repro.core.engine import PairwiseEngine
 from repro.core.hub_index import DensePlane, HubIndex
 from repro.core.pruning import PruningPolicy
 from repro.core.config import SGraphConfig
-from repro.graph.datasets import DATASETS, load_dataset, load_scaled
-from repro.graph.generators import rmat_graph
-from repro.graph.stats import profile_graph, sample_vertex_pairs
+from repro.graph.datasets import load_dataset, load_scaled
+from repro.graph.stats import sample_vertex_pairs
 from repro.sgraph import SGraph
 from repro.streaming.ingest import IngestEngine
-from repro.streaming.scheduler import EpochScheduler
-from repro.streaming.versioning import VersionedStore
-from repro.streaming.update import batched
-from repro.streaming.workload import (
-    insert_only_stream,
-    mixed_stream,
-    sliding_window_stream,
-)
+from repro.streaming.workload import sliding_window_stream
 
 Row = Dict[str, object]
 
@@ -52,21 +43,6 @@ def _pct(x: float) -> float:
 
 def _ms(x: float) -> float:
     return round(1e3 * x, 3)
-
-
-# ---------------------------------------------------------------------------
-# E1 — dataset table
-# ---------------------------------------------------------------------------
-
-def run_e1_datasets() -> List[Row]:
-    """Structural profile of every dataset proxy (the paper's Table 1)."""
-    rows: List[Row] = []
-    for name, spec in DATASETS.items():
-        graph = load_dataset(name)
-        row: Row = {"dataset": name, "models": spec.stands_in_for}
-        row.update(profile_graph(graph).as_row())
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -184,106 +160,6 @@ def run_e3_latency(num_pairs: int = 24, backend: str = "auto") -> List[Row]:
 
 
 # ---------------------------------------------------------------------------
-# E4 — latency and activations by query type
-# ---------------------------------------------------------------------------
-
-def run_e4_query_types(num_pairs: int = 24) -> List[Row]:
-    """All four pairwise query kinds through the SGraph facade."""
-    rows: List[Row] = []
-    for dataset in ("social-pl", "road-grid"):
-        graph = load_dataset(dataset)
-        sg = SGraph(graph=graph, config=SGraphConfig(
-            num_hubs=16, queries=("distance", "hops", "capacity")))
-        sg.rebuild_indexes()  # build outside the timed region
-        pairs = sample_vertex_pairs(graph, num_pairs, seed=11, min_hops=2)
-        kinds: List[Tuple[str, Callable]] = [
-            ("distance", sg.distance),
-            ("hops", sg.hop_distance),
-            ("reachability", sg.reachable),
-            ("bottleneck", sg.bottleneck),
-        ]
-        for label, query in kinds:
-            agg = run_query_workload(
-                lambda s, t, q=query: _unwrap(q(s, t)), pairs
-            )
-            rows.append({
-                "dataset": dataset,
-                "query": label,
-                "mean_ms": _ms(agg.mean_elapsed),
-                "act/query": round(agg.mean_activations, 1),
-                "index-only%": _pct(agg.answered_by_index / agg.total),
-            })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# E5 — ingestion throughput
-# ---------------------------------------------------------------------------
-
-def run_e5_ingest(num_updates: int = 3000) -> List[Row]:
-    """Updates/second by stream shape and index maintenance load.
-
-    Claim validated (relative form): ingestion sustains high update rates
-    and the hub index costs a bounded constant factor over raw ingestion.
-    """
-    rows: List[Row] = []
-    for stream_name, stream_fn in (
-        ("insert-only", insert_only_stream),
-        ("sliding-window", sliding_window_stream),
-        ("mixed-80/20", lambda g, n, seed=0: mixed_stream(g, n, 0.8, seed=seed)),
-    ):
-        for label, with_index in (("graph-only", False), ("graph+index(k=16)", True)):
-            graph = load_dataset("social-pl")
-            listeners = []
-            if with_index:
-                listeners.append(HubIndex.build(graph, 16))
-            engine = IngestEngine(graph, listeners)
-            updates = list(stream_fn(graph, num_updates, seed=5))
-            stats = engine.apply_all(updates)
-            rows.append({
-                "stream": stream_name,
-                "pipeline": label,
-                "updates": stats.applied,
-                "ups": round(stats.updates_per_second),
-                "settled/update": round(
-                    stats.maintenance_settled / max(stats.applied, 1), 2),
-            })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# E6 — incremental maintenance vs full rebuild
-# ---------------------------------------------------------------------------
-
-def run_e6_maintenance(batch_sizes: Sequence[int] = (1, 10, 100, 1000)) -> List[Row]:
-    """Per-batch index maintenance cost: incremental repair vs full rebuild."""
-    rows: List[Row] = []
-    for batch_size in batch_sizes:
-        graph = load_dataset("social-pl")
-        index = HubIndex.build(graph, 16)
-        engine = IngestEngine(graph, [index])
-        updates = list(sliding_window_stream(graph, 5 * batch_size, seed=9))
-        batches = list(batched(iter(updates), batch_size))
-
-        incr_seconds = 0.0
-        for batch in batches:
-            start = time.perf_counter()
-            for update in batch:
-                engine.apply_update(update)
-            incr_seconds += time.perf_counter() - start
-        incr_per_batch = incr_seconds / len(batches)
-
-        rebuild_per_batch = time_callable(index.rebuild, repeat=2)
-        rows.append({
-            "batch": batch_size,
-            "incremental_ms": _ms(incr_per_batch),
-            "rebuild_ms": _ms(rebuild_per_batch),
-            "speedup": round(rebuild_per_batch / max(incr_per_batch, 1e-9), 1),
-        })
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # E7 — hub-count and strategy sensitivity
 # ---------------------------------------------------------------------------
 
@@ -320,37 +196,6 @@ def run_e7_hubs(
                 "index-only%": _pct(agg.answered_by_index / agg.total),
                 "mean_ms": _ms(agg.mean_elapsed),
             })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# E8 — query latency under concurrent update load
-# ---------------------------------------------------------------------------
-
-def run_e8_concurrent(
-    update_rates: Sequence[int] = (10, 100, 500),
-    rounds: int = 10,
-    queries_per_round: int = 10,
-) -> List[Row]:
-    """Query latency percentiles while the graph is being updated."""
-    rows: List[Row] = []
-    for updates_per_round in update_rates:
-        graph = load_dataset("social-pl")
-        sg = SGraph(graph=graph, config=SGraphConfig(num_hubs=16))
-        sg.distance(*next(iter(sample_vertex_pairs(graph, 1, seed=1))))  # build index
-        pairs = sample_vertex_pairs(graph, 64, seed=17, min_hops=2)
-        updates = sliding_window_stream(
-            graph, updates_per_round * rounds, seed=23
-        )
-        scheduler = EpochScheduler(sg, sg.distance)
-        report = scheduler.run(
-            updates, pairs,
-            updates_per_round=updates_per_round,
-            queries_per_round=queries_per_round,
-        )
-        row: Row = {"updates/round": updates_per_round}
-        row.update(report.as_row())
-        rows.append(row)
     return rows
 
 
@@ -415,8 +260,6 @@ def run_e9_crossover(
 def _pairs_with_sources(
     graph, num_sources: int, num_queries: int, seed: int
 ) -> List[Tuple[int, int]]:
-    import random
-
     base = sample_vertex_pairs(graph, max(num_sources, 8), seed=seed, min_hops=2)
     sources = [s for s, _t in base][:num_sources]
     targets = [t for _s, t in sample_vertex_pairs(graph, 64, seed=seed + 1)]
@@ -481,42 +324,6 @@ def run_e11_bound_tightness(num_pairs: int = 48) -> List[Row]:
 
 
 # ---------------------------------------------------------------------------
-# E12 (extension) — bounded-error approximation trade-off
-# ---------------------------------------------------------------------------
-
-def run_e12_tolerance(
-    tolerances: Sequence[float] = (0.0, 0.1, 0.25, 0.5, 1.0),
-    num_pairs: int = 24,
-) -> List[Row]:
-    """Latency/accuracy trade: activations and index-only answers vs the
-    allowed error factor, plus the error actually incurred."""
-    rows: List[Row] = []
-    graph = load_dataset("social-pl")
-    index = HubIndex.build(graph, 16)
-    engine = PairwiseEngine(graph, index=index)
-    pairs = sample_vertex_pairs(graph, num_pairs, seed=53, min_hops=2)
-    exact = {pair: engine.best_cost(*pair)[0] for pair in pairs}
-    for tolerance in tolerances:
-        agg = run_query_workload(
-            lambda s, t, tol=tolerance: engine.best_cost(s, t, tolerance=tol),
-            pairs,
-        )
-        worst_error = 0.0
-        for pair in pairs:
-            value, _stats = engine.best_cost(*pair, tolerance=tolerance)
-            if exact[pair] > 0:
-                worst_error = max(worst_error, value / exact[pair] - 1.0)
-        rows.append({
-            "tolerance": tolerance,
-            "act/query": round(agg.mean_activations, 1),
-            "index-only%": _pct(agg.answered_by_index / agg.total),
-            "mean_ms": _ms(agg.mean_elapsed),
-            "worst_err%": _pct(worst_error),
-        })
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # E13 (extension) — directed graphs
 # ---------------------------------------------------------------------------
 
@@ -539,8 +346,6 @@ def run_e13_directed(num_pairs: int = 20) -> List[Row]:
     ]
     # Directed pairs: sample from all vertices, not just mutually reachable
     # ones, so the unreachable-pair behaviour is part of the measurement.
-    import random
-
     rng = random.Random(61)
     vertices = list(graph.vertices())
     pairs = []
@@ -558,96 +363,6 @@ def run_e13_directed(num_pairs: int = 20) -> List[Row]:
             "index-only%": _pct(agg.answered_by_index / agg.total),
             "mean_ms": _ms(agg.mean_elapsed),
         })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# E16 (extension) — third algebra: most-reliable path
-# ---------------------------------------------------------------------------
-
-def run_e16_reliability(num_pairs: int = 20) -> List[Row]:
-    """Pruning effectiveness under the multiplicative reliability algebra.
-
-    Generality check: the same index/bound machinery, instantiated with the
-    probability-product semiring, prunes most-reliable-path queries on a
-    sensor-mesh proxy whose weights are link success probabilities.
-    """
-    from repro.core.semiring import RELIABILITY_PRODUCT
-
-    graph = load_dataset("sensor-rel")
-    index = HubIndex.build(graph, 16, semiring=RELIABILITY_PRODUCT)
-    engines: List[Tuple[str, PairwiseEngine]] = [
-        ("none", PairwiseEngine(graph, policy=PruningPolicy.NONE,
-                                semiring=RELIABILITY_PRODUCT)),
-        ("upper-only", PairwiseEngine(graph, index=index,
-                                      policy=PruningPolicy.UPPER_ONLY)),
-        ("sgraph", PairwiseEngine(graph, index=index,
-                                  policy=PruningPolicy.UPPER_AND_LOWER)),
-    ]
-    pairs = sample_vertex_pairs(graph, num_pairs, seed=81, min_hops=2)
-    rows: List[Row] = []
-    for label, engine in engines:
-        agg = run_query_workload(engine.best_cost, pairs)
-        rows.append({
-            "engine": label,
-            "act/query": round(agg.mean_activations, 1),
-            "act%": _pct(agg.mean_activation_fraction(graph.num_vertices)),
-            "index-only%": _pct(agg.answered_by_index / agg.total),
-            "mean_ms": _ms(agg.mean_elapsed),
-        })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# E18 (extension) — delta-proportional snapshot + publish latency
-# ---------------------------------------------------------------------------
-
-def run_e18_publish(
-    scales: Sequence[int] = (12, 15),
-    edge_factor: int = 8,
-    deltas: Sequence[int] = (1, 10, 100, 1000),
-    publishes_per_delta: int = 3,
-    seed: int = 18,
-) -> List[Row]:
-    """Snapshot+publish latency as a function of churn delta.
-
-    Claim reproduced: with delta-versioned storage the cost of publishing a
-    queryable version tracks the number of updates since the last publish,
-    not |V|+|E| — the same per-delta latency shows up at both R-MAT scales
-    (~8x apart in size) while the initial full-copy publish grows with the
-    graph.  ``publish_ms`` is the best of ``publishes_per_delta`` rounds
-    (each round applies ``delta`` random edge insertions, then publishes).
-    """
-    rows: List[Row] = []
-    for scale in scales:
-        graph = rmat_graph(scale, edge_factor, seed=seed,
-                           weight_range=(1.0, 4.0))
-        sg = SGraph(graph=graph,
-                    config=SGraphConfig(num_hubs=8, queries=("distance",)))
-        sg.rebuild_indexes()
-        store = VersionedStore(sg, capacity=4)
-        rng = random.Random(seed)
-        verts = list(graph.vertices())
-        start = time.perf_counter()
-        store.publish()
-        first_publish = time.perf_counter() - start
-        for delta in deltas:
-            best = math.inf
-            for _rep in range(publishes_per_delta):
-                for _ in range(delta):
-                    sg.add_edge(rng.choice(verts), rng.choice(verts),
-                                rng.uniform(1.0, 4.0))
-                start = time.perf_counter()
-                store.publish()
-                best = min(best, time.perf_counter() - start)
-            rows.append({
-                "scale": scale,
-                "vertices": graph.num_vertices,
-                "edges": graph.num_edges,
-                "delta": delta,
-                "publish_ms": _ms(best),
-                "full_publish_ms": _ms(first_publish),
-            })
     return rows
 
 
@@ -693,21 +408,13 @@ def run_e19_backend(num_pairs: int = 32) -> List[Row]:
 # ---------------------------------------------------------------------------
 
 ALL_EXPERIMENTS: Dict[str, Callable[[], List[Row]]] = {
-    "E1 datasets": run_e1_datasets,
     "E2 activations": run_e2_activations,
     "E3 latency": run_e3_latency,
-    "E4 query types": run_e4_query_types,
-    "E5 ingest throughput": run_e5_ingest,
-    "E6 maintenance": run_e6_maintenance,
     "E7 hub sensitivity": run_e7_hubs,
-    "E8 concurrent load": run_e8_concurrent,
     "E9 crossover": run_e9_crossover,
     "E10 index size": run_e10_memory,
     "E11 bound tightness": run_e11_bound_tightness,
-    "E12 approximation": run_e12_tolerance,
     "E13 directed": run_e13_directed,
-    "E16 reliability": run_e16_reliability,
-    "E18 publish latency": run_e18_publish,
     "E19 backend": run_e19_backend,
 }
 

@@ -25,13 +25,3 @@ def run_query_workload(
         stats.elapsed = time.perf_counter() - start
         aggregate.add(stats)
     return aggregate
-
-
-def time_callable(fn: Callable[[], object], repeat: int = 1) -> float:
-    """Mean wall-clock seconds of ``fn`` over ``repeat`` runs."""
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    start = time.perf_counter()
-    for _ in range(repeat):
-        fn()
-    return (time.perf_counter() - start) / repeat

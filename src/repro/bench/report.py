@@ -7,7 +7,7 @@ reader can diff across runs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 
 def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
@@ -70,20 +70,3 @@ def format_histogram(
         bar = "#" * (round(width * count / peak) if peak else 0)
         lines.append(f"{left:10.2f}..{right:10.2f} | {bar} {count}")
     return "\n".join(lines)
-
-
-def format_series(
-    x_label: str,
-    xs: Iterable[object],
-    series: Dict[str, Sequence[float]],
-    title: str = "",
-) -> str:
-    """Render figure-style data: one x column plus one column per series."""
-    xs = list(xs)
-    rows = []
-    for i, x in enumerate(xs):
-        row: Dict[str, object] = {x_label: x}
-        for name, values in series.items():
-            row[name] = values[i] if i < len(values) else ""
-        rows.append(row)
-    return format_table(rows, title=title)

@@ -2,7 +2,7 @@
 
 Usage (also available as ``python -m repro.cli``)::
 
-    repro datasets                      # the E1 dataset table
+    repro datasets                      # profile every dataset proxy
     repro profile social-pl             # profile one dataset proxy
     repro query social-pl 3 1542        # run one pairwise query
     repro many social-pl 3 1542 97 210  # one-to-many from a published view
@@ -25,15 +25,18 @@ from repro.core.config import SGraphConfig
 from repro.errors import ConfigError, QueryError
 from repro.core.hub_selection import DEFAULT_STRATEGY, STRATEGIES
 from repro.core.semiring import ShortestDistance
-from repro.graph.datasets import dataset_names, load_dataset
+from repro.graph.datasets import DATASETS, dataset_names, load_dataset
 from repro.graph.stats import profile_graph
 from repro.sgraph import SGraph
 
 
 def _cmd_datasets(_args: argparse.Namespace) -> int:
-    from repro.bench.experiments import run_e1_datasets
-
-    print(format_table(run_e1_datasets(), title="dataset proxies"))
+    rows = [
+        {"dataset": name, "models": spec.stands_in_for,
+         **profile_graph(load_dataset(name)).as_row()}
+        for name, spec in DATASETS.items()
+    ]
+    print(format_table(rows, title="dataset proxies"))
     return 0
 
 
@@ -464,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment",
                                 help="regenerate an experiment table")
-    experiment.add_argument("id", help="e1..e13, e16, e18, e19, or 'all'")
+    experiment.add_argument("id", help="e2, e3, e7, e9, e10, e11, e13, e19, "
+                                  "or 'all'")
     experiment.add_argument("--backend", default="auto",
                             choices=["auto", "dense", "dict"],
                             help="serving plane for backend-aware experiments")

@@ -281,48 +281,6 @@ class HubIndex:
             {v: (TOMBSTONE if new is None else new) for v, _old, new in changes},
         )
 
-    def rebuild(self) -> None:
-        """Full rebuild of every hub tree (the non-incremental baseline).
-
-        For the distance algebra over a snapshot-able graph this goes
-        through a shared CSR materialization — one O(E) array build paid
-        once, then numpy-backed Dijkstra per hub — which is the strongest
-        honest rebuild baseline for the E6 comparison.  Other algebras (and
-        graph views without ``snapshot``) fall back to per-tree dict
-        Dijkstra.
-        """
-        from repro.core.semiring import ShortestDistance
-
-        snapshot_fn = getattr(self._graph, "snapshot", None)
-        if isinstance(self._semiring, ShortestDistance) and snapshot_fn is not None:
-            self._rebuild_via_csr(snapshot_fn())
-            return
-        for h in self._hubs:
-            self._forward[h].rebuild()
-            bwd = self._backward[h]
-            if bwd is not self._forward[h]:
-                bwd.rebuild()
-
-    def _rebuild_via_csr(self, snapshot) -> None:
-        import math
-
-        csr = snapshot.to_csr()
-        ids = csr.vertex_ids()
-
-        def to_table(dist) -> Dict[int, float]:
-            return {
-                ids[i]: float(dist[i])
-                for i in range(len(ids))
-                if dist[i] != math.inf
-            }
-
-        for h in self._hubs:
-            fwd_tree = self._forward[h]
-            fwd_tree.adopt_table(to_table(csr.sssp(h)))
-            bwd_tree = self._backward[h]
-            if bwd_tree is not fwd_tree:
-                bwd_tree.adopt_table(to_table(csr.sssp(h, backward=True)))
-
     # -- accounting -------------------------------------------------------------------
 
     def size_entries(self) -> int:

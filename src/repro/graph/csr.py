@@ -1,12 +1,11 @@
 """Compressed-sparse-row materialization of a snapshot.
 
-The hub index rebuilds run full single-source shortest-path passes; doing
-those over ``dict``-of-``dict`` adjacency is noticeably slower than over
-flat numpy arrays.  :class:`CSRGraph` is a read-only array view of one
+Searching ``dict``-of-``dict`` adjacency is noticeably slower than flat
+numpy arrays.  :class:`CSRGraph` is a read-only array view of one
 snapshot with a dense internal vertex numbering plus the id mapping needed to
 translate back to caller-visible vertex ids.
 
-Beyond rebuilds, the CSR is the *traversal substrate of the dense serving
+The CSR is the *traversal substrate of the dense serving
 plane*: the pruned bidirectional engine walks :attr:`CSRGraph.out_views` /
 :attr:`CSRGraph.in_views` (memoryviews of the arrays, made with the CSR:
 indexing one reads the element straight out of the numpy buffer as a
@@ -481,7 +480,7 @@ class CSRGraph:
 
         Returns a float64 array indexed by dense id; unreachable vertices
         hold ``inf``.  Set ``backward=True`` to compute distances *to*
-        ``source`` along arc directions (used for directed hub indexes).
+        ``source`` along arc directions.
         """
         # Labels live in a Python list while the loop reads and writes them
         # one element at a time (an ndarray would box a numpy scalar per

@@ -1,7 +1,7 @@
 """Immutable graph snapshots.
 
 A :class:`GraphSnapshot` is the unit of isolation between the ingestion path
-and the query path: the scheduler publishes snapshots at epoch boundaries and
+and the query path: a publish freezes one snapshot per epoch and
 every query (and every hub-index build) runs against exactly one snapshot.
 Snapshots expose the same traversal protocol as
 :class:`~repro.graph.dynamic_graph.DynamicGraph` (``out_items`` /

@@ -1,4 +1,4 @@
-"""Structural statistics used by the dataset table (E1) and hub selection.
+"""Structural statistics used by ``repro datasets`` and hub selection.
 
 Everything here runs on the traversal protocol shared by
 :class:`~repro.graph.DynamicGraph` and

@@ -744,6 +744,8 @@ class ServeSession:
         """
         if chunk_size is None:
             chunk_size = self._chunk
+        if chunk_size < 1:
+            raise ConfigError("chunk_size must be >= 1")
         chunks = [
             list(pairs[i:i + chunk_size])
             for i in range(0, len(pairs), chunk_size)

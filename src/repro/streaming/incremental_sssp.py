@@ -213,17 +213,6 @@ class IncrementalBestPath:
         self._journal.mark_full()
         self.settled_last_op = len(done)
 
-    def adopt_table(self, costs: Dict[int, float]) -> None:
-        """Replace the cost table with an externally computed fresh one.
-
-        Used by the CSR-accelerated full rebuild; the caller guarantees the
-        table reflects the graph's current state.
-        """
-        self._costs = costs
-        self._dirty = False
-        self._journal.mark_full()
-        self.settled_last_op = len(costs)
-
     # -- change journal (drained by HubIndex.freeze) ---------------------------
 
     def drain_changes(

@@ -10,7 +10,7 @@ Responsibilities:
 * tolerate redundant updates (inserting an identical edge, deleting a
   missing edge) the way a real stream consumer must — they are counted and
   skipped, not fatal;
-* account for throughput (E5) and maintenance work (E6).
+* account for throughput and maintenance work (:class:`IngestStats`).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Edge-update records and batches — the unit of graph evolution.
 
 An evolving-graph workload is a stream of :class:`EdgeUpdate` records.  The
-ingestion engine applies them in order; the scheduler groups them into
-:class:`UpdateBatch` epochs.  Weight changes are modelled as delete+insert at
+ingestion engine applies them in order; :func:`batched` groups them into
+:class:`UpdateBatch` rounds.  Weight changes are modelled as delete+insert at
 the notification level (see :mod:`repro.streaming.ingest`), which keeps the
 incremental maintainers' contracts simple.
 """

@@ -19,6 +19,7 @@ from repro.core.hub_selection import STRATEGIES
 from repro.core.pruning import PruningPolicy
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph, grid_graph, power_law_graph
+from repro.graph.stats import sample_vertex_pairs
 from tests.conftest import reference_dijkstra
 
 BACKENDS = ("dict", "dense")
@@ -89,6 +90,28 @@ def test_unreachable_proof_answers_from_the_index(backend):
     assert result.value == math.inf
     assert result.stats.answered_by_index
     assert result.stats.activations == 0
+
+
+def test_connected_reachability_answers_from_the_index():
+    """On a connected graph every pair's bounds prove a path exists, so
+    ``upper+lower`` answers reachability with no search on either plane,
+    while ``none`` has to search for it."""
+    graph = power_law_graph(400, 3, seed=2)
+    pairs = sample_vertex_pairs(graph, 20, seed=11, min_hops=2)
+    for backend in BACKENDS:
+        sg = SGraph(graph=graph, config=SGraphConfig(num_hubs=4,
+                                                     backend=backend))
+        for s, t in pairs:
+            result = sg.reachable(s, t)
+            assert result.reachable, (backend, s, t)
+            assert result.stats.answered_by_index, (backend, s, t)
+            assert result.stats.activations == 0, (backend, s, t)
+    plain = SGraph(graph=graph, config=SGraphConfig(num_hubs=4,
+                                                    policy="none"))
+    results = [plain.reachable(s, t) for s, t in pairs]
+    assert all(r.reachable for r in results)
+    assert not any(r.stats.answered_by_index for r in results)
+    assert sum(r.stats.activations for r in results) > 0
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))

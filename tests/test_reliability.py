@@ -112,6 +112,29 @@ class TestEngine:
                                  path) == pytest.approx(value)
 
 
+    def test_bounds_activate_fewer_vertices_than_plain_search(self):
+        """On the sensor-mesh proxy the reliability bounds prune: over the
+        same pairs ``upper+lower`` activates fewer vertices than ``none``
+        and answers every pair identically."""
+        from repro.graph.datasets import load_dataset
+        from repro.graph.stats import sample_vertex_pairs
+
+        graph = load_dataset("sensor-rel")
+        index = HubIndex.build(graph, 16, semiring=RELIABILITY_PRODUCT)
+        plain = PairwiseEngine(graph, policy="none",
+                               semiring=RELIABILITY_PRODUCT)
+        pruned = PairwiseEngine(graph, index=index, policy="upper+lower")
+        pairs = sample_vertex_pairs(graph, 16, seed=81, min_hops=2)
+        plain_act = pruned_act = 0
+        for s, t in pairs:
+            value, stats = plain.best_cost(s, t)
+            pruned_value, pruned_stats = pruned.best_cost(s, t)
+            assert pruned_value == pytest.approx(value)
+            plain_act += stats.activations
+            pruned_act += pruned_stats.activations
+        assert pruned_act < plain_act
+
+
 class TestMaintenance:
     def test_insert_and_lazy_delete(self):
         graph = DynamicGraph()

@@ -9,7 +9,8 @@ sends while that worker may be sending back); (3) kill + respawn cycles
 leak no writer-side file descriptor; (4) between publishes, pool queries
 poll nothing; (5) the first query after ``publish()`` returns is answered
 at the new epoch; (6) a worker whose server died tries it again on every
-request, degrading each time.
+request, degrading each time; (7) a batch chunk size below 1 raises
+ConfigError rather than answering nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import signal
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.serving import shm_available
 from repro.serving.net import PlaneServer, net_available
 from repro.serving.pool import ServeSession
@@ -213,3 +215,20 @@ class TestExpansionArguments:
                     target.within(0, -1.0)
             assert session.nearest(0, 1)[0] == [(1, 1.0)]
             assert session.within(0, 0.0)[0] == []
+
+
+class TestBatchArguments:
+    @pytest.mark.skipif(not shm_available(),
+                        reason="POSIX shared memory unavailable")
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_is_rejected(self, chunk_size):
+        """``map_distance`` rejects a chunk size below 1 as
+        ``distance_many`` does, instead of answering nothing."""
+        sg = _sgraph(107)
+        pairs = [(0, 1), (2, 3), (4, 5)]
+        with ServeSession(sg, workers=1, transport="shm") as session:
+            with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
+                session.map_distance(pairs, chunk_size=chunk_size)
+            with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
+                session.distance_many(0, [1, 2, 3], chunk_size=chunk_size)
+            assert len(session.map_distance(pairs, chunk_size=1)) == 3
