@@ -43,30 +43,3 @@ def print_table(rows: Sequence[Dict[str, object]], title: str = "") -> None:
     print()
     print(format_table(rows, title=title))
 
-
-def format_histogram(
-    values: Sequence[float],
-    bins: int = 10,
-    title: str = "",
-    width: int = 40,
-) -> str:
-    """ASCII histogram of a value distribution (activation counts, gaps…)."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if not values:
-        return f"{title}\n(no values)" if title else "(no values)"
-    lo = min(values)
-    hi = max(values)
-    span = (hi - lo) or 1.0
-    counts = [0] * bins
-    for value in values:
-        idx = min(bins - 1, int((value - lo) / span * bins))
-        counts[idx] += 1
-    peak = max(counts)
-    lines: List[str] = [title] if title else []
-    for i, count in enumerate(counts):
-        left = lo + span * i / bins
-        right = lo + span * (i + 1) / bins
-        bar = "#" * (round(width * count / peak) if peak else 0)
-        lines.append(f"{left:10.2f}..{right:10.2f} | {bar} {count}")
-    return "\n".join(lines)

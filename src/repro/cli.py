@@ -266,6 +266,9 @@ def _cmd_attach(args: argparse.Namespace) -> int:
 
     from repro.serving.net import NetReader
 
+    if args.cache_planes < 1:
+        print("--cache-planes must be >= 1", file=sys.stderr)
+        return 2
     try:
         with NetReader(args.address, cache_planes=args.cache_planes,
                        delta=args.delta, retry=args.retry,

@@ -36,8 +36,6 @@ diff against.
 
 from __future__ import annotations
 
-import math
-from heapq import heappop, heappush
 from itertools import compress
 from operator import is_not
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -474,30 +472,3 @@ class CSRGraph:
 
     def in_degree(self, dense: int) -> int:
         return int(self.rev_indptr[dense + 1] - self.rev_indptr[dense])
-
-    def sssp(self, source: int, backward: bool = False) -> np.ndarray:
-        """Dijkstra distances from ``source`` (a caller-visible id).
-
-        Returns a float64 array indexed by dense id; unreachable vertices
-        hold ``inf``.  Set ``backward=True`` to compute distances *to*
-        ``source`` along arc directions.
-        """
-        # Labels live in a Python list while the loop reads and writes them
-        # one element at a time (an ndarray would box a numpy scalar per
-        # access); the float64 array is made once at the end.
-        dist = [math.inf] * self.num_vertices
-        src = self.dense_id(source)
-        dist[src] = 0.0
-        indptr, indices, weights = self.in_views if backward else self.out_views
-        heap: List[Tuple[float, int]] = [(0.0, src)]
-        while heap:
-            d, v = heappop(heap)
-            if d > dist[v]:
-                continue
-            for k in range(indptr[v], indptr[v + 1]):
-                u = indices[k]
-                nd = d + weights[k]
-                if nd < dist[u]:
-                    dist[u] = nd
-                    heappush(heap, (nd, u))
-        return np.array(dist, dtype=np.float64)

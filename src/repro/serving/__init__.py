@@ -13,21 +13,24 @@ publishing.  Three layers:
 * :mod:`repro.serving.registry` — the epoch-handoff protocol: one
   :class:`~repro.serving.registry.EpochRegistry` slot table with
   per-plane refcounts and FREE/LIVE/RETIRED states; the writer registers
-  fully materialized planes and bumps a generation counter, readers
+  fully materialized planes and bumps a generation counter, shm readers
   acquire/release by slot, and each reader's references are a multiset
   so a dead reader is reaped whole.  The table lives in a shared-memory
-  segment for shm readers (``create`` / ``attach``) or in the writer's
-  own memory behind a thread lock for the TCP server (the constructor).
+  segment for shm readers (``create`` / ``attach``); the TCP server keeps
+  one in its own memory (the constructor) only as its generation and
+  current-epoch record, since its readers copy every plane.
 * :mod:`repro.serving.transport` — where the bytes live:
   :class:`~repro.serving.transport.ShmTransport` encodes each plane into a
   named segment readers map zero-copy
   (:mod:`repro.serving.shm_plane`); :class:`~repro.serving.net.NetTransport`
-  announces each publish over length-prefixed TCP and remote readers fetch
-  the payload once — in full, or as a delta against a cached ``base`` —
-  into a digest-verified local cache (fetch-on-publish).  Every reader,
-  pool worker or remote :class:`~repro.serving.net.NetReader`, is one
-  :class:`~repro.serving.transport.PlaneReader`: it holds one lease and
-  the engine over it, acquiring a new epoch before releasing the old.
+  announces each publish over length-prefixed TCP and a remote reader
+  takes each new epoch in one ``acquire`` round trip that names the
+  digests it caches and carries the payload once — in full, or as a
+  delta against its newest cached plane — into a digest-verified local
+  cache (fetch-on-publish); the server holds nothing per reader.  Every
+  reader, pool worker or remote :class:`~repro.serving.net.NetReader`, is
+  one :class:`~repro.serving.transport.PlaneReader`: it holds one lease
+  and the engine over it, acquiring a new epoch before releasing the old.
 
 :mod:`repro.serving.pool` ties it together: :class:`WorkerPool` /
 :class:`ServeSession` fan requests across reader processes generically

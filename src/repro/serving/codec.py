@@ -184,17 +184,19 @@ def plane_manifest(plane, epoch=None, buffers=None,
     return buffers_manifest(buffers, _plane_meta(plane, epoch), chunked)
 
 
-def encoded_size(plane, epoch=None) -> int:
-    """Bytes :func:`encode_plane` produces for ``plane``."""
-    return plane_manifest(plane, epoch)[2]
-
-
 def encode_buffers_into(buffers: Sequence[Tuple[str, np.ndarray]], sink,
                         layout: Layout,
                         ) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Serialize named buffers into a writable sink (see
-    :func:`encode_plane_into`).  ``layout`` is the :func:`buffers_manifest`
-    of these buffers that the caller sized the sink with."""
+    """Serialize named buffers into a writable sink (shm segment,
+    bytearray) at least ``layout``'s total size long.
+
+    ``layout`` is the :func:`buffers_manifest` of these buffers that the
+    caller sized the sink with.  Returns the manifest plus the
+    writer-side views over the sink's buffers (the shm exporter hands
+    these out so tests can mutate shared bytes in place); every buffer
+    offset is 64-byte aligned so the views keep the alignment the
+    vectorized kernels expect.
+    """
     manifest, mbytes, total = layout
     buf = memoryview(sink)
     if len(buf) < total:
@@ -215,22 +217,6 @@ def encode_buffers_into(buffers: Sequence[Tuple[str, np.ndarray]], sink,
         view[...] = arr
         arrays[buf_name] = view
     return manifest, arrays
-
-
-def encode_plane_into(plane, sink,
-                      epoch=None) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Serialize ``plane`` into a writable buffer (shm segment, bytearray).
-
-    ``sink`` must support the buffer protocol and be at least
-    :func:`encoded_size` bytes long.  Returns the manifest plus the
-    writer-side views over the sink's buffers (the shm exporter hands
-    these out so tests can mutate shared bytes in place); every buffer
-    offset is 64-byte aligned so the views keep the alignment the
-    vectorized kernels expect.
-    """
-    buffers = plane_buffers(plane)
-    return encode_buffers_into(buffers, sink,
-                               plane_manifest(plane, epoch, buffers))
 
 
 def encode_buffers(buffers: Sequence[Tuple[str, np.ndarray]],

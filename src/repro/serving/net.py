@@ -1,41 +1,40 @@
 """TCP plane transport: fetch-on-publish serving across host boundaries.
 
-The shm transport needs readers on the writer's box.  This module moves
-the same epoch-handoff protocol over a small length-prefixed TCP wire so
-reader fleets anywhere can serve published epochs:
+The shm transport needs readers on the writer's box.  This module serves
+published epochs over a small length-prefixed TCP wire so reader fleets
+anywhere can answer queries on them:
 
 * the writer owns a :class:`PlaneServer` — a background accept thread plus
-  one thread per reader connection — holding a process-private
-  :class:`~repro.serving.registry.EpochRegistry` slot table and, per LIVE
-  or still-referenced slot, the epoch's plane encoded once by
-  :mod:`repro.serving.codec` (with its SHA-256 digest);
-* on publish the writer registers ``(epoch, manifest, digest)``; readers
-  polling the generation see the bump, ``acquire`` the slot, and — only
-  when the digest is not already in their bounded local cache — ``fetch``
-  the payload **once**, verify the digest, and decode it into a private
-  :class:`~repro.core.hub_index.DensePlane` (fetch-on-publish: the bytes
-  cross the socket once per reader per epoch, never per query);
-* a **delta-enabled** reader's ``fetch`` also names, as ``base``, the
-  digest of the newest payload it already holds; the server diffs the two
-  planes' chunk tables (:func:`~repro.serving.codec.encode_plane_delta`
-  over its last ``cache_planes`` published payloads) and ships only the
+  one thread per reader connection — holding the last ``cache_planes``
+  published planes, each encoded once by :mod:`repro.serving.codec` and
+  keyed by its SHA-256 digest.  The newest of them is the current epoch;
+  a process-private :class:`~repro.serving.registry.EpochRegistry`
+  records only its generation and epoch;
+* readers poll the generation and, when it moved, send one ``acquire``
+  naming the digests already in their bounded local cache.  The server
+  answers ``cached`` when the current digest is among them, and otherwise
+  appends the plane: the reader verifies the digest and decodes it into a
+  private :class:`~repro.core.hub_index.DensePlane` (fetch-on-publish:
+  the bytes cross the socket once per reader per epoch, never per query);
+* a **delta-enabled** reader's newest cached digest is a diff base: when
+  the server still holds that plane it diffs the two chunk tables
+  (:func:`~repro.serving.codec.encode_plane_delta`) and ships only the
   churned chunks — O(Δ) bytes per epoch instead of O(|plane|).  The
-  reader composes the delta onto a *copy* of its cached payload and the
-  composed plane's digest is verified before swap-in; when the base was
-  evicted the server answers with the full frame, and when composition
-  fails the reader refetches without a base, so delta mode is never less
-  correct than full mode;
+  reader composes the delta onto a *copy* of its cached payload and
+  verifies the composed digest before swap-in; a base the server no
+  longer holds gets the full frame, and a delta that does not compose is
+  asked for again in full, so delta mode is never less correct than full
+  mode;
 * queries then run entirely locally on the cached plane — the same
-  ``_search_dense`` hot path, bit-identical to shm workers — and the
-  refcount protocol retires old epochs exactly as on shm.  A reader
-  whose connection drops (crash, SIGKILL) is reaped by its connection
-  thread, returning its refcount.
+  ``_search_dense`` hot path, bit-identical to shm workers.  A reader
+  copies every plane it serves, so the server pins nothing for it: no
+  number of idle or dead readers can hold a plane or fail a publish.
 
 Wire format: every message is an 8-byte big-endian length followed by a
-JSON body; a ``fetch`` response (``mode`` "full" or "delta") is followed
-by one raw frame carrying the encoded plane or the delta frame.  Ops:
-``hello``, ``poll``, ``acquire``, ``release``, ``fetch`` (optional
-``base``), ``stats``.
+JSON body; an ``acquire`` response whose ``mode`` is "full" or "delta" is
+followed by one raw frame carrying the encoded plane or the delta frame.
+Ops: ``hello``, ``poll``, ``acquire`` (``have``: cached digests, newest
+last; ``delta``: whether a delta is welcome), ``stats``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import struct
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigError,
@@ -67,7 +66,7 @@ from repro.serving.codec import (
     materialize_plane,
     plane_digest,
 )
-from repro.serving.registry import DEFAULT_SLOTS, EpochRegistry
+from repro.serving.registry import EpochRegistry
 from repro.serving.transport import (
     PlaneClient,
     PlaneLease,
@@ -161,39 +160,29 @@ def _recv_msg(sock: socket.socket) -> Optional[dict]:
 
 
 class PlaneServer:
-    """Writer-owned TCP endpoint: registry mutations + payload fetches.
+    """Writer-owned TCP endpoint: publish history + one-op plane handoff.
 
     One thread accepts connections; each connection gets a thread that
-    drains its ops.  All registry and payload state is mutated under the
-    registry's RLock, so eviction (retired slot, refcount zero) can never
-    interleave with a fetch — an acquired slot's payload is pinned until
-    its last release.
+    drains its ops.  The history, the delta cache and the counters are
+    mutated under the registry's RLock, so an ``acquire`` reads the
+    current plane and its payload as one consistent pair.  Nothing is
+    held on a reader's behalf between ops.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 num_slots: int = DEFAULT_SLOTS,
-                 cache_planes: int = DEFAULT_CACHE_PLANES,
-                 generation_base: int = 0,
-                 idle_timeout: Optional[float] = None) -> None:
+                 cache_planes: int = DEFAULT_CACHE_PLANES) -> None:
         if cache_planes < 1:
             raise ConfigError("cache_planes must be >= 1")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ConfigError("idle_timeout must be positive")
         # Fresh per process start: readers compare it across reconnects to
         # tell "same server, new generation" from "restarted server whose
         # generation counter may collide with the one I cached".
         self.server_id = f"{os.getpid():x}-{os.urandom(4).hex()}"
-        self._idle_timeout = idle_timeout
-        self._registry = EpochRegistry(
-            num_slots=num_slots, on_evict=self._on_evict,
-            generation_base=generation_base,
-        )
-        # slot -> (payload, digest, epoch); pinned while the slot is live
-        self._payloads: Dict[int, Tuple[bytes, str, int]] = {}
-        # digest -> payload for the last cache_planes published planes —
-        # the delta-base history.  Independent of slot eviction: a retired
-        # plane no reader pins any more is still a valid diff base for a
-        # reader that cached it, as long as it stays in this window.
+        # The generation and current-epoch record.  No reader acquires on
+        # it, so each register evicts the slot it retires at once.
+        self._registry = EpochRegistry()
+        # digest -> payload for the last cache_planes published planes,
+        # newest (the current plane) last: what acquire serves and what
+        # deltas are diffed against.
         self._cache_planes = cache_planes
         self._history: "OrderedDict[str, bytes]" = OrderedDict()
         # (base digest, target digest) -> delta frame, shared by every
@@ -207,9 +196,7 @@ class PlaneServer:
         # reader -> digest -> fetch count (the fetched-exactly-once audit)
         self._fetches: Dict[str, Dict[str, int]] = {}
         # connection-lifecycle counters, reported through the stats op
-        self._lifecycle: Dict[str, int] = {
-            "reaps": 0, "idle_closes": 0, "drains": 0,
-        }
+        self._lifecycle: Dict[str, int] = {"drains": 0}
         # ops between recv and response; drain waits for this to hit zero
         self._inflight = 0
         self._inflight_cv = threading.Condition()
@@ -246,11 +233,10 @@ class PlaneServer:
         return self._closed
 
     def publish(self, payload: bytes, epoch: int) -> str:
-        """Register one encoded plane as the newest epoch; returns digest."""
+        """Make one encoded plane the newest epoch; returns its digest."""
         digest = plane_digest(payload)
         with self._registry.lock:
-            slot = self._registry.register(digest, epoch)
-            self._payloads[slot] = (payload, digest, epoch)
+            self._registry.register(digest, epoch)
             self._history[digest] = payload
             self._history.move_to_end(digest)
             while len(self._history) > self._cache_planes:
@@ -268,9 +254,9 @@ class PlaneServer:
 
     def stats(self) -> dict:
         """Slots, per-reader fetch totals, and the ``transfer`` (delta/full
-        fetches, byte totals), ``lifecycle`` (reaps, idle closes, drains)
-        and ``cache`` (delta-base history depth and occupancy) counters —
-        the ``stats`` op's body, as one snapshot."""
+        fetches, byte totals), ``lifecycle`` (drains) and ``cache``
+        (publish-history depth and occupancy) counters — the ``stats``
+        op's body, as one snapshot."""
         with self._registry.lock:
             return {
                 "server_id": self.server_id,
@@ -294,10 +280,7 @@ class PlaneServer:
         With ``drain`` (the default) the listener closes first — no new
         connections — then in-flight ops are given ``drain_timeout``
         seconds to finish before connections are severed, so a reader
-        mid-fetch gets its last frame instead of a mid-payload EOF.  The
-        returned generation is what a restarted server should pass as
-        ``generation_base`` so surviving readers observe a monotonic
-        counter.
+        mid-acquire gets its last frame instead of a mid-payload EOF.
         """
         self._closed = True
         # shutdown() before close(): close() alone does not wake a thread
@@ -345,8 +328,7 @@ class PlaneServer:
                 thread.join(CLOSE_JOIN_TIMEOUT)
         generation = self._registry.generation()
         self._registry.shutdown()
-        # shutdown() evicted every slot's payload; drop the delta-base
-        # history too, so a closed server holds no plane bytes at all.
+        # A closed server holds no plane bytes at all.
         with self._registry.lock:
             self._history.clear()
             self._deltas.clear()
@@ -354,42 +336,45 @@ class PlaneServer:
 
     # -- internals ----------------------------------------------------------
 
-    def _on_evict(self, slot: int, _ref: str) -> None:
-        # Registry lock held: drop the payload the freed slot pinned.  The
-        # delta-base history keeps its own (bounded) reference so a just-
-        # retired plane can still serve as a diff base.
-        self._payloads.pop(slot, None)
-
-    def _record_fetch(self, reader, digest: str, sent: int, full: int,
-                      delta: bool) -> None:
-        # Registry lock held.  One audit entry per payload crossing —
-        # delta or full, a digest still reaches each reader exactly once —
-        # plus the actual-vs-hypothetical byte totals.
-        counts = self._fetches.setdefault(str(reader), {})
-        counts[digest] = counts.get(digest, 0) + 1
-        key = "delta_fetches" if delta else "full_fetches"
-        self._transfer[key] += 1
-        self._transfer["bytes_sent"] += sent
-        self._transfer["bytes_full"] += full
-
-    def _delta_or_full(self, base: Optional[str], payload: bytes,
-                       digest: str) -> Tuple[bytes, str]:
-        # Registry lock held.  Diff against the reader's base when it is
-        # still in the publish history; otherwise (base evicted, unknown,
-        # or the degenerate base == target) fall back to the full frame.
-        if not base or base == digest:
-            return payload, "full"
-        base_payload = self._history.get(base)
-        if base_payload is None:
-            return payload, "full"
-        frame = self._deltas.get((base, digest))
-        if frame is None:
-            frame = encode_plane_delta(
-                base_payload, payload,
-                base_digest=base, target_digest=digest,
-            )
-            self._deltas[(base, digest)] = frame
-        return frame, "delta"
+    def _acquire(self, reader, have: Sequence[str],
+                 delta: bool) -> Tuple[dict, Optional[bytes]]:
+        """The ``acquire`` reply and the frame that follows it (None when
+        the reader already caches the current plane)."""
+        with self._registry.lock:
+            if not self._history:
+                return {"ok": True, "empty": True}, None
+            digest, payload = next(reversed(self._history.items()))
+            resp = {
+                "ok": True, "generation": self._registry.generation(),
+                "epoch": self._registry.current_epoch(), "digest": digest,
+                "full_nbytes": len(payload),
+            }
+            if digest in have:
+                return {**resp, "mode": "cached", "nbytes": 0}, None
+            # Diff against the reader's newest plane when it asked for a
+            # delta and that plane is still in the history; otherwise (no
+            # base, base evicted or unknown) ship the full frame.
+            base = have[-1] if delta and have else None
+            if base in self._history:
+                frame = self._deltas.get((base, digest))
+                if frame is None:
+                    frame = encode_plane_delta(
+                        self._history[base], payload,
+                        base_digest=base, target_digest=digest,
+                    )
+                    self._deltas[(base, digest)] = frame
+                mode = "delta"
+            else:
+                frame, mode = payload, "full"
+            # One audit entry per payload crossing — delta or full, a
+            # digest still reaches each reader exactly once — plus the
+            # actual-vs-hypothetical byte totals.
+            counts = self._fetches.setdefault(str(reader), {})
+            counts[digest] = counts.get(digest, 0) + 1
+            self._transfer[f"{mode}_fetches"] += 1
+            self._transfer["bytes_sent"] += len(frame)
+            self._transfer["bytes_full"] += len(payload)
+        return {**resp, "mode": mode, "nbytes": len(frame)}, frame
 
     def _accept_loop(self) -> None:
         while not self._closed:
@@ -404,7 +389,7 @@ class PlaneServer:
                     pass
                 return
             try:
-                # small response frames (delta fetches, control messages)
+                # small response frames (delta frames, control messages)
                 # must not sit out a Nagle/delayed-ACK round trip
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:  # pragma: no cover
@@ -430,22 +415,9 @@ class PlaneServer:
                 self._inflight_cv.notify_all()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        if self._idle_timeout is not None:
-            try:
-                conn.settimeout(self._idle_timeout)
-            except OSError:  # pragma: no cover
-                pass
         try:
             while True:
-                try:
-                    msg = _recv_msg(conn)
-                except socket.timeout:
-                    # Idle past the budget between ops: close the
-                    # connection (the reader reconnects transparently)
-                    # and return its refcount to the table.
-                    with self._registry.lock:
-                        self._lifecycle["idle_closes"] += 1
-                    return
+                msg = _recv_msg(conn)
                 if msg is None:
                     return
                 self._enter_op()
@@ -456,15 +428,7 @@ class PlaneServer:
         except OSError:
             return
         finally:
-            # A reader that died (or just disconnected) without releasing
-            # is reaped here — its refcount goes back, possibly evicting a
-            # retired plane.  ServeSession.reap() is idempotent on top.
-            reader = self._conn_readers.pop(conn, None)
-            if reader is not None:
-                with self._registry.lock:
-                    if (self._registry.release_reader(reader)
-                            and not self._closed):
-                        self._lifecycle["reaps"] += 1
+            self._conn_readers.pop(conn, None)
             try:
                 conn.close()
             except OSError:  # pragma: no cover
@@ -475,7 +439,6 @@ class PlaneServer:
                 pass
 
     def _handle_op(self, conn: socket.socket, msg: dict) -> None:
-        reader = self._conn_readers.get(conn)
         op = msg.get("op")
         if op == "hello":
             reader = msg.get("reader")
@@ -495,46 +458,11 @@ class PlaneServer:
                 "generation": self._registry.generation(),
             })
         elif op == "acquire":
-            got = self._registry.acquire(reader)
-            if got is None:
-                _send_msg(conn, {"ok": True, "empty": True})
-            else:
-                generation, slot, epoch, digest = got
-                with self._registry.lock:
-                    nbytes = len(self._payloads[slot][0])
-                _send_msg(conn, {
-                    "ok": True, "generation": generation,
-                    "slot": slot, "epoch": epoch,
-                    "digest": digest, "nbytes": nbytes,
-                })
-        elif op == "release":
-            # Tolerant: a release replayed after a reconnect (the old
-            # connection's reap already returned the refcount) or landing
-            # on a restarted server must not drive a refcount negative.
-            self._registry.release(msg["slot"], reader)
-            _send_msg(conn, {"ok": True})
-        elif op == "fetch":
-            with self._registry.lock:
-                entry = self._payloads.get(msg["slot"])
-                if entry is not None:
-                    payload, digest, _epoch = entry
-                    frame, mode = self._delta_or_full(
-                        msg.get("base"), payload, digest,
-                    )
-                    self._record_fetch(reader, digest,
-                                       len(frame), len(payload),
-                                       delta=(mode == "delta"))
-            if entry is None:
-                _send_msg(conn, {
-                    "ok": False,
-                    "error": f"slot {msg['slot']} holds no plane",
-                })
-            else:
-                _send_msg(conn, {
-                    "ok": True, "mode": mode, "digest": digest,
-                    "nbytes": len(frame),
-                    "full_nbytes": len(payload),
-                })
+            resp, frame = self._acquire(self._conn_readers.get(conn),
+                                        msg.get("have") or [],
+                                        bool(msg.get("delta")))
+            _send_msg(conn, resp)
+            if frame is not None:
                 _send_frame(conn, frame)
         elif op == "stats":
             _send_msg(conn, {"ok": True, **self.stats()})
@@ -551,23 +479,18 @@ class NetTransport(PlaneTransport):
 
     def __init__(self, host: str = "127.0.0.1",
                  port: int = 0, cache_planes: int = DEFAULT_CACHE_PLANES,
-                 num_slots: int = DEFAULT_SLOTS,
                  delta: bool = False,
                  retry: int = DEFAULT_RETRY,
                  backoff: float = DEFAULT_BACKOFF,
                  max_backoff: float = DEFAULT_MAX_BACKOFF,
                  op_timeout: float = DEFAULT_OP_TIMEOUT,
-                 idle_timeout: Optional[float] = None,
-                 generation_base: int = 0,
                  advertise: Optional[Tuple[str, int]] = None) -> None:
         if cache_planes < 1:
             raise ConfigError("cache_planes must be >= 1")
         if retry < 0:
             raise ConfigError("retry must be >= 0")
-        self._server = PlaneServer(host=host, port=port, num_slots=num_slots,
-                                   cache_planes=cache_planes,
-                                   generation_base=generation_base,
-                                   idle_timeout=idle_timeout)
+        self._server = PlaneServer(host=host, port=port,
+                                   cache_planes=cache_planes)
         # When readers must dial something other than the bind address
         # (a fault proxy in tests, a NAT'd endpoint in deployment),
         # reader specs advertise that address instead.
@@ -592,7 +515,8 @@ class NetTransport(PlaneTransport):
         return self._server.address
 
     def publish_plane(self, plane, epoch: int) -> bool:
-        if epoch in self._published:
+        # A closed server serves nobody: encode and keep nothing for it.
+        if self._server.closed or epoch in self._published:
             return False
         payload = encode_plane(plane, epoch=epoch)
         self._server.publish(payload, epoch)
@@ -654,16 +578,17 @@ class NetClient(PlaneClient):
 
     The cache is an LRU keyed by payload digest, bounded to
     ``cache_planes`` decoded planes (each kept alongside its raw payload
-    bytes): re-acquiring a digest already cached is one control
-    round-trip (no payload), so each epoch's buffers cross the socket
-    exactly once however many queries it serves.
+    bytes).  Every ``acquire`` names the cached digests, so re-acquiring
+    a cached plane is one control round-trip (no payload), and each
+    epoch's buffers cross the socket exactly once however many queries it
+    serves.  A lease pins nothing server-side and releases nothing.
 
-    With ``delta=True`` a cache miss fetches against the newest cached
-    payload as ``base``: the server ships only the churned chunks, the
+    With ``delta=True`` a cache miss is answered against the newest cached
+    payload as the base: the server ships only the churned chunks, the
     client composes them onto a copy of its cached bytes, and the
     composed payload's digest is verified before the plane is decoded and
-    swapped in.  A base evicted server-side comes back as a full frame; a
-    composition mismatch is refetched without a base.
+    swapped in.  A base the server no longer holds comes back as a full
+    frame; a delta that does not compose is asked for again in full.
 
     **Fault tolerance.**  Every public op runs inside a retry loop: a
     transport fault (connection reset, peer EOF mid-frame, corrupt frame)
@@ -691,6 +616,8 @@ class NetClient(PlaneClient):
                  rng: Optional[random.Random] = None) -> None:
         if retry < 0:
             raise ConfigError("retry must be >= 0")
+        if cache_planes < 1:
+            raise ConfigError("cache_planes must be >= 1")
         self._host, self._port = host, port
         self._timeout = timeout
         self._retry = retry
@@ -781,9 +708,7 @@ class NetClient(PlaneClient):
 
         Transient faults (reset, EOF, corrupt frame) tear the socket down
         and replay after a backoff; :class:`DeadlineExceededError` is
-        terminal.  ``fn`` must be safe to replay from scratch — the
-        server reaps a disconnected reader's refcount, so a replayed
-        ``acquire`` never double-pins.
+        terminal.  ``fn`` must be safe to replay from scratch.
         """
         deadline = self._deadline()
         attempt = 0
@@ -885,7 +810,7 @@ class NetClient(PlaneClient):
 
     def _recv_payload_frame(self, op: str, nbytes: int,
                             deadline: Optional[float]) -> bytes:
-        """Receive the raw frame trailing a fetch response.
+        """Receive the raw frame trailing an ``acquire`` response.
 
         Failure modes are distinguished so the retry layer (and users)
         can tell them apart: EOF or a short read mid-payload raises
@@ -924,7 +849,7 @@ class NetClient(PlaneClient):
         return (self._rev, resp["generation"])
 
     def stats(self) -> dict:
-        """Server-side slots + fetch counters (tests and dashboards)."""
+        """Server-side fetch and cache counters (tests and dashboards)."""
         return self._retrying(
             "stats", lambda d: self._call_once({"op": "stats"}, d)
         )
@@ -933,93 +858,62 @@ class NetClient(PlaneClient):
         return self._retrying("acquire", self._acquire_once)
 
     def _acquire_once(self, deadline: Optional[float]) -> Optional[PlaneLease]:
-        resp = self._call_once({"op": "acquire"}, deadline)
-        if resp.get("empty"):
-            return None
-        slot, digest = resp["slot"], resp["digest"]
-        entry = self._cache.get(digest)
-        if entry is not None:
-            self._cache.move_to_end(digest)
-        else:
-            try:
-                entry = self._fetch(slot, digest, deadline)
-            except (OSError, PeerClosedError, CorruptFrameError,
-                    DeadlineExceededError):
-                # Connection-level failure: the server reaps our refcount
-                # when the socket dies, and the retry layer replays the
-                # whole acquire — do not try to release on a dead socket.
-                raise
-            except Exception:
-                self._release_quiet(slot)
-                raise
-            self._cache[digest] = entry
-            while len(self._cache) > self._cache_planes:
-                self._cache.popitem(last=False)
-        plane = entry[0]
+        """One ``acquire`` round trip, plus one more asking for the full
+        frame when a delta does not compose.  Safe to replay: the server
+        holds nothing for the reader between ops."""
+        delta = self._delta
+        while True:
+            have = list(self._cache)
+            resp = self._call_once(
+                {"op": "acquire", "have": have, "delta": delta}, deadline,
+            )
+            if resp.get("empty"):
+                return None
+            digest = resp["digest"]
+            if resp["mode"] == "cached":
+                self._cache.move_to_end(digest)
+                break
+            frame = self._recv_payload_frame("acquire", resp["nbytes"],
+                                             deadline)
+            payload = self._verified_payload(resp, frame, have)
+            if payload is not None:
+                manifest, arrays = decode_plane(payload)
+                self._cache[digest] = (materialize_plane(manifest, arrays),
+                                       payload)
+                while len(self._cache) > self._cache_planes:
+                    self._cache.popitem(last=False)
+                break
+            delta = False  # the server sends full frames only from here
+        return PlaneLease((self._rev, resp["generation"]), resp["epoch"],
+                          self._cache[digest][0])
 
-        def release() -> None:
-            self._release_quiet(slot)
+    def _verified_payload(self, resp: dict, frame: bytes,
+                          have: List[str]) -> Optional[bytes]:
+        """The payload ``frame`` carries, its digest checked; None when a
+        delta frame did not compose onto its base (``have[-1]``).
 
-        return PlaneLease((self._rev, resp["generation"]), slot,
-                          resp["epoch"], plane, release)
-
-    def _release_quiet(self, slot: int) -> None:
-        # One attempt, no retry: the release op is tolerant server-side
-        # (EpochRegistry.release) and a dead connection reaps the refcount
-        # anyway, so failing loudly here would only mask the real error.
-        if self._sock is None:
-            return
-        try:
-            self._call_once({"op": "release", "slot": slot},
-                            self._deadline())
-        except (OSError, QueryError):
-            self._teardown()
-
-    def _fetch(self, slot: int, digest: str,
-               deadline: Optional[float]) -> Tuple[object, bytes]:
-        """Materialize one payload: a delta against the newest cached
-        plane when enabled, refetched in full if it does not compose."""
-        base = None
-        if self._delta and self._cache:
-            base = next(reversed(self._cache))
-        payload = self._fetch_once(slot, digest, base, deadline)
-        if payload is None:
-            payload = self._fetch_once(slot, digest, None, deadline)
-        manifest, arrays = decode_plane(payload)
-        return materialize_plane(manifest, arrays), payload
-
-    def _fetch_once(self, slot: int, digest: str, base: Optional[str],
-                    deadline: Optional[float]) -> Optional[bytes]:
-        """One ``fetch`` round-trip; returns the verified payload, or None
-        when a delta frame did not compose (refetch without a base).
-
-        The server answers ``mode="full"`` itself when there is no base or
-        it fell out of its history (a restarted server's history starts
-        empty); a full frame failing its digest is a corrupt frame.
+        A full frame failing its digest is a corrupt frame.
         """
-        msg = {"op": "fetch", "slot": slot}
-        if base is not None:
-            msg["base"] = base
-        header = self._call_once(msg, deadline)
-        frame = self._recv_payload_frame("fetch", header["nbytes"], deadline)
-        if header.get("mode") == "delta":
+        digest = resp["digest"]
+        if resp["mode"] == "delta":
             try:
                 if delta_header(frame)["target"] != digest:
                     raise ConfigError("delta frame targets a different plane")
-                payload = apply_plane_delta(self._cache[base][1], frame,
-                                            base_digest=base)
+                payload = apply_plane_delta(self._cache[have[-1]][1], frame,
+                                            base_digest=have[-1])
             except ConfigError:
                 return None
             kind = "delta_fetches"
         elif plane_digest(frame) != digest:
             raise CorruptFrameError(
-                f"plane digest mismatch for slot {slot}: payload corrupt"
+                f"plane digest mismatch for epoch {resp['epoch']}: "
+                "payload corrupt"
             )
         else:
             payload, kind = frame, "full_fetches"
         self.transfer[kind] += 1
         self.transfer["bytes_received"] += len(frame)
-        self.transfer["bytes_full"] += header.get("full_nbytes", len(frame))
+        self.transfer["bytes_full"] += resp["full_nbytes"]
         return payload
 
     def close(self) -> None:

@@ -13,8 +13,8 @@ per-query payloads are a few scalars plus a
 Each worker is a :class:`~repro.serving.transport.PlaneReader` plus a
 request loop.  Every request carries the registry generation the writer
 read when it sent it (the *stamp*); a worker refreshes — acquires the
-newest plane and releases the old one, returning the refcount and
-possibly evicting a retired plane — only when the stamp differs from the
+newest plane and releases the old one (on shm, returning the refcount
+and possibly evicting a retired plane) — only when the stamp differs from the
 one it last refreshed at, so a query submitted after ``publish()``
 returns is answered at that epoch or later, and no query polls.  A
 request already being answered keeps using the plane it started on —
@@ -761,7 +761,8 @@ class ServeSession:
     # -- lifecycle ----------------------------------------------------------
 
     def reap(self) -> List[int]:
-        """Return the refcounts of dead workers; respawn them if enabled.
+        """Return the shm refcounts of dead workers (a tcp server holds
+        none); respawn them if enabled.
 
         Respawned workers re-fork from the same reader spec, connect, and
         acquire whatever epoch is current (rebinding a fresh

@@ -25,8 +25,9 @@ map, behind a ``multiprocessing`` lock; reader ids are worker indexes
 into a ``(num_workers, num_slots)`` count matrix inside the segment, and
 eviction unlinks the plane's segment.  The constructor keeps the table in
 process-private memory behind a ``threading.RLock`` (the TCP server
-mutates it on behalf of remote readers); reader ids are any hashable
-token, each with its own count row.  The safety argument is the same for
+keeps its generation and current epoch there; its readers copy each plane
+and take no references); reader ids are any hashable token, each with its
+own count row.  The safety argument is the same for
 both: a plane is fully written *before* its ref is registered, and a ref
 is evicted only when its slot is RETIRED with refcount zero — so no
 reader can ever observe a torn or vanished plane.
@@ -72,20 +73,17 @@ class EpochRegistry:
     """The slot table: FREE/LIVE/RETIRED states, refcounts, reaping.
 
     :meth:`create` / :meth:`attach` build it over a shared-memory segment;
-    ``EpochRegistry(num_slots, on_evict, generation_base)`` builds a
-    process-private table.  ``on_evict(slot, ref)`` fires — under the
-    lock — whenever a slot is freed, so the owning transport can drop the
-    payload the ref points at; ``generation_base`` lets a restarted writer
-    continue the generation sequence readers cached.
+    ``EpochRegistry(num_slots, on_evict)`` builds a process-private
+    table.  ``on_evict(slot, ref)`` fires — under the lock — whenever a
+    slot is freed, so the owning transport can drop the payload the ref
+    points at.
     """
 
     def __init__(self, num_slots: int = DEFAULT_SLOTS,
-                 on_evict: Optional[Callable[[int, str], None]] = None,
-                 generation_base: int = 0) -> None:
+                 on_evict: Optional[Callable[[int, str], None]] = None
+                 ) -> None:
         if num_slots < 1:
             raise ConfigError("num_slots must be >= 1")
-        if generation_base < 0:
-            raise ConfigError("generation_base must be >= 0")
         self._shm = None
         self._created = False
         self._lock = threading.RLock()
@@ -93,7 +91,7 @@ class EpochRegistry:
         # reader -> count row; the shm table keeps its rows in the segment
         self._rows: Optional[Dict[object, np.ndarray]] = {}
         self._map(bytearray(_table_bytes(num_slots, 0)),
-                  (generation_base, -1, num_slots, 0))
+                  (0, -1, num_slots, 0))
 
     @classmethod
     def create(cls, name: str, num_workers: int, lock,
@@ -156,8 +154,8 @@ class EpochRegistry:
 
     @property
     def lock(self):
-        """The mutation lock (the TCP server serializes payload access
-        under it too, so eviction and fetch can never interleave)."""
+        """The mutation lock (the TCP server guards its publish history
+        under it too, so an acquire reads one consistent plane)."""
         return self._lock
 
     @property

@@ -10,8 +10,10 @@ bytes live.  A :class:`PlaneTransport` decides that:
 * reader side — a picklable :class:`ReaderSpec` travels into each reader
   process, whose :meth:`~ReaderSpec.connect` yields a
   :class:`PlaneClient`: ``generation()`` is the cheap staleness probe and
-  ``acquire()`` returns a :class:`PlaneLease` pinning one epoch's
-  materialized :class:`~repro.core.hub_index.DensePlane` until released.
+  ``acquire()`` returns a :class:`PlaneLease` on one epoch's
+  materialized :class:`~repro.core.hub_index.DensePlane` (a shm lease
+  pins the writer's segment until released; a tcp one holds a local
+  copy and pins nothing).
   A :class:`PlaneReader` drives a client: it holds one lease and the
   engine over it, and swaps both when the generation moves.
 
@@ -19,7 +21,8 @@ bytes live.  A :class:`PlaneTransport` decides that:
 once into a named POSIX shared-memory segment that readers map zero-copy
 (see :mod:`repro.serving.shm_plane`).  :class:`repro.serving.net.NetTransport`
 ships the same bytes over a length-prefixed TCP protocol to readers on
-any host, which cache each fetched plane locally (fetch-on-publish).
+any host, which cache each fetched plane locally (fetch-on-publish) in
+one ``acquire`` round trip per epoch.
 :class:`~repro.serving.pool.WorkerPool` and
 :class:`~repro.serving.pool.ServeSession` are generic over this interface.
 """
@@ -39,16 +42,16 @@ from repro.serving.shm_plane import ShmPlane
 
 
 class PlaneLease:
-    """One acquired plane: pinned epoch state plus the release hook."""
+    """One acquired plane: epoch state plus the release hook (None where
+    the transport pins nothing, as tcp's local copies)."""
 
-    __slots__ = ("generation", "slot", "epoch", "plane", "_release")
+    __slots__ = ("generation", "epoch", "plane", "_release")
 
-    def __init__(self, generation, slot: int, epoch: int, plane,
-                 release: Callable[[], None]) -> None:
+    def __init__(self, generation, epoch: int, plane,
+                 release: Optional[Callable[[], None]] = None) -> None:
         # generation is the transport's opaque staleness token (int for
         # shm, (rev, generation) tuple for tcp) — equality-compare only.
         self.generation = generation
-        self.slot = slot
         self.epoch = epoch
         self.plane = plane
         self._release = release
@@ -84,8 +87,8 @@ class PlaneClient(ABC):
 
     @abstractmethod
     def acquire(self) -> Optional[PlaneLease]:
-        """Pin and materialize the current epoch's plane (None when the
-        writer has not published yet)."""
+        """Materialize the current epoch's plane, pinned where the
+        transport maps it (None when the writer has not published yet)."""
 
     @abstractmethod
     def close(self) -> None:
@@ -353,7 +356,7 @@ class ShmClient(PlaneClient):
             handle.close()
             board.release(slot, reader_id)
 
-        return PlaneLease(generation, slot, epoch, plane, release)
+        return PlaneLease(generation, epoch, plane, release)
 
     def close(self) -> None:
         self._board.detach()

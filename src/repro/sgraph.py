@@ -449,8 +449,8 @@ class SGraph(PairwiseVerbs):
         the server's ``cache_planes`` publish history.  TCP options pass
         through keyword arguments (``host=``, ``port=``,
         ``cache_planes=``, ``retry=``, ``backoff=``, ``max_backoff=``,
-        ``op_timeout=``, ``idle_timeout=``).  ``chunk`` overrides how
-        many queries batched verbs bundle per pool message.
+        ``op_timeout=``).  ``chunk`` overrides how many queries batched
+        verbs bundle per pool message.
 
         The session is fault tolerant by default: crashed workers are
         reaped and re-forked onto the current epoch (``respawn=False``

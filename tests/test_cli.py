@@ -109,6 +109,27 @@ class TestCommands:
         assert "--delta requires --transport tcp" in capsys.readouterr().err
 
 
+class TestServeTcp:
+    @pytest.mark.net
+    def test_serve_tcp_delta_end_to_end(self, capsys):
+        """``repro serve --transport tcp --delta`` over three rounds: exit
+        0, at least one delta fetch after the bootstrap, no leaked
+        segment."""
+        from repro.serving.net import net_available
+
+        if not net_available():
+            pytest.skip("loopback TCP sockets unavailable")
+        assert main(["serve", "uniform-er", "--transport", "tcp", "--delta",
+                     "--rounds", "3", "--queries", "16",
+                     "--updates", "5"]) == 0
+        out = capsys.readouterr().out
+        transfer = next(line for line in out.splitlines()
+                        if "transfer:" in line)
+        deltas = int(transfer.split("transfer:")[1].split()[0])
+        assert deltas >= 1
+        assert "closed: 0 leaked shm segment(s)" in out
+
+
 class TestAttachRobustness:
     @pytest.mark.net
     def test_attach_exits_cleanly_when_server_dies(self, capsys):

@@ -125,3 +125,27 @@ class TestErrorHierarchy:
         err = EdgeNotFoundError(1, 2)
         assert (err.src, err.dst) == (1, 2)
         assert "1" in str(err) and "2" in str(err)
+
+
+class TestReaderCacheBound:
+    """A reader's plane cache must hold at least one plane, as the
+    server's publish history must; a bound below one is rejected before
+    any connection is made."""
+
+    @pytest.mark.parametrize("cache_planes", [0, -3])
+    def test_net_client_and_reader_reject_cache_below_one(self, cache_planes):
+        from repro.serving.net import NetClient, NetReader
+
+        # rejected before connecting: nothing listens on port 1
+        with pytest.raises(ConfigError, match="cache_planes must be >= 1"):
+            NetClient("127.0.0.1", 1, cache_planes=cache_planes)
+        with pytest.raises(ConfigError, match="cache_planes must be >= 1"):
+            NetReader("127.0.0.1:1", cache_planes=cache_planes)
+
+    def test_attach_names_the_flag(self, capsys):
+        from repro.cli import main
+
+        assert main(["attach", "127.0.0.1:1", "--cache-planes", "0"]) != 0
+        err = capsys.readouterr().err
+        assert "--cache-planes" in err
+        assert "server went away" not in err

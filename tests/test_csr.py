@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
+from repro.baselines.dijkstra import full_sssp
+from repro.core.engine import expand_from_csr
+from repro.core.workspace import SearchWorkspace
 from repro.errors import VertexNotFoundError
 from repro.graph.generators import erdos_renyi_graph
-from tests.conftest import reference_dijkstra
+
+
+def _distances(csr, source: int) -> dict:
+    """Every vertex the CSR's forward arcs reach from ``source``, with its
+    distance (``source`` itself at 0.0), by the dense expansion."""
+    found = expand_from_csr(csr, source, None, None, SearchWorkspace())
+    return {source: 0.0, **dict(found)}
+
+
+def _in_arcs(csr, vertex: int) -> dict:
+    """``vertex``'s backward arcs as ``{caller-visible tail: weight}``."""
+    return {csr.vertex_id(u): w for u, w in csr.in_arcs(csr.dense_id(vertex))}
 
 
 class TestConstruction:
@@ -76,9 +88,7 @@ class TestEdgeCases:
         nbrs, wts = csr.out_slice(d7)
         assert nbrs.size == 0 and wts.size == 0
         # Still fully addressable and reachable-from-itself only.
-        dist = csr.sssp(7)
-        assert dist[d7] == 0.0
-        assert dist[csr.dense_id(0)] == math.inf
+        assert _distances(csr, 7) == {7: 0.0}
 
     def test_directed_sink_and_source_vertices(self):
         from repro.graph.dynamic_graph import DynamicGraph
@@ -92,8 +102,10 @@ class TestEdgeCases:
         assert csr.in_degree(csr.dense_id(2)) == 1
         assert csr.out_degree(csr.dense_id(0)) == 1
         assert csr.in_degree(csr.dense_id(0)) == 0
-        assert csr.sssp(2)[csr.dense_id(0)] == math.inf
-        assert csr.sssp(2, backward=True)[csr.dense_id(0)] == 3.0
+        assert _distances(csr, 2) == {2: 0.0}
+        assert _distances(csr, 0) == {0: 0.0, 1: 1.0, 2: 3.0}
+        assert _in_arcs(csr, 2) == dict(g.snapshot().in_items(2)) == {1: 2.0}
+        assert _in_arcs(csr, 0) == {}
 
     def test_round_trip_after_churn(self):
         g = erdos_renyi_graph(50, 150, seed=5, directed=True,
@@ -151,38 +163,32 @@ class TestEdgeCases:
 
 
 class TestSSSP:
+    """Shortest paths over the CSR's arcs: forward by the dense expansion
+    against the Dijkstra baseline, backward as in-arcs against the
+    snapshot."""
+
     def test_matches_reference_undirected(self, small_powerlaw):
         csr = small_powerlaw.snapshot().to_csr()
         source = next(iter(small_powerlaw.vertices()))
-        ref = reference_dijkstra(small_powerlaw, source)
-        dist = csr.sssp(source)
-        for v in small_powerlaw.vertices():
-            got = dist[csr.dense_id(v)]
-            expected = ref.get(v, math.inf)
-            assert got == pytest.approx(expected)
+        ref, _stats = full_sssp(small_powerlaw, source)
+        got = _distances(csr, source)
+        assert got.keys() == ref.keys()
+        for v, d in ref.items():
+            assert got[v] == pytest.approx(d)
 
     def test_backward_on_directed(self):
         g = erdos_renyi_graph(60, 240, seed=3, directed=True,
                               weight_range=(1.0, 4.0))
-        csr = g.snapshot().to_csr()
-        target = next(iter(g.vertices()))
-        dist_to = csr.sssp(target, backward=True)
-        # Oracle: forward Dijkstra on the explicitly reversed graph.
-        from repro.graph.dynamic_graph import DynamicGraph
-
-        rev = DynamicGraph(directed=True)
+        snap = g.snapshot()
+        csr = snap.to_csr()
+        assert csr.rev_indptr is not csr.indptr
         for v in g.vertices():
-            rev.add_vertex(v)
-        for s, d, w in g.edges():
-            rev.add_edge(d, s, w)
-        ref = reference_dijkstra(rev, target)
-        for v in g.vertices():
-            assert dist_to[csr.dense_id(v)] == pytest.approx(
-                ref.get(v, math.inf)
-            )
+            assert _in_arcs(csr, v) == dict(snap.in_items(v))
+        assert sum(len(_in_arcs(csr, v)) for v in g.vertices()) == \
+            g.num_edges
 
-    def test_unreachable_is_inf(self, two_components):
+    def test_unreachable_is_not_reached(self, two_components):
         csr = two_components.snapshot().to_csr()
-        dist = csr.sssp(0)
-        assert dist[csr.dense_id(2)] == math.inf
-        assert dist[csr.dense_id(1)] == 1.0
+        dist = _distances(csr, 0)
+        assert 2 not in dist
+        assert dist[1] == 1.0

@@ -33,10 +33,11 @@ from repro.serving.codec import (
     encode_buffers_into,
     encode_plane,
     encode_plane_delta,
-    encoded_size,
     materialize_plane,
     payload_manifest,
+    plane_buffers,
     plane_digest,
+    plane_manifest,
 )
 from repro.sgraph import SGraph
 from repro.streaming.versioning import VersionedStore
@@ -70,7 +71,7 @@ class TestRoundTrip:
     def test_buffers_bit_identical(self, directed):
         _sg, view, plane = _published_plane(51, directed)
         payload = encode_plane(plane, epoch=view.epoch)
-        assert len(payload) == encoded_size(plane, epoch=view.epoch)
+        assert len(payload) == plane_manifest(plane, view.epoch)[2]
         manifest, arrays = decode_plane(payload)
         assert manifest["epoch"] == view.epoch
         assert manifest["directed"] == directed
@@ -148,11 +149,11 @@ class TestRoundTrip:
                 decode_plane(payload)
 
     def test_sink_too_small_rejected(self):
-        from repro.serving.codec import encode_plane_into
-
         _sg, _view, plane = _published_plane(56)
-        with pytest.raises(ConfigError):
-            encode_plane_into(plane, bytearray(16))
+        buffers = plane_buffers(plane)
+        with pytest.raises(ConfigError, match="sink too small"):
+            encode_buffers_into(buffers, bytearray(16),
+                                plane_manifest(plane, None, buffers))
 
     def test_unsorted_ids_rejected(self):
         """A foreign plane's id buffer must be strictly increasing: dense
@@ -353,8 +354,9 @@ class TestChunkTables:
         assert len(calls) == len(buffers)
         assert calls == [arr.nbytes for _name, arr in buffers]
         calls.clear()
-        two_pass = bytearray(encoded_size(plane, epoch=view.epoch))
-        codec.encode_plane_into(plane, two_pass, epoch=view.epoch)
+        layout = plane_manifest(plane, view.epoch, buffers)
+        two_pass = bytearray(layout[2])
+        encode_buffers_into(buffers, two_pass, layout)
         assert bytes(two_pass) == payload
         assert plane_digest(two_pass) == plane_digest(payload)
 

@@ -363,7 +363,7 @@ class TestWorkerRespawn:
 # -- server restart (SIGKILL + same-address rebind) ---------------------------
 
 
-def _server_incarnation(port, seed, mutate, generation_base, ready):
+def _server_incarnation(port, seed, mutate, ready):
     """Child-process PlaneServer serving one deterministic plane forever.
 
     Rebuilds the seed graph (plus one deterministic mutation for the
@@ -383,8 +383,7 @@ def _server_incarnation(port, seed, mutate, generation_base, ready):
         sg.add_edge(verts[0], verts[-1], 0.25)
         epoch = 2
     view = VersionedStore(sg).publish()
-    server = PlaneServer(host="127.0.0.1", port=port,
-                         generation_base=generation_base)
+    server = PlaneServer(host="127.0.0.1", port=port)
     server.publish(encode_plane(view.dense_plane("distance"), epoch=epoch),
                    epoch)
     ready.put(server.port)
@@ -450,7 +449,7 @@ class TestServerRestart:
         # -- faulted run: child server, SIGKILL, same-address restart -----
         ready = ctx.Queue()
         first = ctx.Process(target=_server_incarnation,
-                            args=(0, seed, False, 0, ready), daemon=True)
+                            args=(0, seed, False, ready), daemon=True)
         first.start()
         port = ready.get(timeout=30)
         readers = {
@@ -480,11 +479,11 @@ class TestServerRestart:
                 assert reader.stale
                 assert reader.transfer_stats()["stale_serves"] >= 1
 
-            # restart on the SAME port; generation_base=0 makes the new
-            # server's generation collide with the cached one
+            # restart on the SAME port; the new server's generation
+            # counter starts over and collides with the cached one
             ready2 = ctx.Queue()
             second = ctx.Process(target=_server_incarnation,
-                                 args=(port, seed, True, 0, ready2),
+                                 args=(port, seed, True, ready2),
                                  daemon=True)
             second.start()
             assert ready2.get(timeout=30) == port

@@ -1,12 +1,14 @@
-"""TCP plane transport: differential parity vs shm, fetch-on-publish, reap.
+"""TCP plane transport: differential parity vs shm, fetch-on-publish, no
+server-side lease.
 
-The contract mirrors the shm suite's, plus two transport-specific claims:
-(1) a loopback :class:`NetTransport` pool answers *bit-identically*
-(values and stats counters) to a :class:`ShmTransport` pool serving the
-same store across a multi-epoch publish sequence; (2) each published
-plane's buffers cross the socket **exactly once per reader** — queries
-after the first hit the reader's digest-keyed cache — and a reader that
-dies without releasing is reaped by the server, returning its refcount.
+The contract mirrors the shm suite's, plus three transport-specific
+claims: (1) a loopback :class:`NetTransport` pool answers
+*bit-identically* (values and stats counters) to a :class:`ShmTransport`
+pool serving the same store across a multi-epoch publish sequence; (2)
+each published plane's buffers cross the socket **exactly once per
+reader** — queries after the first hit the reader's digest-keyed cache;
+(3) the server holds nothing on a reader's behalf: no number of idle,
+dead or departed readers pins a plane or makes a publish fail.
 """
 
 from __future__ import annotations
@@ -22,9 +24,14 @@ import pytest
 from repro.core.config import SGraphConfig
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serving import shm_available
-from repro.serving.net import NetReader, PlaneServer, net_available
+from repro.serving.net import (
+    NetReader,
+    PlaneServer,
+    _recv_msg,
+    _send_msg,
+    net_available,
+)
 from repro.serving.pool import ServeSession
-from repro.serving.registry import RETIRED
 from repro.sgraph import SGraph
 from repro.streaming.versioning import VersionedStore
 
@@ -217,11 +224,10 @@ class TestFetchOnPublish:
         with sg.serve(workers=1, transport="tcp") as session:
             server = session.transport.server
             with server.registry.lock:
-                slot = next(iter(server._payloads))
-                payload, digest, epoch = server._payloads[slot]
+                digest, payload = next(reversed(server._history.items()))
                 tampered = bytearray(payload)
                 tampered[-1] ^= 0xFF
-                server._payloads[slot] = (bytes(tampered), digest, epoch)
+                server._history[digest] = bytes(tampered)
             client = NetClient(server.host, server.port)
             try:
                 with pytest.raises(QueryError, match="digest"):
@@ -230,53 +236,88 @@ class TestFetchOnPublish:
                 client.close()
 
 
-class TestReaderReaping:
-    def test_killed_reader_is_reaped_and_plane_evicted(self):
-        """SIGKILL a pool worker mid-hold: its socket closes, the server
-        reaps its refcount, and the plane it pinned is evicted once
-        retired."""
+class TestNoServerLease:
+    def test_killed_reader_leaves_nothing_pinned(self):
+        """SIGKILL a pool worker mid-hold: the server never counted a
+        reference for it, so the next publish retires the old plane at
+        once, the history is all the server holds, and the survivor
+        answers on the new epoch."""
         sg = _sgraph(66)
         verts = sorted(sg.graph.vertices())
-        # respawn=False: this test pins down the reap/evict protocol for a
-        # permanently lost reader; respawn recovery has its own coverage.
+        # respawn=False: this test pins down a permanently lost reader;
+        # respawn recovery has its own coverage.
         with sg.serve(workers=2, transport="tcp",
                       respawn=False) as session:
             registry = session.transport.registry
+            server = session.transport.server
             # both workers answer (and therefore hold) the first epoch
             for _ in range(4):
                 session.distance(0, 1)
-            assert sum(rc for _s, _r, _e, rc, _st in registry.slots()) == 2
+            assert [rc for _s, _r, _e, rc, _st in registry.slots()] == [0]
+            assert registry.readers() == {}
             session.pool.kill_worker(0)
-            # the dead worker's connection drops; the server-side reap runs
-            # in the connection thread's finally block
-            assert _wait_until(
-                lambda: sum(rc for _s, _r, _e, rc, _st
-                            in registry.slots()) <= 1
-            )
-            # retire the held epoch; the survivor moves on and the old
-            # plane's payload must be evicted (refcount reached zero)
             sg.add_edge(verts[0], verts[-1], 0.2)
-            session.publish()
-            session.distance(0, 1)
-            assert _wait_until(
-                lambda: not any(st == RETIRED for _s, _r, _e, _rc, st
-                                in registry.slots())
-            )
-            with session.transport.server.registry.lock:
-                payloads = dict(session.transport.server._payloads)
-            assert len(payloads) == 1  # only the live epoch's plane remains
-            value, _stats, _epoch = session.distance(0, 1)
-            assert value > 0
+            view = session.publish()
+            # only the live epoch's slot remains: no refcount held the
+            # retired one
+            assert [e for _s, _r, e, _rc, _st in registry.slots()] == \
+                [view.epoch]
+            assert server.stats()["cache"]["cached"] == 2
+            value, _stats, epoch = session.distance(0, 1)
+            assert value > 0 and epoch == view.epoch
 
-    def test_session_reap_is_idempotent_with_server_reap(self):
+    def test_session_reap_of_a_tcp_reader_is_a_no_op(self):
         sg = _sgraph(67)
         with sg.serve(workers=2, transport="tcp") as session:
-            session.distance(0, 1)
+            value = session.distance(0, 1)[0]
             session.pool.kill_worker(1)
-            _wait_until(lambda: len(session.transport.registry.readers()) <= 1)
-            assert session.reap() == [1]  # no double-decrement blowup
-            value, _stats, _epoch = session.distance(0, 1)
-            assert value > 0
+            assert session.reap() == [1]  # nothing to return server-side
+            assert session.transport.registry.readers() == {}
+            assert session.distance(0, 1)[0] == value
+
+    def test_idle_readers_on_many_epochs_never_fail_a_publish(self):
+        """20 idle readers, each left on a different epoch — more than
+        the registry's 16 slots: every publish succeeds and the server
+        holds at most ``cache_planes`` payloads."""
+        sg = _sgraph(76)
+        verts = sorted(sg.graph.vertices())
+        readers = []
+        with sg.serve(workers=1, transport="tcp") as session:
+            server = session.transport.server
+            try:
+                epochs = []
+                for i in range(20):
+                    reader = NetReader(session.transport.address)
+                    readers.append(reader)
+                    epochs.append(reader.refresh())
+                    sg.add_edge(verts[i], verts[-1 - i], 0.5 + i)
+                    session.publish()
+                    cache = server.stats()["cache"]
+                    assert cache["cached"] <= cache["cache_planes"] == 4
+                assert len(set(epochs)) == 20
+                # each idle reader still serves the epoch it adopted
+                for reader, epoch in zip(readers, epochs):
+                    assert reader.epoch == epoch
+                latest = session.store.latest()
+                assert readers[0].distance(0, 1)[::2] == \
+                    (latest.distance(0, 1).value, latest.epoch)
+            finally:
+                for reader in readers:
+                    reader.close()
+
+    def test_removed_ops_are_unknown(self):
+        """The wire is hello, poll, acquire and stats: the old ``release``
+        and ``fetch`` ops are refused like any unknown op."""
+        server = PlaneServer()
+        try:
+            with socket.create_connection((server.host, server.port)) as s:
+                for op in ("release", "fetch"):
+                    _send_msg(s, {"op": op, "slot": 0})
+                    assert _recv_msg(s) == {
+                        "ok": False, "error": f"unknown op {op!r}",
+                    }
+        finally:
+            server.close(drain=False)
 
 
 class TestNetReader:
@@ -285,7 +326,10 @@ class TestNetReader:
         verts = sorted(sg.graph.vertices())
         with sg.serve(workers=1, transport="tcp") as session:
             view = session.store.latest()
+            server = session.transport.server
             with NetReader(session.transport.address) as reader:
+                reader_id = reader.client.reader_id
+                assert reader_id in server._conn_readers.values()
                 assert reader.refresh() == view.epoch
                 rng = random.Random(5)
                 for _ in range(20):
@@ -303,13 +347,9 @@ class TestNetReader:
                 value, _stats, epoch = reader.distance(verts[0], verts[-1])
                 assert epoch == new_view.epoch
                 assert value == pytest.approx(0.15)
-            # context exit released the lease and closed the socket; the
-            # server forgets the reader
+            # context exit closed the socket; the server forgets the reader
             assert _wait_until(
-                lambda: all(
-                    str(r).startswith("w") or isinstance(r, int)
-                    for r in session.transport.registry.readers()
-                )
+                lambda: reader_id not in server._conn_readers.values()
             )
 
     def test_reader_keeps_one_workspace_across_epochs(self):
@@ -571,11 +611,26 @@ class TestServerClose:
         threads = [server._accept_thread, *server._conn_threads]
         assert len(threads) >= 2
         assert not any(t.is_alive() for t in threads)
-        assert not (server._payloads or server._history or server._deltas)
+        assert not (server._history or server._deltas)
         ref = weakref.ref(server)
         del server, session
         gc.collect()
         assert ref() is None
+
+    def test_publish_after_close_keeps_no_plane(self):
+        """A closed server serves nobody: publishing through its transport
+        encodes nothing, so the server still holds no plane bytes."""
+        sg = _sgraph(77)
+        verts = sorted(sg.graph.vertices())
+        with sg.serve(workers=1, transport="tcp") as session:
+            server = session.transport.server
+            server.close(drain=False)
+            sg.add_edge(verts[0], verts[-1], 0.2)
+            view = session.publish()
+            assert server.stats()["cache"]["cached"] == 0
+            assert not session.transport.publish_plane(
+                view.dense_plane("distance"), view.epoch + 1)
+            assert server.stats()["cache"]["cached"] == 0
 
     def test_failed_serve_leaves_no_plane_server(self):
         """A session whose pool cannot start closes the tcp transport it

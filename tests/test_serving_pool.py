@@ -7,8 +7,9 @@ pipe, so ``recv`` reads EOF); (2) a batch whose request and answer bytes
 dwarf the pipe's socket buffers completes on one worker (the writer never
 sends while that worker may be sending back); (3) kill + respawn cycles
 leak no writer-side file descriptor; (4) between publishes, pool queries
-poll nothing; (5) the first query after ``publish()`` returns is answered
-at the new epoch; (6) a worker whose server died tries it again on every
+poll nothing, and a tcp worker adopts a new epoch in one ``acquire``;
+(5) the first query after ``publish()`` returns is answered at the new
+epoch; (6) a worker whose server died tries it again on every
 request, degrading each time; (7) a batch chunk size below 1 raises
 ConfigError rather than answering nothing.
 """
@@ -147,13 +148,15 @@ class TestStampedRequests:
         sg = _sgraph(104)
         verts = sorted(sg.graph.vertices())
         with ServeSession(sg, workers=2, transport="tcp") as session:
+            # both workers connect (one hello each) before round 0
+            assert _wait_until(lambda: ops.count("hello") == 2)
             for round_no in range(3):
                 del ops[:]
                 for i in range(12):
                     session.distance(verts[i], verts[-1 - i])
-                assert "poll" not in ops
-                # each worker takes the new epoch once, on its first query
-                assert ops.count("acquire") == 2
+                # each worker takes the new epoch in one op, on its first
+                # query: no poll, and no fetch or release round trip
+                assert ops == ["acquire", "acquire"]
                 sg.add_edge(verts[round_no], verts[-2 - round_no], 0.5)
                 session.publish()
 

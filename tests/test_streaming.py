@@ -222,30 +222,3 @@ class TestQueryStream:
         with pytest.raises(WorkloadError):
             query_stream(small_powerlaw, 5, skew=-0.5)
 
-
-class TestHistogram:
-    def test_shape(self):
-        from repro.bench.report import format_histogram
-
-        text = format_histogram([1, 1, 2, 5, 5, 5], bins=4, title="H")
-        lines = text.splitlines()
-        assert lines[0] == "H"
-        assert len(lines) == 5
-        assert text.count("#") > 0
-
-    def test_empty(self):
-        from repro.bench.report import format_histogram
-
-        assert "(no values)" in format_histogram([])
-
-    def test_single_value(self):
-        from repro.bench.report import format_histogram
-
-        text = format_histogram([3.0, 3.0], bins=3)
-        assert "2" in text
-
-    def test_invalid_bins(self):
-        from repro.bench.report import format_histogram
-
-        with pytest.raises(ValueError):
-            format_histogram([1.0], bins=0)
