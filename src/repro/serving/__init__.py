@@ -56,7 +56,7 @@ from repro.serving.codec import (
     PlaneGraph,
     apply_plane_delta,
     decode_plane,
-    diff_manifests,
+    diff_payloads,
     encode_plane,
     encode_plane_delta,
     materialize_plane,
@@ -90,7 +90,7 @@ __all__ = [
     "WorkerPool",
     "apply_plane_delta",
     "decode_plane",
-    "diff_manifests",
+    "diff_payloads",
     "encode_plane",
     "encode_plane_delta",
     "leaked_segments",

@@ -10,18 +10,14 @@ byte blob laid out as::
     [data_start:...) the buffers themselves, each at a 64-byte-aligned
                      offset *relative to data_start*
 
-The manifest records ``{name: {dtype, shape, offset}}`` (plus ``chunks``
-on chunked payloads, below) for every buffer — CSR
-``indptr/indices/weights`` (plus the ``rev_*`` triple when directed),
-the dense→caller id map, and the hub cost matrices
-``F`` (and ``B`` when directed and distinct) — so decoding needs nothing
-but the bytes: parse the manifest, wrap each buffer in a zero-copy numpy
-view.
+The manifest records ``{name: {dtype, shape, offset}}`` for every buffer
+— CSR ``indptr/indices/weights`` (plus the ``rev_*`` triple when
+directed), the dense→caller id map, and the hub cost matrices ``F`` (and
+``B`` when directed and distinct) — so decoding needs nothing but the
+bytes: parse the manifest, wrap each buffer in a zero-copy numpy view.
 
-**Chunk addressing.**  On a chunked payload every buffer is additionally
-divided into fixed :data:`CHUNK_BYTES` chunks and the manifest records a
-short content digest per chunk.  Two manifests therefore describe not
-just *what* their planes contain but *which bytes differ*: :func:`diff_manifests` yields
+**Delta frames.**  :func:`diff_payloads` compares two encoded payloads
+buffer by buffer in fixed :data:`CHUNK_BYTES` chunks and yields
 per-buffer dirty byte ranges, :func:`encode_plane_delta` packs exactly
 those ranges (plus the new manifest) into a delta frame, and
 :func:`apply_plane_delta` composes a delta onto the base payload to
@@ -31,19 +27,20 @@ dtype changed (CSR growth, a dtype migration) falls back to a
 full-buffer patch inside the same frame; a delta between planes with
 identical buffers reduces to a header-only frame carrying just the new
 manifest.  This is what makes remote epoch visibility O(Δ): a reader
-holding the previous payload fetches only the churned chunks.
+holding the previous payload fetches only the churned chunks.  Only the
+side holding both payloads — the TCP server — diffs, so the manifest
+carries nothing for it.
 
-The transport decides which manifests carry chunk tables, and shm
-segments carry no chunk table.  The shm transport encodes straight into
-a ``shared_memory`` segment's buffer (readers map the same bytes and
-never diff, so hashing would be wasted); the TCP transport encodes a
-chunked payload into a ``bytearray`` once per publish, ships it (or a
-delta against the reader's cached base) over the socket, and remote
-readers decode their private copy.  Either encode lays the manifest out
-once: the layout that sizes the sink is the one written into it.
-Either way :func:`materialize_plane` rebuilds a fully functional ``DensePlane`` over
-the decoded views in O(#buffers) plus the id map; the search loops read
-the buffers in place, exactly as on the in-process plane.
+Both transports write the same bytes for the same plane and epoch.  The
+shm transport encodes straight into a ``shared_memory`` segment's buffer
+that readers map; the TCP transport encodes into a ``bytearray`` once
+per publish, ships it (or a delta against the reader's cached base) over
+the socket, and remote readers decode their private copy.  Either encode
+lays the manifest out once: the layout that sizes the sink is the one
+written into it.  Either way :func:`materialize_plane` rebuilds a fully
+functional ``DensePlane`` over the decoded views in O(#buffers) plus the
+id map; the search loops read the buffers in place, exactly as on the
+in-process plane.
 """
 
 from __future__ import annotations
@@ -61,36 +58,15 @@ ALIGN = 64
 FORMAT_VERSION = 3
 _HEADER_BYTES = 16
 
-#: fixed chunk size for the per-buffer dirty-range tables.  Small enough
-#: that a handful of churned vertices dirty a handful of chunks, large
-#: enough that the digest table stays ~2% of the payload.
+#: granularity of delta dirty ranges.  Small enough that a handful of
+#: churned vertices dirty a handful of chunks, large enough that a
+#: delta's patch table stays short.
 CHUNK_BYTES = 1024
-
-#: hex digits of the per-chunk blake2b digest kept in the manifest
-_CHUNK_DIGEST_BYTES = 8
 
 
 def aligned(offset: int) -> int:
     """Round ``offset`` up to the next :data:`ALIGN`-byte boundary."""
     return (offset + ALIGN - 1) // ALIGN * ALIGN
-
-
-def chunk_digests(data, chunk_bytes: int = CHUNK_BYTES) -> List[str]:
-    """Per-chunk content digests of one buffer's bytes.
-
-    The last chunk may be short; an empty buffer has no chunks.  blake2b
-    (8-byte digests) is collision-safe for what the table is used for —
-    deciding whether a specific chunk changed between two *known* adjacent
-    versions — and hashes the whole plane in single-digit milliseconds.
-    """
-    mv = memoryview(data)
-    if mv.ndim != 1 or mv.format != "B":
-        mv = mv.cast("B")
-    return [
-        hashlib.blake2b(mv[i:i + chunk_bytes],
-                        digest_size=_CHUNK_DIGEST_BYTES).hexdigest()
-        for i in range(0, len(mv), chunk_bytes)
-    ]
 
 
 def plane_buffers(plane) -> List[Tuple[str, np.ndarray]]:
@@ -125,39 +101,27 @@ Layout = Tuple[Dict, bytes, int]
 
 
 def buffers_manifest(buffers: Sequence[Tuple[str, np.ndarray]],
-                     meta: Optional[Dict] = None,
-                     chunked: bool = True) -> Layout:
+                     meta: Optional[Dict] = None) -> Layout:
     """Manifest dict, its JSON encoding, and the total encoded size.
 
     The generalized core of :func:`plane_manifest`: lays out any named
-    buffer sequence (offset table, plus the per-chunk digest table when
-    ``chunked``) under arbitrary ``meta`` keys.  The size covers header +
-    manifest + aligned buffers — callers presize their sink (a shm
-    segment, a bytearray) with it, then hand the same layout to
-    :func:`encode_buffers_into`, so nothing is laid out or hashed twice.
-
-    Only a byte-moving transport diffs manifests, so only it asks for
-    chunk tables.  An unchunked manifest has neither ``chunk_bytes`` nor
-    per-buffer ``chunks``, and :func:`diff_manifests` never calls any of
-    its buffers clean.
+    buffer sequence (the offset table) under arbitrary ``meta`` keys.
+    The size covers header + manifest + aligned buffers — callers presize
+    their sink (a shm segment, a bytearray) with it, then hand the same
+    layout to :func:`encode_buffers_into`, so nothing is laid out twice.
     """
     table: Dict[str, Dict] = {}
     offset = 0
     for buf_name, arr in buffers:
         offset = aligned(offset)
-        spec = {
+        table[buf_name] = {
             "dtype": str(arr.dtype),
             "shape": list(arr.shape),
             "offset": offset,
         }
-        if chunked:
-            spec["chunks"] = chunk_digests(np.ascontiguousarray(arr))
-        table[buf_name] = spec
         offset += arr.nbytes
     manifest = {"version": FORMAT_VERSION}
     manifest.update(meta or {})
-    if chunked:
-        manifest["chunk_bytes"] = CHUNK_BYTES
     manifest["buffers"] = table
     mbytes = json.dumps(manifest, separators=(",", ":")).encode("ascii")
     data_start = aligned(_HEADER_BYTES + len(mbytes))
@@ -176,12 +140,11 @@ def _plane_meta(plane, epoch) -> Dict:
     }
 
 
-def plane_manifest(plane, epoch=None, buffers=None,
-                   chunked: bool = True) -> Layout:
+def plane_manifest(plane, epoch=None, buffers=None) -> Layout:
     """Manifest dict, its JSON encoding, and the total encoded size."""
     if buffers is None:
         buffers = plane_buffers(plane)
-    return buffers_manifest(buffers, _plane_meta(plane, epoch), chunked)
+    return buffers_manifest(buffers, _plane_meta(plane, epoch))
 
 
 def encode_buffers_into(buffers: Sequence[Tuple[str, np.ndarray]], sink,
@@ -221,8 +184,7 @@ def encode_buffers_into(buffers: Sequence[Tuple[str, np.ndarray]], sink,
 
 def encode_buffers(buffers: Sequence[Tuple[str, np.ndarray]],
                    meta: Optional[Dict] = None) -> bytes:
-    """Serialize named buffers into a fresh bytes object (chunked: the
-    layout, and so every chunk digest, is computed once)."""
+    """Serialize named buffers into a fresh bytes object."""
     layout = buffers_manifest(buffers, meta)
     sink = bytearray(layout[2])
     encode_buffers_into(buffers, sink, layout)
@@ -231,17 +193,24 @@ def encode_buffers(buffers: Sequence[Tuple[str, np.ndarray]],
 
 def encode_plane(plane, epoch=None) -> bytes:
     """Serialize ``plane`` into a fresh bytes object (the TCP payload,
-    chunked so TCP readers can diff consecutive manifests)."""
+    byte-identical to the shm segment of the same plane and epoch)."""
     return encode_buffers(plane_buffers(plane), _plane_meta(plane, epoch))
 
 
-def payload_manifest(payload) -> Dict:
-    """Parse just the manifest out of an encoded plane payload."""
+def _payload_header(buf: memoryview) -> Tuple[int, int]:
+    """``(manifest length, data_start)`` of an encoded plane."""
+    mlen, data_start = np.frombuffer(buf, dtype=np.uint64, count=2)
+    return int(mlen), int(data_start)
+
+
+def _parse_payload(payload) -> Tuple[memoryview, Dict, int]:
+    """``(byte view, manifest, data_start)`` of an encoded plane."""
     buf = memoryview(payload)
-    mlen = int(np.frombuffer(buf, dtype=np.uint64, count=1)[0])
-    return json.loads(
+    mlen, data_start = _payload_header(buf)
+    manifest = json.loads(
         bytes(buf[_HEADER_BYTES:_HEADER_BYTES + mlen]).decode("ascii")
     )
+    return buf, manifest, data_start
 
 
 def decode_plane(source,
@@ -253,12 +222,7 @@ def decode_plane(source,
     copied.  Views are read-only unless ``writable`` (only the shm writer
     asks for writable views, over a segment it owns).
     """
-    buf = memoryview(source)
-    header = np.frombuffer(buf, dtype=np.uint64, count=2)
-    mlen, data_start = int(header[0]), int(header[1])
-    manifest = json.loads(
-        bytes(buf[_HEADER_BYTES:_HEADER_BYTES + mlen]).decode("ascii")
-    )
+    buf, manifest, data_start = _parse_payload(source)
     if manifest.get("version") != FORMAT_VERSION:
         raise ConfigError(
             f"encoded plane has format version {manifest.get('version')!r}, "
@@ -318,7 +282,7 @@ def plane_digest(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Delta frames: chunk-addressed diffs between two encoded planes
+# Delta frames: chunk-granular diffs between two encoded planes
 # ---------------------------------------------------------------------------
 
 
@@ -329,44 +293,58 @@ def _buffer_nbytes(spec: Dict) -> int:
     return count * np.dtype(spec["dtype"]).itemsize
 
 
-def diff_manifests(base: Dict, target: Dict) -> Dict[str, Optional[
-        List[Tuple[int, int]]]]:
-    """Per-buffer dirty byte ranges between two chunk-addressed manifests.
+def _buffer_bytes(buf: memoryview, data_start: int,
+                  spec: Dict) -> np.ndarray:
+    """One buffer of an encoded plane as a flat uint8 view (no copy)."""
+    return np.frombuffer(buf, dtype=np.uint8, count=_buffer_nbytes(spec),
+                         offset=data_start + spec["offset"])
 
-    For every buffer in ``target``: ``None`` means the whole buffer must
+
+def _dirty_ranges(old: np.ndarray, new: np.ndarray) -> List[Tuple[int, int]]:
+    """Coalesced byte ranges of the :data:`CHUNK_BYTES` chunks in which
+    two equal-length byte arrays differ (the last chunk may be short)."""
+    nbytes = new.size
+    whole = nbytes - nbytes % CHUNK_BYTES
+    dirty = (old[:whole] != new[:whole]).reshape(-1, CHUNK_BYTES).any(axis=1)
+    if whole < nbytes:
+        dirty = np.append(dirty, (old[whole:] != new[whole:]).any())
+    chunks = np.flatnonzero(dirty)
+    if not chunks.size:
+        return []
+    cuts = np.flatnonzero(np.diff(chunks) > 1) + 1
+    firsts = chunks[np.r_[0, cuts]]
+    lasts = chunks[np.r_[cuts - 1, chunks.size - 1]]
+    return [(int(first) * CHUNK_BYTES, min((int(last) + 1) * CHUNK_BYTES,
+                                           nbytes))
+            for first, last in zip(firsts, lasts)]
+
+
+def diff_payloads(base_payload, target_payload) -> Dict[str, Optional[
+        List[Tuple[int, int]]]]:
+    """Per-buffer dirty byte ranges between two encoded planes.
+
+    For every buffer in the target: ``None`` means the whole buffer must
     be resent (new buffer, or shape/dtype changed so chunk positions are
     incomparable); otherwise a list of coalesced ``(start, end)`` byte
-    ranges — relative to the buffer — covering exactly the chunks whose
-    digests differ (empty when the buffer is bit-identical).  Buffers
-    present only in ``base`` simply vanish: the target manifest does not
-    mention them.  A buffer without a chunk table on either side (an
-    unchunked shm layout) is always resent whole: absent digests prove
-    nothing clean.
+    ranges — relative to the buffer — covering exactly the
+    :data:`CHUNK_BYTES` chunks whose bytes differ (empty when the buffer
+    is bit-identical).  Buffers present only in the base simply vanish:
+    the target manifest does not mention them.  Each buffer pair is
+    compared in place with one vectorized pass, nothing is hashed.
     """
+    base, base_manifest, base_start = _parse_payload(base_payload)
+    target, target_manifest, target_start = _parse_payload(target_payload)
+    base_table = base_manifest["buffers"]
     out: Dict[str, Optional[List[Tuple[int, int]]]] = {}
-    base_table = base.get("buffers", {})
-    chunk = target.get("chunk_bytes")
-    comparable = chunk is not None and base.get("chunk_bytes") == chunk
-    for name, spec in target["buffers"].items():
+    for name, spec in target_manifest["buffers"].items():
         old = base_table.get(name)
-        if (not comparable or old is None
-                or "chunks" not in old or "chunks" not in spec
-                or old["dtype"] != spec["dtype"]
+        if (old is None or old["dtype"] != spec["dtype"]
                 or old["shape"] != spec["shape"]):
             out[name] = None
-            continue
-        nbytes = _buffer_nbytes(spec)
-        ranges: List[Tuple[int, int]] = []
-        for i, (was, now) in enumerate(zip(old["chunks"], spec["chunks"])):
-            if was == now:
-                continue
-            start = i * chunk
-            end = min(start + chunk, nbytes)
-            if ranges and ranges[-1][1] == start:
-                ranges[-1] = (ranges[-1][0], end)
-            else:
-                ranges.append((start, end))
-        out[name] = ranges
+        else:
+            out[name] = _dirty_ranges(_buffer_bytes(base, base_start, old),
+                                      _buffer_bytes(target, target_start,
+                                                    spec))
     return out
 
 
@@ -385,65 +363,70 @@ def encode_plane_delta(base_payload, target_payload,
         [...:end)          the patched byte ranges, concatenated in patch
                            table order
 
-    Patches address bytes *relative to each buffer*; a ``(0, nbytes)``
-    patch is the full-buffer fallback (new buffer, shape/dtype change).
-    Composing the frame onto the base payload with
-    :func:`apply_plane_delta` reproduces the target payload bit-identically.
+    Patches address bytes *relative to each buffer* and cover exactly
+    :func:`diff_payloads`' ranges; a ``(0, nbytes)`` patch is the
+    full-buffer fallback (new buffer, shape/dtype change).  Composing
+    the frame onto the base payload with :func:`apply_plane_delta`
+    reproduces the target payload bit-identically.
     """
-    base_mv = memoryview(base_payload)
-    target_mv = memoryview(target_payload)
-    base_manifest = payload_manifest(base_mv)
-    header = np.frombuffer(target_mv, dtype=np.uint64, count=2)
-    manifest_len, data_start = int(header[0]), int(header[1])
-    manifest_bytes = bytes(
-        target_mv[_HEADER_BYTES:_HEADER_BYTES + manifest_len]
-    )
-    target_manifest = json.loads(manifest_bytes.decode("ascii"))
-    dirty = diff_manifests(base_manifest, target_manifest)
+    dirty = diff_payloads(base_payload, target_payload)
+    target, manifest, data_start = _parse_payload(target_payload)
+    manifest_len = _payload_header(target)[0]
     patches: List[List] = []
-    pieces: List[bytes] = []
-    for name, spec in target_manifest["buffers"].items():
+    pieces: List[memoryview] = []
+    for name, spec in manifest["buffers"].items():
         ranges = dirty[name]
         if ranges is None:
             ranges = [(0, _buffer_nbytes(spec))]
         for start, end in ranges:
             if end <= start:
                 continue
-            patches.append([name, int(start), int(end)])
+            patches.append([name, start, end])
             lo = data_start + spec["offset"] + start
-            pieces.append(bytes(target_mv[lo:lo + (end - start)]))
+            pieces.append(target[lo:lo + (end - start)])
     head = {
         "version": FORMAT_VERSION,
         "kind": "plane-delta",
-        "base": base_digest or plane_digest(base_mv),
-        "target": target_digest or plane_digest(target_mv),
-        "total": len(target_mv),
+        "base": base_digest or plane_digest(base_payload),
+        "target": target_digest or plane_digest(target),
+        "total": len(target),
         "manifest_len": manifest_len,
         "data_start": data_start,
         "patches": patches,
     }
     hbytes = json.dumps(head, separators=(",", ":")).encode("ascii")
-    out = bytearray()
-    out += len(hbytes).to_bytes(8, "big")
-    out += hbytes
-    out += manifest_bytes
-    for piece in pieces:
-        out += piece
-    return bytes(out)
+    return b"".join([len(hbytes).to_bytes(8, "big"), hbytes,
+                     target[_HEADER_BYTES:_HEADER_BYTES + manifest_len],
+                     *pieces])
+
+
+#: the header fields a plane delta must carry, with their JSON types
+_DELTA_FIELDS = {"base": str, "target": str, "total": int,
+                 "manifest_len": int, "data_start": int, "patches": list}
 
 
 def delta_header(delta) -> Dict:
-    """Parse a delta frame's header (base/target digests, patch table)."""
+    """Parse a delta frame's header (base/target digests, patch table).
+
+    Raises :class:`ConfigError` for any frame whose header does not parse
+    into a complete plane-delta header of this format version.
+    """
     mv = memoryview(delta)
-    hlen = int.from_bytes(bytes(mv[:8]), "big")
-    head = json.loads(bytes(mv[8:8 + hlen]).decode("ascii"))
-    if head.get("kind") != "plane-delta":
+    try:
+        hlen = int.from_bytes(mv[:8], "big")
+        head = json.loads(bytes(mv[8:8 + hlen]).decode("ascii"))
+    except (ValueError, RecursionError):  # undecodable bytes or JSON
+        head = None
+    if not isinstance(head, dict) or head.get("kind") != "plane-delta":
         raise ConfigError("frame is not a plane delta")
     if head.get("version") != FORMAT_VERSION:
         raise ConfigError(
             f"plane delta has format version {head.get('version')!r}, "
             f"expected {FORMAT_VERSION}"
         )
+    if not all(isinstance(head.get(key), kind)
+               for key, kind in _DELTA_FIELDS.items()):
+        raise ConfigError("plane delta header is incomplete")
     return head
 
 
@@ -465,27 +448,46 @@ def apply_plane_delta(base_payload, delta,
     construction.  The composed payload's :func:`plane_digest` is
     verified against the frame's ``target`` digest — a mismatch (wrong
     base, corrupt frame) raises :class:`ConfigError` rather than ever
-    yielding a plausible-but-wrong plane.
+    yielding a plausible-but-wrong plane, and so does a frame too
+    malformed to compose at all.
     """
-    base_mv = memoryview(base_payload)
     head = delta_header(delta)
     if base_digest is None:
-        base_digest = plane_digest(base_mv)
+        base_digest = plane_digest(base_payload)
     if base_digest != head["base"]:
         raise ConfigError(
             f"delta base mismatch: frame expects {head['base'][:12]}…, "
             f"composing onto {base_digest[:12]}…"
         )
-    mv = memoryview(delta)
-    hlen = int.from_bytes(bytes(mv[:8]), "big")
-    manifest_len = head["manifest_len"]
-    manifest_bytes = bytes(mv[8 + hlen:8 + hlen + manifest_len])
-    target_manifest = json.loads(manifest_bytes.decode("ascii"))
-    base_manifest = payload_manifest(base_mv)
-    base_start = int(np.frombuffer(base_mv, dtype=np.uint64, count=2)[1])
-    data_start = head["data_start"]
+    try:
+        composed = _compose(base_payload, memoryview(delta), head)
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as exc:
+        raise ConfigError(f"malformed plane delta: {exc!r}") from None
+    if plane_digest(composed) != head["target"]:
+        raise ConfigError(
+            "delta composition digest mismatch: the composed plane is not "
+            "bit-identical to the full encoding"
+        )
+    return composed
 
-    out = bytearray(head["total"])
+
+def _compose(base_payload, frame: memoryview, head: Dict) -> bytes:
+    """The target payload ``frame`` describes, before its digest check."""
+    base, base_manifest, base_start = _parse_payload(base_payload)
+    hlen = int.from_bytes(frame[:8], "big")
+    manifest_len, data_start = head["manifest_len"], head["data_start"]
+    cursor = 8 + hlen + manifest_len
+    manifest_bytes = frame[8 + hlen:cursor]
+    table = json.loads(bytes(manifest_bytes).decode("ascii"))["buffers"]
+    # Every target byte comes from the base, the frame or alignment
+    # padding: a larger size is a corrupt frame, not an allocation.
+    total = head["total"]
+    if not _HEADER_BYTES <= total <= (len(base) + len(frame)
+                                      + ALIGN * (len(table) + 1)):
+        raise ConfigError(f"plane delta claims an impossible size {total}")
+
+    out = bytearray(total)
     np.frombuffer(out, dtype=np.uint64, count=2)[:] = (
         manifest_len, data_start,
     )
@@ -493,12 +495,12 @@ def apply_plane_delta(base_payload, delta,
 
     fully_patched = {
         name for name, start, end in head["patches"]
-        if start == 0 and end >= _buffer_nbytes(
-            target_manifest["buffers"][name])
+        if start == 0 and end >= _buffer_nbytes(table[name])
     }
-    base_table = base_manifest.get("buffers", {})
-    for name, spec in target_manifest["buffers"].items():
-        if name in fully_patched:
+    base_table = base_manifest["buffers"]
+    for name, spec in table.items():
+        nbytes = _buffer_nbytes(spec)
+        if name in fully_patched or not nbytes:  # an empty buffer: no bytes
             continue
         old = base_table.get(name)
         if (old is None or old["dtype"] != spec["dtype"]
@@ -507,26 +509,16 @@ def apply_plane_delta(base_payload, delta,
                 f"delta frame leaves buffer {name!r} unpatched but the "
                 "base has no matching buffer to copy it from"
             )
-        nbytes = _buffer_nbytes(spec)
         src = base_start + old["offset"]
         dst = data_start + spec["offset"]
-        out[dst:dst + nbytes] = base_mv[src:src + nbytes]
+        out[dst:dst + nbytes] = base[src:src + nbytes]
 
-    cursor = 8 + hlen + manifest_len
     for name, start, end in head["patches"]:
-        spec = target_manifest["buffers"][name]
         size = end - start
-        dst = data_start + spec["offset"] + start
-        out[dst:dst + size] = mv[cursor:cursor + size]
+        dst = data_start + table[name]["offset"] + start
+        out[dst:dst + size] = frame[cursor:cursor + size]
         cursor += size
-
-    composed = bytes(out)
-    if plane_digest(composed) != head["target"]:
-        raise ConfigError(
-            "delta composition digest mismatch: the composed plane is not "
-            "bit-identical to the full encoding"
-        )
-    return composed
+    return bytes(out)
 
 
 class PlaneGraph:

@@ -17,9 +17,9 @@ anywhere can answer queries on them:
   private :class:`~repro.core.hub_index.DensePlane` (fetch-on-publish:
   the bytes cross the socket once per reader per epoch, never per query);
 * a **delta-enabled** reader's newest cached digest is a diff base: when
-  the server still holds that plane it diffs the two chunk tables
-  (:func:`~repro.serving.codec.encode_plane_delta`) and ships only the
-  churned chunks — O(Δ) bytes per epoch instead of O(|plane|).  The
+  the server still holds that plane it compares the two payloads it
+  holds (:func:`~repro.serving.codec.encode_plane_delta`) and ships only
+  the churned chunks — O(Δ) bytes per epoch instead of O(|plane|).  The
   reader composes the delta onto a *copy* of its cached payload and
   verifies the composed digest before swap-in; a base the server no
   longer holds gets the full frame, and a delta that does not compose is
@@ -34,7 +34,10 @@ Wire format: every message is an 8-byte big-endian length followed by a
 JSON body; an ``acquire`` response whose ``mode`` is "full" or "delta" is
 followed by one raw frame carrying the encoded plane or the delta frame.
 Ops: ``hello``, ``poll``, ``acquire`` (``have``: cached digests, newest
-last; ``delta``: whether a delta is welcome), ``stats``.
+last; ``delta``: whether a delta is welcome), ``stats``.  A request that
+does not parse as a JSON object (or an ``acquire`` whose ``have`` is not
+a list of digest strings) is answered ``malformed request`` and its
+connection closed.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ CLOSE_JOIN_TIMEOUT = 5.0
 #: than waited out (a flipped bit in a length prefix reads as exabytes)
 _MAX_FRAME = 1 << 34
 
+#: the server's cap on a request body: requests are small JSON (the
+#: largest, ``acquire``, names a reader's few cached digests), so a longer
+#: length prefix is a corrupt stream, not a request to buffer
+_MAX_REQUEST = 1 << 20
+
 
 def net_available() -> bool:
     """Whether loopback TCP sockets actually work in this environment."""
@@ -138,22 +146,34 @@ def _send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(_LEN.pack(len(payload)) + payload)
 
 
-def _recv_frame(sock: socket.socket) -> Optional[bytes]:
-    head = _recv_exact(sock, _LEN.size)
-    if head is None:
-        return None
-    return _recv_exact(sock, _LEN.unpack(head)[0])
-
-
 def _send_msg(sock: socket.socket, obj: dict) -> None:
     _send_frame(sock, json.dumps(obj, separators=(",", ":")).encode("ascii"))
 
 
+class _MalformedRequest(Exception):
+    """A request the server cannot parse; it ends the connection."""
+
+
 def _recv_msg(sock: socket.socket) -> Optional[dict]:
-    frame = _recv_frame(sock)
+    """One JSON-object message; None at EOF.  Raises
+    :class:`_MalformedRequest` for a body over :data:`_MAX_REQUEST` bytes
+    or one that is not an ASCII JSON object."""
+    head = _recv_exact(sock, _LEN.size)
+    if head is None:
+        return None
+    (nbytes,) = _LEN.unpack(head)
+    if nbytes > _MAX_REQUEST:
+        raise _MalformedRequest
+    frame = _recv_exact(sock, nbytes)
     if frame is None:
         return None
-    return json.loads(frame.decode("ascii"))
+    try:
+        msg = json.loads(frame.decode("ascii"))
+    except (ValueError, RecursionError):  # undecodable bytes or JSON
+        raise _MalformedRequest from None
+    if not isinstance(msg, dict):
+        raise _MalformedRequest
+    return msg
 
 
 # -- writer side ------------------------------------------------------------
@@ -425,6 +445,13 @@ class PlaneServer:
                     self._handle_op(conn, msg)
                 finally:
                     self._exit_op()
+        except _MalformedRequest:
+            # The stream can no longer be trusted to be framed: say why
+            # once and drop the connection; the reader reconnects.
+            try:
+                _send_msg(conn, {"ok": False, "error": "malformed request"})
+            except OSError:
+                pass
         except OSError:
             return
         finally:
@@ -458,8 +485,11 @@ class PlaneServer:
                 "generation": self._registry.generation(),
             })
         elif op == "acquire":
-            resp, frame = self._acquire(self._conn_readers.get(conn),
-                                        msg.get("have") or [],
+            have = msg.get("have") or []
+            if not (isinstance(have, list)
+                    and all(isinstance(d, str) for d in have)):
+                raise _MalformedRequest
+            resp, frame = self._acquire(self._conn_readers.get(conn), have,
                                         bool(msg.get("delta")))
             _send_msg(conn, resp)
             if frame is not None:

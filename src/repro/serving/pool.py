@@ -735,7 +735,7 @@ class ServeSession:
     def map_distance(self, pairs: Sequence[Tuple[int, int]],
                      chunk_size: Optional[int] = None,
                      timeout: Optional[float] = None) -> List[tuple]:
-        """Fan a batch of ``(s, t)`` pairs across the pool, chunked.
+        """Fan a batch of ``(s, t)`` pairs across the pool in chunks.
 
         Returns one ``(value, stats, epoch)`` per input pair, in input
         order.  Chunks lost to crashed workers are reaped, respawned, and

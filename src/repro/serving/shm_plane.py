@@ -3,9 +3,9 @@
 One :class:`~repro.core.hub_index.DensePlane` becomes one
 ``multiprocessing.shared_memory`` segment holding exactly the byte format
 of :mod:`repro.serving.codec` — header, JSON manifest, then every buffer
-at a 64-byte-aligned offset — with no per-chunk digest table, since
-mapped readers never diff.  Export lays the manifest out once and encodes
-straight into the freshly created segment; attach decodes the mapped
+at a 64-byte-aligned offset — byte for byte the TCP payload of the same
+plane and epoch.  Export lays the manifest out once and encodes straight
+into the freshly created segment; attach decodes the mapped
 bytes into zero-copy numpy views, so attaching costs O(#buffers) and the
 search loops then index the mapped bytes themselves, exactly as on the
 in-process plane.
@@ -195,10 +195,10 @@ class ShmPlane:
         """
         if shared_memory is None:  # pragma: no cover
             raise ConfigError("multiprocessing.shared_memory is unavailable")
-        # Readers map these bytes and never diff them: no chunk table, and
-        # the one layout both sizes the segment and is written into it.
+        # The one layout both sizes the segment and is written into it:
+        # the segment holds exactly encode_plane(plane, epoch).
         buffers = plane_buffers(plane)
-        layout = plane_manifest(plane, epoch, buffers, chunked=False)
+        layout = plane_manifest(plane, epoch, buffers)
         shm = shared_memory.SharedMemory(create=True, size=layout[2],
                                          name=name)
         _created.add(name)

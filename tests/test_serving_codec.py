@@ -8,6 +8,7 @@ queries bit-identically (values and stats) to the original.
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -24,17 +25,15 @@ from repro.serving.codec import (
     CHUNK_BYTES,
     PlaneGraph,
     apply_plane_delta,
-    buffers_manifest,
     decode_plane,
     delta_header,
     delta_patch_bytes,
-    diff_manifests,
+    diff_payloads,
     encode_buffers,
     encode_buffers_into,
     encode_plane,
     encode_plane_delta,
     materialize_plane,
-    payload_manifest,
     plane_buffers,
     plane_digest,
     plane_manifest,
@@ -176,42 +175,81 @@ class TestRoundTrip:
             )
 
 
-class TestChunkTables:
-    """The chunk-addressed side of the format: dirty ranges and deltas."""
+def _payload(*buffers) -> bytes:
+    return encode_buffers(list(buffers))
 
-    def test_manifest_chunk_counts(self):
-        x = np.arange(CHUNK_BYTES // 8 * 3 + 5, dtype=np.float64)
-        payload = encode_buffers([("x", x)])
-        spec = payload_manifest(payload)["buffers"]["x"]
-        assert len(spec["chunks"]) == -(-x.nbytes // CHUNK_BYTES)
-        assert all(len(c) == 16 for c in spec["chunks"])
 
-    def test_empty_buffer_has_no_chunks(self):
+def _with_header(delta: bytes, **changes) -> bytes:
+    """``delta`` with its header JSON rewritten (lengths kept consistent)."""
+    hlen = int.from_bytes(delta[:8], "big")
+    head = json.loads(delta[8:8 + hlen])
+    head.update(changes)
+    hbytes = json.dumps(head).encode("ascii")
+    return len(hbytes).to_bytes(8, "big") + hbytes + delta[8 + hlen:]
+
+
+def _reference_diff(base: bytes, target: bytes):
+    """The dirty ranges :func:`diff_payloads` must find, chunk by chunk in
+    plain Python over the decoded buffers' bytes."""
+    base_manifest, base_arrays = decode_plane(base)
+    target_manifest, target_arrays = decode_plane(target)
+    out = {}
+    for name, spec in target_manifest["buffers"].items():
+        old = base_manifest["buffers"].get(name)
+        if (old is None or (old["dtype"], old["shape"])
+                != (spec["dtype"], spec["shape"])):
+            out[name] = None
+            continue
+        was = base_arrays[name].tobytes()
+        now = target_arrays[name].tobytes()
+        ranges = []
+        for start in range(0, len(now), CHUNK_BYTES):
+            end = min(start + CHUNK_BYTES, len(now))
+            if was[start:end] == now[start:end]:
+                continue
+            if ranges and ranges[-1][1] == start:
+                ranges[-1] = (ranges[-1][0], end)
+            else:
+                ranges.append((start, end))
+        out[name] = ranges
+    return out
+
+
+class TestPayloadDiff:
+    """Dirty ranges found by comparing the two payloads, and the deltas
+    built from them."""
+
+    def test_manifest_carries_only_the_layout(self):
+        """No per-chunk table: the manifest does not grow with a buffer."""
+        small = decode_plane(_payload(("x", np.zeros(10))))[0]
+        big = decode_plane(_payload(("x", np.zeros(100_000))))[0]
+        assert set(small) == {"version", "buffers"}
+        assert set(small["buffers"]["x"]) == {"dtype", "shape", "offset"}
+        assert set(big["buffers"]["x"]) == {"dtype", "shape", "offset"}
+
+    def test_empty_buffer_diffs_clean(self):
         empty = np.zeros(0, dtype=np.float32)
         tail = np.ones(7, dtype=np.int32)
-        payload = encode_buffers([("empty", empty), ("tail", tail)])
+        payload = _payload(("empty", empty), ("tail", tail))
         manifest, arrays = decode_plane(payload)
-        assert manifest["buffers"]["empty"]["chunks"] == []
         assert arrays["empty"].size == 0
         np.testing.assert_array_equal(arrays["tail"], tail)
+        assert diff_payloads(payload, payload) == {"empty": [], "tail": []}
         # a delta whose base and target both carry the empty buffer is
         # composable and names no patches for it
         delta = encode_plane_delta(payload, payload)
-        assert not any(n == "empty" for n, _s, _e
-                       in delta_header(delta)["patches"])
+        assert delta_header(delta)["patches"] == []
         assert apply_plane_delta(payload, delta) == payload
 
     def test_dirty_ranges_cover_exactly_the_churn(self):
         x = np.zeros(CHUNK_BYTES, dtype=np.float64)  # 8 chunks
-        base = encode_buffers([("x", x)])
+        base = _payload(("x", x))
         y = x.copy()
         y[0] = 1.0                        # chunk 0
         y[CHUNK_BYTES // 8 * 5] = 2.0     # chunk 5
-        target = encode_buffers([("x", y)])
-        dirty = diff_manifests(payload_manifest(base),
-                               payload_manifest(target))
-        assert dirty["x"] == [(0, CHUNK_BYTES),
-                              (5 * CHUNK_BYTES, 6 * CHUNK_BYTES)]
+        target = _payload(("x", y))
+        assert diff_payloads(base, target)["x"] == [
+            (0, CHUNK_BYTES), (5 * CHUNK_BYTES, 6 * CHUNK_BYTES)]
         delta = encode_plane_delta(base, target)
         assert delta_patch_bytes(delta) == 2 * CHUNK_BYTES
         assert len(delta) < len(target)
@@ -219,35 +257,30 @@ class TestChunkTables:
 
     def test_adjacent_dirty_chunks_coalesce(self):
         x = np.zeros(CHUNK_BYTES, dtype=np.float64)
-        base = encode_buffers([("x", x)])
+        base = _payload(("x", x))
         y = x.copy()
         y[CHUNK_BYTES // 8 * 2:CHUNK_BYTES // 8 * 4] = 3.0  # chunks 2+3
-        target = encode_buffers([("x", y)])
-        dirty = diff_manifests(payload_manifest(base),
-                               payload_manifest(target))
-        assert dirty["x"] == [(2 * CHUNK_BYTES, 4 * CHUNK_BYTES)]
+        target = _payload(("x", y))
+        assert diff_payloads(base, target)["x"] == [
+            (2 * CHUNK_BYTES, 4 * CHUNK_BYTES)]
 
     @pytest.mark.parametrize("new_len", [CHUNK_BYTES // 8 * 8 + 100,
                                          CHUNK_BYTES // 8 * 2])
     def test_growth_and_shrink_force_full_buffer_patch(self, new_len):
         x = np.arange(CHUNK_BYTES, dtype=np.float64)
-        base = encode_buffers([("x", x)])
+        base = _payload(("x", x))
         y = np.arange(new_len, dtype=np.float64)
-        target = encode_buffers([("x", y)])
-        dirty = diff_manifests(payload_manifest(base),
-                               payload_manifest(target))
-        assert dirty["x"] is None
+        target = _payload(("x", y))
+        assert diff_payloads(base, target)["x"] is None
         delta = encode_plane_delta(base, target)
         assert delta_patch_bytes(delta) == y.nbytes
         assert apply_plane_delta(base, delta) == target
 
     def test_dtype_change_forces_full_resend(self):
         x = np.arange(512, dtype=np.float64)
-        base = encode_buffers([("x", x)])
-        target = encode_buffers([("x", x.astype(np.float32))])
-        dirty = diff_manifests(payload_manifest(base),
-                               payload_manifest(target))
-        assert dirty["x"] is None
+        base = _payload(("x", x))
+        target = _payload(("x", x.astype(np.float32)))
+        assert diff_payloads(base, target)["x"] is None
         delta = encode_plane_delta(base, target)
         assert delta_patch_bytes(delta) == x.astype(np.float32).nbytes
         assert apply_plane_delta(base, delta) == target
@@ -255,19 +288,90 @@ class TestChunkTables:
     def test_new_buffer_arrives_whole_and_dropped_buffer_vanishes(self):
         x = np.arange(600, dtype=np.float64)
         z = np.arange(40, dtype=np.int32)
-        base = encode_buffers([("x", x)])
-        target = encode_buffers([("x", x), ("z", z)])
-        dirty = diff_manifests(payload_manifest(base),
-                               payload_manifest(target))
+        base = _payload(("x", x))
+        target = _payload(("x", x), ("z", z))
+        dirty = diff_payloads(base, target)
         assert dirty["x"] == [] and dirty["z"] is None
         assert apply_plane_delta(base, encode_plane_delta(base, target)) \
             == target
         # the reverse direction simply stops mentioning z
-        back = diff_manifests(payload_manifest(target),
-                              payload_manifest(base))
-        assert set(back) == {"x"}
+        assert set(diff_payloads(target, base)) == {"x"}
         assert apply_plane_delta(target, encode_plane_delta(target, base)) \
             == base
+
+    def test_emptied_or_retyped_empty_buffer_composes(self):
+        """A buffer that is empty in the target carries no bytes, so the
+        delta has no patch for it and composing needs none."""
+        x = np.arange(300, dtype=np.int64)
+        for old, new in ((x, x[:0]), (x[:0], x[:0].astype(np.float32)),
+                         (np.zeros((0, 4)), np.zeros((0, 9)))):
+            base = _payload(("a", old), ("b", x))
+            target = _payload(("a", new), ("b", x))
+            delta = encode_plane_delta(base, target)
+            assert delta_header(delta)["patches"] == []
+            assert apply_plane_delta(base, delta) == target
+
+    def test_byte_identical_buffers_diff_clean_across_layout_shifts(self):
+        """Equal buffers are clean even when the manifest (and so every
+        buffer offset) moved between the two payloads."""
+        x = np.arange(3000, dtype=np.float64)
+        base = _payload(("x", x))
+        target = encode_buffers([("x", x)], {"epoch": 10 ** 40})
+        assert decode_plane(base)[0] != decode_plane(target)[0]
+        assert diff_payloads(base, target) == {"x": []}
+        delta = encode_plane_delta(base, target)
+        assert delta_patch_bytes(delta) == 0
+        assert apply_plane_delta(base, delta) == target
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_diff_and_composes(self, seed):
+        """Seeded differential against a plain-Python chunk comparison:
+        mixed dtypes and 2-D buffers, lengths off the chunk grid, empty,
+        grown, shrunk, retyped, new and dropped buffers."""
+        rng = np.random.default_rng(seed)
+        dtypes = [np.uint8, np.int32, np.int64, np.float32, np.float64]
+
+        def buffer(dtype, shape):
+            return rng.integers(0, 4, size=shape).astype(dtype)
+
+        base, target = [], []
+        for i in range(8):
+            dtype = dtypes[rng.integers(len(dtypes))]
+            length = int(rng.choice([0, 1, 7, 511, CHUNK_BYTES,
+                                     CHUNK_BYTES + 3,
+                                     int(rng.integers(1, 6000))]))
+            shape = (length,) if i % 3 else (3, length)
+            old = buffer(dtype, shape)
+            new = old.copy()
+            flat = new.reshape(-1)
+            if flat.size:
+                hits = rng.integers(0, flat.size,
+                                    size=int(rng.integers(0, 5)))
+                flat[hits] = flat[hits] + 1
+            fate = rng.integers(6)
+            if fate == 1:
+                new = buffer(dtype, (length + int(rng.integers(1, 300)),))
+            elif fate == 2 and length:
+                new = buffer(dtype, (int(rng.integers(0, length)),))
+            elif fate == 3:
+                new = new.astype(np.float64 if dtype != np.float64
+                                 else np.float32)
+            if fate != 4:   # 4: the buffer is dropped from the target
+                target.append((f"b{i}", new))
+            if fate != 5:   # 5: the buffer is new in the target
+                base.append((f"b{i}", old))
+        base, target = _payload(*base), _payload(*target)
+        expected = _reference_diff(base, target)
+        assert diff_payloads(base, target) == expected
+        delta = encode_plane_delta(base, target)
+        assert delta_patch_bytes(delta) == sum(
+            end - start
+            for name, ranges in expected.items()
+            for start, end in (ranges if ranges is not None else [
+                (0, decode_plane(target)[1][name].nbytes)]))
+        assert apply_plane_delta(base, delta) == target
+        back = encode_plane_delta(target, base)
+        assert apply_plane_delta(target, back) == base
 
     def test_identical_plane_delta_is_header_only(self):
         """A republish under a new epoch ships zero buffer bytes."""
@@ -292,6 +396,7 @@ class TestChunkTables:
         new_view = store.publish()
         target = encode_plane(new_view.dense_plane("distance"),
                               epoch=new_view.epoch)
+        assert diff_payloads(base, target) == _reference_diff(base, target)
         delta = encode_plane_delta(base, target)
         composed = apply_plane_delta(base, delta)
         assert composed == target
@@ -307,53 +412,22 @@ class TestChunkTables:
             value, _stats = engine.best_cost(s, t)
             assert value == new_view.distance(s, t).value
 
-    def test_unchunked_manifests_never_diff_clean(self):
-        """Without chunk tables nothing proves a buffer clean: every buffer
-        is resent whole, even between byte-identical payloads."""
-        x = np.arange(600, dtype=np.float64)
-        layout = buffers_manifest([("x", x)], chunked=False)
-        sink = bytearray(layout[2])
-        encode_buffers_into([("x", x)], sink, layout)
-        bare = bytes(sink)
-        manifest = payload_manifest(bare)
-        assert "chunk_bytes" not in manifest
-        assert "chunks" not in manifest["buffers"]["x"]
-        np.testing.assert_array_equal(decode_plane(bare)[1]["x"], x)
-        chunked = encode_buffers([("x", x)])
-        for base, target in ((bare, bare), (chunked, bare), (bare, chunked)):
-            dirty = diff_manifests(payload_manifest(base),
-                                   payload_manifest(target))
-            assert dirty == {"x": None}
-            delta = encode_plane_delta(base, target)
-            assert delta_patch_bytes(delta) == x.nbytes
-            assert apply_plane_delta(base, delta) == target
-        # a chunk table missing on one buffer only resends that buffer
-        spec_less = payload_manifest(chunked)
-        del spec_less["buffers"]["x"]["chunks"]
-        assert diff_manifests(spec_less, payload_manifest(chunked)) \
-            == {"x": None}
-        assert diff_manifests(payload_manifest(chunked), spec_less) \
-            == {"x": None}
-
-    def test_encode_plane_hashes_each_buffer_once(self, monkeypatch):
-        """One layout per encode: the payload is byte-identical to the
-        two-pass encode, with exactly one digest pass per buffer."""
+    def test_encode_plane_lays_out_once_and_hashes_nothing(self,
+                                                           monkeypatch):
+        """The payload is byte-identical to the two-pass encode, and
+        encoding computes no digest at all: only the delta and the
+        plane's content digest hash."""
         from repro.serving import codec
 
+        class NoHashing:
+            def __getattr__(self, name):
+                raise AssertionError(f"encode called hashlib.{name}")
+
         _sg, view, plane = _published_plane(60, directed=True)
-        calls = []
-        real = codec.chunk_digests
-
-        def counting(data, *args, **kwargs):
-            calls.append(data.nbytes)
-            return real(data, *args, **kwargs)
-
-        monkeypatch.setattr(codec, "chunk_digests", counting)
+        monkeypatch.setattr(codec, "hashlib", NoHashing())
         payload = encode_plane(plane, epoch=view.epoch)
+        monkeypatch.undo()
         buffers = codec.plane_buffers(plane)
-        assert len(calls) == len(buffers)
-        assert calls == [arr.nbytes for _name, arr in buffers]
-        calls.clear()
         layout = plane_manifest(plane, view.epoch, buffers)
         two_pass = bytearray(layout[2])
         encode_buffers_into(buffers, two_pass, layout)
@@ -371,11 +445,73 @@ class TestChunkTables:
 
     def test_corrupt_patch_bytes_rejected(self):
         x = np.zeros(2048, dtype=np.float64)
-        base = encode_buffers([("x", x)])
+        base = _payload(("x", x))
         y = x.copy()
         y[5] = 9.0
-        target = encode_buffers([("x", y)])
+        target = _payload(("x", y))
         delta = bytearray(encode_plane_delta(base, target))
         delta[-1] ^= 0xFF  # flip one patched byte
         with pytest.raises(ConfigError, match="digest"):
             apply_plane_delta(base, bytes(delta))
+
+
+class TestMalformedDelta:
+    """Any frame that is not a well-formed delta raises ConfigError, the
+    one error a reader answers by asking for the full frame."""
+
+    @staticmethod
+    def _pair():
+        x = np.zeros(4096, dtype=np.float64)
+        y = x.copy()
+        y[700] = 1.0
+        base = _payload(("x", x), ("z", np.arange(50)))
+        return base, encode_plane_delta(base, _payload(("x", y),
+                                                       ("z", np.arange(50))))
+
+    def _rejected(self, base, frame):
+        with pytest.raises(ConfigError):
+            delta_header(frame)
+        with pytest.raises(ConfigError):
+            apply_plane_delta(base, frame)
+
+    def test_flipped_header_byte(self):
+        base, delta = self._pair()
+        frame = bytearray(delta)
+        frame[20] ^= 0xFF
+        self._rejected(base, bytes(frame))
+
+    def test_garbage_header(self):
+        base, delta = self._pair()
+        garbage = bytes(np.random.default_rng(3).integers(
+            0, 256, size=64, dtype=np.uint8))
+        self._rejected(base, len(garbage).to_bytes(8, "big") + garbage)
+        for body in (b"[1, 2, 3]", b"[" * 100_000):
+            self._rejected(base, len(body).to_bytes(8, "big") + body)
+
+    @pytest.mark.parametrize("cut", [0, 5, 8, 30])
+    def test_truncated_header(self, cut):
+        base, delta = self._pair()
+        self._rejected(base, delta[:cut])
+
+    def test_patch_naming_an_unknown_buffer(self):
+        base, delta = self._pair()
+        patches = delta_header(delta)["patches"]
+        assert patches
+        patches[0][0] = "no-such-buffer"
+        frame = _with_header(delta, patches=patches)
+        with pytest.raises(ConfigError, match="malformed plane delta"):
+            apply_plane_delta(base, frame)
+
+    @pytest.mark.parametrize("changes", [
+        {"total": 1 << 60},                  # an allocation, not a plane
+        {"total": 3},                        # shorter than the header
+        {"patches": [["x", "a", "b"]]},      # non-integer range
+        {"patches": [["x", 0]]},             # short patch entry
+        {"manifest_len": 5},                 # manifest cut mid-JSON
+        {"target": None},                    # incomplete header
+    ])
+    def test_inconsistent_header_fields(self, changes):
+        base, delta = self._pair()
+        frame = _with_header(delta, **changes)
+        with pytest.raises(ConfigError):
+            apply_plane_delta(base, frame)

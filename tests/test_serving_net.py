@@ -320,6 +320,48 @@ class TestNoServerLease:
             server.close(drain=False)
 
 
+class TestMalformedRequests:
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_malformed_requests_close_only_their_connection(self):
+        """Undecodable bodies, non-object JSON, a non-list ``have`` and an
+        oversized length prefix are each answered ``malformed request``
+        and end that connection; no server thread raises, and the server
+        keeps serving."""
+        from repro.serving.net import _LEN, _MAX_REQUEST, NetClient
+
+        def framed(body: bytes) -> bytes:
+            return _LEN.pack(len(body)) + body
+
+        server = PlaneServer()
+        try:
+            for raw in (
+                framed('{"op": "pöll"}'.encode("utf-8")),
+                framed(b"\xff\xfe garbage"),
+                framed(b'{"op": '),
+                framed(b'["poll"]'),
+                framed(b"[" * 100_000),
+                framed(b'{"op": "acquire", "have": "abc"}'),
+                framed(b'{"op": "acquire", "have": [1, 2]}'),
+                _LEN.pack(_MAX_REQUEST + 1),
+            ):
+                with socket.create_connection((server.host,
+                                               server.port)) as s:
+                    s.sendall(raw)
+                    assert _recv_msg(s) == {"ok": False,
+                                            "error": "malformed request"}
+                    assert s.recv(1) == b""
+            client = NetClient(server.host, server.port, retry=0)
+            try:
+                assert client.stats()["generation"] == 0
+            finally:
+                client.close()
+        finally:
+            # joins every connection thread, so any exception one raised
+            # has reached the thread-exception check before the test ends
+            server.close(drain=False)
+
+
 class TestNetReader:
     def test_standalone_reader_matches_view_and_refreshes(self):
         sg = _sgraph(68)
@@ -451,6 +493,43 @@ class TestDeltaSync:
             assert row["delta_fetches"] == 0
             assert row["cache_planes"] == 1
             assert row["cached"] == 1
+
+    def test_malformed_delta_frame_falls_back_to_full_fetch(self):
+        """A delta frame that does not even parse is a delta that does not
+        compose: the reader asks again in full instead of raising."""
+        from repro.serving.codec import encode_plane, encode_plane_delta
+        from repro.serving.net import NetClient
+
+        sg = _sgraph(74)
+        store = VersionedStore(sg)
+        view0 = store.publish()
+        _churn_weights(sg, random.Random(29))
+        view1 = store.publish()
+        payloads = [encode_plane(v.dense_plane("distance"), epoch=v.epoch)
+                    for v in (view0, view1)]
+        server = PlaneServer()
+        client = None
+        try:
+            d0 = server.publish(payloads[0], view0.epoch)
+            client = NetClient(server.host, server.port, delta=True)
+            assert client.acquire().epoch == view0.epoch
+            d1 = server.publish(payloads[1], view1.epoch)
+            frame = bytearray(encode_plane_delta(*payloads, d0, d1))
+            frame[20] ^= 0xFF
+            with server.registry.lock:
+                server._deltas[(d0, d1)] = bytes(frame)
+            full = client.transfer["full_fetches"]
+            lease = client.acquire()
+            assert lease.epoch == view1.epoch
+            assert client.transfer["full_fetches"] == full + 1
+            assert client.transfer["delta_fetches"] == 0
+            transfer = server.stats()["transfer"]
+            assert transfer["delta_fetches"] == 1  # the bad frame, once
+            assert transfer["full_fetches"] == 2
+        finally:
+            if client is not None:
+                client.close()
+            server.close(drain=False)
 
     def test_standalone_reader_delta_matches_view(self):
         sg = _sgraph(73)

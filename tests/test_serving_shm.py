@@ -21,6 +21,7 @@ from repro.core.engine import PairwiseEngine
 from repro.core.pruning import PruningPolicy
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serving import PlaneGraph, ShmPlane, leaked_segments, shm_available
+from repro.serving.codec import decode_plane, encode_plane
 from repro.serving.registry import LIVE, EpochRegistry
 from repro.serving.shm_plane import unlink_segment
 from repro.sgraph import SGraph
@@ -135,26 +136,21 @@ class TestShmPlaneRoundTrip:
         assert leaked_segments(name) == []
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_export_hashes_nothing(self, directed, monkeypatch):
-        """Mapped readers never diff, so a segment carries no chunk table
-        and exporting one computes no chunk digest at all."""
-        from repro.serving import codec
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("shm export hashed a chunk")
-
-        monkeypatch.setattr(codec, "chunk_digests", refuse)
+    def test_segment_bytes_equal_the_tcp_payload(self, directed):
+        """One layout for both transports: the segment holds exactly
+        ``encode_plane(plane, epoch)``, and the plane it maps answers like
+        the writer's."""
         sg = _sgraph(13, directed)
         view = VersionedStore(sg).publish()
-        name = f"rptest-nohash{int(directed)}"
-        exported = ShmPlane.export(view.dense_plane("distance"), name,
-                                   epoch=view.epoch)
+        plane = view.dense_plane("distance")
+        payload = encode_plane(plane, epoch=view.epoch)
+        name = f"rptest-layout{int(directed)}"
+        exported = ShmPlane.export(plane, name, epoch=view.epoch)
         try:
             attached = ShmPlane.attach(name)
-            manifest = attached.manifest
-            assert "chunk_bytes" not in manifest
-            assert all("chunks" not in spec
-                       for spec in manifest["buffers"].values())
+            assert attached.nbytes >= len(payload)
+            assert bytes(attached._shm.buf[:len(payload)]) == payload
+            assert attached.manifest == decode_plane(payload)[0]
             remote = attached.as_dense_plane()
             engine = PairwiseEngine(
                 PlaneGraph(remote.csr),
