@@ -19,10 +19,10 @@ import tempfile
 from pathlib import Path
 
 from repro import SGraph, SGraphConfig
-from repro.bench.trace import interleave, read_trace, replay_trace, write_trace
 from repro.core.pairwise import QueryKind
 from repro.graph.generators import power_law_graph
 from repro.graph.stats import sample_vertex_pairs
+from repro.streaming.trace import interleave, read_trace, replay_trace, write_trace
 from repro.streaming.versioning import VersionedStore
 from repro.streaming.workload import sliding_window_stream
 

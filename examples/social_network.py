@@ -20,7 +20,7 @@ Run with::
 import time
 
 from repro import SGraph, SGraphConfig
-from repro.baselines import RecomputeEngine
+from repro.baselines import full_sssp
 from repro.graph.generators import power_law_graph
 from repro.graph.stats import sample_vertex_pairs
 from repro.streaming.update import batched
@@ -37,7 +37,6 @@ def main() -> None:
         config=SGraphConfig(num_hubs=16, queries=("distance", "hops")),
     )
     sg.rebuild_indexes()
-    recompute = RecomputeEngine(graph)
     queries = sample_vertex_pairs(graph, 12, seed=22, min_hops=2)
     stream = insert_only_stream(graph, 600, seed=23)
 
@@ -59,13 +58,16 @@ def main() -> None:
             )
 
     # What would the exhaustive engine have paid for the last query?
+    # It settles the source's whole component before it can answer.
     s, t = queries[0]
-    baseline = recompute.distance(s, t)
+    start = time.perf_counter()
+    _dist, baseline = full_sssp(graph, s)
+    baseline_ms = 1e3 * (time.perf_counter() - start)
     mine = sg.distance(s, t)
     print(
         f"\nexhaustive baseline for ({s}, {t}): "
-        f"{1e3 * baseline.stats.elapsed:.1f} ms, "
-        f"{baseline.stats.activations} activated "
+        f"{baseline_ms:.1f} ms, "
+        f"{baseline.activations} activated "
         f"vs SGraph {1e3 * mine.stats.elapsed:.3f} ms, "
         f"{mine.stats.activations} activated"
     )

@@ -10,11 +10,10 @@ Public API highlights:
   indexed query families.
 * :mod:`repro.graph` — the evolving-graph substrate (storage, snapshots,
   generators, dataset proxies).
-* :mod:`repro.streaming` — update streams, ingestion, incremental index
-  maintenance, published-epoch views.
+* :mod:`repro.streaming` — update streams, incremental index maintenance,
+  published-epoch views, workload traces.
 * :mod:`repro.baselines` — the comparison systems (plain/bidirectional
-  Dijkstra, upper-bound-only pruning, full recompute, continuous streaming
-  maintenance).
+  Dijkstra and full SSSP, the label-correcting propagation model).
 """
 
 from repro.core.config import SGraphConfig

@@ -7,8 +7,6 @@ from repro.baselines.dijkstra import (
     full_sssp,
 )
 from repro.baselines.propagation import PropagationEngine
-from repro.baselines.recompute import RecomputeEngine
-from repro.baselines.streaming_engine import ContinuousPairwiseEngine
 
 __all__ = [
     "dijkstra_distance",
@@ -16,6 +14,4 @@ __all__ = [
     "bfs_hops",
     "full_sssp",
     "PropagationEngine",
-    "RecomputeEngine",
-    "ContinuousPairwiseEngine",
 ]

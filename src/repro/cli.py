@@ -9,18 +9,14 @@ Usage (also available as ``python -m repro.cli``)::
     repro serve social-pl --workers 2   # multiprocess shm serving demo
     repro serve social-pl --transport tcp  # + TCP plane server for remotes
     repro attach 127.0.0.1:4702         # remote reader over TCP
-    repro experiment e2                 # regenerate one experiment table
-    repro experiment all                # regenerate every table
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from repro.bench.experiments import ALL_EXPERIMENTS
-from repro.bench.report import format_table
 from repro.core.config import SGraphConfig
 from repro.errors import ConfigError, QueryError
 from repro.core.hub_selection import DEFAULT_STRATEGY, STRATEGIES
@@ -28,6 +24,34 @@ from repro.core.semiring import ShortestDistance
 from repro.graph.datasets import DATASETS, dataset_names, load_dataset
 from repro.graph.stats import profile_graph
 from repro.sgraph import SGraph
+
+
+def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
+    """Render dict-rows as a fixed-width table.
+
+    Column order follows the first row's key order; missing cells render
+    empty.  Values are stringified with ``str``.
+    """
+    if not rows:
+        return f"{title}\n(no rows)" if title else "(no rows)"
+    columns: List[str] = list(rows[0].keys())
+    for row in rows[1:]:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
+    cells = [[str(row.get(col, "")) for col in columns] for row in rows]
+    widths = [
+        max(len(col), *(len(line[i]) for line in cells))
+        for i, col in enumerate(columns)
+    ]
+    parts: List[str] = [title] if title else []
+    parts.append("  ".join(col.ljust(widths[i])
+                           for i, col in enumerate(columns)))
+    parts.append("  ".join("-" * w for w in widths))
+    for line in cells:
+        parts.append("  ".join(line[i].ljust(widths[i])
+                               for i in range(len(columns))))
+    return "\n".join(parts)
 
 
 def _cmd_datasets(_args: argparse.Namespace) -> int:
@@ -158,8 +182,8 @@ def _cmd_many(args: argparse.Namespace) -> int:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.bench.trace import interleave, write_trace
     from repro.core.pairwise import QueryKind
+    from repro.streaming.trace import interleave, write_trace
     from repro.streaming.workload import query_stream, sliding_window_stream
 
     graph = load_dataset(args.dataset)
@@ -175,7 +199,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.bench.trace import read_trace, replay_trace
+    from repro.streaming.trace import read_trace, replay_trace
 
     graph = load_dataset(args.dataset)
     sg = SGraph(
@@ -311,32 +335,6 @@ def _cmd_attach(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    import inspect
-
-    def run(fn):
-        # Pass --backend through to the experiments that understand it; the
-        # rest (update-path, memory, …) have no serving plane to choose.
-        if "backend" in inspect.signature(fn).parameters:
-            return fn(backend=args.backend)
-        return fn()
-
-    key = args.id.lower()
-    if key == "all":
-        for title, fn in ALL_EXPERIMENTS.items():
-            print(format_table(run(fn), title=f"== {title} =="))
-            print()
-        return 0
-    for title, fn in ALL_EXPERIMENTS.items():
-        if title.lower().startswith(key + " "):
-            print(format_table(run(fn), title=f"== {title} =="))
-            return 0
-    print(f"unknown experiment {args.id!r}; known: "
-          f"{', '.join(t.split()[0] for t in ALL_EXPERIMENTS)} or 'all'",
-          file=sys.stderr)
-    return 2
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -467,15 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     attach.add_argument("--cache-planes", type=int, default=4,
                         help="decoded planes kept in the local LRU cache")
     attach.set_defaults(fn=_cmd_attach)
-
-    experiment = sub.add_parser("experiment",
-                                help="regenerate an experiment table")
-    experiment.add_argument("id", help="e2, e3, e7, e9, e10, e11, e13, e19, "
-                                  "or 'all'")
-    experiment.add_argument("--backend", default="auto",
-                            choices=["auto", "dense", "dict"],
-                            help="serving plane for backend-aware experiments")
-    experiment.set_defaults(fn=_cmd_experiment)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Engine configuration object for the facade and the benchmark harness."""
+"""Engine configuration object for the facade."""
 
 from __future__ import annotations
 

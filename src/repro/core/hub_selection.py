@@ -189,7 +189,7 @@ def _bfs_hops_update(graph, source: int, hops: Dict[int, int]) -> None:
     return
 
 
-#: registry used by configs and the benchmark harness
+#: registry used by configs and the CLI
 STRATEGIES: Dict[str, Callable[..., List[int]]] = {
     "auto": select_auto,
     "degree": select_by_degree,

@@ -71,7 +71,7 @@ class QueryStats:
 
 @dataclass
 class StatsAggregate:
-    """Mean/percentile rollup over many queries, built by the harness."""
+    """Mean/percentile rollup over many queries (a trace replay's report)."""
 
     activations: List[int] = field(default_factory=list)
     elapsed: List[float] = field(default_factory=list)

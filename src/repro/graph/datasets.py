@@ -173,26 +173,3 @@ def load_dataset(name: str) -> DynamicGraph:
             f"unknown dataset {name!r}; known: {', '.join(DATASETS)}"
         ) from None
     return spec.builder()
-
-
-def load_scaled(name: str, scale: float) -> DynamicGraph:
-    """Build a size-scaled variant of a proxy for sweep experiments.
-
-    ``scale`` multiplies the vertex count (clamped to sane minimums); only the
-    generators that scale cleanly are supported.
-    """
-    if scale <= 0:
-        raise ConfigError("scale must be positive")
-    if name == "social-pl":
-        n = max(64, int(4000 * scale))
-        return power_law_graph(num_vertices=n, edges_per_vertex=5, seed=11,
-                               weight_range=(1.0, 4.0))
-    if name == "road-grid":
-        side = max(8, int(64 * scale ** 0.5))
-        return grid_graph(rows=side, cols=side, seed=13,
-                          weight_range=(1.0, 10.0), diagonal_fraction=0.15)
-    if name == "uniform-er":
-        n = max(64, int(3000 * scale))
-        return erdos_renyi_graph(num_vertices=n, num_edges=5 * n, seed=15,
-                                 weight_range=(1.0, 4.0))
-    raise ConfigError(f"dataset {name!r} does not support scaling")

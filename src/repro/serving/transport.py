@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import gc
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.core.engine import PairwiseEngine
 from repro.core.workspace import SearchWorkspace
@@ -373,7 +373,7 @@ class ShmTransport(PlaneTransport):
         self._board = EpochRegistry.create(
             prefix + "board", num_workers=num_workers, lock=self._lock,
         )
-        self._exports: Dict[int, ShmPlane] = {}
+        self._published: Set[int] = set()
 
     @property
     def registry(self) -> EpochRegistry:
@@ -385,12 +385,19 @@ class ShmTransport(PlaneTransport):
         return self._prefix
 
     def publish_plane(self, plane, epoch: int) -> bool:
-        if epoch in self._exports:
+        if epoch in self._published:
             return False
         name = f"{self._prefix}e{epoch}"
         handle = ShmPlane.export(plane, name, epoch=epoch)
-        self._exports[epoch] = handle
-        self._board.register(name, epoch)
+        self._published.add(epoch)
+        try:
+            self._board.register(name, epoch)
+        finally:
+            # The writer never reads a segment back, and eviction and
+            # shutdown unlink it by name: a kept mapping would pin every
+            # published plane's pages (and every forked worker would
+            # inherit them) for the whole session.
+            handle.close()
         return True
 
     def reader_spec(self) -> ShmReaderSpec:
@@ -400,9 +407,6 @@ class ShmTransport(PlaneTransport):
         return f"shm segments {self._prefix}*"
 
     def close(self) -> None:
-        for handle in self._exports.values():
-            handle.close()
-        self._exports = {}
         self._board.shutdown()
 
 

@@ -1,13 +1,10 @@
-"""Streaming substrate: update batches, ingestion, incremental maintenance."""
+"""Streaming substrate: update batches, incremental maintenance, traces."""
 
 from repro.streaming.incremental_sssp import IncrementalBestPath
-from repro.streaming.ingest import IngestEngine, IngestStats
 from repro.streaming.update import EdgeUpdate, UpdateBatch, UpdateKind
 
 __all__ = [
     "IncrementalBestPath",
-    "IngestEngine",
-    "IngestStats",
     "EdgeUpdate",
     "UpdateBatch",
     "UpdateKind",

@@ -11,7 +11,7 @@ Three stream shapes cover the evaluation:
 
 All generators are deterministic in their seed and never emit an update that
 would be redundant *at generation time* against the tracked edge set (the
-ingest engine still tolerates redundancy, but benchmarks should measure real
+facade still tolerates redundancy, but a measured stream should do real
 work).
 """
 

@@ -13,6 +13,7 @@ from repro.graph.generators import (
     grid_graph,
     power_law_graph,
 )
+from repro.streaming.update import EdgeUpdate, UpdateKind
 
 
 @pytest.fixture
@@ -128,3 +129,20 @@ def random_mutation_sequence(graph, steps: int, seed: int):
             live.add(key)
             yield ("insert", key[0], key[1], rng.uniform(1.0, 5.0))
 
+
+def apply_and_notify(graph, update: EdgeUpdate, *indexes) -> None:
+    """Apply one stream update to ``graph``, then notify each index, in the
+    facade's order: a weight change is a delete and a re-insert, an
+    identical insert or the delete of an absent edge does nothing."""
+    src, dst = update.src, update.dst
+    if graph.has_edge(src, dst):
+        old_weight = graph.edge_weight(src, dst)
+        if update.kind is UpdateKind.INSERT and old_weight == update.weight:
+            return
+        graph.remove_edge(src, dst)
+        for index in indexes:
+            index.notify_edge_deleted(src, dst, old_weight)
+    if update.kind is UpdateKind.INSERT:
+        graph.add_edge(src, dst, update.weight)
+        for index in indexes:
+            index.notify_edge_inserted(src, dst, update.weight)

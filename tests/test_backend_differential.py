@@ -23,9 +23,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import SGraphConfig
-from repro.core.hub_index import DensePlane
+from repro.core.engine import PairwiseEngine
+from repro.core.hub_index import DensePlane, HubIndex
 from repro.core.pruning import PruningPolicy
+from repro.graph.datasets import load_dataset
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.stats import sample_vertex_pairs
 from repro.sgraph import SGraph
 from repro.streaming.versioning import VersionedStore
 
@@ -454,3 +457,39 @@ class TestDerivedRowsMatchRebuild:
             assert np.array_equal(
                 derived.tables.fwd_rows[pos], fresh.tables.fwd_rows[pos]
             )
+
+
+@pytest.fixture(scope="module", params=["social-pl", "road-grid"])
+def proxy_plane(request):
+    """One frozen epoch of a dataset proxy under 16 auto hubs: the
+    snapshot, its frozen index, its dense plane and 24 query pairs."""
+    graph = load_dataset(request.param)
+    index = HubIndex.build(graph, 16)
+    snapshot = graph.snapshot()
+    fwd, bwd = index.freeze()
+    frozen = HubIndex.from_tables(
+        snapshot, index.hubs, index.semiring, fwd,
+        backward_tables=bwd if snapshot.directed else None, copy=False,
+        large_diameter=index.large_diameter)
+    plane = DensePlane.build(snapshot, index.hubs, fwd, bwd,
+                             large_diameter=index.large_diameter)
+    pairs = sample_vertex_pairs(graph, 24, seed=1, min_hops=2)
+    return snapshot, frozen, plane, pairs
+
+
+class TestProxyParity:
+    """The two planes over one frozen epoch of the power-law and grid
+    proxies, at the hub count the library defaults to: the same values and
+    the same search work (the grid runs the bound-ordered loop)."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_distance_bit_identical(self, proxy_plane, policy):
+        snapshot, frozen, plane, pairs = proxy_plane
+        dict_engine = PairwiseEngine(snapshot, index=frozen, policy=policy)
+        dense_engine = PairwiseEngine(snapshot, index=frozen, policy=policy,
+                                      dense=plane)
+        for s, t in pairs:
+            a_value, a_stats = dict_engine.best_cost(s, t)
+            b_value, b_stats = dense_engine.best_cost(s, t)
+            assert b_value == a_value
+            assert _stats_tuple(b_stats) == _stats_tuple(a_stats)

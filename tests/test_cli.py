@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, format_table, main
 
 
 class TestParser:
@@ -33,6 +33,21 @@ class TestParser:
     def test_attach_delta_flag(self):
         args = build_parser().parse_args(["attach", "h:1", "--delta"])
         assert args.delta is True
+
+
+class TestFormatTable:
+    def test_alignment(self):
+        rows = [{"a": 1, "b": "xy"}, {"a": 22, "b": "z"}]
+        lines = format_table(rows, title="T").splitlines()
+        assert lines == ["T", "a   b ", "--  --", "1   xy", "22  z "]
+
+    def test_ragged_rows(self):
+        text = format_table([{"a": 1}, {"a": 2, "b": 3}])
+        assert text.splitlines()[0] == "a  b"
+
+    def test_empty(self):
+        assert format_table([], title="X") == "X\n(no rows)"
+        assert format_table([]) == "(no rows)"
 
 
 class TestCommands:
@@ -84,15 +99,11 @@ class TestCommands:
                      "--hubs", "4"]) == 0
         assert order in capsys.readouterr().out
 
-    def test_experiment_e13(self, capsys):
-        assert main(["experiment", "e13"]) == 0
-        out = capsys.readouterr().out
-        assert "== E13 directed ==" in out
-        assert "sgraph" in out
-
-    def test_experiment_unknown(self, capsys):
-        assert main(["experiment", "e99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+    def test_experiment_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "e2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'experiment'" in capsys.readouterr().err
 
     def test_record_then_replay(self, capsys, tmp_path):
         trace = str(tmp_path / "w.trace")

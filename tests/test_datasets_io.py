@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, GraphError
-from repro.graph.datasets import (
-    DATASETS,
-    dataset_names,
-    load_dataset,
-    load_scaled,
-)
+from repro.graph.datasets import DATASETS, dataset_names, load_dataset
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.io import read_edge_list, write_edge_list
 
@@ -34,17 +29,6 @@ class TestDatasets:
     def test_unknown_raises(self):
         with pytest.raises(ConfigError):
             load_dataset("nope")
-
-    def test_scaled_variants(self):
-        small = load_scaled("social-pl", 0.25)
-        big = load_scaled("social-pl", 1.0)
-        assert small.num_vertices < big.num_vertices
-
-    def test_scaled_invalid(self):
-        with pytest.raises(ConfigError):
-            load_scaled("social-pl", 0.0)
-        with pytest.raises(ConfigError):
-            load_scaled("web-rmat", 1.0)
 
     def test_specs_have_provenance(self):
         for spec in DATASETS.values():

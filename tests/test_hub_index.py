@@ -9,7 +9,11 @@ import pytest
 from repro.core.hub_index import HubIndex
 from repro.core.semiring import BOTTLENECK_CAPACITY
 from repro.errors import ConfigError, IndexStateError
-from tests.conftest import reference_dijkstra, reference_widest
+from tests.conftest import (
+    apply_and_notify,
+    reference_dijkstra,
+    reference_widest,
+)
 
 
 class TestBuild:
@@ -133,17 +137,15 @@ class TestMaintenance:
         trees settling under a tenth of the vertices a from-scratch build
         settles, and leaves every table equal to Dijkstra."""
         from repro.graph.datasets import load_dataset
-        from repro.streaming.ingest import IngestEngine
         from repro.streaming.update import batched
         from repro.streaming.workload import sliding_window_stream
 
         graph = load_dataset("social-pl")
         index = HubIndex.build(graph, 16)
-        engine = IngestEngine(graph, [index])
         for batch in batched(sliding_window_stream(graph, 50, seed=9), 10):
             repaired = 0
             for update in batch:
-                engine.apply_update(update)
+                apply_and_notify(graph, update, index)
                 repaired += index.settled_last_update
             rebuild = sum(
                 1 for hub in index.hubs for v in graph.vertices()
@@ -154,10 +156,11 @@ class TestMaintenance:
 
 
 class TestAccounting:
-    def test_size_entries_undirected(self, small_powerlaw):
-        index = HubIndex.build(small_powerlaw, 3)
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_size_entries_undirected(self, small_powerlaw, k):
+        index = HubIndex.build(small_powerlaw, k)
         # Connected graph: every vertex reachable from every hub.
-        assert index.size_entries() == 3 * small_powerlaw.num_vertices
+        assert index.size_entries() == k * small_powerlaw.num_vertices
 
     def test_size_entries_directed_counts_both(self, directed_diamond):
         index = HubIndex(directed_diamond, [0])

@@ -7,8 +7,6 @@ import math
 import pytest
 
 from repro.baselines.dijkstra import dijkstra_distance
-from repro.baselines.recompute import RecomputeEngine
-from repro.baselines.streaming_engine import ContinuousPairwiseEngine
 from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
 from repro.core.hub_index import HubIndex
@@ -17,14 +15,14 @@ from repro.graph.datasets import load_dataset
 from repro.graph.generators import power_law_graph
 from repro.graph.stats import sample_vertex_pairs
 from repro.sgraph import SGraph
-from repro.streaming.ingest import IngestEngine
 from repro.streaming.update import batched
 from repro.streaming.workload import mixed_stream, sliding_window_stream
+from tests.conftest import apply_and_notify
 
 
-class TestFourSystemsAgree:
-    """All four systems (SGraph, UB-only, recompute, continuous) must return
-    identical distances over an evolving social graph."""
+class TestSystemsAgreeWithDijkstra:
+    """SGraph and the upper-bound-only comparator must return Dijkstra's
+    distances over an evolving social graph."""
 
     def test_agreement_through_churn(self):
         graph = load_dataset("collab-sw")
@@ -32,41 +30,20 @@ class TestFourSystemsAgree:
 
         sg = SGraph(graph=graph, config=SGraphConfig(num_hubs=8))
         sg.distance(*pairs[0])  # build index
-        ub_index = HubIndex.build(graph, 8)
-        ub_only = PairwiseEngine(graph, index=ub_index, policy="upper-only")
-        recompute = RecomputeEngine(graph)
-        continuous = ContinuousPairwiseEngine(graph)
-        continuous.register_pairs(pairs)
+        # The comparator follows a second copy of the graph: one graph
+        # object mutated twice would apply every update twice.
+        ub_graph = load_dataset("collab-sw")
+        ub_index = HubIndex.build(ub_graph, 8)
+        ub_only = PairwiseEngine(ub_graph, index=ub_index, policy="upper-only")
 
-        # SGraph mutations go through the facade; the other listeners ride
-        # along on a second ingest engine sharing the same graph object is
-        # NOT allowed (double mutation), so updates are applied via the
-        # facade and mirrored to listeners manually.
-        updates = list(sliding_window_stream(graph, 120, seed=4))
-        for upd in updates:
-            from repro.streaming.update import UpdateKind
-
-            if upd.kind is UpdateKind.INSERT:
-                existed = graph.has_edge(upd.src, upd.dst)
-                old_w = graph.edge_weight(upd.src, upd.dst) if existed else None
-                sg.add_edge(upd.src, upd.dst, upd.weight)
-                if existed:
-                    ub_index.notify_edge_deleted(upd.src, upd.dst, old_w)
-                    continuous.notify_edge_deleted(upd.src, upd.dst, old_w)
-                ub_index.notify_edge_inserted(upd.src, upd.dst, upd.weight)
-                continuous.notify_edge_inserted(upd.src, upd.dst, upd.weight)
-            else:
-                if graph.has_edge(upd.src, upd.dst):
-                    old_w = graph.edge_weight(upd.src, upd.dst)
-                    sg.remove_edge(upd.src, upd.dst)
-                    ub_index.notify_edge_deleted(upd.src, upd.dst, old_w)
-                    continuous.notify_edge_deleted(upd.src, upd.dst, old_w)
+        for update in sliding_window_stream(graph, 120, seed=4):
+            sg.apply_update(update)
+            apply_and_notify(ub_graph, update, ub_index)
 
         for s, t in pairs:
-            expected = recompute.distance(s, t).value
+            expected, _stats = dijkstra_distance(graph, s, t)
             assert sg.distance(s, t).value == pytest.approx(expected)
             assert ub_only.best_cost(s, t)[0] == pytest.approx(expected)
-            assert continuous.distance(s, t).value == pytest.approx(expected)
 
 
 class TestScheduledWorkload:
@@ -141,18 +118,14 @@ class TestInterleavedRounds:
         assert checked == 12
 
 
-class TestIngestWithMultipleListeners:
-    def test_shared_stream_keeps_everyone_consistent(self):
+class TestUpperOnlyFollowsAStream:
+    def test_mixed_stream_keeps_the_comparator_exact(self):
         graph = load_dataset("uniform-er")
         ub_index = HubIndex.build(graph, 4)
         ub_only = PairwiseEngine(graph, index=ub_index, policy="upper-only")
-        continuous = ContinuousPairwiseEngine(graph)
+        for update in mixed_stream(graph, 100, 0.7, seed=7):
+            apply_and_notify(graph, update, ub_index)
         verts = sorted(graph.vertices())
-        continuous.register_source(verts[0])
-        ingest = IngestEngine(graph, [ub_index, continuous])
-        stats = ingest.apply_all(mixed_stream(graph, 100, 0.7, seed=7))
-        assert stats.applied == 100
         for t in verts[1:15]:
             ref, _s = dijkstra_distance(graph, verts[0], t)
             assert ub_only.best_cost(verts[0], t)[0] == pytest.approx(ref)
-            assert continuous.distance(verts[0], t).value == pytest.approx(ref)

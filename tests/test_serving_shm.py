@@ -10,6 +10,7 @@ outlives the session — including when a worker is SIGKILLed mid-query.
 from __future__ import annotations
 
 import math
+import os
 import random
 import sys
 import threading
@@ -420,6 +421,62 @@ class TestEpochHandoff:
                      session.transport.registry.slots()]
             assert f"{prefix}e{first}" not in names
             assert leaked_segments(f"{prefix}e{first}") == []
+        assert leaked_segments(prefix) == []
+
+
+def _mapped_segments(pid, prefix: str) -> set:
+    """Names of the ``prefix`` shm segments process ``pid`` maps."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return {line.split("/dev/shm/", 1)[1].split()[0]
+                for line in maps if f"/dev/shm/{prefix}" in line}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/<pid>/maps")
+class TestWriterMappings:
+    """The writer unmaps each plane segment once it is registered: only
+    readers map planes, so neither the writer nor a worker forked from it
+    pins retired epochs' pages."""
+
+    @staticmethod
+    def _publish_20(sg, session):
+        for i in range(20):
+            sg.add_edge(0, 30 + i, 0.1 + i / 100)
+            session.publish()
+
+    def test_writer_maps_only_the_board_after_20_publishes(self):
+        sg = _sgraph(45)
+        with sg.serve(workers=1) as session:
+            prefix = session.prefix
+            self._publish_20(sg, session)
+            assert session.distance(0, 49)[2] == sg.last_published_epoch
+            assert _mapped_segments("self", prefix) <= {prefix + "board"}
+        assert leaked_segments(prefix) == []
+
+    def test_respawned_worker_maps_board_and_current_plane(self):
+        sg = _sgraph(46)
+        with sg.serve(workers=1) as session:
+            prefix = session.prefix
+            self._publish_20(sg, session)
+            session.pool.kill_worker(0)
+            session.reap()
+            assert session.pool.respawns == 1
+            epoch = session.distance(0, 49)[2]
+            assert epoch == sg.last_published_epoch
+            pid = session.pool._procs[0].pid
+            assert _mapped_segments(pid, prefix) <= {
+                prefix + "board", f"{prefix}e{epoch}"}
+        assert leaked_segments(prefix) == []
+
+    def test_republishing_an_epoch_exports_nothing(self):
+        sg = _sgraph(47)
+        with sg.serve(workers=1) as session:
+            prefix = session.prefix
+            view = session.store.latest()
+            before = leaked_segments(prefix)
+            assert not session.transport.publish_plane(
+                view.dense_plane("distance"), view.epoch)
+            assert leaked_segments(prefix) == before
         assert leaked_segments(prefix) == []
 
 

@@ -1,4 +1,4 @@
-"""Streaming layer: updates, batching, ingestion, workload generators."""
+"""Streaming layer: updates, batching, facade ingestion, workload generators."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hub_index import HubIndex
+from repro.core.config import SGraphConfig
 from repro.errors import WorkloadError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph
-from repro.streaming.ingest import IngestEngine
+from repro.sgraph import SGraph
 from repro.streaming.update import EdgeUpdate, UpdateBatch, UpdateKind, batched
 from repro.streaming.workload import (
     insert_only_stream,
@@ -58,69 +58,71 @@ class TestUpdateTypes:
             list(batched(iter([]), 0))
 
 
-class TestIngestEngine:
+def _hub_tables_exact(index, graph):
+    for hub in index.hubs:
+        ref = reference_dijkstra(graph, hub)
+        for v in graph.vertices():
+            assert index.cost_from_hub(hub, v) == pytest.approx(
+                ref.get(v, math.inf)
+            )
+
+
+def _apply_checked(graph, update):
+    """Apply one update, asserting it changes the graph."""
+    if update.kind is UpdateKind.INSERT:
+        assert not graph.has_edge(update.src, update.dst)
+        graph.add_edge(update.src, update.dst, update.weight)
+    else:
+        assert graph.has_edge(update.src, update.dst)
+        graph.remove_edge(update.src, update.dst)
+
+
+class TestFacadeApply:
+    """``SGraph.apply`` mutates the graph first and notifies its indexes
+    second."""
+
     def test_insert_and_delete(self, line_graph):
-        engine = IngestEngine(line_graph)
-        stats = engine.apply_all([
+        sg = SGraph(graph=line_graph, config=SGraphConfig(num_hubs=1))
+        assert sg.apply([
             EdgeUpdate.insert(0, 4, 2.0),
             EdgeUpdate.delete(1, 2),
-        ])
-        assert stats.applied == 2
-        assert stats.inserts == 1
-        assert stats.deletes == 1
+        ]) == 2
         assert line_graph.has_edge(0, 4)
         assert not line_graph.has_edge(1, 2)
-        assert stats.updates_per_second > 0
-        assert "ups" in stats.as_row()
 
     def test_redundant_updates_tolerated(self, line_graph):
-        engine = IngestEngine(line_graph)
-        stats = engine.apply_all([
+        sg = SGraph(graph=line_graph, config=SGraphConfig(num_hubs=1))
+        edges = sorted(line_graph.edge_list())
+        epoch = sg.epoch
+        sg.apply([
             EdgeUpdate.insert(0, 1, 1.0),  # identical edge exists
             EdgeUpdate.delete(0, 4),       # missing edge
         ])
-        assert stats.redundant == 2
-        assert stats.inserts == 0
-        assert stats.deletes == 0
+        assert sorted(line_graph.edge_list()) == edges
+        assert sg.epoch == epoch
 
-    def test_weight_change_is_remove_reinsert(self, line_graph):
-        recorded = []
-
-        class Recorder:
-            settled_last_update = 0
-
-            def notify_edge_inserted(self, s, d, w):
-                recorded.append(("ins", s, d, w))
-
-            def notify_edge_deleted(self, s, d, w):
-                recorded.append(("del", s, d, w))
-
-        engine = IngestEngine(line_graph, [Recorder()])
-        engine.apply_update(EdgeUpdate.insert(0, 1, 7.0))
-        assert recorded == [("del", 0, 1, 1.0), ("ins", 0, 1, 7.0)]
-        assert line_graph.edge_weight(0, 1) == 7.0
-
-    def test_listener_added_later(self, line_graph):
-        engine = IngestEngine(line_graph)
-        index = HubIndex(line_graph, [0])
-        engine.add_listener(index)
-        engine.apply_update(EdgeUpdate.insert(0, 4, 0.5))
-        assert index.cost_from_hub(0, 4) == 0.5
+    @pytest.mark.parametrize("fixture", ["small_powerlaw", "small_directed"])
+    def test_weight_changes_keep_tables_exact(self, fixture, request):
+        """A weight change is a delete and a re-insert: a decrease folded
+        into the deletion repair would stop at the repaired region."""
+        graph = request.getfixturevalue(fixture)
+        sg = SGraph(graph=graph, config=SGraphConfig(num_hubs=3))
+        index = sg.index_for("distance")
+        src, dst, weight = sorted(graph.edges())[0]
+        sg.apply([EdgeUpdate.insert(src, dst, weight / 4)])
+        _hub_tables_exact(index, graph)
+        sg.apply([EdgeUpdate.insert(src, dst, weight * 4)])
+        _hub_tables_exact(index, graph)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=8, deadline=None)
     def test_index_stays_consistent_through_stream(self, seed):
         graph = erdos_renyi_graph(20, 30, seed=seed, weight_range=(1.0, 5.0))
-        index = HubIndex.build(graph, 3)
-        engine = IngestEngine(graph, [index])
-        updates = list(mixed_stream(graph, 40, insert_fraction=0.6, seed=seed))
-        engine.apply_all(updates)
-        for hub in index.hubs:
-            ref = reference_dijkstra(graph, hub)
-            for v in graph.vertices():
-                assert index.cost_from_hub(hub, v) == pytest.approx(
-                    ref.get(v, math.inf)
-                )
+        sg = SGraph(graph=graph, config=SGraphConfig(num_hubs=3))
+        index = sg.index_for("distance")
+        sg.apply(list(mixed_stream(graph, 40, insert_fraction=0.6,
+                                   seed=seed)))
+        _hub_tables_exact(index, graph)
 
 
 class TestWorkloadGenerators:
@@ -145,10 +147,8 @@ class TestWorkloadGenerators:
     def test_sliding_window_preserves_edge_count(self, small_powerlaw):
         graph = small_powerlaw
         before = graph.num_edges
-        engine = IngestEngine(graph)
-        updates = list(sliding_window_stream(graph, 40, seed=2))
-        stats = engine.apply_all(updates)
-        assert stats.redundant == 0
+        for update in sliding_window_stream(graph, 40, seed=2):
+            _apply_checked(graph, update)
         assert graph.num_edges == before  # 20 inserts, 20 deletes
 
     def test_sliding_window_alternates(self, small_powerlaw):
@@ -165,9 +165,8 @@ class TestWorkloadGenerators:
 
     def test_mixed_never_redundant(self, small_powerlaw):
         graph = small_powerlaw
-        engine = IngestEngine(graph)
-        stats = engine.apply_all(mixed_stream(graph, 150, 0.5, seed=5))
-        assert stats.redundant == 0
+        for update in mixed_stream(graph, 150, 0.5, seed=5):
+            _apply_checked(graph, update)
 
     def test_mixed_invalid_fraction(self, small_powerlaw):
         with pytest.raises(WorkloadError):

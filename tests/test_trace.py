@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.trace import (
+from repro.streaming.trace import (
     TraceEvent,
     interleave,
     read_trace,
@@ -103,6 +103,16 @@ class TestReplay:
         assert report.updates_applied == 40
         assert report.queries_answered == 8
         assert report.query_stats.total == 8
+
+    def test_replay_aggregates_every_query(self):
+        sg = self._fresh()
+        report = replay_trace(sg, self._events(sg))
+        agg = report.query_stats
+        assert len(agg.activations) == len(agg.elapsed) == 8
+        assert agg.mean_activations == sum(agg.activations) / 8
+        assert 0 < agg.p(0.5) <= agg.p(1.0) == max(agg.elapsed)
+        assert agg.mean_activation_fraction(sg.graph.num_vertices) == (
+            agg.mean_activations / sg.graph.num_vertices)
 
     def test_replay_deterministic_across_instances(self, tmp_path):
         sg1 = self._fresh()
