@@ -426,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tcp only: published planes the server keeps "
                             "as delta bases (and readers keep cached)")
     serve.add_argument("--delta", action="store_true",
-                       help="tcp only: ship chunk-addressed deltas to "
-                            "readers that hold a cached base plane")
+                       help="tcp only: ship deltas (the dirty 1 KiB ranges "
+                            "found by codec.diff_payloads) to readers that "
+                            "hold a cached base plane")
     serve.add_argument("--retry", type=int, default=4,
                        help="tcp only: reconnect attempts per reader op "
                             "before giving up")
@@ -451,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     attach.add_argument("--pause", type=float, default=0.0,
                         help="seconds to sleep between rounds")
     attach.add_argument("--delta", action="store_true",
-                        help="fetch chunk-addressed deltas against the "
-                             "cached base plane instead of full payloads")
+                        help="fetch deltas (the dirty 1 KiB ranges found "
+                             "by codec.diff_payloads) against the cached "
+                             "base plane instead of full payloads")
     attach.add_argument("--retry", type=int, default=4,
                         help="reconnect attempts per op before giving up")
     attach.add_argument("--max-backoff", type=float, default=2.0,

@@ -10,24 +10,19 @@ publishing.  Three layers:
 * :mod:`repro.serving.codec` — the byte format: one self-describing blob
   per plane (embedded manifest, 64-byte-aligned buffers), decode cost
   O(buffers) not O(V+E).  Both transports speak it.
-* :mod:`repro.serving.registry` — the epoch-handoff protocol: one
-  :class:`~repro.serving.registry.EpochRegistry` slot table with
-  per-plane refcounts and FREE/LIVE/RETIRED states; the writer registers
-  fully materialized planes and bumps a generation counter, shm readers
-  acquire/release by slot, and each reader's references are a multiset
-  so a dead reader is reaped whole.  The table lives in a shared-memory
-  segment for shm readers (``create`` / ``attach``); the TCP server keeps
-  one in its own memory (the constructor) only as its generation and
-  current-epoch record, since its readers copy every plane.
+* :mod:`repro.serving.registry` — the writer's record of its newest
+  plane, ``(generation, epoch, ref)``; no reader consults it or is
+  counted in it, since every reader maps or copies what it serves.
 * :mod:`repro.serving.transport` — where the bytes live:
   :class:`~repro.serving.transport.ShmTransport` encodes each plane into a
-  named segment readers map zero-copy
-  (:mod:`repro.serving.shm_plane`); :class:`~repro.serving.net.NetTransport`
-  announces each publish over length-prefixed TCP and a remote reader
-  takes each new epoch in one ``acquire`` round trip that names the
-  digests it caches and carries the payload once — in full, or as a
-  delta against its newest cached plane — into a digest-verified local
-  cache (fetch-on-publish); the server holds nothing per reader.  Every
+  named segment readers map zero-copy (:mod:`repro.serving.shm_plane`),
+  which each pool request's stamp names, keeping the newest two linked;
+  :class:`~repro.serving.net.NetTransport` announces each publish over
+  length-prefixed TCP and a remote reader takes each new epoch in one
+  ``acquire`` round trip that names the digests it caches and carries the
+  payload once — in full, or as a delta against its newest cached plane
+  — into a digest-verified local cache (fetch-on-publish); the server
+  holds nothing per reader.  Every
   reader, pool worker or remote :class:`~repro.serving.net.NetReader`, is
   one :class:`~repro.serving.transport.PlaneReader`: it holds one lease
   and the engine over it, acquiring a new epoch before releasing the old.

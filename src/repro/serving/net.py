@@ -197,8 +197,7 @@ class PlaneServer:
         # tell "same server, new generation" from "restarted server whose
         # generation counter may collide with the one I cached".
         self.server_id = f"{os.getpid():x}-{os.urandom(4).hex()}"
-        # The generation and current-epoch record.  No reader acquires on
-        # it, so each register evicts the slot it retires at once.
+        # The generation and current-epoch record.
         self._registry = EpochRegistry()
         # digest -> payload for the last cache_planes published planes,
         # newest (the current plane) last: what acquire serves and what
@@ -273,15 +272,14 @@ class PlaneServer:
             return {r: dict(d) for r, d in self._fetches.items()}
 
     def stats(self) -> dict:
-        """Slots, per-reader fetch totals, and the ``transfer`` (delta/full
-        fetches, byte totals), ``lifecycle`` (drains) and ``cache``
-        (publish-history depth and occupancy) counters — the ``stats``
-        op's body, as one snapshot."""
+        """Generation, per-reader fetch totals, and the ``transfer``
+        (delta/full fetches, byte totals), ``lifecycle`` (drains) and
+        ``cache`` (publish-history depth and occupancy) counters — the
+        ``stats`` op's body, as one snapshot."""
         with self._registry.lock:
             return {
                 "server_id": self.server_id,
                 "generation": self._registry.generation(),
-                "slots": self._registry.slots(),
                 "fetches": {
                     r: sum(d.values()) for r, d in self._fetches.items()
                 },
@@ -347,7 +345,6 @@ class PlaneServer:
             if thread is not me:
                 thread.join(CLOSE_JOIN_TIMEOUT)
         generation = self._registry.generation()
-        self._registry.shutdown()
         # A closed server holds no plane bytes at all.
         with self._registry.lock:
             self._history.clear()
@@ -884,7 +881,8 @@ class NetClient(PlaneClient):
             "stats", lambda d: self._call_once({"op": "stats"}, d)
         )
 
-    def acquire(self) -> Optional[PlaneLease]:
+    def acquire(self, stamp=None) -> Optional[PlaneLease]:
+        # The server's current plane is at least as new as any stamp.
         return self._retrying("acquire", self._acquire_once)
 
     def _acquire_once(self, deadline: Optional[float]) -> Optional[PlaneLease]:

@@ -11,28 +11,30 @@ per-query payloads are a few scalars plus a
 :class:`~repro.core.stats.QueryStats` — graphs are never pickled.
 
 Each worker is a :class:`~repro.serving.transport.PlaneReader` plus a
-request loop.  Every request carries the registry generation the writer
-read when it sent it (the *stamp*); a worker refreshes — acquires the
-newest plane and releases the old one (on shm, returning the refcount
-and possibly evicting a retired plane) — only when the stamp differs from the
-one it last refreshed at, so a query submitted after ``publish()``
-returns is answered at that epoch or later, and no query polls.  A
-request already being answered keeps using the plane it started on —
-in-flight queries finish on their starting epoch by construction.
+request loop.  Every request carries the transport's *stamp* as the
+writer read it at send — on shm ``(generation, epoch, segment name)``,
+on tcp the generation.  A worker refreshes (acquires the stamped plane,
+then drops the old one locally, telling the writer nothing) only when
+the stamp differs from the one it last refreshed at, so a query
+submitted after ``publish()`` returns is answered at that epoch or
+later, and no query polls.  A shm stamp whose segment is already
+unlinked is answered :data:`STALE_STAMP`, never on the older held plane,
+and :meth:`ServeSession._pump` sends it again with a fresh stamp.  A
+request being answered keeps the plane it started on.
 
 The pool is generic over the transport: each worker receives a picklable
 :class:`~repro.serving.transport.ReaderSpec` and connects inside its own
-process — a shm spec attaches the epoch board and maps segments, a tcp
-spec opens a socket and caches fetched planes.  The request loop never
-knows which.
+process — a shm spec maps the segments stamps name, a tcp spec opens a
+socket and caches fetched planes.  The request loop never knows which.
 
 :class:`ServeSession` is the writer-side facade tying it together: it owns
 a :class:`~repro.streaming.versioning.VersionedStore`, publishes every new
 epoch through the transport, and exposes blocking query helpers over the
 pool.  ``SGraph.serve(workers=N, transport=..., delta=...)`` constructs
-one; ``delta=True`` (TCP only) makes each reader fetch chunk-addressed
-O(Δ) deltas against its cached planes instead of full payloads, and
-``stats_row()`` reports the delta/full fetch counters and byte totals.
+one; ``delta=True`` (TCP only) makes each reader fetch O(Δ) deltas — the
+dirty 1 KiB ranges found by ``codec.diff_payloads`` — against its cached
+planes instead of full payloads, and ``stats_row()`` reports the
+delta/full fetch counters and byte totals.
 """
 
 from __future__ import annotations
@@ -48,13 +50,22 @@ from multiprocessing.connection import wait as _mp_wait
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, QueryError
-from repro.serving.transport import PlaneReader, PlaneTransport, make_transport
+from repro.serving.transport import (
+    PlaneReader,
+    PlaneTransport,
+    StaleStamp,
+    make_transport,
+)
 
 #: queries bundled per pool message — amortizes the pipe round-trip (p50
 #: ~31µs for a small pickled message on a 2-vCPU Xeon VM) across enough
 #: sub-millisecond searches to keep workers compute-bound.
 #: Override per session with ``SGraph.serve(chunk=...)``.
 DEFAULT_CHUNK = 32
+
+#: a failed :class:`Response`'s payload when the request's stamp named a
+#: segment the writer had already unlinked (resent, never answered older)
+STALE_STAMP = "stale stamp"
 
 
 class Response(NamedTuple):
@@ -96,24 +107,19 @@ def _worker_main(worker_id: int, spec, conn, writer_ends,
     large payload back.  ``writer_ends`` are the writer's ends of every
     pool pipe this fork inherited (its own and its siblings'): closing
     them leaves the writer their only holder, so a writer that dies — even
-    by SIGKILL — turns ``recv`` into ``EOFError`` and the worker releases
-    its lease and exits instead of waiting forever.
+    by SIGKILL — turns ``recv`` into ``EOFError`` and the worker exits
+    instead of waiting forever.
     """
     for end in writer_ends:
         end.close()
     # Move everything inherited from the writer into the permanent
-    # generation: each epoch handoff runs a full gc.collect() (see
+    # generation: each shm epoch handoff runs a full gc.collect() (see
     # ShmClient.acquire), which would otherwise walk the writer's whole
     # heap every time.  Respawns re-enter here, so they freeze too.
     gc.freeze()
     # A worker that loses the writer keeps answering from its held plane
     # (degraded), flagged stale in its reader_stats row.
     reader = PlaneReader(spec.connect(worker_id), policy_value)
-    # Finalizer for exits that skip the normal loop teardown (unhandled
-    # signals short of SIGKILL, interpreter shutdown): the refcount must be
-    # returned or the writer would wait on a ghost reader.  SIGKILL itself
-    # is covered by the writer-side reap (transport.release_reader).
-    atexit.register(reader.release)
     # The stamp of the last refresh that reached the writer's plane; None
     # until one has, and again after a degraded one, so the next request
     # refreshes (and a None stamp always refreshes).
@@ -133,16 +139,18 @@ def _worker_main(worker_id: int, spec, conn, writer_ends,
                                     reader.stats_row())
                 else:
                     if stamp is None or stamp != fresh_at:
-                        # A new stamp means the registry moved: acquire
-                        # without polling.  No stamp: poll first, as a
-                        # standalone reader does.
+                        # A new stamp means the writer published: acquire
+                        # at it without polling.  No stamp: poll first, as
+                        # a standalone reader does.
                         fresh_at = None
-                        reader.refresh(poll=stamp is None)
+                        reader.refresh(stamp)
                         if not reader.stale:
                             fresh_at = stamp
                     engine, epoch = reader.held()
                     resp = Response(req_id, worker_id, epoch, True,
                                     _dispatch(engine, verb, payload))
+            except StaleStamp:
+                resp = Response(req_id, worker_id, None, False, STALE_STAMP)
             except Exception as exc:  # noqa: BLE001 - report, don't die
                 resp = Response(req_id, worker_id, None, False,
                                 f"{type(exc).__name__}: {exc}")
@@ -164,8 +172,8 @@ class WorkerPool:
     A worker has at most one request in flight: :meth:`submit` sends to
     the next *idle* alive worker round-robin, and a worker turns idle
     again when :meth:`gather` reads its answer.  Each request is stamped
-    with the transport's :meth:`~PlaneTransport.stamp` — the registry
-    generation to serve, or None when the worker must poll.
+    with the transport's :meth:`~PlaneTransport.stamp` — the plane to
+    serve, or None when the worker must poll.
 
     Crashed workers can be :meth:`respawn`\\ ed — re-forked from the same
     spec onto whatever epoch is current, with a *fresh* pipe (a SIGKILL
@@ -442,7 +450,7 @@ class ServeSession:
             "fork" if "fork" in mp.get_all_start_methods() else None
         )
         self._transport = make_transport(
-            transport, self._prefix, workers, ctx, **transport_options
+            transport, self._prefix, **transport_options
         )
         self._respawn = bool(respawn)
         try:
@@ -494,11 +502,11 @@ class ServeSession:
 
     @property
     def delta(self) -> bool:
-        """Whether TCP readers fetch chunk-addressed deltas per epoch."""
+        """Whether TCP readers fetch deltas (dirty 1 KiB ranges) per epoch."""
         return self._delta
 
     def stats_row(self) -> Dict[str, object]:
-        """One observability row: transport, fan-out, registry state,
+        """One observability row: transport, fan-out, the newest epoch,
         payload movement (delta vs full fetches, actual vs all-full bytes
         — the savings ratio is ``1 - bytes_sent / bytes_full``), and the
         pool's aggregated workspace reuse counters (a healthy steady state
@@ -514,7 +522,6 @@ class ServeSession:
             "delta": self._delta,
             "epoch": registry.current_epoch(),
             "generation": registry.generation(),
-            "slots_held": len(registry.slots()),
             "delta_fetches": 0,
             "full_fetches": 0,
             "bytes_sent": 0,
@@ -604,10 +611,12 @@ class ServeSession:
         a worker gets its next payload only once its answer has arrived.
         This is also the resubmission loop that makes pool queries survive
         worker crashes: a request lost to a dead worker goes back on the
-        backlog — after reaping its refcount and respawning it — as many
-        times as it takes, until every payload is answered, the deadline
-        passes, or no worker is left alive.  Pure reads are idempotent, so
-        a lost slice re-runs with no visible effect beyond latency.
+        backlog — after respawning the worker — as many times as it takes,
+        until every payload is answered, the deadline passes, or no worker
+        is left alive.  A :data:`STALE_STAMP` answer goes back on the
+        backlog too, to be sent with a fresh stamp.  Pure reads are
+        idempotent, so a lost slice re-runs with no visible effect beyond
+        latency.
         """
         if self._pool.dead():
             self.reap()
@@ -627,6 +636,9 @@ class ServeSession:
                 idx = req_for.pop(rid, None)
                 if idx is None:
                     continue  # an abandoned request's late answer
+                if not resp.ok and resp.payload == STALE_STAMP:
+                    backlog.appendleft(idx)
+                    continue
                 if not resp.ok:
                     raise QueryError(
                         f"worker {resp.worker_id} failed: {resp.payload}"
@@ -761,8 +773,9 @@ class ServeSession:
     # -- lifecycle ----------------------------------------------------------
 
     def reap(self) -> List[int]:
-        """Return the shm refcounts of dead workers (a tcp server holds
-        none); respawn them if enabled.
+        """Respawn dead workers if enabled; returns their ids.  No
+        transport holds anything on a reader's behalf, so there is nothing
+        else to return.
 
         Respawned workers re-fork from the same reader spec, connect, and
         acquire whatever epoch is current (rebinding a fresh
@@ -772,8 +785,6 @@ class ServeSession:
         from the survivors.
         """
         dead = self._pool.dead()
-        for worker_id in dead:
-            self._transport.release_reader(worker_id)
         if self._respawn and dead:
             self._pool.respawn()
         return dead

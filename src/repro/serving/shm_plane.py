@@ -11,10 +11,11 @@ search loops then index the mapped bytes themselves, exactly as on the
 in-process plane.
 
 Cleanup has three layers: explicit :meth:`ShmPlane.close`/``unlink``, the
-epoch registry's refcounted unlink-on-last-detach (see
-:mod:`repro.serving.registry`), and a module-level registry of every segment
-this process *created* that an ``atexit`` hook unlinks — so a crashed writer
-never strands segments in ``/dev/shm``.
+shm transport unlinking all but its newest ``KEEP_LINKED`` segments at
+each publish (see :class:`repro.serving.transport.ShmTransport`; a reader's
+mapping outlives the unlink, so no reader is counted), and a module-level
+set of every segment this process *created* that an ``atexit`` hook
+unlinks — so a crashed writer never strands segments in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def _untrack(name: str) -> None:
     CPython < 3.13 registers every ``SharedMemory`` object with the
     resource tracker as if that process owned it (bpo-39959), and the
     tracker would then unlink live segments whenever any process exits.
-    Ownership here is explicit — the refcount protocol and the atexit
-    sweep do the unlinking — so nothing this module creates stays
+    Ownership here is explicit — the transport and the atexit sweep do
+    the unlinking — so nothing this module creates stays
     tracked.  Attaches go through :func:`_attach_segment`, which never
     registers in the first place.
     """
@@ -189,9 +190,9 @@ class ShmPlane:
     def export(cls, plane, name: str, epoch: Optional[int] = None) -> "ShmPlane":
         """Serialize ``plane`` into a fresh segment called ``name``.
 
-        The segment is fully written before this returns, so registering its
-        name afterwards (the epoch registry's job) can never expose a torn
-        plane to a reader.
+        The segment is fully written before this returns, so stamping requests
+        with its name afterwards (the transport's job) can never expose a
+        torn plane to a reader.
         """
         if shared_memory is None:  # pragma: no cover
             raise ConfigError("multiprocessing.shared_memory is unavailable")

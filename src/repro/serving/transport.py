@@ -1,28 +1,30 @@
 """Transport layer: how published planes travel from writer to readers.
 
-The epoch-handoff protocol (:mod:`repro.serving.registry`) and the plane
-byte format (:mod:`repro.serving.codec`) say nothing about *where* the
-bytes live.  A :class:`PlaneTransport` decides that:
+The plane byte format (:mod:`repro.serving.codec`) says nothing about
+*where* the bytes live.  A :class:`PlaneTransport` decides that:
 
 * writer side — :meth:`PlaneTransport.publish_plane` materializes one
-  encoded plane per epoch and registers its ref with the transport's
-  :class:`~repro.serving.registry.EpochRegistry`;
+  encoded plane per epoch, records its ref in the transport's
+  :class:`~repro.serving.registry.EpochRegistry`, and owns the plane's
+  lifetime; :meth:`PlaneTransport.stamp` is what each pool request
+  carries;
 * reader side — a picklable :class:`ReaderSpec` travels into each reader
   process, whose :meth:`~ReaderSpec.connect` yields a
-  :class:`PlaneClient`: ``generation()`` is the cheap staleness probe and
-  ``acquire()`` returns a :class:`PlaneLease` on one epoch's
-  materialized :class:`~repro.core.hub_index.DensePlane` (a shm lease
-  pins the writer's segment until released; a tcp one holds a local
-  copy and pins nothing).
+  :class:`PlaneClient`: ``acquire(stamp)`` returns a :class:`PlaneLease`
+  on one epoch's materialized :class:`~repro.core.hub_index.DensePlane`
+  (a shm lease maps the stamp's segment, a tcp one holds a local copy;
+  neither is known to the writer) and ``generation()`` is a standalone
+  reader's staleness probe.
   A :class:`PlaneReader` drives a client: it holds one lease and the
-  engine over it, and swaps both when the generation moves.
+  engine over it, and swaps both when the stamp or generation moves.
 
 :class:`ShmTransport` is the one-box implementation — each plane encoded
 once into a named POSIX shared-memory segment that readers map zero-copy
-(see :mod:`repro.serving.shm_plane`).  :class:`repro.serving.net.NetTransport`
-ships the same bytes over a length-prefixed TCP protocol to readers on
-any host, which cache each fetched plane locally (fetch-on-publish) in
-one ``acquire`` round trip per epoch.
+(see :mod:`repro.serving.shm_plane`), the last :data:`KEEP_LINKED` of
+them linked.  :class:`repro.serving.net.NetTransport` ships the same
+bytes over a length-prefixed TCP protocol to readers on any host, which
+cache each fetched plane locally (fetch-on-publish) in one ``acquire``
+round trip per epoch.
 :class:`~repro.serving.pool.WorkerPool` and
 :class:`~repro.serving.pool.ServeSession` are generic over this interface.
 """
@@ -31,33 +33,34 @@ from __future__ import annotations
 
 import gc
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.core.engine import PairwiseEngine
 from repro.core.workspace import SearchWorkspace
 from repro.errors import ConfigError, QueryError
 from repro.serving.codec import PlaneGraph
 from repro.serving.registry import EpochRegistry
-from repro.serving.shm_plane import ShmPlane
+from repro.serving.shm_plane import ShmPlane, unlink_segment
 
 
 class PlaneLease:
     """One acquired plane: epoch state plus the release hook (None where
-    the transport pins nothing, as tcp's local copies)."""
+    there is nothing to unmap, as tcp's local copies)."""
 
     __slots__ = ("generation", "epoch", "plane", "_release")
 
     def __init__(self, generation, epoch: int, plane,
                  release: Optional[Callable[[], None]] = None) -> None:
-        # generation is the transport's opaque staleness token (int for
-        # shm, (rev, generation) tuple for tcp) — equality-compare only.
+        # generation is the transport's opaque staleness token (the stamp
+        # for shm, a (rev, generation) tuple for tcp) — equality only.
         self.generation = generation
         self.epoch = epoch
         self.plane = plane
         self._release = release
 
     def release(self) -> None:
-        """Return the refcount (and unmap, where the transport maps).
+        """Unmap, where the transport maps; the writer is not told.
 
         Callers must drop every reference into ``plane`` (engines, array
         views) *before* releasing, or a mapped transport cannot unmap.
@@ -78,22 +81,24 @@ class PlaneClient(ABC):
         """Opaque staleness token — compare *for equality* with a held
         lease's ``generation`` to detect staleness between requests.
 
-        The shm client returns the board's bare generation counter; the
-        TCP client returns a ``(server incarnation rev, generation)``
+        The TCP client returns a ``(server incarnation rev, generation)``
         tuple so a lease acquired before a server restart reads stale
         even when the restarted registry's counter collides with the old
-        one.  Callers must not order or arithmetic these tokens.
+        one.  Callers must not order or arithmetic these tokens.  The shm
+        client has none: it refreshes only at a writer's stamp.
         """
 
     @abstractmethod
-    def acquire(self) -> Optional[PlaneLease]:
-        """Materialize the current epoch's plane, pinned where the
-        transport maps it (None when the writer has not published yet)."""
+    def acquire(self, stamp=None) -> Optional[PlaneLease]:
+        """Materialize the plane to serve (None when the writer has not
+        published yet).  ``stamp`` is the writer's
+        :meth:`PlaneTransport.stamp` for the request, when the caller has
+        one; a shm client attaches the segment it names, a tcp client
+        fetches the server's current plane either way."""
 
-    @abstractmethod
     def close(self) -> None:
-        """Drop the client's own transport footprint (board mapping,
-        socket).  Leases must be released first."""
+        """Drop the client's own transport footprint (a socket).  Leases
+        must be released first."""
 
 
 class ReaderSpec(ABC):
@@ -115,12 +120,12 @@ class PlaneReader:
     Pool workers (any transport) and standalone remote readers
     (:class:`repro.serving.net.NetReader`) are both this class around a
     :class:`PlaneClient`.  :meth:`refresh` polls the client's generation
-    and, when stale, acquires the newest plane *before* releasing the held
-    one, so there is never a served gap.  A standalone reader refreshes
-    before every request (:meth:`current`); a pool worker refreshes only
-    when the writer's request stamp says the registry moved and otherwise
-    answers on the held lease (:meth:`held`), polling nothing.  Every
-    epoch's engine adopts the reader's one
+    (or takes the writer's stamp) and, when stale, acquires the newest
+    plane *before* releasing the held one, so there is never a served gap.
+    A standalone reader refreshes before every request (:meth:`current`);
+    a pool worker refreshes only when the writer's request stamp moved and
+    otherwise answers on the held lease (:meth:`held`), polling nothing.
+    Every epoch's engine adopts the reader's one
     :class:`~repro.core.workspace.SearchWorkspace`, so an epoch handoff
     re-allocates O(V) search state only when the vertex count changes.
 
@@ -168,19 +173,21 @@ class PlaneReader:
         self._stale_serves += 1
         return self._lease.epoch
 
-    def refresh(self, poll: bool = True) -> Optional[int]:
+    def refresh(self, stamp=None) -> Optional[int]:
         """Adopt the newest published epoch; returns it (None when bare).
 
-        ``poll=False`` skips the generation probe and acquires outright,
-        for a caller that already knows the registry moved.
+        With the writer's ``stamp`` (a pool worker whose stamp moved) the
+        generation probe is skipped and the client acquires at the stamp
+        outright; a shm stamp whose segment is gone raises
+        :class:`StaleStamp` and leaves the held lease in place.
         """
         lease = self._lease
         try:
-            if (poll and lease is not None
+            if (stamp is None and lease is not None
                     and lease.generation == self._client.generation()):
                 self._stale = False
                 return lease.epoch
-            fresh = self._client.acquire()
+            fresh = self._client.acquire(stamp)
         except QueryError:
             if self._degrade and lease is not None:
                 return self._serve_stale()
@@ -263,7 +270,7 @@ class PlaneTransport(ABC):
     @property
     @abstractmethod
     def registry(self) -> EpochRegistry:
-        """The slot table this transport registers planes on."""
+        """The record of the newest plane this transport published."""
 
     @abstractmethod
     def publish_plane(self, plane, epoch: int) -> bool:
@@ -279,15 +286,11 @@ class PlaneTransport(ABC):
         """Human-readable endpoint ("shm segments rp…*", "tcp host:port")."""
 
     def stamp(self):
-        """The registry generation a pool request carries: a worker that
-        refreshed at this stamp answers on its held lease without polling.
-        None when the transport cannot vouch for its registry (the worker
-        then polls, as a standalone reader does)."""
+        """What a pool request carries: a worker that refreshed at this
+        stamp answers on its held lease without polling.  The registry
+        generation here; None when the transport cannot vouch for its
+        registry (the worker then polls, as a standalone reader does)."""
         return self.registry.generation()
-
-    def release_reader(self, reader_id) -> None:
-        """Reap a dead reader's refcount (idempotent)."""
-        self.registry.release_reader(reader_id)
 
     def transfer_stats(self) -> Dict[str, int]:
         """Payload-movement counters for ``stats_row`` observability.
@@ -305,46 +308,47 @@ class PlaneTransport(ABC):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory implementation (the PR-4 path, unchanged behaviour)
+# Shared-memory implementation
 # ---------------------------------------------------------------------------
+
+#: epochs whose segments stay linked: a stamp names a segment at least
+#: this many publishes old before its attach can fail (see StaleStamp)
+KEEP_LINKED = 2
+
+
+class StaleStamp(Exception):
+    """The stamp's segment was unlinked before the reader attached it.
+
+    At least :data:`KEEP_LINKED` publishes landed between the writer
+    stamping a request and the worker reading it.  The held plane is
+    older than the stamp, so answering on it would break "answered at
+    that epoch or later": the request is sent again with a fresh stamp.
+    Deliberately not a :class:`QueryError`, which a reader degrades on.
+    """
 
 
 class ShmReaderSpec(ReaderSpec):
-    """Board name + the shared lock, inherited through process creation."""
-
-    def __init__(self, board_name: str, lock) -> None:
-        self.board_name = board_name
-        self.lock = lock
+    """Nothing to carry: every request's stamp names its segment."""
 
     def connect(self, reader_id) -> "ShmClient":
-        return ShmClient(
-            EpochRegistry.attach(self.board_name, self.lock), int(reader_id)
-        )
+        return ShmClient()
 
 
 class ShmClient(PlaneClient):
-    """Reader endpoint over the shm board: attach segments by name."""
+    """Reader endpoint over the writer's segments: attach by the stamp's
+    name.  It reads no shared table, so it has no generation to poll."""
 
-    def __init__(self, board: EpochRegistry, reader_id: int) -> None:
-        self._board = board
-        self._reader_id = reader_id
+    def generation(self):
+        raise ConfigError("a shm reader refreshes only at a writer's stamp")
 
-    def generation(self) -> int:
-        return self._board.generation()
-
-    def acquire(self) -> Optional[PlaneLease]:
-        board = self._board
-        reader_id = self._reader_id
-        got = board.acquire(reader_id)
-        if got is None:
+    def acquire(self, stamp=None) -> Optional[PlaneLease]:
+        if stamp is None:
             return None
-        generation, slot, epoch, seg_name = got
+        _generation, epoch, name = stamp
         try:
-            handle = ShmPlane.attach(seg_name)
+            handle = ShmPlane.attach(name)
         except FileNotFoundError:
-            board.release(slot, reader_id)
-            return None
-        plane = handle.as_dense_plane()
+            raise StaleStamp(name) from None
 
         def release() -> None:
             # The engine and plane hold numpy views into the mapping; the
@@ -354,30 +358,30 @@ class ShmClient(PlaneClient):
             # start, so this walks only the reader's own objects.
             gc.collect()
             handle.close()
-            board.release(slot, reader_id)
 
-        return PlaneLease(generation, epoch, plane, release)
-
-    def close(self) -> None:
-        self._board.detach()
+        return PlaneLease(stamp, epoch, handle.as_dense_plane(), release)
 
 
 class ShmTransport(PlaneTransport):
-    """One named shm segment per epoch; readers map the writer's bytes."""
+    """One named shm segment per epoch; readers map the writer's bytes.
+
+    The writer alone decides when a segment goes: each publish unlinks
+    all but the newest :data:`KEEP_LINKED`, and :meth:`close` the rest.
+    A reader still mapping an unlinked segment keeps its pages until it
+    unmaps, so no reader is ever counted.
+    """
 
     kind = "shm"
 
-    def __init__(self, prefix: str, num_workers: int, ctx) -> None:
+    def __init__(self, prefix: str) -> None:
         self._prefix = prefix
-        self._lock = ctx.Lock()
-        self._board = EpochRegistry.create(
-            prefix + "board", num_workers=num_workers, lock=self._lock,
-        )
+        self._registry = EpochRegistry()
         self._published: Set[int] = set()
+        self._linked: Deque[str] = deque()
 
     @property
     def registry(self) -> EpochRegistry:
-        return self._board
+        return self._registry
 
     @property
     def prefix(self) -> str:
@@ -388,39 +392,42 @@ class ShmTransport(PlaneTransport):
         if epoch in self._published:
             return False
         name = f"{self._prefix}e{epoch}"
-        handle = ShmPlane.export(plane, name, epoch=epoch)
+        # The writer never reads a segment back: a kept mapping would pin
+        # every published plane's pages (and every forked worker would
+        # inherit them) for the whole session.
+        ShmPlane.export(plane, name, epoch=epoch).close()
         self._published.add(epoch)
-        try:
-            self._board.register(name, epoch)
-        finally:
-            # The writer never reads a segment back, and eviction and
-            # shutdown unlink it by name: a kept mapping would pin every
-            # published plane's pages (and every forked worker would
-            # inherit them) for the whole session.
-            handle.close()
+        self._registry.register(name, epoch)
+        self._linked.append(name)
+        while len(self._linked) > KEEP_LINKED:
+            unlink_segment(self._linked.popleft())
         return True
 
+    def stamp(self):
+        """``(generation, epoch, segment name)`` of the newest plane."""
+        return self._registry.current()
+
     def reader_spec(self) -> ShmReaderSpec:
-        return ShmReaderSpec(self._board.name, self._lock)
+        return ShmReaderSpec()
 
     def describe(self) -> str:
         return f"shm segments {self._prefix}*"
 
     def close(self) -> None:
-        self._board.shutdown()
+        while self._linked:
+            unlink_segment(self._linked.popleft())
 
 
 # ---------------------------------------------------------------------------
 
 
-def make_transport(kind: str, prefix: str, num_workers: int, ctx,
-                   **options) -> PlaneTransport:
+def make_transport(kind: str, prefix: str, **options) -> PlaneTransport:
     """Construct the writer-side transport for ``kind`` ("shm" or "tcp")."""
     if kind == "shm":
         if options:
             bad = ", ".join(sorted(options))
             raise ConfigError(f"shm transport takes no options: {bad}")
-        return ShmTransport(prefix, num_workers, ctx)
+        return ShmTransport(prefix)
     if kind == "tcp":
         from repro.serving.net import NetTransport
 

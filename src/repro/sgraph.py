@@ -442,11 +442,11 @@ class SGraph(PairwiseVerbs):
         instead: readers (the local pool, plus any remote ``repro attach``
         fleet) fetch each published plane over a socket exactly once into a
         digest-verified local cache.  ``delta=True`` (TCP only) switches
-        those fetches to chunk-addressed deltas: each reader ships only
-        the chunks that changed since the plane it already caches — O(Δ)
-        bytes per epoch, digest-verified to be bit-identical to a full
-        fetch, falling back to a full frame when the reader's base left
-        the server's ``cache_planes`` publish history.  TCP options pass
+        those fetches to deltas: each reader receives only the dirty 1 KiB
+        ranges ``codec.diff_payloads`` finds against the plane it already
+        caches — O(Δ) bytes per epoch, digest-verified to be bit-identical
+        to a full fetch, falling back to a full frame when the reader's
+        base left the server's ``cache_planes`` publish history.  TCP options pass
         through keyword arguments (``host=``, ``port=``,
         ``cache_planes=``, ``retry=``, ``backoff=``, ``max_backoff=``,
         ``op_timeout=``).  ``chunk`` overrides how many queries batched

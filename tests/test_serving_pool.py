@@ -24,9 +24,10 @@ import signal
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving import shm_available
+from repro.serving import leaked_segments, shm_available
 from repro.serving.net import PlaneServer, net_available
 from repro.serving.pool import ServeSession
+from repro.serving.shm_plane import unlink_segment
 
 from tests.test_serving_net import _sgraph, _stats_tuple, _wait_until
 
@@ -90,6 +91,10 @@ class TestPoolLifecycle:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
             writer.join(5)
+            # A SIGKILLed writer never runs its atexit sweep: unlink the
+            # segments it left (the default session prefix is rp<pid>-).
+            for name in leaked_segments(f"rp{writer.pid:x}-"):
+                unlink_segment(name)
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_oversized_batch_on_one_worker_completes(self, transport):

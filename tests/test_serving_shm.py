@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import os
 import random
-import sys
-import threading
+import signal
+import time
 
 import pytest
 
@@ -23,8 +23,8 @@ from repro.core.pruning import PruningPolicy
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serving import PlaneGraph, ShmPlane, leaked_segments, shm_available
 from repro.serving.codec import decode_plane, encode_plane
-from repro.serving.registry import LIVE, EpochRegistry
-from repro.serving.shm_plane import unlink_segment
+from repro.serving.pool import STALE_STAMP
+from repro.serving.transport import KEEP_LINKED, PlaneLease
 from repro.sgraph import SGraph
 from repro.streaming.versioning import VersionedStore
 
@@ -74,31 +74,6 @@ def _dict_reference(view, policy=PruningPolicy.UPPER_AND_LOWER):
         index=view.engine("distance").index,
         policy=policy,
     )
-
-
-STORAGES = ("shm", "private")
-
-
-def _slot_table(storage: str, prefix: str) -> EpochRegistry:
-    """One slot table per storage; both evict by unlinking the segment."""
-    if storage == "shm":
-        return EpochRegistry.create(f"{prefix}-board", num_workers=8,
-                                    lock=threading.Lock())
-    return EpochRegistry(on_evict=lambda _slot, name: unlink_segment(name))
-
-
-def _export_segments(prefix: str, labels) -> list:
-    """One real plane segment per label, named ``{prefix}-{label}``."""
-    sg = _sgraph(43)
-    store = VersionedStore(sg)
-    names = []
-    for i, label in enumerate(labels):
-        view = store.publish()
-        names.append(f"{prefix}-{label}")
-        ShmPlane.export(view.dense_plane("distance"), names[-1],
-                        epoch=view.epoch).close()
-        sg.add_edge(0, 57, 0.4 + i)
-    return names
 
 
 class TestShmPlaneRoundTrip:
@@ -278,7 +253,7 @@ class TestServeSessionParity:
             assert row["chunk"] == 5
             assert row["workers"] == row["alive"] == 1
             assert row["epoch"] == session.store.latest().epoch
-            assert row["slots_held"] >= 1
+            assert row["generation"] >= 1
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):
             sg.serve(workers=1, chunk=0)
@@ -335,10 +310,11 @@ class TestServeSessionParity:
 
 
 class TestEpochHandoff:
-    def test_three_epoch_handoff_no_torn_reads(self):
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_three_epoch_handoff_no_torn_reads(self, directed):
         """Workers keep answering while the writer publishes 3 epochs; every
         answer must match the dict reference *of the epoch it reports*."""
-        sg = _sgraph(31)
+        sg = _sgraph(31, directed)
         rng = random.Random(13)
         verts = sorted(sg.graph.vertices())
         with sg.serve(workers=2) as session:
@@ -414,14 +390,112 @@ class TestEpochHandoff:
             prefix = session.prefix
             first = session.transport.registry.current_epoch()
             session.distance(0, 1)  # worker now holds epoch `first`
-            sg.add_edge(0, 55, 0.2)
-            session.publish()
-            session.distance(0, 55)  # forces detach old / attach new
-            names = [name for _slot, name, _e, _rc, _st in
-                     session.transport.registry.slots()]
-            assert f"{prefix}e{first}" not in names
+            for i in range(KEEP_LINKED):
+                assert leaked_segments(f"{prefix}e{first}") != []
+                sg.add_edge(0, 55 - i, 0.2)
+                session.publish()
+                session.distance(0, 55)  # forces attach new / unmap old
+            # KEEP_LINKED newer publishes unlink it
             assert leaked_segments(f"{prefix}e{first}") == []
+            assert len(leaked_segments(prefix)) == KEEP_LINKED
         assert leaked_segments(prefix) == []
+
+    def test_idle_worker_survives_20_publishes(self):
+        """A worker left idle on epoch e while the writer publishes 20 more
+        pins nothing: no publish fails, at most KEEP_LINKED segments are
+        ever linked, and the idle worker's next answer is on the newest
+        epoch."""
+        sg = _sgraph(34)
+        with sg.serve(workers=2) as session:
+            prefix = session.prefix
+            pool = session.pool
+            first = session.store.latest().epoch
+
+            def ask(worker_id):
+                rid = pool.submit_to(worker_id, "distance", (0, 1, 0.0))
+                return pool.gather([rid], timeout=30)[rid]
+
+            assert ask(0).epoch == ask(1).epoch == first
+            for i in range(20):
+                sg.add_edge(0, 30 + i, 0.1 + i / 100)
+                view = session.publish()
+                assert len(leaked_segments(prefix)) <= KEEP_LINKED
+                assert ask(1).epoch == view.epoch  # worker 1 follows
+            resp = ask(0)  # worker 0 still maps the long-unlinked `first`
+            assert resp.ok and resp.epoch == view.epoch > first
+            assert resp.payload[0] == view.distance(0, 1).value
+        assert leaked_segments(prefix) == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="needs /proc/<pid>/stat")
+    def test_stamp_of_an_unlinked_segment_is_resent(self, monkeypatch):
+        """A stamp whose segment KEEP_LINKED publishes unlinked before the
+        worker read it is answered STALE_STAMP — never on the older plane
+        the worker holds — and ``_pump`` sends it once more, fresh."""
+        sg = _sgraph(35)
+        verts = sorted(sg.graph.vertices())
+        with sg.serve(workers=1) as session:
+            prefix = session.prefix
+            pool = session.pool
+            pid = pool._procs[0].pid
+            rounds = iter(range(100))
+
+            def publish_twice():
+                for _ in range(2):
+                    i = next(rounds)
+                    sg.add_edge(verts[i], verts[-1 - i], 0.5 + i / 100)
+                    view = session.publish()
+                return view
+
+            held = session.distance(0, 1)[2]  # the worker holds `held`
+            publish_twice()  # stamped next, but the worker is idle
+            _stop(pid)
+            try:
+                rid = pool.submit("distance", (0, 1, 0.0))
+                view = publish_twice()  # unlinks the stamp's segment
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            resp = pool.gather([rid], timeout=30)[rid]
+            assert (resp.ok, resp.epoch, resp.payload) == (
+                False, None, STALE_STAMP)
+            value, _stats, epoch = session.distance(0, 1)
+            assert epoch == view.epoch > held
+            assert value == view.distance(0, 1).value
+
+            # The same race under _pump: one resend, answered fresh.
+            submit, sent = pool.submit, []
+
+            def racing_submit(verb, payload):
+                sent.append(verb)
+                if len(sent) > 1:
+                    return submit(verb, payload)
+                _stop(pid)
+                try:
+                    rid = submit(verb, payload)
+                    publish_twice()
+                finally:
+                    os.kill(pid, signal.SIGCONT)
+                return rid
+
+            stamped = publish_twice()  # worker idle on `view`
+            monkeypatch.setattr(pool, "submit", racing_submit)
+            value, _stats, epoch = session.distance(0, 1)
+            latest = session.store.latest()
+            assert sent == ["distance", "distance"]
+            assert epoch == latest.epoch > stamped.epoch
+            assert value == latest.distance(0, 1).value
+        assert leaked_segments(prefix) == []
+
+
+def _stop(pid: int) -> None:
+    """SIGSTOP ``pid`` and wait until it is stopped."""
+    os.kill(pid, signal.SIGSTOP)
+    for _ in range(500):
+        with open(f"/proc/{pid}/stat") as fh:
+            if fh.read().rsplit(")", 1)[1].split()[0] in ("T", "t"):
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} did not stop")
 
 
 def _mapped_segments(pid, prefix: str) -> set:
@@ -434,7 +508,7 @@ def _mapped_segments(pid, prefix: str) -> set:
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                     reason="needs /proc/<pid>/maps")
 class TestWriterMappings:
-    """The writer unmaps each plane segment once it is registered: only
+    """The writer unmaps each plane segment once it is exported: only
     readers map planes, so neither the writer nor a worker forked from it
     pins retired epochs' pages."""
 
@@ -444,16 +518,16 @@ class TestWriterMappings:
             sg.add_edge(0, 30 + i, 0.1 + i / 100)
             session.publish()
 
-    def test_writer_maps_only_the_board_after_20_publishes(self):
+    def test_writer_maps_no_segment_after_20_publishes(self):
         sg = _sgraph(45)
         with sg.serve(workers=1) as session:
             prefix = session.prefix
             self._publish_20(sg, session)
             assert session.distance(0, 49)[2] == sg.last_published_epoch
-            assert _mapped_segments("self", prefix) <= {prefix + "board"}
+            assert _mapped_segments("self", prefix) == set()
         assert leaked_segments(prefix) == []
 
-    def test_respawned_worker_maps_board_and_current_plane(self):
+    def test_respawned_worker_maps_only_the_current_plane(self):
         sg = _sgraph(46)
         with sg.serve(workers=1) as session:
             prefix = session.prefix
@@ -464,8 +538,7 @@ class TestWriterMappings:
             epoch = session.distance(0, 49)[2]
             assert epoch == sg.last_published_epoch
             pid = session.pool._procs[0].pid
-            assert _mapped_segments(pid, prefix) <= {
-                prefix + "board", f"{prefix}e{epoch}"}
+            assert _mapped_segments(pid, prefix) == {f"{prefix}e{epoch}"}
         assert leaked_segments(prefix) == []
 
     def test_republishing_an_epoch_exports_nothing(self):
@@ -485,8 +558,7 @@ class TestWorkerCrash:
         sg = _sgraph(41)
         rng = random.Random(17)
         verts = sorted(sg.graph.vertices())
-        # respawn=False: this test pins the degraded-survivor protocol (a
-        # respawned worker would legitimately re-pin the current slot).
+        # respawn=False: this test pins the degraded-survivor protocol.
         with sg.serve(workers=2, respawn=False) as session:
             prefix = session.prefix
             pairs = [tuple(rng.sample(verts, 2)) for _ in range(60)]
@@ -496,9 +568,6 @@ class TestWorkerCrash:
             # map_distance reaps the corpse and resubmits lost chunks
             after = session.map_distance(pairs)
             assert [a[0] for a in after] == [b[0] for b in before]
-            # the dead worker's board refcount was returned
-            assert all(refcount <= 1 for _s, _n, _e, refcount, _st
-                       in session.transport.registry.slots())
         assert leaked_segments(prefix) == []
 
     def test_workers_freeze_the_inherited_heap(self):
@@ -532,118 +601,37 @@ class TestWorkerCrash:
             assert epoch == session.store.latest().epoch
         assert leaked_segments(prefix) == []
 
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_reap_after_handoff_returns_the_new_slots_reference(self, storage):
-        # A worker acquires the new epoch *before* releasing the old one;
-        # releasing the old slot must not erase the table's record that the
-        # worker holds the new one, or a kill after the handoff is never
-        # reaped and the retired segment leaks.
-        prefix = f"rptest-reap-{storage}"
-        names = _export_segments(prefix, ("e1", "e2", "e3"))
-        table = _slot_table(storage, prefix)
-        try:
-            table.register(names[0], 1)
-            _gen, slot1, _epoch, _name = table.acquire(0)
-            table.register(names[1], 2)
-            table.acquire(0)
-            assert table.release(slot1, 0) is True
-            assert leaked_segments(names[0]) == []
-            assert table.release_reader(0) == 1  # the worker died holding e2
-            refcounts = {name: rc for _s, name, _e, rc, _st in table.slots()}
-            assert refcounts == {names[1]: 0}
-            table.register(names[2], 3)  # retires e2: unlinked at once
-            assert leaked_segments(names[1]) == []
-        finally:
-            table.shutdown()
-        assert leaked_segments(prefix) == []
+    def test_worker_killed_between_attach_and_unmap(self, monkeypatch):
+        """SIGKILL a worker after it attached the new epoch and before it
+        unmapped the old one: nothing is held on its behalf, so a later
+        publish still unlinks both, and no segment is left behind."""
+        sg = _sgraph(43)
+        writer = os.getpid()
+        release = PlaneLease.release
 
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_reap_inside_handoff_returns_both_references(self, storage):
-        # A worker killed between acquiring the new epoch and releasing the
-        # old one holds two slots; the reap must return both, or the
-        # retired plane stays pinned for good.
-        prefix = f"rptest-window-{storage}"
-        names = _export_segments(prefix, ("e1", "e2"))
-        table = _slot_table(storage, prefix)
-        try:
-            table.register(names[0], 1)
-            table.acquire(0)
-            table.register(names[1], 2)
-            table.acquire(0)
-            assert table.readers() == {0: {0: 1, 1: 1}}
-            assert table.release_reader(0) == 2  # killed inside the window
-            assert [(name, rc, st) for _s, name, _e, rc, st
-                    in table.slots()] == [(names[1], 0, LIVE)]
-            assert leaked_segments(names[0]) == []
-            assert table.readers() == {}
-            assert table.release_reader(0) == 0  # idempotent
-        finally:
-            table.shutdown()
-        assert leaked_segments(prefix) == []
+        def killing_release(lease):
+            if os.getpid() != writer:  # only in the worker forked below
+                os.kill(os.getpid(), signal.SIGKILL)
+            release(lease)
 
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_release_ignores_references_the_reader_does_not_hold(self,
-                                                                 storage):
-        prefix = f"rptest-release-{storage}"
-        names = _export_segments(prefix, ("e1", "e2"))
-        table = _slot_table(storage, prefix)
-        try:
-            slot = table.register(names[0], 1)
-            table.acquire(0)
-            assert table.release(slot, 1) is False  # not the holder
-            assert table.release(slot + 1, 0) is False  # FREE slot
-            assert table.release(-1, 0) is False
-            assert table.release(99, 0) is False
-            table.register(names[1], 2)
-            assert leaked_segments(names[0]) != []  # still pinned by 0
-            assert table.release(slot, 0) is True
-            assert leaked_segments(names[0]) == []
-            assert table.release(slot, 0) is False  # replayed release
-            assert [rc for _s, _n, _e, rc, _st in table.slots()] == [0]
-        finally:
-            table.shutdown()
-        assert leaked_segments(prefix) == []
-
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_concurrent_handoffs_return_every_reference(self, storage):
-        # More reader threads than cores, switching as often as possible,
-        # each handing off acquire-new-then-release-old while the writer
-        # registers: a lost update on a refcount or a count row leaves a
-        # slot pinned, or a release refused.
-        prefix = f"rptest-stress-{storage}"
-        table = _slot_table(storage, prefix)
-        errors = []
-
-        def reader(reader_id):
-            try:
-                held = None
-                for _ in range(300):
-                    slot = table.acquire(reader_id)[1]
-                    if held is not None and not table.release(held, reader_id):
-                        raise AssertionError(f"release of {held} refused")
-                    held = slot
-                table.release(held, reader_id)
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            table.register(f"{prefix}-e0", 0)
-            threads = [threading.Thread(target=reader, args=(r,))
-                       for r in range(6)]
-            for thread in threads:
-                thread.start()
-            for epoch in range(1, 200):
-                table.register(f"{prefix}-e{epoch}", epoch)
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert errors == []
-            assert [(rc, st) for _s, _n, _e, rc, st
-                    in table.slots()] == [(0, LIVE)]
-            assert table.readers() == {}
-        finally:
-            sys.setswitchinterval(switch)
-            table.shutdown()
+        monkeypatch.setattr(PlaneLease, "release", killing_release)
+        with sg.serve(workers=1) as session:
+            prefix = session.prefix
+            monkeypatch.undo()  # respawns fork an unpatched worker
+            first = session.distance(0, 1)[2]  # attach, no old lease
+            sg.add_edge(0, 56, 0.3)
+            second = session.publish().epoch
+            rid = session.pool.submit("distance", (0, 56, 0.0))
+            assert session.pool.gather([rid], timeout=30) == {}
+            assert session.pool.dead() == [0]
+            assert leaked_segments(prefix) == sorted(
+                [f"{prefix}e{first}", f"{prefix}e{second}"])
+            value, _stats, epoch = session.distance(0, 56)  # respawns
+            assert session.pool.respawns == 1
+            assert (value, epoch) == (pytest.approx(0.3), second)
+            newer = []
+            for i in range(KEEP_LINKED):
+                sg.add_edge(1, 50 + i, 0.2)
+                newer.append(f"{prefix}e{session.publish().epoch}")
+            assert leaked_segments(prefix) == sorted(newer)
         assert leaked_segments(prefix) == []
