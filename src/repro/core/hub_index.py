@@ -545,17 +545,77 @@ class DenseHubTables:
     def residual_pair(self, s: int, t: int) -> float:
         """Tightest per-hub lower bound on ``d(s, t)`` (dense ids)."""
         F, B = self.F, self.B
-        inf = math.inf
-        fs, ft = F[:, s], F[:, t]
-        bs, bt = B[:, s], B[:, t]
-        with np.errstate(invalid="ignore"):
-            from_hub = np.where(
-                fs == inf, 0.0, np.where(ft == inf, inf, np.maximum(ft - fs, 0.0))
-            )
-            to_hub = np.where(
-                bt == inf, 0.0, np.where(bs == inf, inf, np.maximum(bs - bt, 0.0))
-            )
-        return max(0.0, float(np.maximum(from_hub, to_hub).max()))
+        return max(0.0, float(_per_hub_residual(
+            F[:, s], F[:, t], B[:, s], B[:, t]).max()))
+
+    def bounds_many(
+        self, s: int, ts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`upper_bound` and :meth:`residual_pair` of ``(s, t)`` for
+        every dense id ``t`` in ``ts``: two arrays, the same arithmetic
+        (so the same floats) as the scalar methods."""
+        F, B = self.F, self.B
+        fs, bs = F[:, s, None], B[:, s, None]
+        ft, bt = F[:, ts], B[:, ts]
+        upper = (bs + ft).min(axis=0)
+        lower = np.maximum(_per_hub_residual(fs, ft, bs, bt).max(axis=0), 0.0)
+        return upper, lower
+
+
+def _per_hub_residual(fs, ft, bs, bt) -> np.ndarray:
+    """Each hub's lower bound on ``d(s, t)`` from the columns ``d(h,s)``,
+    ``d(h,t)``, ``d(s,h)``, ``d(t,h)``; ``(k,)`` columns or ``(k, 1)``
+    against ``(k, m)`` for ``m`` targets.  ``inf`` proves no path."""
+    inf = math.inf
+    with np.errstate(invalid="ignore"):
+        from_hub = np.where(
+            fs == inf, 0.0, np.where(ft == inf, inf, np.maximum(ft - fs, 0.0))
+        )
+        to_hub = np.where(
+            bt == inf, 0.0, np.where(bs == inf, inf, np.maximum(bs - bt, 0.0))
+        )
+    return np.maximum(from_hub, to_hub)
+
+
+#: weights :func:`sums_are_exact` reads per step, so its temporaries stay
+#: a few tens of kilobytes whatever the plane's size
+EXACT_CHUNK = 4096
+
+
+def sums_are_exact(weights: np.ndarray, num_vertices: int) -> bool:
+    """Whether float64 adds up any ``2·num_vertices`` of ``weights`` exactly.
+
+    True when some ``P`` makes every weight an integer multiple of
+    ``2^-P`` and ``2·|V|·max_w·2^P <= 2^53``.  Every weight is then an
+    integer numerator over ``2^P``, and every sum of at most ``2|V|`` of
+    them (a path label, or a witness ``d(s,h) + d(h,t)``) an integer below
+    ``2^53`` over the same denominator, which float64 holds exactly: no
+    addition rounds, so every evaluation order gives the same float.  ``P``
+    is the smallest that fits, read off each weight's mantissa bits, and
+    the test stops at the first :data:`EXACT_CHUNK` of weights that breaks
+    the bound (a real-valued weight does at once).
+    """
+    p = 0
+    largest = 0.0
+    for start in range(0, weights.size, EXACT_CHUNK):
+        w = weights[start:start + EXACT_CHUNK]
+        w = w[w != 0.0]
+        if not w.size:
+            continue
+        if not (w > 0.0).all() or not np.isfinite(w).all():
+            return False
+        mant, exp = np.frexp(w)                     # w = mant · 2^exp
+        num = np.ldexp(mant, 53).astype(np.int64)   # w = num · 2^(exp − 53)
+        low_exp = np.frexp((num & -num).astype(np.float64))[1] - 1
+        # num's lowest set bit is 2^low_exp: w is a multiple of 2^-q for
+        # q = 53 − exp − low_exp and of no finer power of two.
+        p = max(p, int((53 - exp - low_exp).max()))
+        largest = max(largest, float(w.max()))
+        with np.errstate(over="ignore"):
+            top = float(np.ldexp(largest, p))       # max_w · 2^P, exactly
+        if not (math.isfinite(top) and 2 * num_vertices * int(top) <= 1 << 53):
+            return False
+    return True
 
 
 class DensePlane:
@@ -566,11 +626,24 @@ class DensePlane:
     the id space and freeze chain allow — see :meth:`build`.
     """
 
-    __slots__ = ("csr", "tables")
+    __slots__ = ("csr", "tables", "_exact")
 
     def __init__(self, csr, tables: DenseHubTables) -> None:
         self.csr = csr
         self.tables = tables
+        self._exact: Optional[bool] = None
+
+    @property
+    def exact_sums(self) -> bool:
+        """:func:`sums_are_exact` over this plane's weights and vertices.
+
+        Tested at the first wide batch that asks and cached on the plane,
+        so neither a publish nor a plane build ever pays for it.
+        """
+        if self._exact is None:
+            csr = self.csr
+            self._exact = sums_are_exact(csr.weights, csr.num_vertices)
+        return self._exact
 
     @classmethod
     def build(

@@ -126,8 +126,11 @@ class ManyQueryResult:
     """Answer + combined execution counters for one one-to-many query.
 
     The batched sibling of :class:`QueryResult`: one source, a value per
-    target, and a single :class:`QueryStats` record summing the per-target
-    searches — so batched queries are as observable as pairwise ones.
+    target, and a single :class:`QueryStats` record of the batch's work —
+    the per-target searches' counters summed, or, for a wide batch on an
+    exact dense plane, the one frontier pass's (see
+    :meth:`PairwiseEngine.one_to_many`) — so batched queries are as
+    observable as pairwise ones.
     """
 
     kind: QueryKind
@@ -291,8 +294,10 @@ class PairwiseVerbs:
         """Shortest distances from ``source`` to every target.
 
         ``distance_many(s, T)[t]`` is the float :meth:`distance` returns
-        for ``(s, t)``: each distinct target runs the pairwise search once
-        (see :meth:`PairwiseEngine.one_to_many`).  Use
+        for ``(s, t)``.  Each distinct target runs the pairwise search
+        once, except that a batch of at least ``WIDE_BATCH`` (8) distinct
+        targets on a dense plane whose sums are exact is one frontier pass
+        from ``s`` (see :meth:`PairwiseEngine.one_to_many`).  Use
         :meth:`distance_many_result` when the combined search counters are
         wanted alongside the values.
         """
@@ -303,8 +308,11 @@ class PairwiseVerbs:
     ) -> ManyQueryResult:
         """Like :meth:`distance_many`, surfacing the combined counters.
 
-        The ``stats`` record sums the per-target searches' counters, so
-        batched queries are observable exactly like pairwise ones.
+        The ``stats`` record sums the per-target searches' counters, or
+        holds the frontier pass's for a wide batch (expansions as
+        ``activations``, arcs as ``relaxations``, label improvements as
+        ``pushes``, vertices over the cap as ``pruned_by_upper_bound``),
+        so batched queries are observable exactly like pairwise ones.
         """
         engine = self._engine("distance")
         start = perf_counter()

@@ -92,6 +92,27 @@ def reference_dijkstra(graph, source: int) -> dict:
     return dist
 
 
+def assert_frontier_pass_counters(stats) -> None:
+    """``stats`` are those of one frontier pass (a wide ``one_to_many``).
+
+    The pass expands (``activations``) or drops (``pruned_by_upper_bound``)
+    every vertex of every frontier, and each frontier after the source's
+    is the previous round's label improvements (``pushes``), so the two
+    sum to ``pushes + 1``.  It runs in no search workspace and probes no
+    lower bound; a batch the tables answer whole does no work at all.
+    """
+    assert stats.workspace_resets == stats.workspace_hits == 0
+    assert stats.touched_reset == stats.pruned_by_lower_bound == 0
+    work = (stats.activations, stats.pushes, stats.relaxations,
+            stats.pruned_by_upper_bound)
+    if stats.answered_by_index:
+        assert work == (0, 0, 0, 0)
+    else:
+        assert stats.activations >= 1
+        assert (stats.activations + stats.pruned_by_upper_bound
+                == stats.pushes + 1)
+
+
 def reference_widest(graph, source: int) -> dict:
     """Oracle: max-min capacity from source to every vertex."""
     import heapq

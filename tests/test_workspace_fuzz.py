@@ -13,7 +13,9 @@ The same interleaving also runs on tie-heavy weights — small integers and
 dyadic rationals, whose sums are exact — where it must additionally match
 the dict plane's replay in values, paths and counters: with most queue
 priorities tied, any change in what order the dense loops read their data
-in shows up as a different tie break.
+in shows up as a different tie break.  A batch of ``WIDE_BATCH`` distinct
+targets is the exception for counters: on these exact planes the dense
+engine answers it with one frontier pass, the dict engine with a loop.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 import pytest
 
 from repro.core.config import SGraphConfig
-from repro.core.engine import PairwiseEngine
+from repro.core.engine import WIDE_BATCH, PairwiseEngine
 from repro.core.pruning import PruningPolicy
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.sgraph import SGraph
@@ -163,7 +165,13 @@ def _interleave_and_replay(policy, rng, seed_draw, churn_draw,
         for view in views
     }
     for view, verb, args, result in trace:
-        assert _run_verb(dict_engines[view.epoch], verb, args) == result, (
+        replay = _run_verb(dict_engines[view.epoch], verb, args)
+        if verb == "one_to_many" and len(set(args[1]) - {args[0]}) >= WIDE_BATCH:
+            # Exact weights: the dense plane answers a wide batch with one
+            # frontier pass, the dict plane with a loop of searches, so
+            # only the values can match.
+            replay, result = replay[0], result[0]
+        assert replay == result, (
             f"epoch {view.epoch}: {verb}{args} diverged from the dict plane"
         )
 
