@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heappop, heappush
 from typing import Dict, Optional, Tuple
 
 from repro.core.stats import QueryStats
 from repro.errors import QueryError
-from repro.utils.pqueue import IndexedHeap
 
 
 def _check_endpoints(graph, source: int, target: Optional[int]) -> None:
@@ -40,10 +40,11 @@ def dijkstra_distance(graph, source: int, target: int) -> Tuple[float, QueryStat
         return 0.0, stats
     dist: Dict[int, float] = {source: 0.0}
     settled: set = set()
-    heap = IndexedHeap()
-    heap.push(source, 0.0)
+    heap = [(0.0, source)]
     while heap:
-        v, d = heap.pop()
+        d, v = heappop(heap)
+        if v in settled:
+            continue
         settled.add(v)
         stats.activations += 1
         if v == target:
@@ -55,7 +56,7 @@ def dijkstra_distance(graph, source: int, target: int) -> Tuple[float, QueryStat
             cand = d + w
             if cand < dist.get(u, math.inf):
                 dist[u] = cand
-                heap.push(u, cand)
+                heappush(heap, (cand, u))
                 stats.pushes += 1
     return math.inf, stats
 
@@ -70,23 +71,23 @@ def bidirectional_dijkstra(graph, source: int, target: int) -> Tuple[float, Quer
     dist_b: Dict[int, float] = {target: 0.0}
     settled_f: set = set()
     settled_b: set = set()
-    heap_f = IndexedHeap()
-    heap_b = IndexedHeap()
-    heap_f.push(source, 0.0)
-    heap_b.push(target, 0.0)
+    # Each head is kept live (its vertex unsettled), so it is the
+    # frontier's label; a frontier's size is labelled minus settled.
+    heap_f = [(0.0, source)]
+    heap_b = [(0.0, target)]
     best = math.inf
     while heap_f and heap_b:
-        _, top_f = heap_f.peek()
-        _, top_b = heap_b.peek()
-        if top_f + top_b >= best:
+        if heap_f[0][0] + heap_b[0][0] >= best:
             break
-        forward = len(heap_f) <= len(heap_b)
+        forward = len(dist_f) - len(settled_f) <= len(dist_b) - len(settled_b)
         heap = heap_f if forward else heap_b
         dist = dist_f if forward else dist_b
         other = dist_b if forward else dist_f
         settled = settled_f if forward else settled_b
-        v, d = heap.pop()
+        d, v = heappop(heap)
         settled.add(v)
+        while heap and heap[0][1] in settled:
+            heappop(heap)
         stats.activations += 1
         if v in other:
             best = min(best, d + other[v])
@@ -98,7 +99,7 @@ def bidirectional_dijkstra(graph, source: int, target: int) -> Tuple[float, Quer
             cand = d + w
             if cand < dist.get(u, math.inf):
                 dist[u] = cand
-                heap.push(u, cand)
+                heappush(heap, (cand, u))
                 stats.pushes += 1
     return best, stats
 
@@ -136,10 +137,11 @@ def full_sssp(graph, source: int) -> Tuple[Dict[int, float], QueryStats]:
     stats = QueryStats()
     dist: Dict[int, float] = {source: 0.0}
     settled: set = set()
-    heap = IndexedHeap()
-    heap.push(source, 0.0)
+    heap = [(0.0, source)]
     while heap:
-        v, d = heap.pop()
+        d, v = heappop(heap)
+        if v in settled:
+            continue
         settled.add(v)
         stats.activations += 1
         for u, w in graph.out_items(v):
@@ -149,6 +151,6 @@ def full_sssp(graph, source: int) -> Tuple[Dict[int, float], QueryStats]:
             cand = d + w
             if cand < dist.get(u, math.inf):
                 dist[u] = cand
-                heap.push(u, cand)
+                heappush(heap, (cand, u))
                 stats.pushes += 1
     return dist, stats

@@ -38,7 +38,6 @@ from repro.core.semiring import SHORTEST_DISTANCE, PathSemiring, ShortestDistanc
 from repro.core.stats import QueryStats
 from repro.core.workspace import SearchWorkspace
 from repro.errors import ConfigError, QueryError
-from repro.utils.pqueue import IndexedHeap
 
 #: The fewest distinct non-source targets :meth:`PairwiseEngine.one_to_many`
 #: answers with one frontier pass over the dense plane instead of a loop of
@@ -232,7 +231,8 @@ class PairwiseEngine:
         there a path of capacity ≥ 5?") is where the bound pair shines: a
         witness within budget answers *yes* and a residual beyond it answers
         *no*, both without traversal.  Only indecisive pairs fall back to a
-        full search.
+        full search.  A NaN budget compares false against every bound and
+        would answer *yes*, so it is rejected with :class:`QueryError`.
         """
         sr = self._semiring
         stats = QueryStats()
@@ -240,6 +240,8 @@ class PairwiseEngine:
         for v in (source, target):
             if not graph.has_vertex(v):
                 raise QueryError(f"query endpoint {v} is not in the graph")
+        if math.isnan(budget):
+            raise QueryError("budget must not be NaN")
         if source == target:
             stats.answered_by_index = True
             return not sr.is_better(budget, sr.source_value), stats
@@ -438,7 +440,7 @@ class PairwiseEngine:
         graph = self._graph
         sr = self._semiring
         stats = QueryStats()
-        if tolerance < 0:
+        if not tolerance >= 0:  # NaN too: it would disable every prune
             raise ConfigError("tolerance must be non-negative")
         is_distance = isinstance(sr, ShortestDistance)
         if tolerance > 0 and not is_distance:
@@ -492,8 +494,10 @@ class PairwiseEngine:
         parents_b: dict = {target: None}
         settled_f: set = set()
         settled_b: set = set()
-        heap_f = IndexedHeap()
-        heap_b = IndexedHeap()
+        # The queues are `_search_dense`'s: plain heapq lists whose live
+        # entry per vertex is the one carrying its label, heads kept live.
+        heap_f: list = []
+        heap_b: list = []
         use_ub = self._policy.uses_index
         use_lb = self._policy.uses_lower_bounds
         # With a tolerance, prune/terminate against incumbent/(1+tol): any
@@ -512,26 +516,27 @@ class PairwiseEngine:
             pot_b: dict = {}
             for v in (source, target):
                 pot_f[v], pot_b[v] = _potential_dict(rows, v)
-            heap_f.push(source, pot_f[source][0])
-            heap_b.push(target, pot_b[target][0])
+            heap_f.append((pot_f[source][0], source))
+            heap_b.append((pot_b[target][0], target))
         else:
-            heap_f.push(source, sr.priority(sr.source_value))
-            heap_b.push(target, sr.priority(sr.source_value))
+            heap_f.append((sr.priority(sr.source_value), source))
+            heap_b.append((sr.priority(sr.source_value), target))
         best_meet = None
 
         while heap_f and heap_b:
             if incumbent != unreachable:
                 if ordered:
-                    if heap_f.peek()[1] + heap_b.peek()[1] >= cut:
+                    if heap_f[0][0] + heap_b[0][0] >= cut:
                         break
                 else:
-                    key_f, _ = heap_f.peek()
-                    key_b, _ = heap_b.peek()
-                    frontier = sr.concat(labels_f[key_f], labels_b[key_b])
+                    frontier = sr.concat(labels_f[heap_f[0][1]],
+                                         labels_b[heap_b[0][1]])
                     if (sr.is_better(threshold, frontier) if want_path
                             else not sr.is_better(frontier, threshold)):
                         break
-            forward = len(heap_f) <= len(heap_b)
+            # Frontier sizes: labelled minus settled vertices.
+            forward = (len(labels_f) - len(settled_f)
+                       <= len(labels_b) - len(settled_b))
             if forward:
                 heap, labels, other_labels, settled, parents = (
                     heap_f, labels_f, labels_b, settled_f, parents_f,
@@ -541,9 +546,11 @@ class PairwiseEngine:
                     heap_b, labels_b, labels_f, settled_b, parents_b,
                 )
 
-            v, _priority = heap.pop()
+            v = heappop(heap)[1]
             cost_v = labels[v]
             settled.add(v)
+            while heap and heap[0][1] in settled:
+                heappop(heap)
 
             # Meeting the other search's label yields a real s→t path.
             other = other_labels.get(v)
@@ -596,7 +603,7 @@ class PairwiseEngine:
                     if current is None or sr.is_better(candidate, current):
                         labels[u] = candidate
                         parents[u] = v
-                        heap.push(u, sr.priority(candidate))
+                        heappush(heap, (sr.priority(candidate), u))
                         stats.pushes += 1
                 continue
             # The bound-ordered relaxation, step for step `_search_dense`'s.
@@ -619,7 +626,7 @@ class PairwiseEngine:
                         continue
                     labels[u] = candidate
                     parents[u] = v
-                    heap.push(u, candidate + p_u)
+                    heappush(heap, (candidate + p_u, u))
                     stats.pushes += 1
                     other = other_labels.get(u)
                     if other is not None:
@@ -684,7 +691,7 @@ class PairwiseEngine:
         csr = plane.csr
         graph = self._graph
         stats = QueryStats()
-        if tolerance < 0:
+        if not tolerance >= 0:  # NaN too: it would disable every prune
             raise ConfigError("tolerance must be non-negative")
         scale = 1.0 + tolerance
         for v in (source, target):
@@ -766,8 +773,8 @@ class PairwiseEngine:
             journal_b.append(t)
             g_b[t] = 0.0
             heap_b.append((seed_b, t))
-            # Frontier sizes (what the dict plane's `len(heap)` reads) are
-            # first touches minus pops: journal length minus these.
+            # Frontier sizes are first touches minus pops (the dict plane's
+            # labelled minus settled): journal length minus these.
             popped_f = popped_b = 0
             indptr_f, indices_f, weights_f = csr.out_views
             indptr_b, indices_b, weights_b = csr.in_views
@@ -1138,13 +1145,14 @@ def expand_from_graph(
     _check_expansion(max_results, radius)
     if not graph.has_vertex(source):
         raise QueryError(f"query endpoint {source} is not in the graph")
-    heap = IndexedHeap()
-    heap.push(source, 0.0)
+    heap = [(0.0, source)]
     labels = {source: 0.0}
     settled: set = set()
     results: list = []
     while heap:
-        v, dist = heap.pop()
+        dist, v = heappop(heap)
+        if v in settled:
+            continue
         settled.add(v)
         if radius is not None and dist > radius:
             break
@@ -1158,7 +1166,7 @@ def expand_from_graph(
             cand = dist + w
             if cand < labels.get(u, math.inf):
                 labels[u] = cand
-                heap.push(u, cand)
+                heappush(heap, (cand, u))
     return results
 
 

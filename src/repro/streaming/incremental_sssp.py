@@ -35,7 +35,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.core.semiring import PathSemiring, ShortestDistance
 from repro.errors import IndexStateError
 from repro.graph.deltas import CostJournal
-from repro.utils.pqueue import IndexedHeap
 
 
 class IncrementalBestPath:
@@ -182,11 +181,10 @@ class IncrementalBestPath:
     def rebuild(self) -> None:
         """Recompute the whole tree with Dijkstra.  O((V+E) log V).
 
-        Runs at index build for every hub, so the queue is ``heapq`` with
-        lazy deletion inline: a vertex is pushed again only with a strictly
-        better cost, hence its live entry pops first and every later one
-        finds it settled — the ``(priority, id)`` pop order of
-        :class:`IndexedHeap`, without the method calls.
+        The queue is ``heapq`` with lazy deletion, as in every search loop:
+        a vertex is pushed again only with a strictly better cost, hence its
+        live entry pops first, in ``(priority, id)`` order, and every later
+        one finds it settled.
         """
         sr = self._semiring
         extend, is_better, priority = sr.extend, sr.is_better, sr.priority
@@ -268,18 +266,20 @@ class IncrementalBestPath:
         sr = self._semiring
         costs = self._costs
         journal = self._journal
-        heap = IndexedHeap()
+        # `pending` holds each queued vertex's best candidate, always better
+        # than its stored cost; an entry whose vertex is no longer pending
+        # was superseded by a better one that popped first.
+        heap: list = []
         pending: Dict[int, float] = {}
         for vertex, cand in seeds:
             if vertex not in pending or sr.is_better(cand, pending[vertex]):
                 pending[vertex] = cand
-                heap.push(vertex, sr.priority(cand))
+                heappush(heap, (sr.priority(cand), vertex))
         settled = 0
         while heap:
-            v, _priority = heap.pop()
-            cand = pending.pop(v)
-            current = costs.get(v, sr.unreachable)
-            if not sr.is_better(cand, current):
+            v = heappop(heap)[1]
+            cand = pending.pop(v, None)
+            if cand is None:
                 continue
             journal.note(costs, v)
             costs[v] = cand
@@ -289,7 +289,7 @@ class IncrementalBestPath:
                 best_known = pending.get(u, costs.get(u, sr.unreachable))
                 if sr.is_better(nxt, best_known):
                     pending[u] = nxt
-                    heap.push(u, sr.priority(nxt))
+                    heappush(heap, (sr.priority(nxt), u))
         self.settled_last_op = settled
 
     def on_edge_deleted(self, u: int, v: int, old_weight: float) -> None:
@@ -367,7 +367,7 @@ class IncrementalBestPath:
             # this first-seen old value (first-write-wins).
             journal.note(costs, a)
             costs.pop(a, None)
-        heap = IndexedHeap()
+        heap: list = []
         pending: Dict[int, float] = {}
         for a in affected:
             best = sr.unreachable
@@ -380,14 +380,13 @@ class IncrementalBestPath:
                     best = cand
             if sr.is_reachable(best):
                 pending[a] = best
-                heap.push(a, sr.priority(best))
+                heappush(heap, (sr.priority(best), a))
         settled = 0
         while heap:
-            v, _priority = heap.pop()
-            cand = pending.pop(v)
-            current = costs.get(v, sr.unreachable)
-            if not sr.is_better(cand, current):
-                continue
+            v = heappop(heap)[1]
+            cand = pending.pop(v, None)
+            if cand is None:
+                continue  # superseded, as in `_relax`
             costs[v] = cand
             settled += 1
             for x, w in self._succ(v):
@@ -397,5 +396,5 @@ class IncrementalBestPath:
                 best_known = pending.get(x, costs.get(x, sr.unreachable))
                 if sr.is_better(nxt, best_known):
                     pending[x] = nxt
-                    heap.push(x, sr.priority(nxt))
+                    heappush(heap, (sr.priority(nxt), x))
         self.settled_last_op = settled + len(affected)

@@ -21,7 +21,6 @@ from repro.core.pruning import PruningPolicy
 from repro.errors import ConfigError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.sgraph import SGraph
-from repro.utils.pqueue import IndexedHeap
 
 POLICIES = [
     PruningPolicy.NONE,
@@ -119,37 +118,6 @@ def test_dense_path_matches_dict_when_searched_and_when_index_closed():
         assert path[0] == s and path[-1] == t
         assert _path_cost(g, path) == pytest.approx(value, abs=1e-12)
         assert _stats_tuple(stats) == _stats_tuple(ref_stats)
-
-
-def test_dense_verbs_call_no_python_heap_method(monkeypatch):
-    """The dense loops drive ``heapq`` on the workspace's plain lists: once
-    the index and the plane are built (index build and hub repair do use
-    the class), no dense verb touches :class:`IndexedHeap`."""
-    sg = SGraph(graph=_random_graph(11, False), config=SGraphConfig(
-        num_hubs=6, queries=("distance",), backend="dense",
-    ))
-    verts = sorted(sg.graph.vertices())
-    rng = random.Random(110)
-    pairs = [tuple(rng.sample(verts, 2)) for _ in range(15)]
-
-    def answers():
-        out = []
-        for s, t in pairs:
-            out.append(sg.distance(s, t).value)
-            out.append(sg.shortest_path(s, t).path)
-        out.append(sg.distance_many(verts[0], verts[1:40]))
-        out.append(sg.nearest(verts[0], 12))
-        return out
-
-    expected = answers()  # builds the index and the plane on the way
-    assert any(sg.distance(s, t).stats.activations for s, t in pairs)
-
-    def called(self, *args):
-        raise AssertionError("a dense verb called an IndexedHeap method")
-
-    monkeypatch.setattr(IndexedHeap, "push", called)
-    monkeypatch.setattr(IndexedHeap, "pop", called)
-    assert answers() == expected
 
 
 def test_dense_path_isolated_and_self():

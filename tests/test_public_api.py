@@ -49,7 +49,7 @@ class TestSubpackages:
 
     def test_subpackage_all_exports_resolve(self):
         for package_name in ("repro.core", "repro.graph", "repro.streaming",
-                             "repro.baselines", "repro.utils"):
+                             "repro.baselines"):
             package = importlib.import_module(package_name)
             for name in getattr(package, "__all__", []):
                 assert getattr(package, name, None) is not None, (
