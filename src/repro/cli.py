@@ -303,8 +303,7 @@ def _cmd_attach(args: argparse.Namespace) -> int:
                 print(f"attached to {args.address}: nothing published yet",
                       file=sys.stderr)
                 return 1
-            print(f"attached to {args.address} as reader "
-                  f"{reader.client.reader_id}, serving epoch {epoch}")
+            print(f"attached to {args.address}, serving epoch {epoch}")
             verts = reader.vertices()
             rng = random.Random(13)
             for round_no in range(args.rounds):
@@ -323,7 +322,7 @@ def _cmd_attach(args: argparse.Namespace) -> int:
                       f"{hits} from index")
                 time.sleep(args.pause)
             if args.delta:
-                transfer = reader.transfer_stats()
+                transfer = reader.stats_row()
                 print(f"  transfer: {transfer['delta_fetches']} delta / "
                       f"{transfer['full_fetches']} full fetches, "
                       f"{transfer['bytes_received']} of "

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -522,12 +522,11 @@ def _compose(base_payload, frame: memoryview, head: Dict) -> bytes:
 
 
 class PlaneGraph:
-    """Minimal traversal-protocol adapter over a decoded CSR.
+    """The one graph method a reader engine calls: ``has_vertex``.
 
-    Reader processes have no :class:`DynamicGraph` — only the plane.  The
-    engine needs ``has_vertex`` for endpoint validation (the dense search
-    itself walks the CSR directly); ``out_items``/``in_items`` complete the
-    protocol for any dict-path fallback, translating through the id map.
+    Reader processes have no :class:`DynamicGraph` — only the plane.  An
+    engine over a plane always searches the CSR itself and needs the graph
+    only to validate endpoints, answered from the CSR's id map.
     """
 
     __slots__ = ("_csr",)
@@ -535,25 +534,5 @@ class PlaneGraph:
     def __init__(self, csr) -> None:
         self._csr = csr
 
-    @property
-    def directed(self) -> bool:
-        return self._csr.directed
-
-    @property
-    def num_vertices(self) -> int:
-        return self._csr.num_vertices
-
     def has_vertex(self, vertex: int) -> bool:
         return vertex in self._csr.dense_map
-
-    def out_items(self, vertex: int) -> Iterator[Tuple[int, float]]:
-        csr = self._csr
-        ids = csr.ids
-        for u, w in csr.out_arcs(csr.dense_id(vertex)):
-            yield ids[u], w
-
-    def in_items(self, vertex: int) -> Iterator[Tuple[int, float]]:
-        csr = self._csr
-        ids = csr.ids
-        for u, w in csr.in_arcs(csr.dense_id(vertex)):
-            yield ids[u], w

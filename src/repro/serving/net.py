@@ -9,13 +9,17 @@ anywhere can answer queries on them:
   published planes, each encoded once by :mod:`repro.serving.codec` and
   keyed by its SHA-256 digest.  The newest of them is the current epoch;
   a process-private :class:`~repro.serving.registry.EpochRegistry`
-  records only its generation and epoch;
-* readers poll the generation and, when it moved, send one ``acquire``
-  naming the digests already in their bounded local cache.  The server
-  answers ``cached`` when the current digest is among them, and otherwise
-  appends the plane: the reader verifies the digest and decodes it into a
-  private :class:`~repro.core.hub_index.DensePlane` (fetch-on-publish:
-  the bytes cross the socket once per reader per epoch, never per query);
+  records its digest and epoch, and the generation pool requests are
+  stamped with;
+* readers are anonymous: a plane is named by its digest, so a reader
+  polls the current digest and, when it is not the one it serves, sends
+  one ``acquire`` naming the digests already in its bounded local cache.
+  The server answers ``cached`` when the current digest is among them, and
+  otherwise appends the plane: the reader verifies the digest and decodes
+  it into a private :class:`~repro.core.hub_index.DensePlane`
+  (fetch-on-publish: the bytes cross the socket once per reader per
+  epoch, never per query).  A restarted server's planes keep their
+  digests, so no incarnation token is needed to tell them apart;
 * a **delta-enabled** reader's newest cached digest is a diff base: when
   the server still holds that plane it compares the two payloads it
   holds (:func:`~repro.serving.codec.encode_plane_delta`) and ships only
@@ -33,8 +37,9 @@ anywhere can answer queries on them:
 Wire format: every message is an 8-byte big-endian length followed by a
 JSON body; an ``acquire`` response whose ``mode`` is "full" or "delta" is
 followed by one raw frame carrying the encoded plane or the delta frame.
-Ops: ``hello``, ``poll``, ``acquire`` (``have``: cached digests, newest
-last; ``delta``: whether a delta is welcome), ``stats``.  A request that
+Ops: ``poll`` (answers the current ``digest``, None before the first
+publish) and ``acquire`` (``have``: cached digests, newest last;
+``delta``: whether a delta is welcome).  A request that
 does not parse as a JSON object (or an ``acquire`` whose ``have`` is not
 a list of digest strings) is answered ``malformed request`` and its
 connection closed.
@@ -43,7 +48,6 @@ connection closed.
 from __future__ import annotations
 
 import json
-import os
 import random
 import socket
 import struct
@@ -193,10 +197,6 @@ class PlaneServer:
                  cache_planes: int = DEFAULT_CACHE_PLANES) -> None:
         if cache_planes < 1:
             raise ConfigError("cache_planes must be >= 1")
-        # Fresh per process start: readers compare it across reconnects to
-        # tell "same server, new generation" from "restarted server whose
-        # generation counter may collide with the one I cached".
-        self.server_id = f"{os.getpid():x}-{os.urandom(4).hex()}"
         # The generation and current-epoch record.
         self._registry = EpochRegistry()
         # digest -> payload for the last cache_planes published planes,
@@ -212,20 +212,14 @@ class PlaneServer:
             "delta_fetches": 0, "full_fetches": 0,
             "bytes_sent": 0, "bytes_full": 0,
         }
-        # reader -> digest -> fetch count (the fetched-exactly-once audit)
-        self._fetches: Dict[str, Dict[str, int]] = {}
-        # connection-lifecycle counters, reported through the stats op
-        self._lifecycle: Dict[str, int] = {"drains": 0}
+        # close() calls that drained in-flight ops first
+        self._drains = 0
         # ops between recv and response; drain waits for this to hit zero
         self._inflight = 0
         self._inflight_cv = threading.Condition()
         self._conns: List[socket.socket] = []
         # each connection's thread; close() joins them with the acceptor
         self._conn_threads: List[threading.Thread] = []
-        # conn -> reader id, set by the hello op (each conn's own thread
-        # is the only writer of its entry)
-        self._conn_readers: Dict[socket.socket, str] = {}
-        self._next_reader = 0
         self._closed = False
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -266,29 +260,18 @@ class PlaneServer:
                 }
         return digest
 
-    def fetch_counts(self) -> Dict[str, Dict[str, int]]:
-        """Per-reader, per-digest fetch counts (each should be exactly 1)."""
-        with self._registry.lock:
-            return {r: dict(d) for r, d in self._fetches.items()}
-
-    def stats(self) -> dict:
-        """Generation, per-reader fetch totals, and the ``transfer``
-        (delta/full fetches, byte totals), ``lifecycle`` (drains) and
-        ``cache`` (publish-history depth and occupancy) counters — the
-        ``stats`` op's body, as one snapshot."""
+    def stats(self) -> Dict[str, int]:
+        """One snapshot row: the generation, the transfer counters
+        (delta/full fetches, actual vs all-full bytes), ``drains``, and
+        the publish history's depth (``cache_planes``) and occupancy
+        (``cached``)."""
         with self._registry.lock:
             return {
-                "server_id": self.server_id,
                 "generation": self._registry.generation(),
-                "fetches": {
-                    r: sum(d.values()) for r, d in self._fetches.items()
-                },
-                "cache": {
-                    "cache_planes": self._cache_planes,
-                    "cached": len(self._history),
-                },
-                "transfer": dict(self._transfer),
-                "lifecycle": dict(self._lifecycle),
+                **self._transfer,
+                "drains": self._drains,
+                "cache_planes": self._cache_planes,
+                "cached": len(self._history),
             }
 
     def close(self, drain: bool = True,
@@ -321,7 +304,7 @@ class PlaneServer:
                         break
                     self._inflight_cv.wait(remaining)
             with self._registry.lock:
-                self._lifecycle["drains"] += 1
+                self._drains += 1
         for conn in list(self._conns):
             # shutdown() wakes the connection's own thread out of a
             # blocked recv and sends FIN; close() alone does neither.
@@ -353,7 +336,7 @@ class PlaneServer:
 
     # -- internals ----------------------------------------------------------
 
-    def _acquire(self, reader, have: Sequence[str],
+    def _acquire(self, have: Sequence[str],
                  delta: bool) -> Tuple[dict, Optional[bytes]]:
         """The ``acquire`` reply and the frame that follows it (None when
         the reader already caches the current plane)."""
@@ -362,9 +345,8 @@ class PlaneServer:
                 return {"ok": True, "empty": True}, None
             digest, payload = next(reversed(self._history.items()))
             resp = {
-                "ok": True, "generation": self._registry.generation(),
-                "epoch": self._registry.current_epoch(), "digest": digest,
-                "full_nbytes": len(payload),
+                "ok": True, "epoch": self._registry.current_epoch(),
+                "digest": digest, "full_nbytes": len(payload),
             }
             if digest in have:
                 return {**resp, "mode": "cached", "nbytes": 0}, None
@@ -383,11 +365,7 @@ class PlaneServer:
                 mode = "delta"
             else:
                 frame, mode = payload, "full"
-            # One audit entry per payload crossing — delta or full, a
-            # digest still reaches each reader exactly once — plus the
-            # actual-vs-hypothetical byte totals.
-            counts = self._fetches.setdefault(str(reader), {})
-            counts[digest] = counts.get(digest, 0) + 1
+            # fetch counts plus actual-vs-hypothetical byte totals
             self._transfer[f"{mode}_fetches"] += 1
             self._transfer["bytes_sent"] += len(frame)
             self._transfer["bytes_full"] += len(payload)
@@ -452,7 +430,6 @@ class PlaneServer:
         except OSError:
             return
         finally:
-            self._conn_readers.pop(conn, None)
             try:
                 conn.close()
             except OSError:  # pragma: no cover
@@ -464,35 +441,20 @@ class PlaneServer:
 
     def _handle_op(self, conn: socket.socket, msg: dict) -> None:
         op = msg.get("op")
-        if op == "hello":
-            reader = msg.get("reader")
-            if reader is None:
-                with self._registry.lock:
-                    reader = f"r{self._next_reader}"
-                    self._next_reader += 1
-            self._conn_readers[conn] = reader
+        if op == "poll":
+            current = self._registry.current()
             _send_msg(conn, {
-                "ok": True, "reader": reader,
-                "generation": self._registry.generation(),
-                "server_id": self.server_id,
-            })
-        elif op == "poll":
-            _send_msg(conn, {
-                "ok": True,
-                "generation": self._registry.generation(),
+                "ok": True, "digest": None if current is None else current[2],
             })
         elif op == "acquire":
             have = msg.get("have") or []
             if not (isinstance(have, list)
                     and all(isinstance(d, str) for d in have)):
                 raise _MalformedRequest
-            resp, frame = self._acquire(self._conn_readers.get(conn), have,
-                                        bool(msg.get("delta")))
+            resp, frame = self._acquire(have, bool(msg.get("delta")))
             _send_msg(conn, resp)
             if frame is not None:
                 _send_frame(conn, frame)
-        elif op == "stats":
-            _send_msg(conn, {"ok": True, **self.stats()})
         else:
             _send_msg(conn, {"ok": False,
                              "error": f"unknown op {op!r}"})
@@ -558,10 +520,8 @@ class NetTransport(PlaneTransport):
         return None if self._server.closed else super().stamp()
 
     def transfer_stats(self) -> Dict[str, int]:
-        """The server's transfer, lifecycle and cache counters, flattened
-        into one row (see ``stats_row``)."""
-        stats = self._server.stats()
-        return {**stats["transfer"], **stats["lifecycle"], **stats["cache"]}
+        """The server's :meth:`PlaneServer.stats` row."""
+        return self._server.stats()
 
     def describe(self) -> str:
         mode = "delta" if self._spec.delta else "full"
@@ -593,8 +553,8 @@ class TcpReaderSpec(ReaderSpec):
         self.max_backoff = max_backoff
         self.op_timeout = op_timeout
 
-    def connect(self, reader_id) -> "NetClient":
-        return NetClient(self.host, self.port, reader_id=reader_id,
+    def connect(self) -> "NetClient":
+        return NetClient(self.host, self.port,
                          cache_planes=self.cache_planes, delta=self.delta,
                          timeout=self.op_timeout, retry=self.retry,
                          backoff=self.backoff, max_backoff=self.max_backoff)
@@ -619,19 +579,18 @@ class NetClient(PlaneClient):
 
     **Fault tolerance.**  Every public op runs inside a retry loop: a
     transport fault (connection reset, peer EOF mid-frame, corrupt frame)
-    tears the socket down and the whole op — hello included — is replayed
-    against a fresh connection, up to ``retry`` reconnect attempts with
-    exponential jittered backoff.  Each op carries a deadline of
-    ``timeout`` seconds covering all its attempts and backoff sleeps; a
-    blown deadline raises :class:`DeadlineExceededError` and is *not*
-    retried.  The hello response carries the server's ``server_id``; when
-    it changes across a reconnect the client bumps an internal revision
-    that is folded into every generation token, so leases acquired from
-    the previous incarnation compare unequal even if the restarted
-    server's generation counter collides with the old one.
+    tears the socket down and the whole op is replayed against a fresh
+    connection, up to ``retry`` reconnect attempts with exponential
+    jittered backoff.  Each op carries a deadline of ``timeout`` seconds
+    covering all its attempts and backoff sleeps; a blown deadline raises
+    :class:`DeadlineExceededError` and is *not* retried.  The client is
+    anonymous and its staleness token is the served plane's digest, so a
+    reconnect needs no handshake, and a lease from before a server
+    restart reads stale exactly when the restarted server publishes a
+    different plane.
     """
 
-    def __init__(self, host: str, port: int, reader_id=None,
+    def __init__(self, host: str, port: int,
                  cache_planes: int = DEFAULT_CACHE_PLANES,
                  delta: bool = False,
                  timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
@@ -653,12 +612,6 @@ class NetClient(PlaneClient):
         self._backoff = Backoff(initial=backoff, maximum=max_backoff,
                                 rng=rng)
         self._sock: Optional[socket.socket] = None
-        self._server_id: Optional[str] = None
-        self._seen_hello = False
-        # bumped when a reconnect lands on a different server incarnation;
-        # folded into generation tokens so stale leases compare unequal
-        self._rev = 0
-        self.reader_id = reader_id
         # digest -> (materialized plane, raw payload bytes)
         self._cache: "OrderedDict[str, Tuple[object, bytes]]" = OrderedDict()
         self._cache_planes = cache_planes
@@ -667,7 +620,7 @@ class NetClient(PlaneClient):
         self.transfer: Dict[str, int] = {
             "delta_fetches": 0, "full_fetches": 0,
             "bytes_received": 0, "bytes_full": 0,
-            "retries": 0, "reconnects": 0, "server_restarts": 0,
+            "retries": 0, "reconnects": 0,
             "peer_closed": 0, "corrupt_frames": 0, "deadline_exceeded": 0,
         }
         deadline = self._deadline()
@@ -704,7 +657,7 @@ class NetClient(PlaneClient):
 
     def _connect(self, deadline: Optional[float],
                  reconnect: bool = False) -> None:
-        remaining = self._remaining(deadline, "hello")
+        remaining = self._remaining(deadline, "connect")
         sock = socket.create_connection((self._host, self._port),
                                         timeout=remaining)
         try:
@@ -712,21 +665,6 @@ class NetClient(PlaneClient):
         except OSError:  # pragma: no cover
             pass
         self._sock = sock
-        resp = self._call_once({"op": "hello", "reader": self.reader_id},
-                               deadline)
-        self.reader_id = resp["reader"]
-        server_id = resp.get("server_id")
-        if not self._seen_hello:
-            self._seen_hello = True
-            self._server_id = server_id
-        elif server_id != self._server_id:
-            # A different incarnation answered at the same address: its
-            # registry (and delta-base history) started over.  Bump the
-            # revision so every lease from the old incarnation reads
-            # stale; cached payloads stay valid (they are digest-keyed).
-            self._server_id = server_id
-            self._rev += 1
-            self.transfer["server_restarts"] += 1
         if reconnect:
             self.transfer["reconnects"] += 1
 
@@ -858,28 +796,14 @@ class NetClient(PlaneClient):
 
     # -- public ops ---------------------------------------------------------
 
-    @property
-    def server_id(self) -> Optional[str]:
-        """Incarnation token of the server last spoken to."""
-        return self._server_id
-
-    def generation(self) -> Tuple[int, int]:
-        """Opaque staleness token: ``(incarnation rev, generation)``.
-
-        Compared for equality against ``PlaneLease.generation``; the rev
-        component makes tokens from before and after a server restart
-        unequal even when the generation counters collide.
-        """
+    def generation(self) -> Optional[str]:
+        """Staleness token: the digest of the server's current plane (None
+        before its first publish), compared for equality against
+        ``PlaneLease.generation``."""
         resp = self._retrying(
             "poll", lambda d: self._call_once({"op": "poll"}, d)
         )
-        return (self._rev, resp["generation"])
-
-    def stats(self) -> dict:
-        """Server-side fetch and cache counters (tests and dashboards)."""
-        return self._retrying(
-            "stats", lambda d: self._call_once({"op": "stats"}, d)
-        )
+        return resp["digest"]
 
     def acquire(self, stamp=None) -> Optional[PlaneLease]:
         # The server's current plane is at least as new as any stamp.
@@ -912,8 +836,7 @@ class NetClient(PlaneClient):
                     self._cache.popitem(last=False)
                 break
             delta = False  # the server sends full frames only from here
-        return PlaneLease((self._rev, resp["generation"]), resp["epoch"],
-                          self._cache[digest][0])
+        return PlaneLease(digest, resp["epoch"], self._cache[digest][0])
 
     def _verified_payload(self, resp: dict, frame: bytes,
                           have: List[str]) -> Optional[bytes]:
@@ -960,7 +883,7 @@ class NetReader(PlaneReader):
     newly published epochs.  ``degrade`` is :class:`PlaneReader`'s: by
     default an unreachable server leaves the last-acquired plane in
     service with :attr:`stale` set and ``stale_serves`` counting in
-    :meth:`transfer_stats`.
+    :meth:`~PlaneReader.stats_row`.
     """
 
     def __init__(self, address: str, policy: str = "upper+lower",
@@ -980,11 +903,6 @@ class NetReader(PlaneReader):
                            delta=delta, retry=retry, backoff=backoff,
                            max_backoff=max_backoff, timeout=timeout)
         super().__init__(client, policy, degrade=degrade)
-
-    def transfer_stats(self) -> Dict[str, object]:
-        """This reader's fetch/fault counters and byte totals (its
-        :meth:`~PlaneReader.stats_row`)."""
-        return self.stats_row()
 
     def vertices(self) -> List[int]:
         """Caller-space vertex ids of the served plane (demo drivers)."""

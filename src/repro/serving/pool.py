@@ -69,7 +69,10 @@ STALE_STAMP = "stale stamp"
 
 
 class Response(NamedTuple):
-    """One answered (or failed) request."""
+    """One answered (or failed) request.  A failure's payload is
+    :data:`STALE_STAMP` or ``(error class, message)``: the class the
+    caller raises, :class:`ConfigError` for a bad argument as on the
+    facade, :class:`QueryError` for anything else."""
 
     req_id: int
     worker_id: int
@@ -119,7 +122,7 @@ def _worker_main(worker_id: int, spec, conn, writer_ends,
     gc.freeze()
     # A worker that loses the writer keeps answering from its held plane
     # (degraded), flagged stale in its reader_stats row.
-    reader = PlaneReader(spec.connect(worker_id), policy_value)
+    reader = PlaneReader(spec.connect(), policy_value)
     # The stamp of the last refresh that reached the writer's plane; None
     # until one has, and again after a degraded one, so the next request
     # refreshes (and a None stamp always refreshes).
@@ -152,8 +155,10 @@ def _worker_main(worker_id: int, spec, conn, writer_ends,
             except StaleStamp:
                 resp = Response(req_id, worker_id, None, False, STALE_STAMP)
             except Exception as exc:  # noqa: BLE001 - report, don't die
+                error = (ConfigError if isinstance(exc, ConfigError)
+                         else QueryError)
                 resp = Response(req_id, worker_id, None, False,
-                                f"{type(exc).__name__}: {exc}")
+                                (error, f"{type(exc).__name__}: {exc}"))
             finally:
                 # Keep the reader the only holder of the plane between
                 # requests, so its release can actually unmap.
@@ -535,7 +540,6 @@ class ServeSession:
             "breaker_trips": self._pool.breaker.trips,
             "retries": 0,
             "reconnects": 0,
-            "server_restarts": 0,
             "peer_closed": 0,
             "corrupt_frames": 0,
             "deadline_exceeded": 0,
@@ -543,9 +547,8 @@ class ServeSession:
         }
         row.update(self._transport.transfer_stats())
         for reader_row in self.reader_stats():
-            for key in ("retries", "reconnects", "server_restarts",
-                        "peer_closed", "corrupt_frames",
-                        "deadline_exceeded", "stale_serves",
+            for key in ("retries", "reconnects", "peer_closed",
+                        "corrupt_frames", "deadline_exceeded", "stale_serves",
                         "workspace_allocs", "workspace_hits",
                         "workspace_resets", "touched_reset"):
                 row[key] += reader_row.get(key, 0)
@@ -555,7 +558,7 @@ class ServeSession:
         """One :meth:`PlaneReader.stats_row` per alive worker, plus its id.
 
         Each row carries the reader client's fault accounting (retries,
-        reconnects, server restarts observed, frames rejected; tcp only),
+        reconnects, frames rejected, fetches and bytes; tcp only),
         the ``stale``/``stale_serves`` degradation markers, the served
         ``epoch``, and the search-workspace reuse counters — the
         observable form of the zero-O(V)-allocations-per-request
@@ -640,9 +643,8 @@ class ServeSession:
                     backlog.appendleft(idx)
                     continue
                 if not resp.ok:
-                    raise QueryError(
-                        f"worker {resp.worker_id} failed: {resp.payload}"
-                    )
+                    error, message = resp.payload
+                    raise error(f"worker {resp.worker_id} failed: {message}")
                 answered[idx] = resp
             if wave:
                 continue

@@ -53,7 +53,7 @@ class PlaneLease:
     def __init__(self, generation, epoch: int, plane,
                  release: Optional[Callable[[], None]] = None) -> None:
         # generation is the transport's opaque staleness token (the stamp
-        # for shm, a (rev, generation) tuple for tcp) — equality only.
+        # for shm, the plane's digest for tcp) — equality only.
         self.generation = generation
         self.epoch = epoch
         self.plane = plane
@@ -74,18 +74,18 @@ class PlaneLease:
 
 
 class PlaneClient(ABC):
-    """Reader-side endpoint of one transport, bound to one reader id."""
+    """Reader-side endpoint of one transport; the writer never names it."""
 
     @abstractmethod
     def generation(self):
         """Opaque staleness token — compare *for equality* with a held
         lease's ``generation`` to detect staleness between requests.
 
-        The TCP client returns a ``(server incarnation rev, generation)``
-        tuple so a lease acquired before a server restart reads stale
-        even when the restarted registry's counter collides with the old
-        one.  Callers must not order or arithmetic these tokens.  The shm
-        client has none: it refreshes only at a writer's stamp.
+        The TCP client returns the digest of the server's current plane,
+        which names the plane itself: a lease from before a server restart
+        reads stale exactly when the restarted server serves other bytes.
+        Callers must not order these tokens.  The shm client has none: it
+        refreshes only at a writer's stamp.
         """
 
     @abstractmethod
@@ -110,7 +110,7 @@ class ReaderSpec(ABC):
     """
 
     @abstractmethod
-    def connect(self, reader_id) -> PlaneClient:
+    def connect(self) -> PlaneClient:
         """Open this reader's endpoint (called inside the reader process)."""
 
 
@@ -330,7 +330,7 @@ class StaleStamp(Exception):
 class ShmReaderSpec(ReaderSpec):
     """Nothing to carry: every request's stamp names its segment."""
 
-    def connect(self, reader_id) -> "ShmClient":
+    def connect(self) -> "ShmClient":
         return ShmClient()
 
 

