@@ -30,7 +30,7 @@ from repro.core.hub_selection import (
 )
 from repro.core.semiring import SHORTEST_DISTANCE, PathSemiring
 from repro.errors import ConfigError, IndexStateError
-from repro.graph.deltas import TOMBSTONE, LayeredMapping, derive_mapping
+from repro.graph.deltas import changed_keys, derive_touched
 from repro.streaming.incremental_sssp import IncrementalBestPath
 
 #: per-hub frozen cost tables, keyed by hub vertex
@@ -246,10 +246,11 @@ class HubIndex:
     def freeze(self) -> Tuple[FrozenTables, FrozenTables]:
         """Immutable per-hub cost tables for publishing a version.
 
-        Drains each maintainer's change journal and derives the new frozen
-        table from the previous freeze's table plus those changes, so the
-        cost is O(vertices whose cost changed since the last freeze) — an
-        unchanged tree hands back the *same* mapping object.  Only the first
+        Drains each maintainer's touched vertices and derives the new
+        frozen table from the previous freeze's table at those vertices,
+        dropping every one whose cost equals the previous table's, so the
+        cost is O(vertices touched since the last freeze) — a tree with no
+        net change hands back the *same* mapping object.  Only the first
         freeze (or one after a wholesale rebuild) pays a full table copy.
 
         Returns ``(forward, backward)``; ``backward`` is empty for
@@ -271,15 +272,11 @@ class HubIndex:
     def _freeze_tree(
         tree: IncrementalBestPath, prev: Optional[Mapping]
     ) -> Mapping:
-        full, changes = tree.drain_changes()
+        full, touched = tree.drain_touched()
         if full or prev is None:
             return dict(tree.raw_cost_table())
-        if not changes:
-            return prev
-        return derive_mapping(
-            prev,
-            {v: (TOMBSTONE if new is None else new) for v, _old, new in changes},
-        )
+        return derive_touched(prev, tree.raw_cost_table(), touched,
+                              drop_equal=True)
 
     # -- accounting -------------------------------------------------------------------
 
@@ -309,55 +306,33 @@ class HubIndex:
 # -- the dense serving plane -------------------------------------------------
 
 
-def _dirty_keys(new_map: Mapping, prev_map: Optional[Mapping]) -> Optional[list]:
-    """The vertices whose cost may differ between two versions of one table.
-
-    ``[]`` when nothing changed.  Works whenever both mappings are
-    :class:`LayeredMapping` layers over the *identical* base object (the
-    invariant `derive_mapping` maintains until it compacts): the two
-    versions then differ in at most the union of their overlay keys, so
-    re-reading just those keys reproduces a full rebuild exactly.  None when
-    the precondition does not hold and the row must be rebuilt in O(|V|).
-    """
-    if prev_map is None:
-        return None
-    if new_map is prev_map:
-        return []
-    if not isinstance(new_map, LayeredMapping):
-        return None
-    prev_layered = isinstance(prev_map, LayeredMapping)
-    if (prev_map.base if prev_layered else prev_map) is not new_map.base:
-        return None
-    keys = list(new_map.overlay_keys())
-    if prev_layered:
-        keys.extend(prev_map.overlay_keys())
-    return keys
-
-
 def _derive_matrix(
     hubs: List[int],
     tables: Dict[int, Mapping],
+    ids: List[int],
     dense: Dict[int, int],
-    n: int,
     prev: Optional[np.ndarray],
     prev_refs: Dict[int, Mapping],
 ) -> np.ndarray:
     """One direction's ``(k, |V|)`` cost matrix (row per hub, inf = absent).
 
     With ``prev`` (the previous epoch's matrix over the same id space and
-    hub list) every row that :func:`_dirty_keys` can diff is patched in
-    O(overlay) and only the rest are rebuilt; when no row changed at all,
-    ``prev`` itself is returned and the epochs share one matrix.
+    hub list) each row is patched at the vertices
+    :func:`~repro.graph.deltas.changed_keys` names against the mapping the
+    row was built from, and only a row with no such mapping is rebuilt;
+    when no row changed at all, ``prev`` itself is returned and the epochs
+    share one matrix.
     """
     plan = [
         (pos, tables[h],
-         None if prev is None else _dirty_keys(tables[h], prev_refs.get(h)))
+         None if prev is None or h not in prev_refs
+         else changed_keys(prev_refs[h], tables[h], ids))
         for pos, h in enumerate(hubs)
     ]
     if prev is not None and not any(keys is None or keys for _, _, keys in plan):
         return prev
     out = (prev.copy() if prev is not None
-           else np.empty((len(hubs), n), dtype=np.float64))
+           else np.empty((len(hubs), len(ids)), dtype=np.float64))
     inf = math.inf
     dget = dense.get
     for pos, mapping, keys in plan:
@@ -384,8 +359,8 @@ class DenseHubTables:
     marks unreachable): ``F[j, v]`` = cost hub_j → v, ``B[j, v]`` = cost
     v → hub_j, with ``B is F`` on undirected tables.  :meth:`derive` shares
     the previous epoch's matrix when no hub table changed and otherwise
-    copies it once and patches only the overlay keys the
-    :class:`LayeredMapping` freeze chain names, mirroring the O(Δ)
+    copies it once and patches only the vertices whose cost changed
+    (:func:`~repro.graph.deltas.changed_keys`), mirroring the O(Δ)
     dict-table publish.  Bound evaluation is a handful of vectorized ops on
     the matrices; the search loop's per-vertex probes index
     :attr:`fwd_views` / :attr:`bwd_views`, one memoryview per hub row made
@@ -462,28 +437,27 @@ class DenseHubTables:
         usable; otherwise every row is built fresh in O(|V|).
         """
         hubs = list(hubs)
-        dense = csr.dense_map
-        n = csr.num_vertices
+        ids, dense = csr.ids, csr.dense_map
         directed = csr.directed
         if directed and not bwd_tables:
             raise IndexStateError("directed dense tables need backward tables")
-        if (prev is not None and prev._ids is csr.ids and prev.hubs == hubs
+        if (prev is not None and prev._ids is ids and prev.hubs == hubs
                 and prev.directed == directed):
             prev_F, prev_B = prev.F, prev.B
             prev_fwd, prev_bwd = prev._fwd_refs, prev._bwd_refs
         else:
             prev_F = prev_B = None
             prev_fwd = prev_bwd = {}
-        F = _derive_matrix(hubs, fwd_tables, dense, n, prev_F, prev_fwd)
+        F = _derive_matrix(hubs, fwd_tables, ids, dense, prev_F, prev_fwd)
         B = F
         if directed:
-            B = _derive_matrix(hubs, bwd_tables, dense, n, prev_B, prev_bwd)
+            B = _derive_matrix(hubs, bwd_tables, ids, dense, prev_B, prev_bwd)
         return cls(
             hubs=hubs,
             F=F,
             B=B,
             directed=directed,
-            ids=csr.ids,
+            ids=ids,
             fwd_refs=dict(fwd_tables),
             bwd_refs=dict(bwd_tables) if directed else {},
             large_diameter=large_diameter,

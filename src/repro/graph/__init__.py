@@ -1,7 +1,7 @@
 """Evolving-graph substrate: storage, snapshots, CSR, generators, datasets."""
 
 from repro.graph.csr import CSRGraph
-from repro.graph.deltas import CostJournal, LayeredMapping, derive_mapping
+from repro.graph.deltas import LayeredMapping, derive_mapping
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import (
     erdos_renyi_graph,
@@ -16,7 +16,6 @@ __all__ = [
     "DynamicGraph",
     "GraphSnapshot",
     "CSRGraph",
-    "CostJournal",
     "LayeredMapping",
     "derive_mapping",
     "erdos_renyi_graph",

@@ -10,9 +10,8 @@ plane*: the pruned bidirectional engine walks :attr:`CSRGraph.out_views` /
 :attr:`CSRGraph.in_views` (memoryviews of the arrays, made with the CSR:
 indexing one reads the element straight out of the numpy buffer as a
 Python scalar, so no per-epoch copy ever exists — in a shm worker the views
-read the mapped segment itself), bound evaluation slices rows with
-:meth:`out_slice` / :meth:`in_slice`, and frozen hub tables are laid out
-over the same dense numbering.  Vertices with no out- (or in-) arcs —
+read the mapped segment itself), and frozen hub tables are laid out over
+the same dense numbering.  Vertices with no out- (or in-) arcs —
 including fully isolated vertices — occupy an empty row, so every vertex of
 the snapshot is addressable.
 
@@ -36,60 +35,16 @@ diff against.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import is_not
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, VertexNotFoundError
-from repro.graph.deltas import LayeredMapping
+from repro.graph.deltas import changed_keys
 from repro.graph.snapshot import Adjacency, GraphSnapshot
 
 Triple = Tuple[np.ndarray, np.ndarray, np.ndarray]
 Source = Tuple[Adjacency, Adjacency, np.ndarray, np.ndarray]
-
-
-def _changed_vertices(
-    prev: Adjacency, new: Adjacency, ids: List[int]
-) -> Optional[List[int]]:
-    """Vertices whose adjacency dict is a different object in ``new``.
-
-    Snapshots never mutate a per-vertex dict and share it by reference
-    until the vertex is touched, so identity is a sound (conservative)
-    equality test.  Returns None when the two key sets differ — a vertex
-    was added or removed and the dense numbering cannot be kept.
-
-    Two layers over the identical ``base`` differ in at most the union of
-    their overlay keys, whichever is newer: O(Δ).  Across a compaction the
-    bases differ but ``flatten()`` kept the value objects, so one C-speed
-    identity scan over ``ids`` finds the rows: O(V).
-    """
-    prev_layered = isinstance(prev, LayeredMapping)
-    new_layered = isinstance(new, LayeredMapping)
-    prev_base = prev.base if prev_layered else prev
-    if prev_base is (new.base if new_layered else new):
-        keys = set(prev.overlay_keys()) if prev_layered else set()
-        if new_layered:
-            keys.update(new.overlay_keys())
-        changed = []
-        for v in keys:
-            old, cur = prev.get(v), new.get(v)
-            if old is cur:  # untouched, or absent on both sides
-                continue
-            if old is None or cur is None:
-                return None
-            changed.append(v)
-        return changed
-    if len(prev) != len(new):
-        return None
-    old_of = (prev.flatten() if prev_layered else prev).__getitem__
-    new_of = (new.flatten() if new_layered else new).__getitem__
-    try:
-        differs = map(is_not, map(old_of, ids), map(new_of, ids))
-        return list(compress(ids, differs))
-    except KeyError:
-        return None
 
 
 def _derive_triple(
@@ -99,19 +54,27 @@ def _derive_triple(
     """One direction's ``(indptr, indices, weights)`` for ``new``, given the
     arrays built from ``prev``; None when the vertex sets differ.
 
-    Only the changed rows are rebuilt in Python (same order as
+    The rows rebuilt are the vertices whose adjacency dict is a different
+    object in ``new`` (:func:`~repro.graph.deltas.changed_keys`: snapshots
+    never mutate a per-vertex dict and share it until the vertex is
+    touched).  Only those are rebuilt in Python (same order as
     :meth:`CSRGraph.from_snapshot`: ascending dense neighbor); every other
     arc moves with one row-mask gather/scatter per array.
     """
-    changed = _changed_vertices(prev, new, ids)
+    if len(new) != len(ids):
+        return None
+    changed = changed_keys(prev, new, ids)
     if not changed:
-        return None if changed is None else triple
-    rows = sorted(map(dense.__getitem__, changed))
+        return triple
+    try:
+        rows = sorted(map(dense.__getitem__, changed))
+        adjacency = [new[ids[i]] for i in rows]
+    except KeyError:  # a vertex was added and another removed
+        return None
     fresh_idx: List[int] = []
     fresh_w: List[float] = []
     lens: List[int] = []
-    for i in rows:
-        nbrs = new[ids[i]]
+    for nbrs in adjacency:
         row = sorted(zip(map(dense.__getitem__, nbrs), nbrs.values()))
         lens.append(len(row))
         fresh_idx.extend([u for u, _w in row])
@@ -427,45 +390,7 @@ class CSRGraph:
         """Map a dense CSR index back to the caller-visible vertex id."""
         return self._ids[dense]
 
-    def vertex_ids(self) -> List[int]:
-        return list(self._ids)
-
-    def to_dense(self, vertices: Iterable[int]) -> List[int]:
-        """Translate caller-visible vertex ids to dense ids, in order."""
-        return [self.dense_id(v) for v in vertices]
-
-    def to_ids(self, dense_ids: Iterable[int]) -> List[int]:
-        """Translate dense ids back to caller-visible vertex ids, in order."""
-        ids = self._ids
-        return [ids[d] for d in dense_ids]
-
     # -- traversal ---------------------------------------------------------------
-
-    def out_arcs(self, dense: int) -> Iterator[Tuple[int, float]]:
-        """Yield ``(dense_neighbor, weight)`` for forward arcs of ``dense``."""
-        start, stop = self.indptr[dense], self.indptr[dense + 1]
-        for k in range(start, stop):
-            yield int(self.indices[k]), float(self.weights[k])
-
-    def in_arcs(self, dense: int) -> Iterator[Tuple[int, float]]:
-        """Yield ``(dense_neighbor, weight)`` for backward arcs of ``dense``."""
-        start, stop = self.rev_indptr[dense], self.rev_indptr[dense + 1]
-        for k in range(start, stop):
-            yield int(self.rev_indices[k]), float(self.rev_weights[k])
-
-    def out_slice(self, dense: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(neighbors, weights)`` array views of one forward row.
-
-        Empty arrays for vertices with no out-arcs (isolated vertices
-        included) — never an error.
-        """
-        start, stop = self.indptr[dense], self.indptr[dense + 1]
-        return self.indices[start:stop], self.weights[start:stop]
-
-    def in_slice(self, dense: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(neighbors, weights)`` array views of one backward row."""
-        start, stop = self.rev_indptr[dense], self.rev_indptr[dense + 1]
-        return self.rev_indices[start:stop], self.rev_weights[start:stop]
 
     def out_degree(self, dense: int) -> int:
         return int(self.indptr[dense + 1] - self.indptr[dense])

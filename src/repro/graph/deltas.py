@@ -1,11 +1,10 @@
-"""Delta journals and structurally shared mappings.
+"""Version diffs and structurally shared mappings.
 
 This module is the substrate for O(Δ) snapshots and publishes: instead of
 copying a whole adjacency (or a whole hub cost table) every time a version is
-frozen, the new version is *derived* from the previous one plus the set of
-keys that actually changed.
-
-Two pieces:
+frozen, the new version is *derived* from the previous one plus the keys that
+actually changed.  It is also the one place that decides what changed
+between two versions, on both sides of a publish:
 
 * :class:`LayeredMapping` — an immutable mapping that shares an untouched
   ``base`` mapping with older versions and layers a small ``overrides`` dict
@@ -16,21 +15,28 @@ Two pieces:
   step compacts into a plain dict — so the per-derive cost is O(Δ) amortized
   and never degrades lookups.
 
-* :class:`CostJournal` — a first-write-wins record of ``key → old value``
-  kept by an incremental maintainer between freezes.  Draining it against the
-  maintainer's current table yields the net ``(key, old, new)`` change list
-  that :func:`derive_mapping` consumes.  A journal can be marked *full*
-  (after a from-scratch rebuild) which tells the drainer that the delta is
-  the whole table.
+* :func:`derive_touched` — the producer side.  A writer records the keys it
+  touched since the last freeze in a plain set (the graph's dirty vertices,
+  a hub tree's re-settled vertices) and hands them over with the live table;
+  the new version takes each touched key's live value, and with
+  ``drop_equal`` a key whose value came back to the previous version's is
+  left out, so a tree with no net change hands back the identical mapping.
 
-Both are value-type agnostic: the graph layer stores per-vertex adjacency
-dicts as values, the streaming layer stores float costs.
+* :func:`changed_keys` — the consumer side.  Given two versions of one
+  mapping, the keys whose value object differs: the union of their overlays
+  when they share a base (O(Δ)), one C-speed identity scan otherwise.  The
+  CSR derive and the dense hub-row derive both patch exactly these keys.
+
+All of it is value-type agnostic: the graph layer stores per-vertex
+adjacency dicts as values, the streaming layer stores float costs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from itertools import compress
+from operator import is_not
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 
 class _Tombstone:
@@ -44,9 +50,6 @@ class _Tombstone:
 
 #: change-map value meaning "this key was removed"
 TOMBSTONE = _Tombstone()
-
-#: journal value meaning "this key was absent when first touched"
-ABSENT = _Tombstone()
 
 
 class LayeredMapping(Mapping):
@@ -71,27 +74,10 @@ class LayeredMapping(Mapping):
         extra = sum(1 for k in overrides if k not in base)
         self._len = len(base) - len(deleted) + extra
 
-    # -- introspection (tests assert structural sharing through these) -------
-
     @property
     def base(self) -> Mapping:
+        """The shared lower level (tests assert structural sharing on it)."""
         return self._base
-
-    @property
-    def overlay_size(self) -> int:
-        """Number of keys carried by the overlay (overrides + tombstones)."""
-        return len(self._overrides) + len(self._deleted)
-
-    def overlay_keys(self) -> Iterator:
-        """Iterate over the keys the overlay touches (overrides + tombstones).
-
-        Two versions that share a ``base`` differ in at most the union of
-        their overlay keys — the fact the dense serving plane exploits to
-        derive a new per-hub cost row from the previous one in O(Δ) instead
-        of re-materializing all |V| entries.
-        """
-        yield from self._overrides
-        yield from self._deleted
 
     def __repr__(self) -> str:
         return (
@@ -150,6 +136,18 @@ class LayeredMapping(Mapping):
         return flat
 
 
+_NO_OVERRIDES: Dict[Any, Any] = {}
+_NO_DELETIONS: frozenset = frozenset()
+
+
+def _layers(mapping: Mapping) -> Tuple[Dict, Any, Mapping]:
+    """``(overrides, deleted, base)`` of any mapping; a plain one is its own
+    base under an empty overlay."""
+    if isinstance(mapping, LayeredMapping):
+        return mapping._overrides, mapping._deleted, mapping._base
+    return _NO_OVERRIDES, _NO_DELETIONS, mapping
+
+
 def derive_mapping(
     prev: Mapping,
     changes: Mapping,
@@ -169,14 +167,9 @@ def derive_mapping(
     """
     if not changes:
         return prev
-    if isinstance(prev, LayeredMapping):
-        base = prev._base
-        overrides = dict(prev._overrides)
-        deleted = set(prev._deleted)
-    else:
-        base = prev
-        overrides = {}
-        deleted = set()
+    prev_overrides, prev_deleted, base = _layers(prev)
+    overrides = dict(prev_overrides)
+    deleted = set(prev_deleted)
     for key, value in changes.items():
         if value is TOMBSTONE:
             overrides.pop(key, None)
@@ -186,68 +179,67 @@ def derive_mapping(
             overrides[key] = value
             deleted.discard(key)
     layered = LayeredMapping(base, overrides, deleted)
-    if layered.overlay_size > max(min_compact, len(base) // compact_ratio):
+    if len(overrides) + len(deleted) > max(min_compact,
+                                           len(base) // compact_ratio):
         return layered.flatten()
     return layered
 
 
-class CostJournal:
-    """First-write-wins record of old values between two freezes.
+def derive_touched(
+    prev: Mapping, live: Mapping, touched: Iterable, drop_equal: bool = False,
+) -> Mapping:
+    """``prev`` re-derived at the ``touched`` keys of ``live``.
 
-    The owner calls :meth:`note` *before* every write/delete of a table key,
-    :meth:`mark_full` whenever the whole table is recomputed wholesale, and
-    :meth:`drain` at freeze time to obtain the net change list.
+    Each touched key takes its value in ``live``, or a tombstone where
+    ``live`` no longer holds it.  With ``drop_equal`` a key whose value
+    equals the one in ``prev`` (absent on both sides included) is left out,
+    so a writer whose touches all returned to their old values hands back
+    ``prev`` itself.  O(touched).
     """
+    changes: Dict[Any, Any] = {}
+    if drop_equal:
+        overrides, deleted, base = _layers(prev)
+        for key in touched:
+            value = live.get(key, TOMBSTONE)
+            old = overrides.get(key, TOMBSTONE)
+            if old is TOMBSTONE and key not in deleted:
+                old = base.get(key, TOMBSTONE)
+            if value != old:
+                changes[key] = value
+    else:
+        for key in touched:
+            changes[key] = live.get(key, TOMBSTONE)
+    return derive_mapping(prev, changes)
 
-    __slots__ = ("_old", "_full")
 
-    def __init__(self) -> None:
-        self._old: Dict[Any, Any] = {}
-        self._full = False
+def changed_keys(prev: Mapping, new: Mapping, keys: Sequence) -> List:
+    """The keys whose value *object* differs between two versions.
 
-    @property
-    def full(self) -> bool:
-        """True when the next drain must treat every key as changed."""
-        return self._full
-
-    def __len__(self) -> int:
-        return len(self._old)
-
-    def note(self, table: Mapping, key) -> None:
-        """Record ``key``'s current value (or absence) if not yet journaled."""
-        if self._full or key in self._old:
-            return
-        self._old[key] = table.get(key, ABSENT)
-
-    def mark_full(self) -> None:
-        """The table was rebuilt from scratch; per-key history is void."""
-        self._full = True
-        self._old.clear()
-
-    def drain(
-        self, current: Mapping
-    ) -> Tuple[bool, List[Tuple[Any, Optional[Any], Optional[Any]]]]:
-        """Reset the journal, returning ``(full, changes)``.
-
-        ``full=True`` means the caller must take a complete copy of
-        ``current``; the change list is then empty.  Otherwise ``changes``
-        holds one ``(key, old, new)`` entry per *net* change since the last
-        drain (no-op round trips are filtered out); ``old``/``new`` are None
-        when the key was absent on that side.
-        """
-        if self._full:
-            self._full = False
-            self._old.clear()
-            return True, []
-        changes: List[Tuple[Any, Optional[Any], Optional[Any]]] = []
-        for key, old in self._old.items():
-            new = current.get(key, ABSENT)
-            if new is ABSENT:
-                if old is not ABSENT:
-                    changes.append((key, old, None))
-            elif old is ABSENT:
-                changes.append((key, None, new))
-            elif new != old:
-                changes.append((key, old, new))
-        self._old.clear()
-        return False, changes
+    A key held on one side only is listed too.  Versions are never
+    mutated and share a value object until its key is touched, so identity
+    is a sound (conservative) equality test.  Two layers over the identical
+    base differ in at most the union of their overlays, whichever is newer:
+    O(Δ), reading the overlay dicts directly.  Across a compaction (or
+    between unrelated mappings) the bases differ, but ``flatten()`` kept the
+    value objects, so one C-speed identity scan over ``keys`` finds the
+    changes: O(|keys|), and a key outside ``keys`` is not looked at.
+    """
+    if prev is new:
+        return []
+    p_over, p_del, p_base = _layers(prev)
+    n_over, n_del, n_base = _layers(new)
+    if p_base is n_base:
+        changed = []
+        for key in {*p_over, *p_del, *n_over, *n_del}:
+            old = p_over.get(key, TOMBSTONE)
+            if old is TOMBSTONE and key not in p_del:
+                old = p_base.get(key, TOMBSTONE)
+            cur = n_over.get(key, TOMBSTONE)
+            if cur is TOMBSTONE and key not in n_del:
+                cur = n_base.get(key, TOMBSTONE)
+            if old is not cur:
+                changed.append(key)
+        return changed
+    old_of = (prev.flatten() if isinstance(prev, LayeredMapping) else prev).get
+    new_of = (new.flatten() if isinstance(new, LayeredMapping) else new).get
+    return list(compress(keys, map(is_not, map(old_of, keys), map(new_of, keys))))

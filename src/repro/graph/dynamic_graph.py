@@ -32,7 +32,7 @@ from repro.errors import (
     InvalidWeightError,
     VertexNotFoundError,
 )
-from repro.graph.deltas import TOMBSTONE, derive_mapping
+from repro.graph.deltas import derive_touched
 from repro.graph.snapshot import GraphSnapshot
 
 Edge = Tuple[int, int, float]
@@ -326,13 +326,9 @@ class DynamicGraph:
             out = dict(self._out)
             inn = dict(self._in) if self._directed else None
         else:
-            out = derive_mapping(prev._out, self._journal_changes(
-                self._dirty_out, self._out))
-            if self._directed:
-                inn = derive_mapping(prev._in, self._journal_changes(
-                    self._dirty_in, self._in))
-            else:
-                inn = None
+            out = derive_touched(prev._out, self._out, self._dirty_out)
+            inn = (derive_touched(prev._in, self._in, self._dirty_in)
+                   if self._directed else None)
         snap = GraphSnapshot(
             out=out,
             inn=inn,
@@ -345,17 +341,6 @@ class DynamicGraph:
         if self._directed:
             self._dirty_in.clear()
         return snap
-
-    @staticmethod
-    def _journal_changes(dirty: set, live: Dict[int, Dict[int, float]]) -> Dict:
-        """Snapshot-derivation change map: share the live dict objects for
-        changed vertices (the journal reset re-arms copy-on-write for them)
-        and tombstone removed vertices."""
-        changes: Dict = {}
-        for v in dirty:
-            nbrs = live.get(v)
-            changes[v] = TOMBSTONE if nbrs is None else nbrs
-        return changes
 
     def edge_list(self) -> List[Edge]:
         """Materialize :meth:`edges` as a list (handy for tests)."""

@@ -104,6 +104,10 @@ DEFAULT_OP_TIMEOUT = 30.0
 #: their sockets are shut down (they normally exit at once)
 CLOSE_JOIN_TIMEOUT = 5.0
 
+#: seconds a draining ``PlaneServer.close`` gives in-flight ops to finish
+#: before it severs their connections
+CLOSE_DRAIN_TIMEOUT = 5.0
+
 #: a frame length beyond this is treated as stream corruption rather
 #: than waited out (a flipped bit in a length prefix reads as exabytes)
 _MAX_FRAME = 1 << 34
@@ -274,14 +278,14 @@ class PlaneServer:
                 "cached": len(self._history),
             }
 
-    def close(self, drain: bool = True,
-              drain_timeout: float = 5.0) -> int:
+    def close(self, drain: bool = True) -> int:
         """Stop serving; returns the final generation.
 
         With ``drain`` (the default) the listener closes first — no new
-        connections — then in-flight ops are given ``drain_timeout``
-        seconds to finish before connections are severed, so a reader
-        mid-acquire gets its last frame instead of a mid-payload EOF.
+        connections — then in-flight ops are given
+        :data:`CLOSE_DRAIN_TIMEOUT` seconds to finish before connections
+        are severed, so a reader mid-acquire gets its last frame instead of
+        a mid-payload EOF.
         """
         self._closed = True
         # shutdown() before close(): close() alone does not wake a thread
@@ -296,7 +300,7 @@ class PlaneServer:
         except OSError:  # pragma: no cover
             pass
         if drain:
-            deadline = time.monotonic() + drain_timeout
+            deadline = time.monotonic() + CLOSE_DRAIN_TIMEOUT
             with self._inflight_cv:
                 while self._inflight > 0:
                     remaining = deadline - time.monotonic()

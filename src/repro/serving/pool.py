@@ -407,8 +407,8 @@ class ServeSession:
     """
 
     def __init__(self, sgraph, workers: int = 2, store=None,
-                 capacity: int = 4, name_prefix: Optional[str] = None,
-                 transport: str = "shm", chunk: Optional[int] = None,
+                 capacity: int = 4, transport: str = "shm",
+                 chunk: Optional[int] = None,
                  delta: bool = False, respawn: bool = True,
                  respawn_limit: int = 5,
                  respawn_window: float = 30.0,
@@ -446,9 +446,7 @@ class ServeSession:
         self._store = store if store is not None else VersionedStore(
             sgraph, capacity=capacity
         )
-        self._prefix = name_prefix or (
-            f"rp{os.getpid():x}-{os.urandom(3).hex()}-"
-        )
+        self._prefix = f"rp{os.getpid():x}-{os.urandom(3).hex()}-"
         self._chunk = chunk
         self._closed = False
         ctx = mp.get_context(

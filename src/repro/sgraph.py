@@ -61,6 +61,14 @@ def _check_directed(directed) -> None:
         )
 
 
+def _check_probability(src: int, dst: int, weight: float) -> None:
+    if not 0.0 < weight <= 1.0:
+        raise ConfigError(
+            "the reliability family needs every edge weight in "
+            f"(0, 1]; edge ({src}, {dst}) has weight {weight}"
+        )
+
+
 class SGraph(PairwiseVerbs):
     """Sub-second pairwise queries over an evolving graph.
 
@@ -85,6 +93,10 @@ class SGraph(PairwiseVerbs):
         self._graph = graph if graph is not None else DynamicGraph(directed=directed)
         self._config = config or SGraphConfig()
         self._families = self._config.queries
+        # The reliability algebra needs every weight to be a probability.
+        self._probabilities = any(
+            FAMILIES[f].semiring is RELIABILITY_PRODUCT for f in self._families
+        )
         self._indexes: Dict[str, HubIndex] = {}
         self._engines: Dict[str, PairwiseEngine] = {}
         self._unit_view = UnitWeightView(self._graph)
@@ -205,7 +217,8 @@ class SGraph(PairwiseVerbs):
         for family in cfg.queries:
             spec = FAMILIES[family]
             if spec.semiring is RELIABILITY_PRODUCT:
-                self._validate_probability_weights()
+                for edge in self._graph.edges():
+                    _check_probability(*edge)
             indexes[family] = HubIndex.build(
                 self._unit_view if spec.unit_weights else self._graph,
                 num_hubs, strategy=cfg.hub_strategy, seed=cfg.seed,
@@ -252,14 +265,6 @@ class SGraph(PairwiseVerbs):
         # chain stays (the CSR id space is still reusable).
         self._frozen = {}
 
-    def _validate_probability_weights(self) -> None:
-        for src, dst, weight in self._graph.edges():
-            if not 0.0 < weight <= 1.0:
-                raise ConfigError(
-                    "the reliability family needs every edge weight in "
-                    f"(0, 1]; edge ({src}, {dst}) has weight {weight}"
-                )
-
     # -- mutation (mutate graph first, notify indexes second) -----------------------
 
     def add_vertex(self, vertex: int) -> bool:
@@ -268,6 +273,8 @@ class SGraph(PairwiseVerbs):
 
     def add_edge(self, src: int, dst: int, weight: float = 1.0) -> None:
         """Insert an edge, or change its weight if it already exists."""
+        if self._probabilities:
+            _check_probability(src, dst, weight)
         graph = self._graph
         old_weight: Optional[float] = None
         if graph.has_edge(src, dst):

@@ -30,11 +30,10 @@ weight breaks the repair's assumption that deletions never improve costs.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.core.semiring import PathSemiring, ShortestDistance
 from repro.errors import IndexStateError
-from repro.graph.deltas import CostJournal
 
 
 class IncrementalBestPath:
@@ -58,7 +57,7 @@ class IncrementalBestPath:
     """
 
     __slots__ = ("_graph", "_source", "_semiring", "_forward", "_costs",
-                 "_dirty", "_journal", "settled_last_op")
+                 "_dirty", "_touched", "_full", "settled_last_op")
 
     def __init__(
         self,
@@ -77,9 +76,11 @@ class IncrementalBestPath:
         self._forward = direction == "forward"
         self._costs: Dict[int, float] = {}
         self._dirty = False
-        # Change journal since the last drain (freeze); the initial rebuild
-        # marks it full, so the first freeze takes a complete copy.
-        self._journal = CostJournal()
+        # What the next freeze must re-read: the vertices whose cost was
+        # written or dropped since the last drain, or everything (`_full`)
+        # after a wholesale rebuild — the initial one included.
+        self._touched: Set[int] = set()
+        self._full = True
         #: vertices touched by the most recent operation (maintenance-cost metric)
         self.settled_last_op = 0
         self.rebuild()
@@ -114,8 +115,8 @@ class IncrementalBestPath:
         tree._forward = direction == "forward"
         tree._costs = dict(costs) if copy else costs
         tree._dirty = False
-        tree._journal = CostJournal()
-        tree._journal.mark_full()
+        tree._touched = set()
+        tree._full = True
         tree.settled_last_op = 0
         return tree
 
@@ -208,23 +209,25 @@ class IncrementalBestPath:
                     heappush(heap, (priority(cand), u))
         self._costs = costs
         self._dirty = False
-        self._journal.mark_full()
+        self._full = True
         self.settled_last_op = len(done)
 
-    # -- change journal (drained by HubIndex.freeze) ---------------------------
+    # -- touched vertices (drained by HubIndex.freeze) ---------------------------
 
-    def drain_changes(
-        self,
-    ) -> Tuple[bool, List[Tuple[int, Optional[float], Optional[float]]]]:
-        """Net ``(vertex, old_cost, new_cost)`` changes since the last drain.
+    def drain_touched(self) -> Tuple[bool, Set[int]]:
+        """``(full, touched)`` since the last drain, and reset both.
 
-        Returns ``(full, changes)`` and resets the journal: ``full=True``
-        means per-vertex history was lost to a wholesale rebuild and the
-        caller must copy the entire table.  Forces any pending lazy rebuild
+        ``touched`` names every vertex whose cost was written or dropped,
+        net no-ops included (the freeze filters those against the previous
+        frozen table); ``full=True`` means the table was rebuilt wholesale
+        and the caller must copy all of it.  Forces any pending lazy rebuild
         first, so the drained state matches what queries would observe.
         """
         self.ensure_fresh()
-        return self._journal.drain(self._costs)
+        full, touched = self._full, self._touched
+        self._full = False
+        self._touched = set()
+        return full, touched
 
     # -- incremental updates -------------------------------------------------------
 
@@ -265,7 +268,7 @@ class IncrementalBestPath:
         """Bounded Dijkstra from improvement seeds."""
         sr = self._semiring
         costs = self._costs
-        journal = self._journal
+        touch = self._touched.add
         # `pending` holds each queued vertex's best candidate, always better
         # than its stored cost; an entry whose vertex is no longer pending
         # was superseded by a better one that popped first.
@@ -281,7 +284,7 @@ class IncrementalBestPath:
             cand = pending.pop(v, None)
             if cand is None:
                 continue
-            journal.note(costs, v)
+            touch(v)
             costs[v] = cand
             settled += 1
             for u, w in self._succ(v):
@@ -361,11 +364,8 @@ class IncrementalBestPath:
         """Clear the affected region and re-run Dijkstra from its boundary."""
         sr = self._semiring
         costs = self._costs
-        journal = self._journal
+        self._touched.update(affected)
         for a in affected:
-            # Journal the pre-repair cost; vertices re-settled below keep
-            # this first-seen old value (first-write-wins).
-            journal.note(costs, a)
             costs.pop(a, None)
         heap: list = []
         pending: Dict[int, float] = {}

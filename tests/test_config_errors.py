@@ -70,6 +70,26 @@ class TestConfig:
             SGraph.from_edges([(0, 1, 1.0)], cfg)
         assert SGraph.from_edges([(0, 1, 1.0)], config=cfg).config is cfg
 
+    @pytest.mark.parametrize("weight", [5.0, 1.5])
+    def test_reliability_refuses_a_non_probability_weight_up_front(self, weight):
+        # Checked before the graph is touched, not only when an index is
+        # built: a later hub rebuild would otherwise fail with the hub
+        # already gone, and the meantime answers read inf.
+        sg = SGraph.from_edges(
+            [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.9)],
+            config=SGraphConfig(num_hubs=1, queries=("reliability",)),
+        )
+        before = sg.reliability(0, 3).value
+        edges, epoch = sorted(sg.graph.edges()), sg.epoch
+        with pytest.raises(ConfigError, match="reliability"):
+            sg.add_edge(0, 3, weight)
+        with pytest.raises(ConfigError, match="reliability"):
+            sg.add_edge(0, 1, weight)  # a weight change, too
+        assert sorted(sg.graph.edges()) == edges and sg.epoch == epoch
+        assert sg.reliability(0, 3).value == before == 0.225
+        sg.remove_vertex(1)
+        assert sg.reliability(0, 3).value == 0.0
+
 
 class TestPruningPolicy:
     def test_parse_round_trip(self):

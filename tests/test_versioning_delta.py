@@ -19,7 +19,6 @@ import pytest
 from repro.core.config import SGraphConfig
 from repro.graph.deltas import (
     TOMBSTONE,
-    CostJournal,
     LayeredMapping,
     derive_mapping,
 )
@@ -84,43 +83,6 @@ class TestLayeredMapping:
         derived = derive_mapping(base, {2: 4.0}, min_compact=1000)
         assert derived == {1: 1.0, 2: 4.0}
         assert {1: 1.0, 2: 4.0} == derived
-
-
-class TestCostJournal:
-    def test_net_changes_and_noop_filtering(self):
-        table = {1: 1.0, 2: 2.0}
-        journal = CostJournal()
-        journal.note(table, 1)
-        table[1] = 5.0
-        journal.note(table, 2)   # touched but ends up unchanged
-        journal.note(table, 3)
-        table[3] = 3.0
-        journal.note(table, 1)   # second touch keeps first-seen old value
-        full, changes = journal.drain(table)
-        assert not full
-        assert sorted(changes) == [(1, 1.0, 5.0), (3, None, 3.0)]
-        # Drained: the next drain sees nothing.
-        assert journal.drain(table) == (False, [])
-
-    def test_deletion_entry(self):
-        table = {7: 1.5}
-        journal = CostJournal()
-        journal.note(table, 7)
-        del table[7]
-        full, changes = journal.drain(table)
-        assert not full and changes == [(7, 1.5, None)]
-
-    def test_mark_full_resets(self):
-        table = {1: 1.0}
-        journal = CostJournal()
-        journal.note(table, 1)
-        journal.mark_full()
-        assert journal.full and len(journal) == 0
-        assert journal.drain(table) == (True, [])
-        # A drain clears the full flag; journaling works again afterwards.
-        journal.note(table, 1)
-        table[1] = 9.0
-        assert journal.drain(table) == (False, [(1, 1.0, 9.0)])
 
 
 # ---------------------------------------------------------------------------
