@@ -19,7 +19,6 @@ Public API highlights:
 from repro.core.config import SGraphConfig
 from repro.core.pairwise import (
     ManyQueryResult,
-    PairwiseQuery,
     QueryKind,
     QueryResult,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "SGraph",
     "SGraphConfig",
     "PruningPolicy",
-    "PairwiseQuery",
     "QueryKind",
     "QueryResult",
     "ManyQueryResult",

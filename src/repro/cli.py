@@ -293,6 +293,9 @@ def _cmd_attach(args: argparse.Namespace) -> int:
     if args.cache_planes < 1:
         print("--cache-planes must be >= 1", file=sys.stderr)
         return 2
+    if not args.max_backoff > 0:
+        print("--max-backoff must be > 0", file=sys.stderr)
+        return 2
     try:
         with NetReader(args.address, cache_planes=args.cache_planes,
                        delta=args.delta, retry=args.retry,

@@ -5,7 +5,7 @@ from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
 from repro.core.hub_index import HubIndex
 from repro.core.hub_selection import STRATEGIES, select_hubs
-from repro.core.pairwise import PairwiseQuery, QueryKind, QueryResult
+from repro.core.pairwise import QueryKind, QueryResult
 from repro.core.pruning import PruningPolicy
 from repro.core.semiring import (
     BOTTLENECK_CAPACITY,
@@ -25,7 +25,6 @@ __all__ = [
     "HubIndex",
     "STRATEGIES",
     "select_hubs",
-    "PairwiseQuery",
     "QueryKind",
     "QueryResult",
     "PruningPolicy",

@@ -46,20 +46,6 @@ class QueryKind(Enum):
         )
 
 
-@dataclass(frozen=True)
-class PairwiseQuery:
-    """One query in a benchmark workload."""
-
-    kind: QueryKind
-    source: int
-    target: int
-
-    def __post_init__(self) -> None:
-        if self.source == self.target:
-            # Legal but degenerate; engines answer it without search.
-            pass
-
-
 @dataclass
 class QueryResult:
     """Answer + execution counters for one pairwise query."""

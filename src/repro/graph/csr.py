@@ -389,11 +389,3 @@ class CSRGraph:
     def vertex_id(self, dense: int) -> int:
         """Map a dense CSR index back to the caller-visible vertex id."""
         return self._ids[dense]
-
-    # -- traversal ---------------------------------------------------------------
-
-    def out_degree(self, dense: int) -> int:
-        return int(self.indptr[dense + 1] - self.indptr[dense])
-
-    def in_degree(self, dense: int) -> int:
-        return int(self.rev_indptr[dense + 1] - self.rev_indptr[dense])

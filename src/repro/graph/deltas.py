@@ -52,6 +52,10 @@ class _Tombstone:
 TOMBSTONE = _Tombstone()
 
 
+#: an override lookup's miss (no stored value is this object)
+_ABSENT = object()
+
+
 class LayeredMapping(Mapping):
     """Immutable two-level mapping: shared ``base`` + per-version overlay.
 
@@ -88,26 +92,20 @@ class LayeredMapping(Mapping):
     # -- mapping protocol ----------------------------------------------------
 
     def __getitem__(self, key):
-        try:
-            return self._overrides[key]
-        except KeyError:
-            pass
+        value = self._overrides.get(key, _ABSENT)
+        if value is not _ABSENT:
+            return value
         if key in self._deleted:
             raise KeyError(key)
         return self._base[key]
 
     def get(self, key, default=None):
-        try:
-            return self._overrides[key]
-        except KeyError:
-            pass
+        value = self._overrides.get(key, _ABSENT)
+        if value is not _ABSENT:
+            return value
         if key in self._deleted:
             return default
-        base = self._base
-        try:
-            return base[key]
-        except KeyError:
-            return default
+        return self._base.get(key, default)
 
     def __contains__(self, key) -> bool:
         if key in self._overrides:

@@ -311,27 +311,35 @@ def _close_pair(pair) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: the first reconnect delay in seconds, the growth per attempt, and the
+#: jitter band; read when a :class:`Backoff` is made
+BACKOFF_INITIAL = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.2
+
+#: crashes inside the trailing window (seconds) that open a
+#: :class:`RespawnBreaker`; read when one is made
+RESPAWN_LIMIT = 5
+RESPAWN_WINDOW_S = 30.0
+
+
 class Backoff:
     """Exponential backoff with bounded jitter over an injectable RNG.
 
     ``delay(attempt)`` for attempt 0, 1, 2, … returns
-    ``min(maximum, initial * factor**attempt)`` scaled by a jitter factor
-    uniform in ``[1 - jitter, 1 + jitter]``.  Jitter decorrelates a fleet
-    of readers reconnecting to one restarted server (the thundering-herd
-    case); determinism comes from seeding ``rng``.
+    ``min(maximum, BACKOFF_INITIAL * BACKOFF_FACTOR**attempt)`` scaled by a
+    jitter factor uniform in ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]``.
+    A ``maximum`` below the initial delay is a flat delay.  Jitter
+    decorrelates a fleet of readers reconnecting to one restarted server
+    (the thundering-herd case); determinism comes from seeding ``rng``.
     """
 
-    def __init__(self, initial: float = 0.05, maximum: float = 2.0,
-                 factor: float = 2.0, jitter: float = 0.2,
+    def __init__(self, maximum: float,
                  rng: Optional[random.Random] = None) -> None:
-        if initial <= 0 or maximum < initial:
-            raise ConfigError("backoff needs 0 < initial <= maximum")
-        if not 0.0 <= jitter < 1.0:
-            raise ConfigError("backoff jitter must be in [0, 1)")
-        self.initial = initial
+        self.initial = BACKOFF_INITIAL
         self.maximum = maximum
-        self.factor = factor
-        self.jitter = jitter
+        self.factor = BACKOFF_FACTOR
+        self.jitter = BACKOFF_JITTER
         self._rng = rng if rng is not None else random.Random()
 
     def delay(self, attempt: int) -> float:
@@ -345,21 +353,16 @@ class RespawnBreaker:
     """Failures-in-window circuit breaker guarding worker respawn.
 
     Each observed failure is :meth:`record`\\ ed; :meth:`allow` answers
-    whether another respawn may proceed — False once ``max_failures``
-    have landed inside the trailing ``window_s`` seconds.  The breaker
-    re-closes by itself when failures age out of the window, so a burst
-    of crashes degrades the pool only until the storm passes.  The clock
-    is injectable for deterministic tests.
+    whether another respawn may proceed — False once :data:`RESPAWN_LIMIT`
+    failures have landed inside the trailing :data:`RESPAWN_WINDOW_S`
+    seconds.  The breaker re-closes by itself when failures age out of the
+    window, so a burst of crashes degrades the pool only until the storm
+    passes.  The clock is injectable for deterministic tests.
     """
 
-    def __init__(self, max_failures: int = 5, window_s: float = 30.0,
-                 clock=time.monotonic) -> None:
-        if max_failures < 1:
-            raise ConfigError("max_failures must be >= 1")
-        if window_s <= 0:
-            raise ConfigError("window_s must be > 0")
-        self.max_failures = max_failures
-        self.window_s = window_s
+    def __init__(self, clock=time.monotonic) -> None:
+        self.max_failures = RESPAWN_LIMIT
+        self.window_s = RESPAWN_WINDOW_S
         self._clock = clock
         self._events: List[float] = []
         self._lock = threading.Lock()

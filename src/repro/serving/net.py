@@ -89,16 +89,17 @@ _LEN = struct.Struct(">Q")
 DEFAULT_CACHE_PLANES = 4
 
 #: reconnect attempts per op before the client gives up (the op's
-#: deadline can cut retries shorter; see DEFAULT_OP_TIMEOUT)
+#: deadline can cut retries shorter; see OP_TIMEOUT)
 DEFAULT_RETRY = 4
 
-#: initial / maximum reconnect backoff in seconds (exponential, jittered)
-DEFAULT_BACKOFF = 0.05
+#: ceiling of the reconnect backoff in seconds (the growth and jitter are
+#: :mod:`repro.serving.faults`' ``BACKOFF_*`` constants)
 DEFAULT_MAX_BACKOFF = 2.0
 
 #: per-op deadline in seconds: no client op — including every reconnect
-#: attempt and backoff sleep inside it — may run longer than this
-DEFAULT_OP_TIMEOUT = 30.0
+#: attempt and backoff sleep inside it — may run longer than this; read
+#: when a :class:`NetClient` is made
+OP_TIMEOUT = 30.0
 
 #: seconds ``PlaneServer.close`` waits for each of its threads to exit once
 #: their sockets are shut down (they normally exit at once)
@@ -116,6 +117,19 @@ _MAX_FRAME = 1 << 34
 #: largest, ``acquire``, names a reader's few cached digests), so a longer
 #: length prefix is a corrupt stream, not a request to buffer
 _MAX_REQUEST = 1 << 20
+
+
+def _check_options(cache_planes: int, retry: int,
+                   max_backoff: float) -> None:
+    """Reject a tcp option no reader could run with, on the side that set
+    it: the writer before its server starts or a worker forks, a
+    standalone reader before it connects."""
+    if cache_planes < 1:
+        raise ConfigError("cache_planes must be >= 1")
+    if retry < 0:
+        raise ConfigError("retry must be >= 0")
+    if not max_backoff > 0:  # NaN included
+        raise ConfigError(f"max_backoff must be > 0, got {max_backoff!r}")
 
 
 def net_available() -> bool:
@@ -474,14 +488,9 @@ class NetTransport(PlaneTransport):
                  port: int = 0, cache_planes: int = DEFAULT_CACHE_PLANES,
                  delta: bool = False,
                  retry: int = DEFAULT_RETRY,
-                 backoff: float = DEFAULT_BACKOFF,
                  max_backoff: float = DEFAULT_MAX_BACKOFF,
-                 op_timeout: float = DEFAULT_OP_TIMEOUT,
                  advertise: Optional[Tuple[str, int]] = None) -> None:
-        if cache_planes < 1:
-            raise ConfigError("cache_planes must be >= 1")
-        if retry < 0:
-            raise ConfigError("retry must be >= 0")
+        _check_options(cache_planes, retry, max_backoff)
         self._server = PlaneServer(host=host, port=port,
                                    cache_planes=cache_planes)
         # When readers must dial something other than the bind address
@@ -490,9 +499,8 @@ class NetTransport(PlaneTransport):
         host, port = advertise or (self._server.host, self._server.port)
         self._spec = TcpReaderSpec(
             host, port, cache_planes, delta=bool(delta), retry=retry,
-            backoff=backoff, max_backoff=max_backoff, op_timeout=op_timeout,
+            max_backoff=max_backoff,
         )
-        self._published: set = set()
 
     @property
     def registry(self) -> EpochRegistry:
@@ -509,11 +517,10 @@ class NetTransport(PlaneTransport):
 
     def publish_plane(self, plane, epoch: int) -> bool:
         # A closed server serves nobody: encode and keep nothing for it.
-        if self._server.closed or epoch in self._published:
+        if self._server.closed or not self._newer(epoch):
             return False
         payload = encode_plane(plane, epoch=epoch)
         self._server.publish(payload, epoch)
-        self._published.add(epoch)
         return True
 
     def reader_spec(self) -> "TcpReaderSpec":
@@ -545,23 +552,18 @@ class TcpReaderSpec(ReaderSpec):
                  cache_planes: int = DEFAULT_CACHE_PLANES,
                  delta: bool = False,
                  retry: int = DEFAULT_RETRY,
-                 backoff: float = DEFAULT_BACKOFF,
-                 max_backoff: float = DEFAULT_MAX_BACKOFF,
-                 op_timeout: float = DEFAULT_OP_TIMEOUT) -> None:
+                 max_backoff: float = DEFAULT_MAX_BACKOFF) -> None:
         self.host = host
         self.port = port
         self.cache_planes = cache_planes
         self.delta = delta
         self.retry = retry
-        self.backoff = backoff
         self.max_backoff = max_backoff
-        self.op_timeout = op_timeout
 
     def connect(self) -> "NetClient":
         return NetClient(self.host, self.port,
                          cache_planes=self.cache_planes, delta=self.delta,
-                         timeout=self.op_timeout, retry=self.retry,
-                         backoff=self.backoff, max_backoff=self.max_backoff)
+                         retry=self.retry, max_backoff=self.max_backoff)
 
 
 class NetClient(PlaneClient):
@@ -585,8 +587,9 @@ class NetClient(PlaneClient):
     transport fault (connection reset, peer EOF mid-frame, corrupt frame)
     tears the socket down and the whole op is replayed against a fresh
     connection, up to ``retry`` reconnect attempts with exponential
-    jittered backoff.  Each op carries a deadline of ``timeout`` seconds
-    covering all its attempts and backoff sleeps; a blown deadline raises
+    jittered backoff capped at ``max_backoff`` seconds.  Each op carries a
+    deadline of :data:`OP_TIMEOUT` seconds covering all its attempts and
+    backoff sleeps; a blown deadline raises
     :class:`DeadlineExceededError` and is *not* retried.  The client is
     anonymous and its staleness token is the served plane's digest, so a
     reconnect needs no handshake, and a lease from before a server
@@ -597,24 +600,18 @@ class NetClient(PlaneClient):
     def __init__(self, host: str, port: int,
                  cache_planes: int = DEFAULT_CACHE_PLANES,
                  delta: bool = False,
-                 timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
                  retry: int = DEFAULT_RETRY,
-                 backoff: float = DEFAULT_BACKOFF,
                  max_backoff: float = DEFAULT_MAX_BACKOFF,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep,
                  rng: Optional[random.Random] = None) -> None:
-        if retry < 0:
-            raise ConfigError("retry must be >= 0")
-        if cache_planes < 1:
-            raise ConfigError("cache_planes must be >= 1")
+        _check_options(cache_planes, retry, max_backoff)
         self._host, self._port = host, port
-        self._timeout = timeout
+        self._timeout = OP_TIMEOUT
         self._retry = retry
         self._clock = clock
         self._sleep = sleep
-        self._backoff = Backoff(initial=backoff, maximum=max_backoff,
-                                rng=rng)
+        self._backoff = Backoff(max_backoff, rng=rng)
         self._sock: Optional[socket.socket] = None
         # digest -> (materialized plane, raw payload bytes)
         self._cache: "OrderedDict[str, Tuple[object, bytes]]" = OrderedDict()
@@ -637,12 +634,10 @@ class NetClient(PlaneClient):
 
     # -- retry machinery ----------------------------------------------------
 
-    def _deadline(self) -> Optional[float]:
-        return None if self._timeout is None else self._clock() + self._timeout
+    def _deadline(self) -> float:
+        return self._clock() + self._timeout
 
-    def _remaining(self, deadline: Optional[float], op: str) -> Optional[float]:
-        if deadline is None:
-            return None
+    def _remaining(self, deadline: float, op: str) -> float:
         remaining = deadline - self._clock()
         if remaining <= 0:
             raise DeadlineExceededError(
@@ -659,7 +654,7 @@ class NetClient(PlaneClient):
             except OSError:  # pragma: no cover
                 pass
 
-    def _connect(self, deadline: Optional[float],
+    def _connect(self, deadline: float,
                  reconnect: bool = False) -> None:
         remaining = self._remaining(deadline, "connect")
         sock = socket.create_connection((self._host, self._port),
@@ -672,7 +667,7 @@ class NetClient(PlaneClient):
         if reconnect:
             self.transfer["reconnects"] += 1
 
-    def _retrying(self, op: str, fn: Callable[[Optional[float]], dict]):
+    def _retrying(self, op: str, fn: Callable[[float], dict]):
         """Run ``fn(deadline)`` replaying the whole op across reconnects.
 
         Transient faults (reset, EOF, corrupt frame) tear the socket down
@@ -704,24 +699,22 @@ class NetClient(PlaneClient):
                     ) from None
                 self.transfer["retries"] += 1
                 delay = self._backoff.delay(attempt - 1)
-                if deadline is not None:
-                    budget = deadline - self._clock()
-                    if budget <= delay:
-                        self.transfer["deadline_exceeded"] += 1
-                        raise DeadlineExceededError(
-                            f"plane server op {op!r}: deadline exhausted "
-                            f"after {attempt} attempts ({exc})"
-                        ) from None
+                if deadline - self._clock() <= delay:
+                    self.transfer["deadline_exceeded"] += 1
+                    raise DeadlineExceededError(
+                        f"plane server op {op!r}: deadline exhausted "
+                        f"after {attempt} attempts ({exc})"
+                    ) from None
                 if delay > 0:
                     self._sleep(delay)
 
     # -- deadline-aware framing ---------------------------------------------
 
-    def _settimeout(self, deadline: Optional[float], op: str) -> None:
+    def _settimeout(self, deadline: float, op: str) -> None:
         self._sock.settimeout(self._remaining(deadline, op))
 
     def _recv_exact_once(self, n: int, op: str, phase: str,
-                         deadline: Optional[float]) -> bytes:
+                         deadline: float) -> bytes:
         chunks = []
         need = n
         while need:
@@ -742,7 +735,7 @@ class NetClient(PlaneClient):
             need -= len(chunk)
         return b"".join(chunks)
 
-    def _call_once(self, msg: dict, deadline: Optional[float]) -> dict:
+    def _call_once(self, msg: dict, deadline: float) -> dict:
         op = msg.get("op")
         self._settimeout(deadline, op)
         body = json.dumps(msg, separators=(",", ":")).encode("ascii")
@@ -778,7 +771,7 @@ class NetClient(PlaneClient):
         return resp
 
     def _recv_payload_frame(self, op: str, nbytes: int,
-                            deadline: Optional[float]) -> bytes:
+                            deadline: float) -> bytes:
         """Receive the raw frame trailing an ``acquire`` response.
 
         Failure modes are distinguished so the retry layer (and users)
@@ -813,7 +806,7 @@ class NetClient(PlaneClient):
         # The server's current plane is at least as new as any stamp.
         return self._retrying("acquire", self._acquire_once)
 
-    def _acquire_once(self, deadline: Optional[float]) -> Optional[PlaneLease]:
+    def _acquire_once(self, deadline: float) -> Optional[PlaneLease]:
         """One ``acquire`` round trip, plus one more asking for the full
         frame when a delta does not compose.  Safe to replay: the server
         holds nothing for the reader between ops."""
@@ -887,16 +880,15 @@ class NetReader(PlaneReader):
     newly published epochs.  ``degrade`` is :class:`PlaneReader`'s: by
     default an unreachable server leaves the last-acquired plane in
     service with :attr:`stale` set and ``stale_serves`` counting in
-    :meth:`~PlaneReader.stats_row`.
+    :meth:`~PlaneReader.stats_row`.  Every search prunes with both bounds
+    (``upper+lower``).
     """
 
-    def __init__(self, address: str, policy: str = "upper+lower",
+    def __init__(self, address: str,
                  cache_planes: int = DEFAULT_CACHE_PLANES,
                  delta: bool = False,
                  retry: int = DEFAULT_RETRY,
-                 backoff: float = DEFAULT_BACKOFF,
                  max_backoff: float = DEFAULT_MAX_BACKOFF,
-                 timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
                  degrade: bool = True) -> None:
         host, _, port = address.rpartition(":")
         if not host or not port.isdigit():
@@ -904,9 +896,8 @@ class NetReader(PlaneReader):
                 f"attach address must be host:port, got {address!r}"
             )
         client = NetClient(host, int(port), cache_planes=cache_planes,
-                           delta=delta, retry=retry, backoff=backoff,
-                           max_backoff=max_backoff, timeout=timeout)
-        super().__init__(client, policy, degrade=degrade)
+                           delta=delta, retry=retry, max_backoff=max_backoff)
+        super().__init__(client, degrade=degrade)
 
     def vertices(self) -> List[int]:
         """Caller-space vertex ids of the served plane (demo drivers)."""

@@ -35,6 +35,16 @@ one; ``delta=True`` (TCP only) makes each reader fetch O(Δ) deltas — the
 dirty 1 KiB ranges found by ``codec.diff_payloads`` — against its cached
 planes instead of full payloads, and ``stats_row()`` reports the
 delta/full fetch counters and byte totals.
+
+A session takes only what callers set: ``workers``, ``transport``,
+``chunk``, ``delta`` and the tcp options of
+:class:`~repro.serving.net.NetTransport`.  The rest are module constants,
+read when the object using them is made, so a test patches them before
+``serve()`` and forked workers inherit the patch: the store keeps
+:class:`~repro.streaming.versioning.VersionedStore`'s default four views,
+the respawn breaker opens at ``faults.RESPAWN_LIMIT`` crashes inside
+``faults.RESPAWN_WINDOW_S`` seconds, tcp readers back off by
+``faults.BACKOFF_*`` and give each op ``net.OP_TIMEOUT`` seconds.
 """
 
 from __future__ import annotations
@@ -185,21 +195,19 @@ class WorkerPool:
     mid-``send`` can leave a partial pickle frame in the old one,
     desyncing any future reader of it).  A
     :class:`~repro.serving.faults.RespawnBreaker` bounds the respawn rate:
-    once too many crashes land inside its window the pool degrades to the
-    survivors until the storm ages out.
+    once ``RESPAWN_LIMIT`` crashes land inside its window the pool degrades
+    to the survivors until the storm ages out.
     """
 
     def __init__(self, ctx, workers: int, transport: PlaneTransport,
-                 policy_value: str, breaker=None) -> None:
+                 policy_value: str) -> None:
         from repro.serving.faults import RespawnBreaker
 
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
         self._ctx = ctx
         self._spec = transport.reader_spec()
         self._stamp = transport.stamp
         self._policy_value = policy_value
-        self._breaker = breaker if breaker is not None else RespawnBreaker()
+        self._breaker = RespawnBreaker()
         self._ids = itertools.count()
         self._last = workers - 1  # round-robin cursor: last worker sent to
         #: completed respawns over the pool's lifetime
@@ -406,14 +414,9 @@ class ServeSession:
     the writer process.
     """
 
-    def __init__(self, sgraph, workers: int = 2, store=None,
-                 capacity: int = 4, transport: str = "shm",
-                 chunk: Optional[int] = None,
-                 delta: bool = False, respawn: bool = True,
-                 respawn_limit: int = 5,
-                 respawn_window: float = 30.0,
+    def __init__(self, sgraph, workers: int = 2, transport: str = "shm",
+                 chunk: Optional[int] = None, delta: bool = False,
                  **transport_options) -> None:
-        from repro.serving.faults import RespawnBreaker
         from repro.streaming.versioning import VersionedStore
 
         config = sgraph.config
@@ -443,9 +446,7 @@ class ServeSession:
             transport_options["delta"] = True
         self._delta = bool(delta)
         self._sgraph = sgraph
-        self._store = store if store is not None else VersionedStore(
-            sgraph, capacity=capacity
-        )
+        self._store = VersionedStore(sgraph)
         self._prefix = f"rp{os.getpid():x}-{os.urandom(3).hex()}-"
         self._chunk = chunk
         self._closed = False
@@ -455,23 +456,15 @@ class ServeSession:
         self._transport = make_transport(
             transport, self._prefix, **transport_options
         )
-        self._respawn = bool(respawn)
         try:
             self._pool = WorkerPool(
                 ctx, workers, self._transport,
                 policy_value=config.policy.value,
-                breaker=RespawnBreaker(max_failures=respawn_limit,
-                                       window_s=respawn_window),
             )
         except BaseException:
             self._transport.close()
             raise
-        # replay_latest covers stores whose current epoch was already
-        # published before this session subscribed — the callback fires
-        # immediately so the readers still get a plane.
-        self._unsubscribe = self._store.subscribe(
-            self._on_publish, replay_latest=True
-        )
+        self._unsubscribe = self._store.subscribe(self._on_publish)
         atexit.register(self.close)
         self.publish()
 
@@ -677,12 +670,11 @@ class ServeSession:
         return value, stats, resp.epoch
 
     def distance_many(self, source: int, targets: Sequence[int],
-                      timeout: Optional[float] = None,
-                      chunk_size: Optional[int] = None):
+                      timeout: Optional[float] = None):
         """One-to-many distances; returns ``(values, stats, epoch)``.
 
         Targets are de-duplicated in order first, so the answer does not
-        depend on the chunk size.  Target lists longer than the session
+        depend on the session chunk.  Target lists longer than the session
         chunk are split across the pool: each worker answers one slice and
         the partial results merge — values union disjointly, counters
         sum (:meth:`QueryStats.merge`), ``answered_by_index`` only when
@@ -692,16 +684,12 @@ class ServeSession:
         racing the fan-out is retried once on the new epoch.
         """
         targets = list(dict.fromkeys(targets))
-        chunk = self._chunk if chunk_size is None else chunk_size
-        if chunk < 1:
-            raise ConfigError("chunk_size must be >= 1")
-        if len(targets) <= chunk or self._pool.workers == 1:
+        if len(targets) <= self._chunk or self._pool.workers == 1:
             resp = self._one("distance_many", (source, targets), timeout)
             values, stats = resp.payload
             return values, stats, resp.epoch
         for _attempt in (0, 1):
-            merged = self._distance_many_fanout(source, targets, chunk,
-                                                timeout)
+            merged = self._distance_many_fanout(source, targets, timeout)
             if merged is not None:
                 return merged
         raise QueryError(
@@ -709,9 +697,10 @@ class ServeSession:
             "(a publish raced every retry)"
         )
 
-    def _distance_many_fanout(self, source, targets, chunk, timeout):
+    def _distance_many_fanout(self, source, targets, timeout):
         # One request per slice; _pump replays slices lost to worker
         # crashes until all answer.  The merge checks epoch agreement.
+        chunk = self._chunk
         slices = [targets[i:i + chunk] for i in range(0, len(targets), chunk)]
         responses = self._pump(
             "distance_many", [(source, part) for part in slices], timeout,
@@ -745,23 +734,18 @@ class ServeSession:
         return resp.payload, resp.epoch
 
     def map_distance(self, pairs: Sequence[Tuple[int, int]],
-                     chunk_size: Optional[int] = None,
                      timeout: Optional[float] = None) -> List[tuple]:
-        """Fan a batch of ``(s, t)`` pairs across the pool in chunks.
+        """Fan a batch of ``(s, t)`` pairs across the pool in session
+        chunks.
 
         Returns one ``(value, stats, epoch)`` per input pair, in input
         order.  Chunks lost to crashed workers are reaped, respawned, and
         resubmitted until the batch completes (pure reads are
         idempotent); a batch nobody is left to answer raises.
         """
-        if chunk_size is None:
-            chunk_size = self._chunk
-        if chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
-        chunks = [
-            list(pairs[i:i + chunk_size])
-            for i in range(0, len(pairs), chunk_size)
-        ]
+        chunk = self._chunk
+        chunks = [list(pairs[i:i + chunk])
+                  for i in range(0, len(pairs), chunk)]
         responses = self._pump("distance_batch", chunks, timeout)
         out: List[tuple] = []
         for resp in responses:
@@ -773,9 +757,8 @@ class ServeSession:
     # -- lifecycle ----------------------------------------------------------
 
     def reap(self) -> List[int]:
-        """Respawn dead workers if enabled; returns their ids.  No
-        transport holds anything on a reader's behalf, so there is nothing
-        else to return.
+        """Respawn dead workers; returns their ids.  No transport holds
+        anything on a reader's behalf, so there is nothing else to return.
 
         Respawned workers re-fork from the same reader spec, connect, and
         acquire whatever epoch is current (rebinding a fresh
@@ -785,7 +768,7 @@ class ServeSession:
         from the survivors.
         """
         dead = self._pool.dead()
-        if self._respawn and dead:
+        if dead:
             self._pool.respawn()
         return dead
 

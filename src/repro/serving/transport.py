@@ -34,7 +34,7 @@ from __future__ import annotations
 import gc
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.core.engine import PairwiseEngine
 from repro.core.workspace import SearchWorkspace
@@ -274,8 +274,13 @@ class PlaneTransport(ABC):
 
     @abstractmethod
     def publish_plane(self, plane, epoch: int) -> bool:
-        """Encode + register one epoch's plane; False when that epoch was
-        already published (republish is a no-op end to end)."""
+        """Encode + register one epoch's plane; False when the epoch is not
+        newer than the registered one (a republish, or an older epoch, is
+        a no-op end to end)."""
+
+    def _newer(self, epoch: int) -> bool:
+        current = self.registry.current_epoch()
+        return current is None or epoch > current
 
     @abstractmethod
     def reader_spec(self) -> ReaderSpec:
@@ -376,7 +381,6 @@ class ShmTransport(PlaneTransport):
     def __init__(self, prefix: str) -> None:
         self._prefix = prefix
         self._registry = EpochRegistry()
-        self._published: Set[int] = set()
         self._linked: Deque[str] = deque()
 
     @property
@@ -389,14 +393,13 @@ class ShmTransport(PlaneTransport):
         return self._prefix
 
     def publish_plane(self, plane, epoch: int) -> bool:
-        if epoch in self._published:
+        if not self._newer(epoch):
             return False
         name = f"{self._prefix}e{epoch}"
         # The writer never reads a segment back: a kept mapping would pin
         # every published plane's pages (and every forked worker would
         # inherit them) for the whole session.
         ShmPlane.export(plane, name, epoch=epoch).close()
-        self._published.add(epoch)
         self._registry.register(name, epoch)
         self._linked.append(name)
         while len(self._linked) > KEEP_LINKED:

@@ -123,8 +123,6 @@ class SGraph(PairwiseVerbs):
         self._auto_queries: int = 0
         self._auto_ema: float = 0.0
         self._last_published_epoch: Optional[int] = None
-        #: vertices settled by index maintenance for the last update applied
-        self.last_maintenance_settled = 0
 
     @classmethod
     def from_edges(
@@ -280,9 +278,7 @@ class SGraph(PairwiseVerbs):
         if graph.has_edge(src, dst):
             old_weight = graph.edge_weight(src, dst)
             if old_weight == weight:
-                self.last_maintenance_settled = 0
                 return
-        settled = 0
         if old_weight is not None:
             # Weight change: remove-then-reinsert so every index notification
             # observes graph state consistent with the event.  The hop index
@@ -291,26 +287,20 @@ class SGraph(PairwiseVerbs):
             for family, index in self._indexes.items():
                 if not FAMILIES[family].unit_weights:
                     index.notify_edge_deleted(src, dst, old_weight)
-                    settled += index.settled_last_update
         graph.add_edge(src, dst, weight)
         for family, index in self._indexes.items():
             unit = FAMILIES[family].unit_weights
             if unit and old_weight is not None:
                 continue  # topology unchanged; hop index unaffected
             index.notify_edge_inserted(src, dst, 1.0 if unit else weight)
-            settled += index.settled_last_update
-        self.last_maintenance_settled = settled
 
     def remove_edge(self, src: int, dst: int) -> None:
         """Delete an edge (raises if absent; see :meth:`discard_edge`)."""
         old_weight = self._graph.edge_weight(src, dst)
         self._graph.remove_edge(src, dst)
-        settled = 0
         for family, index in self._indexes.items():
             unit = FAMILIES[family].unit_weights
             index.notify_edge_deleted(src, dst, 1.0 if unit else old_weight)
-            settled += index.settled_last_update
-        self.last_maintenance_settled = settled
 
     def discard_edge(self, src: int, dst: int) -> bool:
         """Delete an edge if present.  Returns True if removed."""
@@ -432,9 +422,9 @@ class SGraph(PairwiseVerbs):
                  or queries + 1 >= AUTO_DENSE_QUERY_RATIO)
         return "dense" if dense else "dict"
 
-    def serve(self, workers: int = 2, store=None, capacity: int = 4,
-              transport: str = "shm", chunk: Optional[int] = None,
-              delta: bool = False, **transport_options):
+    def serve(self, workers: int = 2, transport: str = "shm",
+              chunk: Optional[int] = None, delta: bool = False,
+              **transport_options):
         """Serve this facade from ``workers`` reader processes.
 
         Publishes each epoch's dense plane through the chosen transport and
@@ -453,28 +443,27 @@ class SGraph(PairwiseVerbs):
         ranges ``codec.diff_payloads`` finds against the plane it already
         caches — O(Δ) bytes per epoch, digest-verified to be bit-identical
         to a full fetch, falling back to a full frame when the reader's
-        base left the server's ``cache_planes`` publish history.  TCP options pass
-        through keyword arguments (``host=``, ``port=``,
-        ``cache_planes=``, ``retry=``, ``backoff=``, ``max_backoff=``,
-        ``op_timeout=``).  ``chunk`` overrides how many queries batched
-        verbs bundle per pool message.
+        base left the server's ``cache_planes`` publish history.  TCP
+        options pass through keyword arguments (``host=``, ``port=``,
+        ``cache_planes=``, ``retry=``, ``max_backoff=``, ``advertise=``).
+        ``chunk`` overrides how many queries batched verbs bundle per pool
+        message.  The session's store keeps four published views.
 
-        The session is fault tolerant by default: crashed workers are
-        reaped and re-forked onto the current epoch (``respawn=False``
-        disables this; ``respawn_limit``/``respawn_window`` tune the
-        circuit breaker that stops a crash loop), TCP readers reconnect
-        with jittered exponential backoff under per-op deadlines, and
-        workers that cannot reach the server keep answering from their
-        last-acquired plane (counted as ``stale_serves`` in
-        ``stats_row()``).
+        The session is fault tolerant: crashed workers are reaped and
+        re-forked onto the current epoch until ``faults.RESPAWN_LIMIT``
+        crashes land inside ``faults.RESPAWN_WINDOW_S`` seconds, which
+        opens the circuit breaker that stops a crash loop; TCP readers
+        reconnect with jittered exponential backoff under the
+        ``net.OP_TIMEOUT`` per-op deadline; and workers that cannot reach
+        the server keep answering from their last-acquired plane (counted
+        as ``stale_serves`` in ``stats_row()``).
 
         Returns a :class:`repro.serving.ServeSession` (usable as a context
         manager); requires the distance family and a non-dict backend.
         """
         from repro.serving.pool import ServeSession
 
-        return ServeSession(self, workers=workers, store=store,
-                            capacity=capacity, transport=transport,
+        return ServeSession(self, workers=workers, transport=transport,
                             chunk=chunk, delta=delta, **transport_options)
 
     def _frozen_engine(self, family: str) -> PairwiseEngine:

@@ -152,21 +152,15 @@ class VersionedStore:
             callback(view)
         return view
 
-    def subscribe(self, callback,
-                  replay_latest: bool = False) -> "Callable[[], None]":
+    def subscribe(self, callback) -> "Callable[[], None]":
         """Invoke ``callback(view)`` on every *new* publish.
 
         Republishing an already-published epoch does not fire (the early
         return above never reaches the callbacks), so subscribers see each
-        epoch at most once.  With ``replay_latest`` the callback also fires
-        immediately for the most recently published view, if any — so a
-        subscriber joining a store whose current epoch is already published
-        (where ``publish()`` would be a cache hit that fires nothing) still
-        observes it.  Returns an idempotent unsubscribe closure.
+        epoch at most once, and a view published before the subscription
+        is never replayed.  Returns an idempotent unsubscribe closure.
         """
         self._subscribers.append(callback)
-        if replay_latest and self._views:
-            callback(next(reversed(self._views.values())))
 
         def unsubscribe() -> None:
             try:

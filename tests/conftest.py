@@ -72,6 +72,38 @@ def small_directed() -> DynamicGraph:
     )
 
 
+@pytest.fixture
+def breaker_opens_at_first_crash(monkeypatch):
+    """A serving session made under this fixture respawns no worker: the
+    pool's breaker opens at its first crash, so the dead stay dead and
+    the survivors serve.
+
+    The serving fixtures here patch module constants, which are read when
+    the object using them is made: request them before ``serve()`` and
+    forked pool workers inherit the patch.
+    """
+    from repro.serving import faults
+
+    monkeypatch.setattr(faults, "RESPAWN_LIMIT", 1)
+    monkeypatch.setattr(faults, "RESPAWN_WINDOW_S", 60.0)
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Tcp reconnects start 10 ms apart instead of 50 ms."""
+    from repro.serving import faults
+
+    monkeypatch.setattr(faults, "BACKOFF_INITIAL", 0.01)
+
+
+@pytest.fixture
+def short_op_deadline(monkeypatch):
+    """Every tcp reader op gets 2 s instead of 30 s."""
+    from repro.serving import net
+
+    monkeypatch.setattr(net, "OP_TIMEOUT", 2.0)
+
+
 def reference_dijkstra(graph, source: int) -> dict:
     """Oracle: textbook heapq Dijkstra over the traversal protocol."""
     import heapq

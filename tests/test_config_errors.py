@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SGraphConfig
-from repro.core.pairwise import PairwiseQuery, QueryKind
+from repro.core.pairwise import QueryKind
 from repro.core.pruning import PruningPolicy
 from repro.errors import (
     ConfigError,
@@ -115,10 +115,6 @@ class TestQueryKinds:
         with pytest.raises(ValueError):
             QueryKind.parse("dijkstra")
 
-    def test_pairwise_query_record(self):
-        q = PairwiseQuery(QueryKind.DISTANCE, 1, 2)
-        assert (q.source, q.target) == (1, 2)
-
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
@@ -168,4 +164,28 @@ class TestReaderCacheBound:
         assert main(["attach", "127.0.0.1:1", "--cache-planes", "0"]) != 0
         err = capsys.readouterr().err
         assert "--cache-planes" in err
+        assert "server went away" not in err
+
+
+class TestMaxBackoff:
+    """A reconnect ceiling that is not > 0 (NaN included) is refused
+    where it is set, before any connection: a reader built with one
+    would crash at its first backoff."""
+
+    @pytest.mark.parametrize("max_backoff", [0.0, -1.0, float("nan")])
+    def test_net_client_and_reader_reject_it(self, max_backoff):
+        from repro.serving.net import NetClient, NetReader
+
+        # rejected before connecting: nothing listens on port 1
+        with pytest.raises(ConfigError, match="max_backoff must be > 0"):
+            NetClient("127.0.0.1", 1, max_backoff=max_backoff)
+        with pytest.raises(ConfigError, match="max_backoff must be > 0"):
+            NetReader("127.0.0.1:1", max_backoff=max_backoff)
+
+    def test_attach_names_the_flag(self, capsys):
+        from repro.cli import main
+
+        assert main(["attach", "127.0.0.1:1", "--max-backoff", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--max-backoff" in err
         assert "server went away" not in err

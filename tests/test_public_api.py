@@ -8,6 +8,7 @@ consistent.
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import repro
@@ -61,3 +62,43 @@ class TestSubpackages:
         from repro.errors import ConfigError
 
         assert issubclass(ConfigError, ReproError)
+
+
+def _params(fn) -> set:
+    return set(inspect.signature(fn).parameters) - {"self"}
+
+
+class TestServingOptions:
+    """The serving surface takes only the options a caller sets; every
+    other knob is a module constant.  An option comes back only with an
+    edit here."""
+
+    def test_serve_and_session(self):
+        from repro.serving.pool import ServeSession
+
+        surface = {"workers", "transport", "chunk", "delta",
+                   "transport_options"}
+        assert _params(repro.SGraph.serve) == surface
+        assert _params(ServeSession.__init__) == surface | {"sgraph"}
+
+    def test_tcp_transport_and_reader(self):
+        from repro.serving.net import NetReader, NetTransport
+
+        # with serve()'s four: 10 settable values
+        assert _params(NetTransport.__init__) == {
+            "host", "port", "cache_planes", "delta", "retry", "max_backoff",
+            "advertise"}
+        assert _params(NetReader.__init__) == {
+            "address", "cache_planes", "delta", "retry", "max_backoff",
+            "degrade"}
+
+    def test_batched_verbs_pool_and_store(self):
+        from repro.serving.pool import ServeSession, WorkerPool
+        from repro.streaming.versioning import VersionedStore
+
+        assert _params(ServeSession.distance_many) == {
+            "source", "targets", "timeout"}
+        assert _params(ServeSession.map_distance) == {"pairs", "timeout"}
+        assert _params(VersionedStore.subscribe) == {"callback"}
+        assert _params(WorkerPool.__init__) == {
+            "ctx", "workers", "transport", "policy_value"}

@@ -26,7 +26,7 @@ import random
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving import shm_available
+from repro.serving import faults, shm_available
 from repro.serving.faults import (
     Backoff,
     FaultPolicy,
@@ -95,33 +95,33 @@ class TestFaultPolicy:
 
 
 class TestBackoff:
-    def test_grows_exponentially_and_caps(self):
-        b = Backoff(initial=0.1, maximum=0.8, factor=2.0, jitter=0.0)
-        assert [b.delay(i) for i in range(5)] == [0.1, 0.2, 0.4, 0.8, 0.8]
+    def test_grows_exponentially_and_caps(self, monkeypatch):
+        monkeypatch.setattr(faults, "BACKOFF_JITTER", 0.0)
+        b = Backoff(0.4)
+        assert [b.delay(i) for i in range(5)] == [0.05, 0.1, 0.2, 0.4, 0.4]
 
-    def test_jitter_bounded_and_seed_reproducible(self):
-        b1 = Backoff(initial=0.1, maximum=2.0, jitter=0.5,
-                     rng=random.Random(9))
-        b2 = Backoff(initial=0.1, maximum=2.0, jitter=0.5,
-                     rng=random.Random(9))
+    def test_maximum_below_the_initial_delay_is_flat(self, monkeypatch):
+        monkeypatch.setattr(faults, "BACKOFF_JITTER", 0.0)
+        b = Backoff(0.01)
+        assert [b.delay(i) for i in range(4)] == [0.01] * 4
+
+    def test_jitter_bounded_and_seed_reproducible(self, monkeypatch):
+        monkeypatch.setattr(faults, "BACKOFF_JITTER", 0.5)
+        b1 = Backoff(2.0, rng=random.Random(9))
+        b2 = Backoff(2.0, rng=random.Random(9))
         for attempt in range(8):
             d1, d2 = b1.delay(attempt), b2.delay(attempt)
             assert d1 == d2
-            base = min(2.0, 0.1 * 2.0 ** attempt)
+            base = min(2.0, 0.05 * 2.0 ** attempt)
             assert 0.5 * base <= d1 <= 1.5 * base
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Backoff(initial=0.0)
-        with pytest.raises(ConfigError):
-            Backoff(jitter=1.0)
 
 
 class TestRespawnBreaker:
-    def test_opens_after_n_failures_and_recloses(self):
+    def test_opens_after_n_failures_and_recloses(self, monkeypatch):
+        monkeypatch.setattr(faults, "RESPAWN_LIMIT", 2)
+        monkeypatch.setattr(faults, "RESPAWN_WINDOW_S", 10.0)
         now = [0.0]
-        breaker = RespawnBreaker(max_failures=2, window_s=10.0,
-                                 clock=lambda: now[0])
+        breaker = RespawnBreaker(clock=lambda: now[0])
         assert breaker.allow()
         breaker.record()
         assert breaker.allow()
@@ -135,12 +135,6 @@ class TestRespawnBreaker:
         assert breaker.allow()
         assert breaker.failures_in_window() == 0
 
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RespawnBreaker(max_failures=0)
-        with pytest.raises(ConfigError):
-            RespawnBreaker(window_s=0.0)
-
 
 # -- client retry under the fault proxy --------------------------------------
 
@@ -148,6 +142,7 @@ class TestRespawnBreaker:
 class TestFaultProxy:
     pytestmark = net_only
 
+    @pytest.mark.usefixtures("fast_backoff")
     def test_churn_bit_identical_under_seeded_faults(self):
         """The acceptance workload: 3 churn epochs through drops,
         truncations, corruption, and a latency spike — every answer
@@ -161,7 +156,7 @@ class TestFaultProxy:
         with ServeSession(sg, workers=1, transport="tcp") as session:
             server = session.transport.server
             with FaultProxy(server.host, server.port, policy) as proxy:
-                faulted = NetReader(proxy.address, retry=6, backoff=0.01,
+                faulted = NetReader(proxy.address, retry=6,
                                     max_backoff=0.05)
                 clean = NetReader(server.address)
                 try:
@@ -196,6 +191,7 @@ class TestFaultProxy:
                     faulted.close()
                     clean.close()
 
+    @pytest.mark.usefixtures("fast_backoff")
     def test_pool_workers_dial_through_proxy(self):
         """`advertise=` points pool reader specs at the proxy; worker-side
         retry counters surface through ``reader_stats``/``stats_row``."""
@@ -210,8 +206,7 @@ class TestFaultProxy:
         with FaultProxy("127.0.0.1", port, policy) as proxy:
             with ServeSession(sg, workers=1, transport="tcp", port=port,
                               advertise=(proxy.host, proxy.port),
-                              retry=6, backoff=0.01,
-                              max_backoff=0.05) as session:
+                              retry=6, max_backoff=0.05) as session:
                 clean = NetReader(f"127.0.0.1:{port}")
                 try:
                     verts = sorted(sg.graph.vertices())
@@ -233,6 +228,7 @@ class TestFaultProxy:
                 finally:
                     clean.close()
 
+    @pytest.mark.usefixtures("fast_backoff")
     def test_seeded_schedule_fires_within_its_plan(self):
         """The schedule really disrupts the reader (so ``retries ==
         disruptions`` is not 0 == 0), and no kind fires more often than
@@ -243,7 +239,7 @@ class TestFaultProxy:
         with ServeSession(sg, workers=1, transport="tcp") as session:
             server = session.transport.server
             with FaultProxy(server.host, server.port, policy) as proxy:
-                with NetReader(proxy.address, retry=6, backoff=0.01,
+                with NetReader(proxy.address, retry=6,
                                max_backoff=0.05) as reader:
                     for round_no in range(3):
                         if round_no:
@@ -317,29 +313,27 @@ class TestWorkerRespawn:
         even with *all* workers dead at submit time."""
         sg = _sgraph(92)
         verts = sorted(sg.graph.vertices())
-        with sg.serve(workers=2) as session:
+        with sg.serve(workers=2, chunk=4) as session:
             targets = verts[1:25]
             pairs = [(0, t) for t in targets]
             expected, _stats, _epoch = session.distance_many(0, targets)
-            expected_rows = [row[0]
-                             for row in session.map_distance(pairs,
-                                                             chunk_size=4)]
+            expected_rows = [row[0] for row in session.map_distance(pairs)]
             session.pool.kill_worker(0)
             session.pool.kill_worker(1)
             values, _stats, _epoch = session.distance_many(0, targets)
             assert values == expected
             assert session.pool.respawns >= 2
-            rows = session.map_distance(pairs, chunk_size=4)
+            rows = session.map_distance(pairs)
             assert [row[0] for row in rows] == expected_rows
 
+    @pytest.mark.usefixtures("breaker_opens_at_first_crash")
     def test_breaker_degrades_to_survivors(self):
         sg = _sgraph(93)
-        with sg.serve(workers=2, respawn_limit=1,
-                      respawn_window=60.0) as session:
+        with sg.serve(workers=2) as session:
             value, _stats, epoch = session.distance(0, 1)
             session.pool.kill_worker(0)
-            # limit=1: the first crash already opens the breaker, so the
-            # corpse stays dead and the pool serves from the survivor
+            # RESPAWN_LIMIT=1: the first crash already opens the breaker,
+            # so the corpse stays dead and the pool serves from the survivor
             for _ in range(4):
                 assert session.distance(0, 1)[0] == value
                 assert session.distance(0, 1)[2] == epoch
@@ -350,9 +344,10 @@ class TestWorkerRespawn:
             assert row["breaker_trips"] >= 1
             assert row["respawns"] == 0
 
+    @pytest.mark.usefixtures("breaker_opens_at_first_crash")
     def test_respawn_disabled_keeps_pool_shrunk(self):
         sg = _sgraph(94)
-        with sg.serve(workers=2, respawn=False) as session:
+        with sg.serve(workers=2) as session:
             value = session.distance(0, 1)[0]
             session.pool.kill_worker(1)
             assert session.distance(0, 1)[0] == value
@@ -394,13 +389,13 @@ def _server_incarnation(port, seed, mutate, ready):
 class TestServerRestart:
     pytestmark = net_only
 
+    @pytest.mark.usefixtures("fast_backoff", "short_op_deadline")
     def test_pool_worker_serves_stale_when_server_dies(self):
         """A pool worker that loses its server keeps answering from the
         held plane, flagged stale in its reader_stats row."""
         sg = _sgraph(97)
         with ServeSession(sg, workers=1, transport="tcp", retry=1,
-                          backoff=0.01, max_backoff=0.02,
-                          op_timeout=2.0) as session:
+                          max_backoff=0.02) as session:
             value, _stats, epoch = session.distance(0, 1)
             session.transport.server.close(drain=False)
             assert session.distance(0, 1)[::2] == (value, epoch)
@@ -408,6 +403,7 @@ class TestServerRestart:
             assert row["stale"] is True
             assert row["stale_serves"] >= 1
 
+    @pytest.mark.usefixtures("fast_backoff")
     def test_reader_survives_sigkill_restart_bit_identically(self):
         """SIGKILL the server, restart on the same address with the next
         epoch and a *colliding* generation counter: the reader detects
@@ -453,10 +449,10 @@ class TestServerRestart:
         first.start()
         port = ready.get(timeout=30)
         readers = {
-            "full": NetReader(f"127.0.0.1:{port}", retry=2, backoff=0.01,
+            "full": NetReader(f"127.0.0.1:{port}", retry=2,
                               max_backoff=0.05),
             "delta": NetReader(f"127.0.0.1:{port}", delta=True, retry=2,
-                               backoff=0.01, max_backoff=0.05),
+                               max_backoff=0.05),
         }
         second = None
         try:

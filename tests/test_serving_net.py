@@ -99,29 +99,29 @@ class TestTransportDifferential:
                         reason="POSIX shared memory unavailable")
     @pytest.mark.parametrize("directed", [False, True])
     def test_tcp_bit_identical_to_shm_across_epochs(self, directed):
-        """One store, two transports, three epochs: every answer agrees.
+        """One graph, two transports, three epochs: every answer agrees.
 
-        Both sessions subscribe to the same :class:`VersionedStore`, so
-        each publish hands the identical plane to the shm segments and the
-        TCP payload store.  Each round fans the same query batch through
-        both pools; values AND stats counters must match pair for pair,
-        and afterwards each pool reader must have fetched each plane
-        exactly once.
+        Both sessions serve the same :class:`SGraph`, and an epoch has one
+        frozen plane, so the two publishes of a round hand the identical
+        plane to the shm segments and the TCP payload store.  Each round
+        fans the same query batch through both pools; values AND stats
+        counters must match pair for pair, and afterwards each pool reader
+        must have fetched each plane exactly once.
         """
         sg = _sgraph(61, directed)
-        store = VersionedStore(sg)
         rng = random.Random(7)
         verts = sorted(sg.graph.vertices())
-        with ServeSession(sg, workers=2, store=store) as shm_sess, \
-                ServeSession(sg, workers=2, store=store,
-                             transport="tcp") as net_sess:
+        with ServeSession(sg, workers=2) as shm_sess, \
+                ServeSession(sg, workers=2, transport="tcp") as net_sess:
             epochs = []
             for round_no in range(3):
                 if round_no:
                     u, v = rng.sample(verts[:40], 2)
                     sg.add_edge(u, v, rng.uniform(0.1, 0.4))
-                    shm_sess.publish()  # one publish reaches both transports
-                epochs.append(store.latest().epoch)
+                    shm_view = shm_sess.publish()
+                    assert (net_sess.publish().dense_plane("distance")
+                            is shm_view.dense_plane("distance"))
+                epochs.append(shm_sess.store.latest().epoch)
                 pairs = [tuple(rng.sample(verts, 2)) for _ in range(24)]
                 for s, t in pairs:
                     shm_value, shm_stats, shm_epoch = shm_sess.distance(s, t)
@@ -139,10 +139,10 @@ class TestTransportDifferential:
 
     def test_batched_verbs_match_view(self):
         sg = _sgraph(62)
-        with sg.serve(workers=2, transport="tcp") as session:
+        with sg.serve(workers=2, transport="tcp", chunk=8) as session:
             view = session.store.latest()
             values, _stats, epoch = session.distance_many(
-                0, list(range(1, 30)), chunk_size=8,
+                0, list(range(1, 30)),
             )
             expected = view.distance_many(0, list(range(1, 30)))
             # per-slice searches may answer a target from the hub index,
@@ -249,6 +249,7 @@ class TestFetchOnPublish:
 
 
 class TestNoServerLease:
+    @pytest.mark.usefixtures("breaker_opens_at_first_crash")
     def test_killed_reader_leaves_nothing_pinned(self):
         """SIGKILL a pool worker mid-hold: the server never counted a
         reference for it, so the next publish retires the old plane at
@@ -256,10 +257,9 @@ class TestNoServerLease:
         answers on the new epoch."""
         sg = _sgraph(66)
         verts = sorted(sg.graph.vertices())
-        # respawn=False: this test pins down a permanently lost reader;
-        # respawn recovery has its own coverage.
-        with sg.serve(workers=2, transport="tcp",
-                      respawn=False) as session:
+        # The breaker opens at the first crash: this test pins down a
+        # permanently lost reader; respawn recovery has its own coverage.
+        with sg.serve(workers=2, transport="tcp") as session:
             registry = session.transport.registry
             server = session.transport.server
             # both workers answer (and therefore hold) the first epoch
@@ -446,7 +446,7 @@ def _churn_weights(sg, rng, count: int = 6) -> None:
 
 class TestDeltaSync:
     def test_delta_bit_identical_to_full_across_epochs(self):
-        """One store, delta and full TCP sessions, three churn epochs.
+        """One graph, delta and full TCP sessions, three churn epochs.
 
         Every answer (value AND stats counters) must agree pair for pair
         — the composed plane is bit-identical to the full fetch — and the
@@ -454,17 +454,17 @@ class TestDeltaSync:
         all-full hypothetical.
         """
         sg = _sgraph(71)
-        store = VersionedStore(sg)
         rng = random.Random(17)
         verts = sorted(sg.graph.vertices())
-        with ServeSession(sg, workers=1, store=store,
-                          transport="tcp") as full_sess, \
-                ServeSession(sg, workers=1, store=store, transport="tcp",
+        with ServeSession(sg, workers=1, transport="tcp") as full_sess, \
+                ServeSession(sg, workers=1, transport="tcp",
                              delta=True) as delta_sess:
             for round_no in range(3):
                 if round_no:
                     _churn_weights(sg, rng)
-                    full_sess.publish()  # one publish reaches both
+                    # both publish the epoch's one frozen plane
+                    full_sess.publish()
+                    delta_sess.publish()
                 pairs = [tuple(rng.sample(verts, 2)) for _ in range(16)]
                 for s, t in pairs:
                     f_value, f_stats, f_epoch = full_sess.distance(s, t)
@@ -615,6 +615,7 @@ class TestDeltaSync:
                     assert value == view.distance(s, t).value
                     assert epoch == view.epoch
 
+    @pytest.mark.usefixtures("fast_backoff")
     def test_server_death_surfaces_as_query_error(self):
         """A strict (degrade=False) reader whose server dies mid-session
         gets a QueryError (the CLI's clean-exit contract), never a raw
@@ -626,10 +627,9 @@ class TestDeltaSync:
         session = ServeSession(sg, workers=1, transport="tcp")
         try:
             reader = NetReader(session.transport.address, degrade=False,
-                               retry=1, backoff=0.01, max_backoff=0.02)
+                               retry=1, max_backoff=0.02)
             stale_reader = NetReader(session.transport.address,
-                                     retry=1, backoff=0.01,
-                                     max_backoff=0.02)
+                                     retry=1, max_backoff=0.02)
         except Exception:
             session.close()
             raise
@@ -718,22 +718,64 @@ class TestServerClose:
                 view.dense_plane("distance"), view.epoch + 1)
             assert server.stats()["cached"] == 0
 
-    def test_failed_serve_leaves_no_plane_server(self):
+    def test_failed_serve_leaves_no_plane_server(self, monkeypatch):
         """A session whose pool cannot start closes the tcp transport it
         already built: no plane-server thread (and no listening socket)
-        outlives the ConfigError."""
-        import threading
-
+        outlives the error."""
         from repro.errors import ConfigError
-
-        def servers():
-            return {t for t in threading.enumerate()
-                    if t.name == "repro-plane-server"}
+        from repro.serving.pool import WorkerPool
 
         sg = _sgraph(75)
-        before = servers()
+        before = _plane_servers()
         with pytest.raises(ConfigError):
             sg.serve(workers=0, transport="tcp")
-        with pytest.raises(ConfigError):  # the pool's breaker rejects it
-            sg.serve(workers=1, transport="tcp", respawn_limit=0)
-        assert _wait_until(lambda: servers() <= before)
+
+        def fork_fails(_pool, _worker_id):
+            raise OSError("fork failed")
+
+        # the transport exists by the time the pool forks its first worker
+        monkeypatch.setattr(WorkerPool, "_start", fork_fails)
+        with pytest.raises(OSError, match="fork failed"):
+            sg.serve(workers=1, transport="tcp")
+        assert _wait_until(lambda: _plane_servers() <= before)
+
+    @pytest.mark.parametrize("max_backoff", [0.0, -1.0, float("nan")])
+    def test_bad_max_backoff_is_refused_before_anything_starts(
+            self, max_backoff, monkeypatch):
+        """Refused on the writer side: no worker forks (each would crash
+        in its reader and be re-forked until the breaker opened) and no
+        plane server starts."""
+        from repro.errors import ConfigError
+        from repro.serving.pool import WorkerPool
+
+        forks = []
+        monkeypatch.setattr(WorkerPool, "_start",
+                            lambda _pool, worker_id: forks.append(worker_id))
+        sg = _sgraph(76)
+        before = _plane_servers()
+        with pytest.raises(ConfigError, match="max_backoff must be > 0"):
+            sg.serve(workers=1, transport="tcp", max_backoff=max_backoff)
+        assert forks == []
+        assert _wait_until(lambda: _plane_servers() <= before)
+
+    def test_max_backoff_below_the_first_delay_serves(self):
+        """A ceiling under the first reconnect delay is a flat delay."""
+        from repro.serving import faults
+
+        sg = _sgraph(76)
+        with sg.serve(workers=1, transport="tcp",
+                      max_backoff=0.01) as session:
+            value, _stats, epoch = session.distance(0, 1)
+            assert value == session.store.latest().distance(0, 1).value
+            assert epoch == session.store.latest().epoch
+            assert session.transport.reader_spec().max_backoff == 0.01
+        backoff = faults.Backoff(0.01)
+        ceiling = 0.01 * (1 + faults.BACKOFF_JITTER)
+        assert all(backoff.delay(i) <= ceiling for i in range(8))
+
+
+def _plane_servers():
+    import threading
+
+    return {t for t in threading.enumerate()
+            if t.name == "repro-plane-server"}

@@ -110,9 +110,10 @@ class TestPoolLifecycle:
         # ~1 s) with a real pair every 20th to check the values
         pairs = [tuple(rng.sample(verts, 2)) if i % 20 == 0
                  else (verts[i % len(verts)],) * 2 for i in range(60_000)]
-        with ServeSession(sg, workers=1, transport=transport) as session:
+        with ServeSession(sg, workers=1, transport=transport,
+                          chunk=6_000) as session:
             engine = session.store.latest().engine("distance")
-            out = session.map_distance(pairs, chunk_size=6_000, timeout=60)
+            out = session.map_distance(pairs, timeout=60)
             assert len(out) == len(pairs)
             for (s, t), (value, stats, _epoch) in zip(pairs[::20], out[::20]):
                 ref_value, ref_stats = engine.best_cost(s, t)
@@ -121,10 +122,14 @@ class TestPoolLifecycle:
             assert all(value == 0.0 for value, _stats, _epoch in out[1:20])
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kill_respawn_cycles_leak_no_descriptor(self, transport):
+    def test_kill_respawn_cycles_leak_no_descriptor(self, transport,
+                                                    monkeypatch):
+        from repro.serving import faults
+
+        # six crashes: past the default breaker of five
+        monkeypatch.setattr(faults, "RESPAWN_LIMIT", 10)
         sg = _sgraph(103)
-        with ServeSession(sg, workers=2, transport=transport,
-                          respawn_limit=10) as session:
+        with ServeSession(sg, workers=2, transport=transport) as session:
             value = session.distance(0, 1)[0]
             session.distance(0, 1)
             start = _fd_count()
@@ -172,8 +177,9 @@ class TestStampedRequests:
     def test_first_query_after_publish_reads_the_new_epoch(self, transport):
         sg = _sgraph(105)
         verts = sorted(sg.graph.vertices())
-        with ServeSession(sg, workers=2, transport=transport) as session:
-            session.map_distance([(0, 1)] * 4, chunk_size=1)
+        with ServeSession(sg, workers=2, transport=transport,
+                          chunk=1) as session:
+            session.map_distance([(0, 1)] * 4)
             for step in range(6):
                 sg.add_edge(verts[step], verts[-1 - step], 0.25 + step)
                 view = session.publish()
@@ -187,11 +193,11 @@ class TestStampedRequests:
     @pytest.mark.net
     @pytest.mark.skipif(not net_available(),
                         reason="loopback TCP sockets unavailable")
+    @pytest.mark.usefixtures("fast_backoff", "short_op_deadline")
     def test_degraded_worker_retries_on_every_request(self):
         sg = _sgraph(106)
         with ServeSession(sg, workers=1, transport="tcp", retry=1,
-                          backoff=0.01, max_backoff=0.02,
-                          op_timeout=2.0) as session:
+                          max_backoff=0.02) as session:
             value, _stats, epoch = session.distance(0, 1)
             assert session.reader_stats()[0]["stale_serves"] == 0
             session.transport.server.close(drain=False)
@@ -256,18 +262,44 @@ class TestWorkerErrorTypes:
             assert session.distance(0, 399)[0] == sg.distance(0, 399).value
 
 
+class TestPublishOrder:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_an_older_epoch_is_refused(self, transport):
+        """A transport keeps only its newest epoch: a plane for an older
+        epoch, even one never published, is refused, and the registered
+        epoch does not move back."""
+        sg = _sgraph(108)
+        verts = sorted(sg.graph.vertices())
+        with ServeSession(sg, workers=1, transport=transport) as session:
+            sg.add_edge(verts[0], verts[-1], 0.3)
+            skipped = sg.epoch  # never published
+            sg.add_edge(verts[1], verts[-2], 0.3)
+            view = session.publish()
+            registry = session.transport.registry
+            generation = registry.generation()
+            assert skipped < view.epoch == registry.current_epoch()
+            plane = view.dense_plane("distance")
+            assert not session.transport.publish_plane(plane, skipped)
+            assert not session.transport.publish_plane(plane, view.epoch)
+            assert registry.current_epoch() == view.epoch
+            assert registry.generation() == generation
+            assert session.distance(0, 1)[2] == view.epoch
+
+
 class TestBatchArguments:
     @pytest.mark.skipif(not shm_available(),
                         reason="POSIX shared memory unavailable")
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_chunk_size_below_one_is_rejected(self, chunk_size):
-        """``map_distance`` rejects a chunk size below 1 as
-        ``distance_many`` does, instead of answering nothing."""
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_is_rejected(self, chunk):
+        """A session chunk below 1 is refused when the session is made,
+        instead of batches answering nothing; a chunk of 1 answers every
+        pair and target."""
         sg = _sgraph(107)
         pairs = [(0, 1), (2, 3), (4, 5)]
-        with ServeSession(sg, workers=1, transport="shm") as session:
-            with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
-                session.map_distance(pairs, chunk_size=chunk_size)
-            with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
-                session.distance_many(0, [1, 2, 3], chunk_size=chunk_size)
-            assert len(session.map_distance(pairs, chunk_size=1)) == 3
+        with pytest.raises(ConfigError, match="chunk must be >= 1"):
+            ServeSession(sg, workers=1, transport="shm", chunk=chunk)
+        with ServeSession(sg, workers=1, transport="shm",
+                          chunk=1) as session:
+            assert len(session.map_distance(pairs)) == 3
+            values, _stats, _epoch = session.distance_many(0, [1, 2, 3])
+            assert sorted(values) == [1, 2, 3]

@@ -238,8 +238,8 @@ class TestServeSessionParity:
             # single-worker request: the fan-out does not depend on chunk.
             dup_targets = targets[:15] + targets[5:25] + [0, 3, 3]
             fanned = session.distance_many(0, dup_targets)
-            single = session.distance_many(0, dup_targets,
-                                           chunk_size=len(dup_targets))
+            with sg.serve(workers=1) as one_worker:  # one request, no slices
+                single = one_worker.distance_many(0, dup_targets)
             assert fanned[0] == single[0]
             assert _stats_tuple(fanned[1]) == _stats_tuple(single[1])
             assert fanned[2] == single[2]
@@ -554,12 +554,14 @@ class TestWriterMappings:
 
 
 class TestWorkerCrash:
+    @pytest.mark.usefixtures("breaker_opens_at_first_crash")
     def test_killed_worker_leaves_no_segments(self):
         sg = _sgraph(41)
         rng = random.Random(17)
         verts = sorted(sg.graph.vertices())
-        # respawn=False: this test pins the degraded-survivor protocol.
-        with sg.serve(workers=2, respawn=False) as session:
+        # The breaker opens at the first crash: this test pins the
+        # degraded-survivor protocol.
+        with sg.serve(workers=2) as session:
             prefix = session.prefix
             pairs = [tuple(rng.sample(verts, 2)) for _ in range(60)]
             before = session.map_distance(pairs)

@@ -163,7 +163,8 @@ class TestMutation:
     def test_maintenance_counter_updates(self, sg_triangle):
         sg_triangle.distance(0, 2)  # force index build
         sg_triangle.add_edge(1, 3, 1.0)
-        assert sg_triangle.last_maintenance_settled >= 1
+        index = sg_triangle.index_for("distance")
+        assert index.settled_last_update >= 1
 
 
 class TestEquivalenceUnderChurn:

@@ -48,6 +48,22 @@ class TestLayeredMapping:
         # The previous version is untouched.
         assert dict(base) == {1: "a", 2: "b", 3: "c"}
 
+    def test_lookups_across_both_layers(self):
+        base = {1: "a", 2: "b", 3: "c", 5: None}
+        derived = derive_mapping(base, {2: "B", 3: TOMBSTONE, 4: None},
+                                 min_compact=1000)
+        # an override, a stored None in either layer, and a base key
+        for key, value in ((2, "B"), (4, None), (5, None), (1, "a")):
+            assert derived[key] == value
+            assert derived.get(key) == value
+            assert derived.get(key, "default") == value
+        # a deleted base key and a key neither layer holds
+        for key in (3, 9):
+            assert derived.get(key) is None
+            assert derived.get(key, "default") == "default"
+            with pytest.raises(KeyError):
+                derived[key]
+
     def test_derive_is_chainable_without_stacking_levels(self):
         base = {i: i for i in range(100)}
         m = base
