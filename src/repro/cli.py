@@ -18,7 +18,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SGraphConfig
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError, QueryError, ReproError
 from repro.core.hub_selection import DEFAULT_STRATEGY, STRATEGIES
 from repro.core.semiring import ShortestDistance
 from repro.graph.datasets import DATASETS, dataset_names, load_dataset
@@ -228,8 +228,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.streaming.workload import query_stream
 
     if args.delta and args.transport != "tcp":
-        print("--delta requires --transport tcp", file=sys.stderr)
-        return 2
+        raise ConfigError("--delta requires --transport tcp")
     if args.transport == "shm" and not shm_available():
         print("POSIX shared memory is unavailable on this platform",
               file=sys.stderr)
@@ -291,11 +290,9 @@ def _cmd_attach(args: argparse.Namespace) -> int:
     from repro.serving.net import NetReader
 
     if args.cache_planes < 1:
-        print("--cache-planes must be >= 1", file=sys.stderr)
-        return 2
+        raise ConfigError("--cache-planes must be >= 1")
     if not args.max_backoff > 0:
-        print("--max-backoff must be > 0", file=sys.stderr)
-        return 2
+        raise ConfigError("--max-backoff must be > 0")
     try:
         with NetReader(args.address, cache_planes=args.cache_planes,
                        delta=args.delta, retry=args.retry,
@@ -474,8 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; bad input ends in one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

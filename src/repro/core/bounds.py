@@ -250,18 +250,6 @@ class QueryBounds:
             for j in potential_hubs(fwd_s, bwd_s, fwd_t, bwd_t)
         ]
 
-    def proves_unreachable(self) -> bool:
-        """True when the index alone proves no source→target path exists."""
-        return self.lower_bound() == self._semiring.unreachable
-
-    def is_exact(self) -> bool:
-        """True when lower and upper bound coincide (query needs no search)."""
-        lb = self.lower_bound()
-        ub = self.upper_bound
-        if lb == self._semiring.unreachable:
-            return True
-        return ub != self._semiring.unreachable and lb == ub
-
 
 class DenseQueryBounds:
     """Vectorized whole-query bounds over :class:`DenseHubTables`.
@@ -307,16 +295,4 @@ class DenseQueryBounds:
              bwd_s[j])
             for j in potential_hubs(fwd_s, bwd_s, fwd_t, bwd_t)
         ]
-
-    def proves_unreachable(self) -> bool:
-        """True when the index alone proves no source→target path exists."""
-        return self.lower_bound() == math.inf
-
-    def is_exact(self) -> bool:
-        """True when lower and upper bound coincide (query needs no search)."""
-        lb = self.lower_bound()
-        ub = self.upper_bound
-        if lb == math.inf:
-            return True
-        return ub != math.inf and lb == ub
 

@@ -18,7 +18,6 @@ proportional to the affected region instead of a full rebuild.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -289,18 +288,6 @@ class HubIndex:
             if bwd is not self._forward[h]:
                 total += bwd.num_reachable
         return total
-
-    def size_bytes(self) -> int:
-        """Rough resident size of the cost tables (E10's memory metric)."""
-        total = 0
-        for h in self._hubs:
-            total += sys.getsizeof(self._forward[h].raw_cost_table())
-            bwd = self._backward[h]
-            if bwd is not self._forward[h]:
-                total += sys.getsizeof(bwd.raw_cost_table())
-        # Keys and float values are shared small objects in CPython only
-        # sometimes; charge 16 bytes per entry as a uniform estimate.
-        return total + 16 * self.size_entries()
 
 
 # -- the dense serving plane -------------------------------------------------

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
 
@@ -77,32 +77,12 @@ def select_random(graph, count: int, seed: int = 0) -> List[int]:
     return sorted(rng.sample(list(graph.vertices()), count))
 
 
-def select_far_apart(graph, count: int, seed: int = 0) -> List[int]:
-    """Greedy farthest-point (2-approx k-center) hub spreading.
-
-    Start from the highest-degree vertex, then repeatedly pick the vertex at
-    the largest hop distance from the chosen set.  Good on large-diameter
-    graphs (road networks) where degree-ranked hubs cluster in one region.
-    """
-    return place_hubs(graph, count, "far-apart", seed)[0]
-
-
-def select_auto(graph, count: int, seed: int = 0) -> List[int]:
-    """Farthest-point hubs on large-diameter graphs, degree hubs otherwise.
-
-    One BFS from the top-degree vertex measures its hop eccentricity (over
-    the vertices it reaches); above ``LARGE_DIAMETER_FACTOR · log2|V|`` the
-    same BFS seeds :func:`select_far_apart`'s spreading.
-    """
-    return place_hubs(graph, count, "auto", seed)[0]
-
-
 def is_large_diameter(graph) -> bool:
     """The large-diameter verdict: the top-degree vertex's hop eccentricity,
     within its component, exceeds ``LARGE_DIAMETER_FACTOR · log2|V|``.
 
-    One BFS.  :func:`select_auto` places hubs by it and the pairwise search
-    orders its queues by it (see :func:`place_hubs`).
+    One BFS.  ``auto`` places hubs by it and the pairwise search orders
+    its queues by it (see :func:`place_hubs`).
     """
     if graph.num_vertices < 2:
         return False
@@ -112,7 +92,8 @@ def is_large_diameter(graph) -> bool:
 def _probe_diameter(graph) -> Tuple[int, Dict[int, int], bool]:
     """``(top-degree vertex, its BFS hop labels, large-diameter verdict)``."""
     first = _top_degree_vertex(graph)
-    hops = _bfs_hops_multi(graph, [first])
+    hops: Dict[int, int] = {}
+    _bfs_hops_update(graph, first, hops)
     large = (max(hops.values())
              > LARGE_DIAMETER_FACTOR * math.log2(graph.num_vertices))
     return first, hops, large
@@ -124,8 +105,10 @@ def _top_degree_vertex(graph):
 
 
 def _spread(graph, count: int, first, hops: Dict, seed: int) -> List[int]:
-    """Farthest-point selection from ``first``; ``hops`` holds its BFS hop
-    labels and is lowered in place as hubs are added."""
+    """Greedy farthest-point (2-approx k-center) hub spreading from
+    ``first``: each next hub is the vertex at the largest hop distance from
+    the chosen set.  ``hops`` holds ``first``'s BFS hop labels and is
+    lowered in place as hubs are added."""
     hubs = [first]
     n = graph.num_vertices
     rng = random.Random(seed)
@@ -153,24 +136,9 @@ def _check_count(graph, count: int) -> None:
         )
 
 
-def _bfs_hops_multi(graph, sources: List[int]) -> Dict[int, int]:
-    hops = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        v = queue.popleft()
-        for u, _w in graph.out_items(v):
-            if u not in hops:
-                hops[u] = hops[v] + 1
-                queue.append(u)
-        for u, _w in graph.in_items(v):
-            if u not in hops:
-                hops[u] = hops[v] + 1
-                queue.append(u)
-    return hops
-
-
 def _bfs_hops_update(graph, source: int, hops: Dict[int, int]) -> None:
-    """Lower existing hop labels given a new source (multi-source update)."""
+    """Lower hop labels given a new source (multi-source update; on an
+    empty ``hops``, one source's BFS)."""
     if hops.get(source, 1) <= 0:
         return
     hops[source] = 0
@@ -189,39 +157,32 @@ def _bfs_hops_update(graph, source: int, hops: Dict[int, int]) -> None:
     return
 
 
-#: registry used by configs and the CLI
-STRATEGIES: Dict[str, Callable[..., List[int]]] = {
-    "auto": select_auto,
-    "degree": select_by_degree,
-    "random": select_random,
-    "far-apart": select_far_apart,
-}
+#: the strategy names configs and the CLI accept
+STRATEGIES: Tuple[str, ...] = ("auto", "degree", "random", "far-apart")
 
 
 def select_hubs(graph, count: int, strategy: str = DEFAULT_STRATEGY,
                 seed: int = 0) -> List[int]:
-    """Dispatch to a named strategy from :data:`STRATEGIES`."""
-    try:
-        fn = STRATEGIES[strategy]
-    except KeyError:
-        raise ConfigError(
-            f"unknown hub strategy {strategy!r}; known: {', '.join(STRATEGIES)}"
-        ) from None
-    if strategy == "degree":
-        return fn(graph, count)
-    return fn(graph, count, seed=seed)
+    """The ``count`` hubs the named strategy places."""
+    return place_hubs(graph, count, strategy, seed)[0]
 
 
 def place_hubs(graph, count: int, strategy: str = DEFAULT_STRATEGY,
                seed: int = 0) -> Tuple[List[int], bool]:
-    """:func:`select_hubs` plus the graph's :func:`is_large_diameter` verdict.
+    """The hubs of the named strategy and the graph's
+    :func:`is_large_diameter` verdict.
 
     ``auto`` and ``far-apart`` already run the verdict's BFS and reuse it;
-    every other strategy pays one extra BFS.
+    ``degree`` and ``random`` pay one extra BFS.
     """
-    if strategy not in ("auto", "far-apart"):
-        return (select_hubs(graph, count, strategy, seed),
-                is_large_diameter(graph))
+    if strategy == "degree":
+        return select_by_degree(graph, count), is_large_diameter(graph)
+    if strategy == "random":
+        return select_random(graph, count, seed), is_large_diameter(graph)
+    if strategy not in STRATEGIES:
+        raise ConfigError(
+            f"unknown hub strategy {strategy!r}; known: {', '.join(STRATEGIES)}"
+        )
     _check_count(graph, count)
     first, hops, large = _probe_diameter(graph)
     if large or strategy == "far-apart":

@@ -9,7 +9,7 @@ activation-fraction experiment (E2) compares engines on identical terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 
 @dataclass
@@ -54,19 +54,6 @@ class QueryStats:
         if num_vertices <= 0:
             return 0.0
         return self.activations / num_vertices
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "act": self.activations,
-            "push": self.pushes,
-            "relax": self.relaxations,
-            "lb_pruned": self.pruned_by_lower_bound,
-            "ub_pruned": self.pruned_by_upper_bound,
-            "from_index": self.answered_by_index,
-            "ws_hits": self.workspace_hits,
-            "ws_resets": self.workspace_resets,
-            "ws_touched": self.touched_reset,
-        }
 
 
 @dataclass

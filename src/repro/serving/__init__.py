@@ -15,7 +15,8 @@ publishing.  Three layers:
   counted in it, since every reader maps or copies what it serves.
 * :mod:`repro.serving.transport` — where the bytes live:
   :class:`~repro.serving.transport.ShmTransport` encodes each plane into a
-  named segment readers map zero-copy (:mod:`repro.serving.shm_plane`),
+  named POSIX segment readers map read-only and zero-copy
+  (:mod:`repro.serving.shm_plane`),
   which each pool request's stamp names, keeping the newest two linked;
   :class:`~repro.serving.net.NetTransport` announces each publish over
   length-prefixed TCP and a remote reader takes each new epoch in one

@@ -32,10 +32,11 @@ side holding both payloads — the TCP server — diffs, so the manifest
 carries nothing for it.
 
 Both transports write the same bytes for the same plane and epoch.  The
-shm transport encodes straight into a ``shared_memory`` segment's buffer
-that readers map; the TCP transport encodes into a ``bytearray`` once
-per publish, ships it (or a delta against the reader's cached base) over
-the socket, and remote readers decode their private copy.  Either encode
+shm transport encodes straight into a named POSIX segment's writable
+mapping, which readers map read-only; the TCP transport encodes into a
+``bytearray`` once per publish, ships it (or a delta against the
+reader's cached base) over the socket, and remote readers decode their
+private copy.  Either encode
 lays the manifest out once: the layout that sizes the sink is the one
 written into it.  Either way :func:`materialize_plane` rebuilds a fully
 functional ``DensePlane`` over the decoded views in O(#buffers) plus the

@@ -674,8 +674,11 @@ class ServeSession:
         """One-to-many distances; returns ``(values, stats, epoch)``.
 
         Targets are de-duplicated in order first, so the answer does not
-        depend on the session chunk.  Target lists longer than the session
-        chunk are split across the pool: each worker answers one slice and
+        depend on the session chunk.  On a plane whose sums are exact
+        (:attr:`DensePlane.exact_sums`) the batch is one request: one
+        frontier pass answers every target, cheaper than one pass per
+        slice.  Otherwise target lists longer than the session chunk are
+        split across the pool: each worker answers one slice and
         the partial results merge — values union disjointly, counters
         sum (:meth:`QueryStats.merge`), ``answered_by_index`` only when
         every slice was.  Slices lost to crashed workers are reaped,
@@ -684,7 +687,8 @@ class ServeSession:
         racing the fan-out is retried once on the new epoch.
         """
         targets = list(dict.fromkeys(targets))
-        if len(targets) <= self._chunk or self._pool.workers == 1:
+        if (len(targets) <= self._chunk or self._pool.workers == 1
+                or self._store.latest().dense_plane("distance").exact_sums):
             resp = self._one("distance_many", (source, targets), timeout)
             values, stats = resp.payload
             return values, stats, resp.epoch

@@ -1,14 +1,14 @@
-"""Dense planes over named shared-memory segments.
+"""Dense planes over named POSIX shared-memory segments.
 
-One :class:`~repro.core.hub_index.DensePlane` becomes one
-``multiprocessing.shared_memory`` segment holding exactly the byte format
-of :mod:`repro.serving.codec` — header, JSON manifest, then every buffer
-at a 64-byte-aligned offset — byte for byte the TCP payload of the same
+One :class:`~repro.core.hub_index.DensePlane` becomes one named segment
+(``shm_open`` plus ``mmap``) holding exactly the byte format of
+:mod:`repro.serving.codec` — header, JSON manifest, then every buffer at
+a 64-byte-aligned offset — byte for byte the TCP payload of the same
 plane and epoch.  Export lays the manifest out once and encodes straight
-into the freshly created segment; attach decodes the mapped
-bytes into zero-copy numpy views, so attaching costs O(#buffers) and the
-search loops then index the mapped bytes themselves, exactly as on the
-in-process plane.
+into the freshly created, writable mapping; attach maps the segment
+read-only and decodes it into zero-copy numpy views, so attaching costs
+O(#buffers), the search loops then index the mapped bytes themselves,
+exactly as on the in-process plane, and the OS refuses any reader write.
 
 Cleanup has three layers: explicit :meth:`ShmPlane.close`/``unlink``, the
 shm transport unlinking all but its newest ``KEEP_LINKED`` segments at
@@ -16,20 +16,21 @@ each publish (see :class:`repro.serving.transport.ShmTransport`; a reader's
 mapping outlives the unlink, so no reader is counted), and a module-level
 set of every segment this process *created* that an ``atexit`` hook
 unlinks — so a crashed writer never strands segments in ``/dev/shm``.
+Nothing is registered with ``multiprocessing``'s resource tracker, so no
+tracker process starts.
 """
 
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
-import threading
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.serving.codec import (
-    PlaneGraph,
     decode_plane,
     encode_buffers_into,
     materialize_plane,
@@ -38,22 +39,15 @@ from repro.serving.codec import (
 )
 
 __all__ = [
-    "PlaneGraph",
     "ShmPlane",
     "leaked_segments",
     "shm_available",
     "unlink_segment",
 ]
 
-try:  # pragma: no cover - exercised only where shm is missing entirely
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover
-    resource_tracker = None
-    shared_memory = None
-
-try:  # pragma: no cover - POSIX-only fast path for tracker-free unlinks
+try:
     import _posixshmem
-except ImportError:  # pragma: no cover
+except ImportError:  # pragma: no cover - no POSIX shared memory (Windows)
     _posixshmem = None
 
 # Every segment name this process created and has not yet unlinked.  The
@@ -70,92 +64,54 @@ def _sweep_created() -> None:  # pragma: no cover - atexit path
 atexit.register(_sweep_created)
 
 
+def _map(name: str, size: int = 0) -> mmap.mmap:
+    """Map segment ``name``.
+
+    With a ``size``, create the segment that long and map it writable
+    (recorded in ``_created`` for the atexit sweep); without one, map an
+    existing segment read-only.  The descriptor closes once mapped: the
+    mapping outlives it, and outlives an unlink too.
+    """
+    if _posixshmem is None:  # pragma: no cover
+        raise ConfigError("POSIX shared memory is unavailable")
+    if not size:
+        fd = _posixshmem.shm_open("/" + name, os.O_RDONLY)
+        try:
+            return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+    fd = _posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR,
+                              mode=0o600)
+    _created.add(name)
+    try:
+        os.ftruncate(fd, size)
+        return mmap.mmap(fd, size)
+    except OSError:
+        unlink_segment(name)
+        raise
+    finally:
+        os.close(fd)
+
+
 def shm_available() -> bool:
     """Whether POSIX shared memory actually works on this platform."""
-    if shared_memory is None:
-        return False
+    name = f"rpprobe-{os.urandom(8).hex()}"
     try:
-        probe = shared_memory.SharedMemory(create=True, size=16)
-    except (OSError, ValueError):
+        _map(name, 16).close()
+    except (ConfigError, OSError):
         return False
-    try:
-        probe.close()
-        probe.unlink()
-    except OSError:  # pragma: no cover
-        pass
+    unlink_segment(name)
     return True
 
 
-def _untrack(name: str) -> None:
-    """Unregister a freshly *created* segment from the resource tracker.
-
-    CPython < 3.13 registers every ``SharedMemory`` object with the
-    resource tracker as if that process owned it (bpo-39959), and the
-    tracker would then unlink live segments whenever any process exits.
-    Ownership here is explicit — the transport and the atexit sweep do
-    the unlinking — so nothing this module creates stays
-    tracked.  Attaches go through :func:`_attach_segment`, which never
-    registers in the first place.
-    """
-    if resource_tracker is None:  # pragma: no cover
-        return
-    try:
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker variations across versions
-        pass
-
-
-_tracker_mutex = threading.Lock()
-
-
-def _attach_segment(name: str):
-    """Map an existing segment without any resource-tracker footprint.
-
-    Unregistering after the attach is not enough: the tracker daemon's
-    cache is a *set*, so two readers attaching the same segment collapse
-    into one registration and the second matching unregister raises
-    KeyError inside the daemon.  Suppressing the registration entirely
-    leaves nothing to unbalance.
-    """
-    if shared_memory is None:  # pragma: no cover
-        raise ConfigError("multiprocessing.shared_memory is unavailable")
-    if resource_tracker is None:  # pragma: no cover
-        return shared_memory.SharedMemory(name=name)
-    with _tracker_mutex:
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
 def unlink_segment(name: str) -> bool:
-    """Unlink one segment by name; True when it existed.
-
-    Goes straight to ``shm_unlink`` where available — attaching just to
-    unlink would re-register the segment with the resource tracker.
-    """
+    """Unlink one segment by name; True when it existed."""
     _created.discard(name)
-    if _posixshmem is not None:
-        try:
-            _posixshmem.shm_unlink("/" + name)
-        except FileNotFoundError:
-            return False
-        return True
-    if shared_memory is None:  # pragma: no cover
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
         return False
-    try:  # pragma: no cover - non-POSIX fallback
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:  # pragma: no cover
-        return False
-    _untrack(name)  # pragma: no cover
-    try:  # pragma: no cover
-        seg.close()
-        seg.unlink()
-    except FileNotFoundError:  # pragma: no cover
-        pass
-    return True  # pragma: no cover
+    return True
 
 
 def leaked_segments(prefix: str) -> List[str]:
@@ -176,9 +132,11 @@ class ShmPlane:
     arrays; the engine then runs the same flat-array search as in-process.
     """
 
-    def __init__(self, shm, manifest: Dict, arrays: Dict[str, np.ndarray],
-                 created: bool) -> None:
-        self._shm = shm
+    def __init__(self, name: str, mapping: mmap.mmap, manifest: Dict,
+                 arrays: Dict[str, np.ndarray], created: bool) -> None:
+        self._name = name
+        self._mm = mapping
+        self._nbytes = len(mapping)
         self._manifest = manifest
         self._arrays = arrays
         self._created = created
@@ -194,39 +152,34 @@ class ShmPlane:
         with its name afterwards (the transport's job) can never expose a
         torn plane to a reader.
         """
-        if shared_memory is None:  # pragma: no cover
-            raise ConfigError("multiprocessing.shared_memory is unavailable")
         # The one layout both sizes the segment and is written into it:
         # the segment holds exactly encode_plane(plane, epoch).
         buffers = plane_buffers(plane)
         layout = plane_manifest(plane, epoch, buffers)
-        shm = shared_memory.SharedMemory(create=True, size=layout[2],
-                                         name=name)
-        _created.add(name)
-        _untrack(name)
-        manifest, arrays = encode_buffers_into(buffers, shm.buf, layout)
-        return cls(shm, manifest, arrays, created=True)
+        mapping = _map(name, layout[2])
+        manifest, arrays = encode_buffers_into(buffers, mapping, layout)
+        return cls(name, mapping, manifest, arrays, created=True)
 
     @classmethod
     def attach(cls, name: str) -> "ShmPlane":
         """Map an existing segment and wrap its buffers in numpy views.
 
         O(#buffers): no array is copied and no per-vertex work happens here.
-        The views are marked read-only — readers share the writer's bytes.
+        The mapping is read-only — readers share the writer's bytes.
         """
-        shm = _attach_segment(name)
+        mapping = _map(name)
         try:
-            manifest, arrays = decode_plane(shm.buf)
+            manifest, arrays = decode_plane(mapping)
         except ConfigError:
-            shm.close()
+            mapping.close()
             raise
-        return cls(shm, manifest, arrays, created=False)
+        return cls(name, mapping, manifest, arrays, created=False)
 
     # -- introspection ------------------------------------------------------
 
     @property
     def name(self) -> str:
-        return self._shm.name.lstrip("/")
+        return self._name
 
     @property
     def epoch(self) -> int:
@@ -239,7 +192,7 @@ class ShmPlane:
     @property
     def nbytes(self) -> int:
         """Total segment size (header + manifest + buffers)."""
-        return self._shm.size
+        return self._nbytes
 
     @property
     def manifest(self) -> Dict:
@@ -268,7 +221,7 @@ class ShmPlane:
         self._plane = None
         self._arrays = {}
         try:
-            self._shm.close()
+            self._mm.close()
         except BufferError:  # pragma: no cover - caller kept a view alive
             pass
 

@@ -26,22 +26,19 @@ class TestDistanceBounds:
         # s→h→t through hub 1: 1.0 + 2.0 = 3.0 (also the true distance).
         assert bounds.upper_bound == 3.0
         # |d(h,t) - d(h,s)| = |2 - 1| = 1: valid but not tight here.
-        assert bounds.lower_bound() == 1.0
-        assert not bounds.is_exact()
+        assert bounds.lower_bound() == 1.0 < bounds.upper_bound
 
     def test_endpoint_hub_gives_exactness(self, line_graph):
         index = HubIndex(line_graph, [0])
         bounds = QueryBounds(index, 0, 4)
         assert bounds.upper_bound == 4.0
-        assert bounds.is_exact()
+        assert bounds.lower_bound() == bounds.upper_bound
 
     def test_unreachable_proof(self, two_components):
         index = HubIndex(two_components, [0])
         bounds = QueryBounds(index, 0, 2)
         assert bounds.upper_bound == math.inf
         assert bounds.lower_bound() == math.inf
-        assert bounds.proves_unreachable()
-        assert bounds.is_exact()
 
     def test_no_information_is_trivial(self, two_components):
         # Hub in the other component knows nothing about this pair.
@@ -49,7 +46,6 @@ class TestDistanceBounds:
         bounds = QueryBounds(index, 0, 1)
         assert bounds.upper_bound == math.inf
         assert bounds.lower_bound() == 0.0
-        assert not bounds.is_exact()
 
     def test_residual_backward_roles(self, line_graph):
         index = HubIndex(line_graph, [4])

@@ -119,6 +119,16 @@ class TestCommands:
         assert main(["serve", "uniform-er", "--delta"]) == 2
         assert "--delta requires --transport tcp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["query", "social-pl", "3", "999999"],
+        ["serve", "uniform-er", "--workers", "0"],
+    ])
+    def test_bad_input_is_one_line_and_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestServeTcp:
     @pytest.mark.net

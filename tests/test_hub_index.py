@@ -166,7 +166,3 @@ class TestAccounting:
         index = HubIndex(directed_diamond, [0])
         # forward from 0 reaches all 4; backward to 0 reaches only 0.
         assert index.size_entries() == 4 + 1
-
-    def test_size_bytes_positive(self, small_powerlaw):
-        index = HubIndex.build(small_powerlaw, 2)
-        assert index.size_bytes() > index.size_entries() * 8

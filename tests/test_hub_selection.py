@@ -14,11 +14,8 @@ from repro import SGraph, SGraphConfig
 from repro.core.hub_selection import (
     DEFAULT_STRATEGY,
     STRATEGIES,
-    _bfs_hops_multi,
     _bfs_hops_update,
-    select_auto,
     select_by_degree,
-    select_far_apart,
     select_hubs,
     select_random,
 )
@@ -76,20 +73,20 @@ class TestRandom:
 
 class TestFarApart:
     def test_starts_from_max_degree(self, star_plus_path):
-        hubs = select_far_apart(star_plus_path, 1)
+        hubs = select_hubs(star_plus_path, 1, "far-apart")
         assert hubs == [0]
 
     def test_second_hub_is_far(self, star_plus_path):
-        hubs = select_far_apart(star_plus_path, 2)
+        hubs = select_hubs(star_plus_path, 2, "far-apart")
         # The farthest vertex from the star center is the path's end.
         assert hubs[1] == 15
 
     def test_distinct(self, star_plus_path):
-        hubs = select_far_apart(star_plus_path, 5, seed=1)
+        hubs = select_hubs(star_plus_path, 5, "far-apart", seed=1)
         assert len(set(hubs)) == 5
 
     def test_covers_components(self, two_components):
-        hubs = select_far_apart(two_components, 2, seed=0)
+        hubs = select_hubs(two_components, 2, "far-apart", seed=0)
         comp_a = {0, 1}
         comp_b = {2, 3}
         assert (set(hubs) & comp_a) and (set(hubs) & comp_b)
@@ -114,7 +111,8 @@ def _reference_far_apart(graph, count, seed=0):
     """The original O(k·|V|) farthest-point scan, kept as the reference."""
     first = min(graph.vertices(), key=lambda v: (-graph.degree(v), v))
     hubs = [first]
-    hop_to_set = _bfs_hops_multi(graph, hubs)
+    hop_to_set = {}
+    _bfs_hops_update(graph, first, hop_to_set)
     rng = random.Random(seed)
     while len(hubs) < count:
         best_v, best_hops = None, -1
@@ -158,30 +156,30 @@ class TestAuto:
     def test_choice_per_dataset(self, name):
         assert set(AUTO_SPREADS) == set(DATASETS)
         graph = load_dataset(name)
-        expected = (select_far_apart(graph, 16) if AUTO_SPREADS[name]
+        expected = (select_hubs(graph, 16, "far-apart") if AUTO_SPREADS[name]
                     else select_by_degree(graph, 16))
-        assert select_auto(graph, 16) == expected
+        assert select_hubs(graph, 16, "auto") == expected
 
     @pytest.mark.parametrize("build, spreads", [
         (_ledger_grid, True), (_ledger_power_law, False)])
     def test_choice_on_ledger_shapes(self, build, spreads):
         graph = build()
-        expected = (select_far_apart(graph, 16) if spreads
+        expected = (select_hubs(graph, 16, "far-apart") if spreads
                     else select_by_degree(graph, 16))
-        assert select_auto(graph, 16) == expected
+        assert select_hubs(graph, 16, "auto") == expected
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_far_apart_matches_reference_scan(self, name):
         graph = load_dataset(name)
         for seed in (0, 3):
-            assert select_far_apart(graph, 16, seed=seed) == \
+            assert select_hubs(graph, 16, "far-apart", seed=seed) == \
                 _reference_far_apart(graph, 16, seed=seed)
 
     def test_one_vertex(self):
         g = DynamicGraph()
         g.add_vertex(7)
-        assert select_auto(g, 1) == [7]
-        assert select_far_apart(g, 1) == [7]
+        assert select_hubs(g, 1, "auto") == [7]
+        assert select_hubs(g, 1, "far-apart") == [7]
 
     @pytest.mark.parametrize("graph", [
         pytest.param(lambda: _path(40), id="long-path"),
@@ -190,38 +188,40 @@ class TestAuto:
     def test_count_equals_vertex_count(self, graph):
         g = graph()
         n = g.num_vertices
-        for select in (select_auto, select_far_apart):
-            hubs = select(g, n)
+        for strategy in ("auto", "far-apart"):
+            hubs = select_hubs(g, n, strategy)
             assert sorted(hubs) == sorted(g.vertices())
-        assert select_far_apart(g, n) == _reference_far_apart(g, n)
+        assert select_hubs(g, n, "far-apart") == _reference_far_apart(g, n)
 
     def test_disconnected_small_diameter_takes_degree(self, two_components):
-        assert select_auto(two_components, 2) == \
+        assert select_hubs(two_components, 2, "auto") == \
             select_by_degree(two_components, 2)
 
     def test_disconnected_large_diameter_spreads_over_components(self):
         g = _path(60)
         for i in range(100, 159):
             g.add_edge(i, i + 1)
-        hubs = select_auto(g, 4, seed=2)
-        assert hubs == select_far_apart(g, 4, seed=2)
+        hubs = select_hubs(g, 4, "auto", seed=2)
+        assert hubs == select_hubs(g, 4, "far-apart", seed=2)
         assert hubs == _reference_far_apart(g, 4, seed=2)
         assert any(h < 100 for h in hubs) and any(h >= 100 for h in hubs)
 
     def test_directed_graph(self):
         g = grid_graph(24, 24, seed=3, directed=True)
-        hubs = select_auto(g, 8)
+        hubs = select_hubs(g, 8, "auto")
         # hop labels ignore arc direction, so the lattice counts as large-
         # diameter whichever way its arcs point
-        assert hubs == select_far_apart(g, 8) == _reference_far_apart(g, 8)
+        assert hubs == select_hubs(g, 8, "far-apart")
+        assert hubs == _reference_far_apart(g, 8)
         assert len(set(hubs)) == 8
         small = power_law_graph(300, 3, seed=4, directed=True)
-        assert select_auto(small, 8) == select_by_degree(small, 8)
+        assert select_hubs(small, 8, "auto") == select_by_degree(small, 8)
 
     def test_sgraph_default_spreads_on_a_grid(self):
         sg = SGraph(graph=_ledger_grid(), config=SGraphConfig(num_hubs=16))
         sg.rebuild_indexes()
-        assert sg.index_for("distance").hubs == select_far_apart(sg.graph, 16)
+        assert sg.index_for("distance").hubs == select_hubs(
+            sg.graph, 16, "far-apart")
 
 
 def _path(n):
@@ -242,18 +242,18 @@ class TestNonIntegerIds:
     def test_far_apart(self):
         g = _str_path(10)
         # every interior vertex has degree 2; the smallest id starts
-        assert select_far_apart(g, 2) == ["v001", "v009"]
+        assert select_hubs(g, 2, "far-apart") == ["v001", "v009"]
 
     def test_auto_spreads_on_a_long_path(self):
         g = _str_path(64)
-        hubs = select_auto(g, 3)
-        assert hubs == select_far_apart(g, 3)
+        hubs = select_hubs(g, 3, "auto")
+        assert hubs == select_hubs(g, 3, "far-apart")
         assert hubs[:2] == ["v001", "v063"]
 
     def test_auto_two_vertices(self):
         g = DynamicGraph()
         g.add_edge("a", "b")
-        assert select_auto(g, 1) == ["a"]
+        assert select_hubs(g, 1, "auto") == ["a"]
 
     def test_sgraph_far_apart(self):
         edges = [(f"v{i:03d}", f"v{i + 1:03d}", 1.0) for i in range(30)]

@@ -13,6 +13,8 @@ import math
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -27,6 +29,7 @@ from repro.serving.pool import STALE_STAMP
 from repro.serving.transport import KEEP_LINKED, PlaneLease
 from repro.sgraph import SGraph
 from repro.streaming.versioning import VersionedStore
+from tests.conftest import assert_frontier_pass_counters
 
 pytestmark = [
     pytest.mark.shm,
@@ -125,7 +128,7 @@ class TestShmPlaneRoundTrip:
         try:
             attached = ShmPlane.attach(name)
             assert attached.nbytes >= len(payload)
-            assert bytes(attached._shm.buf[:len(payload)]) == payload
+            assert attached._mm[:len(payload)] == payload
             assert attached.manifest == decode_plane(payload)[0]
             remote = attached.as_dense_plane()
             engine = PairwiseEngine(
@@ -244,6 +247,26 @@ class TestServeSessionParity:
             assert _stats_tuple(fanned[1]) == _stats_tuple(single[1])
             assert fanned[2] == single[2]
 
+    def test_exact_plane_batch_is_one_frontier_pass(self):
+        """Integer weights sum exactly, so a batch longer than the chunk
+        stays one request: one worker runs one frontier pass over all its
+        targets instead of one pass per slice."""
+        rng = random.Random(26)
+        g = DynamicGraph()
+        for v in range(300):
+            g.add_edge(v, (v + 1) % 300, rng.randint(1, 9))
+            g.add_edge(v, rng.randrange(300), rng.randint(1, 9))
+        sg = SGraph(graph=g,
+                    config=SGraphConfig(num_hubs=4, queries=("distance",)))
+        targets = list(range(100, 164))
+        with sg.serve(workers=2, chunk=32) as session:
+            values, stats, _epoch = session.distance_many(0, targets)
+            view = session.store.latest()
+            assert values == view.distance_many(0, targets)
+            for half in (targets[:32], targets[32:]):
+                assert not session.distance_many(0, half)[1].answered_by_index
+        assert_frontier_pass_counters(stats)
+
     def test_chunk_knob_and_stats_row(self):
         sg = _sgraph(25)
         with sg.serve(workers=1, chunk=5) as session:
@@ -351,8 +374,8 @@ class TestEpochHandoff:
     def test_in_place_kernels_unmap_cleanly_across_epochs(self, capfd):
         """Every search loop in the worker indexes memoryviews of the mapped
         segment.  Each handoff must still unmap the old segment: a view
-        outliving its lease makes ``SharedMemory.close()`` raise
-        ``BufferError``, which surfaces only as worker stderr spew."""
+        outliving its lease makes closing the mapping raise ``BufferError``
+        (``TestWriterMappings`` reads the worker's mappings)."""
         sg = _sgraph(33)
         rng = random.Random(19)
         verts = sorted(sg.graph.vertices())
@@ -498,11 +521,16 @@ def _stop(pid: int) -> None:
     raise AssertionError(f"process {pid} did not stop")
 
 
+def _mappings(pid, prefix: str) -> dict:
+    """``{name: permissions}`` of the ``prefix`` shm segments ``pid`` maps."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return {line.split("/dev/shm/", 1)[1].split()[0]: line.split()[1]
+                for line in maps if f"/dev/shm/{prefix}" in line}
+
+
 def _mapped_segments(pid, prefix: str) -> set:
     """Names of the ``prefix`` shm segments process ``pid`` maps."""
-    with open(f"/proc/{pid}/maps") as maps:
-        return {line.split("/dev/shm/", 1)[1].split()[0]
-                for line in maps if f"/dev/shm/{prefix}" in line}
+    return set(_mappings(pid, prefix))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
@@ -539,6 +567,27 @@ class TestWriterMappings:
             assert epoch == sg.last_published_epoch
             pid = session.pool._procs[0].pid
             assert _mapped_segments(pid, prefix) == {f"{prefix}e{epoch}"}
+        assert leaked_segments(prefix) == []
+
+    def test_worker_maps_only_its_plane_read_only(self):
+        """Readers share the writer's bytes read-only, and the OS enforces
+        it: a worker maps its segment without write permission.  After
+        every dense verb ran on three epochs, the two retired segments are
+        unmapped (a view outliving its lease would keep one mapped)."""
+        sg = _sgraph(48)
+        with sg.serve(workers=1) as session:
+            prefix = session.prefix
+            for i in range(3):
+                if i:
+                    sg.add_edge(0, 30 + i, 0.2)
+                    session.publish()
+                epoch = session.distance(0, 49)[2]
+                session.distance_many(0, list(range(1, 30)))
+                session.nearest(0, 5)
+                session.within(0, 2.5)
+            assert epoch == sg.last_published_epoch
+            pid = session.pool._procs[0].pid
+            assert _mappings(pid, prefix) == {f"{prefix}e{epoch}": "r--s"}
         assert leaked_segments(prefix) == []
 
     def test_republishing_an_epoch_exports_nothing(self):
@@ -637,3 +686,37 @@ class TestWorkerCrash:
                 newer.append(f"{prefix}e{session.publish().epoch}")
             assert leaked_segments(prefix) == sorted(newer)
         assert leaked_segments(prefix) == []
+
+
+_TRACKER_SCRIPT = """
+from multiprocessing import resource_tracker
+from repro.core.config import SGraphConfig
+from repro.graph.dynamic_graph import DynamicGraph
+from repro.serving import leaked_segments
+from repro.sgraph import SGraph
+
+g = DynamicGraph()
+for v in range(40):
+    g.add_edge(v, (v + 1) % 40, 1.0 + v % 3)
+sg = SGraph(graph=g, config=SGraphConfig(num_hubs=4, queries=("distance",)))
+with sg.serve(workers=2) as session:
+    epochs = {session.distance(0, 20)[2]}
+    sg.add_edge(0, 20, 0.5)
+    session.publish()
+    epochs.add(session.distance(0, 20)[2])
+assert len(epochs) == 2, epochs
+assert leaked_segments(session.prefix) == []
+print(resource_tracker._resource_tracker._pid)
+"""
+
+
+def test_a_shm_session_starts_no_resource_tracker():
+    """Segments are mapped and unlinked without ``multiprocessing``'s
+    resource tracker, so a session across two epochs never starts its
+    helper process (checked in a fresh interpreter, which has none)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", _TRACKER_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.split() == ["None"]
