@@ -37,23 +37,24 @@ def main() -> None:
     queries = [(QueryKind.DISTANCE, s, t) for s, t in pairs]
     updates = list(sliding_window_stream(graph, 300, seed=54))
     events = interleave(updates, queries, updates_per_query=25)
-    trace_path = Path(tempfile.mkdtemp()) / "workload.trace"
-    write_trace(trace_path, events)
-    print(f"recorded {len(events)} events to {trace_path}")
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = Path(tmp) / "workload.trace"
+        write_trace(trace_path, events)
+        print(f"recorded {len(events)} events to {trace_path}")
 
-    # 2. replay under two configurations -------------------------------------
-    for label, config in (
-        ("sgraph", cfg),
-        ("upper-only", SGraphConfig(policy="upper-only")),
-    ):
-        sg = SGraph(graph=power_law_graph(2000, 4, seed=51,
-                                          weight_range=(1.0, 4.0)),
-                    config=config)
-        report = replay_trace(sg, read_trace(trace_path))
-        agg = report.query_stats
-        print(f"  {label:13s}: {report.queries_answered} queries, "
-              f"mean {1e3 * agg.mean_elapsed:.3f} ms, "
-              f"{agg.mean_activations:.1f} activations/query")
+        # 2. replay under two configurations ---------------------------------
+        for label, config in (
+            ("sgraph", cfg),
+            ("upper-only", SGraphConfig(policy="upper-only")),
+        ):
+            sg = SGraph(graph=power_law_graph(2000, 4, seed=51,
+                                              weight_range=(1.0, 4.0)),
+                        config=config)
+            report = replay_trace(sg, read_trace(trace_path))
+            agg = report.query_stats
+            print(f"  {label:13s}: {report.queries_answered} queries, "
+                  f"mean {1e3 * agg.mean_elapsed:.3f} ms, "
+                  f"{agg.mean_activations:.1f} activations/query")
 
     # 3. time travel ---------------------------------------------------------
     sg = SGraph(graph=power_law_graph(2000, 4, seed=51,

@@ -379,6 +379,11 @@ class CSRGraph:
         """
         return self._ids is other._ids
 
+    def has_vertex(self, vertex: int) -> bool:
+        """True when ``vertex`` is in this CSR's id space — all an engine
+        over a plane asks of its graph, so a reader passes the CSR itself."""
+        return vertex in self._dense
+
     def dense_id(self, vertex: int) -> int:
         """Map a caller-visible vertex id to its dense CSR index."""
         try:

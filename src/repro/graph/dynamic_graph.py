@@ -25,7 +25,7 @@ the same epoch returns the identical object.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, ItemsView, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import (
     EdgeNotFoundError,
@@ -33,9 +33,7 @@ from repro.errors import (
     VertexNotFoundError,
 )
 from repro.graph.deltas import derive_touched
-from repro.graph.snapshot import GraphSnapshot
-
-Edge = Tuple[int, int, float]
+from repro.graph.snapshot import DictGraph, Edge, GraphSnapshot
 
 
 def _check_weight(weight: float) -> float:
@@ -47,8 +45,11 @@ def _check_weight(weight: float) -> float:
     return weight
 
 
-class DynamicGraph:
+class DynamicGraph(DictGraph):
     """A weighted graph that supports in-place edge/vertex churn.
+
+    The read surface (traversal, degrees, edge lookups) is
+    :class:`~repro.graph.snapshot.DictGraph`'s, shared with every snapshot.
 
     Parameters
     ----------
@@ -73,39 +74,6 @@ class DynamicGraph:
         self._dirty_out: set = set()
         self._dirty_in: set = self._dirty_out if not directed else set()
         self._last_snapshot: Optional[GraphSnapshot] = None
-
-    # -- identity -----------------------------------------------------------
-
-    @property
-    def directed(self) -> bool:
-        return self._directed
-
-    @property
-    def epoch(self) -> int:
-        """Monotone version counter; advances on every successful mutation."""
-        return self._epoch
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self._out)
-
-    @property
-    def num_edges(self) -> int:
-        """Edge count (each undirected edge counted once)."""
-        return self._num_edges
-
-    def __len__(self) -> int:
-        return len(self._out)
-
-    def __contains__(self, vertex: int) -> bool:
-        return vertex in self._out
-
-    def __repr__(self) -> str:
-        kind = "directed" if self._directed else "undirected"
-        return (
-            f"DynamicGraph({kind}, |V|={self.num_vertices}, "
-            f"|E|={self.num_edges}, epoch={self._epoch})"
-        )
 
     # -- copy-on-write plumbing ----------------------------------------------
 
@@ -159,12 +127,6 @@ class DynamicGraph:
         self._dirty_out.add(vertex)
         self._epoch += 1
 
-    def vertices(self) -> Iterator[int]:
-        return iter(self._out)
-
-    def has_vertex(self, vertex: int) -> bool:
-        return vertex in self._out
-
     # -- edges ----------------------------------------------------------------
 
     def add_edge(self, src: int, dst: int, weight: float = 1.0) -> bool:
@@ -216,66 +178,6 @@ class DynamicGraph:
             self._epoch += 1
             return True
         return False
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        return src in self._out and dst in self._out[src]
-
-    def edge_weight(self, src: int, dst: int) -> float:
-        try:
-            return self._out[src][dst]
-        except KeyError:
-            raise EdgeNotFoundError(src, dst) from None
-
-    def edges(self) -> Iterator[Edge]:
-        """Iterate over ``(src, dst, weight)``.
-
-        For undirected graphs each edge appears once, with ``src <= dst``
-        except for the arbitrary orientation of edges whose endpoints compare
-        equal only by insertion history (self-loops appear once).
-        """
-        if self._directed:
-            for src, nbrs in self._out.items():
-                for dst, weight in nbrs.items():
-                    yield src, dst, weight
-        else:
-            for src, nbrs in self._out.items():
-                for dst, weight in nbrs.items():
-                    if src <= dst:
-                        yield src, dst, weight
-
-    # -- traversal protocol (shared with GraphSnapshot) -------------------------
-
-    def out_items(self, vertex: int) -> ItemsView[int, float]:
-        """Items view of ``{neighbor: weight}`` for forward traversal."""
-        try:
-            return self._out[vertex].items()
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-
-    def in_items(self, vertex: int) -> ItemsView[int, float]:
-        """Items view of ``{neighbor: weight}`` for backward traversal."""
-        try:
-            return self._in[vertex].items()
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-
-    def out_degree(self, vertex: int) -> int:
-        try:
-            return len(self._out[vertex])
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-
-    def in_degree(self, vertex: int) -> int:
-        try:
-            return len(self._in[vertex])
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-
-    def degree(self, vertex: int) -> int:
-        """Total degree: out+in for directed graphs, neighbor count otherwise."""
-        if self._directed:
-            return self.out_degree(vertex) + self.in_degree(vertex)
-        return self.out_degree(vertex)
 
     # -- bulk construction -------------------------------------------------------
 
@@ -341,7 +243,3 @@ class DynamicGraph:
         if self._directed:
             self._dirty_in.clear()
         return snap
-
-    def edge_list(self) -> List[Edge]:
-        """Materialize :meth:`edges` as a list (handy for tests)."""
-        return list(self.edges())

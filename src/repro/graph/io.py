@@ -56,17 +56,20 @@ def read_edge_list(
                 use_directed = header_directed if directed is None else directed
                 graph = DynamicGraph(directed=use_directed)
             parts = line.split()
-            if parts[0] == "v":
-                if len(parts) != 2:
-                    raise GraphError(f"{path}:{lineno}: malformed vertex record")
-                graph.add_vertex(int(parts[1]))
-                continue
-            if len(parts) == 2:
-                graph.add_edge(int(parts[0]), int(parts[1]))
-            elif len(parts) == 3:
-                graph.add_edge(int(parts[0]), int(parts[1]), float(parts[2]))
-            else:
-                raise GraphError(f"{path}:{lineno}: malformed edge record")
+            kind = "vertex" if parts[0] == "v" else "edge"
+            try:
+                if kind == "vertex" and len(parts) == 2:
+                    graph.add_vertex(int(parts[1]))
+                elif kind == "edge" and len(parts) == 2:
+                    graph.add_edge(int(parts[0]), int(parts[1]))
+                elif kind == "edge" and len(parts) == 3:
+                    graph.add_edge(int(parts[0]), int(parts[1]), float(parts[2]))
+                else:
+                    raise ValueError("wrong field count")
+            except ValueError:
+                raise GraphError(
+                    f"{path}:{lineno}: malformed {kind} record: {line!r}"
+                ) from None
     if graph is None:
         use_directed = header_directed if directed is None else directed
         graph = DynamicGraph(directed=use_directed)

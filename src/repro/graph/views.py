@@ -12,7 +12,13 @@ from typing import Iterator, Tuple
 
 
 class UnitWeightView:
-    """Read-only traversal-protocol adapter that reports all weights as 1.0."""
+    """Read-only traversal-protocol adapter that reports all weights as 1.0.
+
+    It carries only what the engine, the hub index and its maintainer ask
+    of a graph: identity (``base``, ``directed``, ``num_vertices``), the
+    vertex set (``vertices``, ``has_vertex``), unit-weight traversal
+    (``out_items``, ``in_items``) and ``degree`` for hub selection.
+    """
 
     __slots__ = ("_graph",)
 
@@ -32,16 +38,6 @@ class UnitWeightView:
     def num_vertices(self) -> int:
         return self._graph.num_vertices
 
-    @property
-    def num_edges(self) -> int:
-        return self._graph.num_edges
-
-    def __len__(self) -> int:
-        return len(self._graph)
-
-    def __contains__(self, vertex: int) -> bool:
-        return vertex in self._graph
-
     def __repr__(self) -> str:
         return f"UnitWeightView({self._graph!r})"
 
@@ -51,14 +47,6 @@ class UnitWeightView:
     def has_vertex(self, vertex: int) -> bool:
         return self._graph.has_vertex(vertex)
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        return self._graph.has_edge(src, dst)
-
-    def edge_weight(self, src: int, dst: int) -> float:
-        # Raises the underlying errors for missing vertices/edges.
-        self._graph.edge_weight(src, dst)
-        return 1.0
-
     def out_items(self, vertex: int) -> Iterator[Tuple[int, float]]:
         for u, _w in self._graph.out_items(vertex):
             yield u, 1.0
@@ -67,15 +55,5 @@ class UnitWeightView:
         for u, _w in self._graph.in_items(vertex):
             yield u, 1.0
 
-    def out_degree(self, vertex: int) -> int:
-        return self._graph.out_degree(vertex)
-
-    def in_degree(self, vertex: int) -> int:
-        return self._graph.in_degree(vertex)
-
     def degree(self, vertex: int) -> int:
         return self._graph.degree(vertex)
-
-    def edges(self) -> Iterator[Tuple[int, int, float]]:
-        for src, dst, _w in self._graph.edges():
-            yield src, dst, 1.0

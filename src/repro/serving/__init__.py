@@ -49,7 +49,6 @@ from repro.serving.faults import (
 )
 from repro.serving.codec import (
     CHUNK_BYTES,
-    PlaneGraph,
     apply_plane_delta,
     decode_plane,
     diff_payloads,
@@ -78,7 +77,6 @@ __all__ = [
     "FaultPolicy",
     "FaultProxy",
     "RespawnBreaker",
-    "PlaneGraph",
     "PlaneTransport",
     "ServeSession",
     "ShmPlane",

@@ -521,19 +521,3 @@ def _compose(base_payload, frame: memoryview, head: Dict) -> bytes:
         cursor += size
     return bytes(out)
 
-
-class PlaneGraph:
-    """The one graph method a reader engine calls: ``has_vertex``.
-
-    Reader processes have no :class:`DynamicGraph` — only the plane.  An
-    engine over a plane always searches the CSR itself and needs the graph
-    only to validate endpoints, answered from the CSR's id map.
-    """
-
-    __slots__ = ("_csr",)
-
-    def __init__(self, csr) -> None:
-        self._csr = csr
-
-    def has_vertex(self, vertex: int) -> bool:
-        return vertex in self._csr.dense_map

@@ -39,7 +39,6 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from repro.core.engine import PairwiseEngine
 from repro.core.workspace import SearchWorkspace
 from repro.errors import ConfigError, QueryError
-from repro.serving.codec import PlaneGraph
 from repro.serving.registry import EpochRegistry
 from repro.serving.shm_plane import ShmPlane, unlink_segment
 
@@ -207,7 +206,7 @@ class PlaneReader:
         if lease is not None:
             lease.release()
         self._engine = PairwiseEngine(
-            PlaneGraph(fresh.plane.csr), policy=self._policy,
+            fresh.plane.csr, policy=self._policy,
             dense=fresh.plane, workspace=self._workspace,
         )
         self._stale = False

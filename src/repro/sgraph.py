@@ -314,6 +314,9 @@ class SGraph(PairwiseVerbs):
 
         If the vertex serves as a hub, the indexes are rebuilt with a fresh
         hub selection (rare in practice; hubs are high-degree vertices).
+        Removing the last vertex uninstalls them instead: the empty facade
+        raises :class:`QueryError` on query like any other, and the first
+        query after an insert rebuilds them.
         """
         graph = self._graph
         incident: List[Tuple[int, int]] = [
@@ -325,7 +328,10 @@ class SGraph(PairwiseVerbs):
             self.discard_edge(src, dst)
         graph.remove_vertex(vertex)
         if self._indexes and vertex in self._hubs:
-            self.rebuild_indexes()
+            if graph.num_vertices:
+                self.rebuild_indexes()
+            else:
+                self._install({})
 
     def apply_update(self, update: EdgeUpdate) -> None:
         """Apply one stream update (redundant deletes are tolerated)."""

@@ -87,6 +87,13 @@ class TestEdgeListIO:
         with pytest.raises(GraphError):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("line", ["1 x 3.0", "0 1 abc", "v seven", "1.5 2"])
+    def test_non_numeric_field_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# directed=0\n0 1 1.0\n{line}\n")
+        with pytest.raises(GraphError, match=rf"bad\.txt:3: malformed"):
+            read_edge_list(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

@@ -158,17 +158,15 @@ def test_dense_path_needs_index_for_witness():
     ))
     sg._ensure_indexes()
     plane = sg._frozen_engine("distance").dense_plane
-    from repro.serving import PlaneGraph
-
     engine = PairwiseEngine(
-        PlaneGraph(plane.csr), policy=PruningPolicy.UPPER_AND_LOWER,
+        plane.csr, policy=PruningPolicy.UPPER_AND_LOWER,
         dense=plane,
     )
     with pytest.raises(ConfigError):
         engine.best_path(0, 1)
     # the index-free policy searches to completion and never needs it
     none_engine = PairwiseEngine(
-        PlaneGraph(plane.csr), policy=PruningPolicy.NONE, dense=plane,
+        plane.csr, policy=PruningPolicy.NONE, dense=plane,
     )
     value, path, _ = none_engine.best_path(0, 1)
     ref = sg.distance(0, 1)

@@ -12,6 +12,7 @@ from repro.errors import (
     VertexNotFoundError,
 )
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.snapshot import DictGraph, GraphSnapshot
 
 
 class TestVertices:
@@ -151,6 +152,15 @@ class TestErrors:
         with pytest.raises(EdgeNotFoundError):
             g.edge_weight(0, 1)
 
+    def test_weight_from_unknown_vertex_raises_vertex_error(self):
+        """Same error as a snapshot's: both read through ``DictGraph``."""
+        g = DynamicGraph()
+        g.add_edge(0, 1)
+        with pytest.raises(VertexNotFoundError):
+            g.edge_weight(99, 0)
+        with pytest.raises(VertexNotFoundError):
+            g.snapshot().edge_weight(99, 0)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_invalid_weights_rejected(self, bad):
         g = DynamicGraph()
@@ -211,6 +221,17 @@ class TestBulk:
         g.add_edge(0, 1)
         assert "|V|=2" in repr(g)
         assert "|E|=1" in repr(g)
+        assert repr(g).startswith("DynamicGraph(")
+
+
+class TestSharedReadSurface:
+    """The live graph and its snapshots read through one implementation."""
+
+    @pytest.mark.parametrize("name", ["out_items", "in_items", "edges",
+                                      "edge_weight"])
+    def test_one_function_object(self, name):
+        assert getattr(DynamicGraph, name) is getattr(GraphSnapshot, name)
+        assert getattr(DynamicGraph, name) is DictGraph.__dict__[name]
 
 
 @given(

@@ -2,7 +2,8 @@
 
 The examples drive the public ``SGraph`` and ``VersionedStore`` verbs end
 to end; each runs in a fresh interpreter against ``src/``, from an empty
-working directory, and must exit 0.
+working directory that is also its ``TMPDIR``, must exit 0 and must leave
+that directory empty.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
 def test_example_exits_cleanly(script, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     done = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=110,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_streaming_dashboard_prints_a_full_row_per_round(tmp_path):

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.config import SGraphConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphError
 from repro.graph.generators import erdos_renyi_graph, power_law_graph
 from repro.graph.stats import sample_vertex_pairs
 from repro.persist import PersistError, load_sgraph, save_sgraph
@@ -124,6 +124,15 @@ class TestFailureModes:
             load_sgraph(tmp_path / "snap", verify=True)
         # Unverified load still succeeds structurally (caveat documented).
         load_sgraph(tmp_path / "snap")
+
+    def test_non_numeric_edge_field_names_its_line(self, built_sgraph, tmp_path):
+        save_sgraph(built_sgraph, tmp_path / "snap")
+        edges = tmp_path / "snap" / "graph.edges"
+        lines = edges.read_text().splitlines()
+        lines[2] = "0 1 abc"
+        edges.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphError, match=r"graph\.edges:3: malformed edge"):
+            load_sgraph(tmp_path / "snap")
 
     def test_non_integer_ids_rejected(self, tmp_path):
         sg = SGraph.from_edges([("a", "b", 1.0)],

@@ -17,13 +17,12 @@ import pytest
 from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
 from repro.core.pruning import PruningPolicy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, QueryError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serving.codec import (
     ALIGN,
     CHUNK_BYTES,
-    PlaneGraph,
     apply_plane_delta,
     decode_plane,
     delta_header,
@@ -110,7 +109,7 @@ class TestRoundTrip:
                                                      epoch=view.epoch))
         remote = materialize_plane(manifest, arrays)
         engine = PairwiseEngine(
-            PlaneGraph(remote.csr), policy=PruningPolicy.UPPER_AND_LOWER,
+            remote.csr, policy=PruningPolicy.UPPER_AND_LOWER,
             dense=remote,
         )
         reference = PairwiseEngine(
@@ -128,6 +127,12 @@ class TestRoundTrip:
                     stats.answered_by_index) == (
                 ref_stats.activations, ref_stats.pushes,
                 ref_stats.relaxations, ref_stats.answered_by_index)
+        # The CSR is the reader engine's graph: it validates endpoints.
+        missing = max(verts) + 1
+        assert remote.csr.has_vertex(verts[0])
+        assert not remote.csr.has_vertex(missing)
+        with pytest.raises(QueryError, match="not in the graph"):
+            engine.best_cost(verts[0], missing)
 
     def test_version_mismatch_rejected(self):
         _sg, _view, plane = _published_plane(55)
@@ -404,7 +409,7 @@ class TestPayloadDiff:
         manifest, arrays = decode_plane(composed)
         remote = materialize_plane(manifest, arrays)
         engine = PairwiseEngine(
-            PlaneGraph(remote.csr), policy=PruningPolicy.UPPER_AND_LOWER,
+            remote.csr, policy=PruningPolicy.UPPER_AND_LOWER,
             dense=remote,
         )
         for _ in range(20):

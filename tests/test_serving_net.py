@@ -164,7 +164,6 @@ class TestReadOnlyPlane:
         array — and every memoryview the kernels index — is read-only.
         It must answer every dense verb exactly as the writer's plane."""
         from repro.core.engine import PairwiseEngine
-        from repro.serving.codec import PlaneGraph
         from repro.serving.net import NetClient
 
         sg = _sgraph(69, directed=directed)
@@ -182,7 +181,7 @@ class TestReadOnlyPlane:
                 assert all(v.readonly for v in tables.fwd_views)
                 writer = view.dense_plane()
                 engines = [
-                    PairwiseEngine(PlaneGraph(plane.csr),
+                    PairwiseEngine(plane.csr,
                                    policy="upper+lower", dense=plane)
                     for plane in (remote, writer)
                 ]

@@ -23,7 +23,7 @@ from repro.core.config import SGraphConfig
 from repro.core.engine import PairwiseEngine
 from repro.core.pruning import PruningPolicy
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.serving import PlaneGraph, ShmPlane, leaked_segments, shm_available
+from repro.serving import ShmPlane, leaked_segments, shm_available
 from repro.serving.codec import decode_plane, encode_plane
 from repro.serving.pool import STALE_STAMP
 from repro.serving.transport import KEEP_LINKED, PlaneLease
@@ -94,7 +94,7 @@ class TestShmPlaneRoundTrip:
             assert attached.directed == directed
             remote = attached.as_dense_plane()
             engine = PairwiseEngine(
-                PlaneGraph(remote.csr),
+                remote.csr,
                 policy=PruningPolicy.UPPER_AND_LOWER,
                 dense=remote,
             )
@@ -132,7 +132,7 @@ class TestShmPlaneRoundTrip:
             assert attached.manifest == decode_plane(payload)[0]
             remote = attached.as_dense_plane()
             engine = PairwiseEngine(
-                PlaneGraph(remote.csr),
+                remote.csr,
                 policy=PruningPolicy.UPPER_AND_LOWER,
                 dense=remote,
             )

@@ -151,6 +151,22 @@ class TestMutation:
         assert sg.distance(1, 3).value == 2.0
         assert 0 not in sg.index_for("distance").hubs
 
+    def test_remove_last_vertex_uninstalls_indexes(self):
+        """Removing the last (hub) vertex leaves an empty facade that
+        answers like a fresh one, and an insert rebuilds lazily."""
+        sg = SGraph.from_edges([(0, 1, 1.0)], config=SGraphConfig(num_hubs=2))
+        sg.distance(0, 1)
+        sg.remove_vertex(0)
+        sg.remove_vertex(1)
+        assert sg.num_vertices == 0
+        with pytest.raises(QueryError, match="empty graph"):
+            sg.distance(0, 1)
+        with pytest.raises(QueryError, match="empty graph"):
+            SGraph(config=SGraphConfig(num_hubs=2)).distance(0, 1)
+        sg.add_edge(3, 4, 2.0)
+        assert sg.distance(3, 4).value == 2.0
+        assert set(sg.index_for("distance").hubs) == {3, 4}
+
     def test_apply_updates(self, sg_triangle):
         applied = sg_triangle.apply([
             EdgeUpdate.insert(2, 3, 2.0),

@@ -20,29 +20,22 @@ class TestUnitWeightView:
     def test_weights_are_unit(self, weighted_graph):
         view = UnitWeightView(weighted_graph)
         assert dict(view.out_items(1)) == {0: 1.0, 2: 1.0}
-        assert view.edge_weight(0, 1) == 1.0
+        assert dict(view.in_items(1)) == {0: 1.0, 2: 1.0}
 
     def test_topology_delegated(self, weighted_graph):
         view = UnitWeightView(weighted_graph)
         assert view.num_vertices == 3
-        assert view.num_edges == 2
-        assert len(view) == 3
-        assert 0 in view
         assert view.has_vertex(2)
-        assert view.has_edge(0, 1)
-        assert not view.has_edge(0, 2)
+        assert not view.has_vertex(9)
         assert sorted(view.vertices()) == [0, 1, 2]
         assert view.degree(1) == 2
+        assert repr(view).startswith("UnitWeightView(DynamicGraph(")
 
     def test_live_follow(self, weighted_graph):
         view = UnitWeightView(weighted_graph)
         weighted_graph.add_edge(2, 3, 9.0)
-        assert view.has_edge(2, 3)
+        assert view.has_vertex(3)
         assert dict(view.out_items(3)) == {2: 1.0}
-
-    def test_edges_unit(self, weighted_graph):
-        view = UnitWeightView(weighted_graph)
-        assert all(w == 1.0 for _s, _d, w in view.edges())
 
     def test_directed_in_items(self):
         g = DynamicGraph(directed=True)
@@ -50,8 +43,15 @@ class TestUnitWeightView:
         view = UnitWeightView(g)
         assert view.directed
         assert dict(view.in_items(1)) == {0: 1.0}
-        assert view.in_degree(1) == 1
-        assert view.out_degree(1) == 0
+        assert dict(view.out_items(1)) == {}
+        assert view.degree(1) == 1
 
     def test_base_accessor(self, weighted_graph):
         assert UnitWeightView(weighted_graph).base is weighted_graph
+
+    def test_surface_is_what_the_engine_calls(self):
+        """Only the members the engine, index and maintainer call."""
+        public = {name for name in dir(UnitWeightView)
+                  if not name.startswith("_")}
+        assert public == {"base", "directed", "num_vertices", "vertices",
+                          "has_vertex", "out_items", "in_items", "degree"}
